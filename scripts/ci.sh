@@ -123,7 +123,8 @@ sock = socket.create_connection((host, int(port)), timeout=10)
 f = sock.makefile("rw", encoding="utf-8", newline="\n")
 
 def rpc(req):
-    f.write(json.dumps(req) + "\n")
+    # a str is sent as the raw line, for requests json.dumps cannot spell
+    f.write((req if isinstance(req, str) else json.dumps(req)) + "\n")
     f.flush()
     resp = json.loads(f.readline())
     # every response — success or error — carries the v2 protocol stamp
@@ -195,6 +196,17 @@ assert r.get("ok") is False and r.get("code") == "result-limit", r
 r = rpc({"op": "nonsense"})
 assert r.get("ok") is False and r.get("code") == "protocol", r
 
+# a line near the 1 MiB --max-line default parses in linear time: it is
+# answered well inside the socket's 10 s timeout (quadratic string
+# scanning took 18.7 s for this line on a 2-CPU x86-64 host)
+r = rpc({"op": "status", "pad": "x" * (900 * 1024)})
+assert r.get("ok"), r
+
+# an overflowing number is rejected, never echoed back as a bare `inf`
+r = rpc('{"id":1e999,"op":"status"}')
+assert r.get("ok") is False and r.get("code") == "protocol", r
+assert "id" not in r, r
+
 r = rpc({"op": "shutdown"})
 assert r.get("ok") and r["result"]["stopping"], r
 sock.close()
@@ -209,11 +221,11 @@ with open(sys.argv[1]) as f:
     report = json.load(f)
 counters = report["counters"]
 
-# one request per protocol line above, exactly four of them probe errors
+# one request per protocol line above, exactly five of them probe errors
 # (the unknown op, the over-cap sparql scan, the over-cap batch, the
-# over-cap rank)
+# over-cap rank, the overflowing id)
 assert counters.get("serve.requests", 0) >= 13, counters.get("serve.requests")
-assert counters.get("serve.errors", 0) == 4, counters.get("serve.errors")
+assert counters.get("serve.errors", 0) == 5, counters.get("serve.errors")
 assert "serve.request_ns" in report["histograms"], "request latency not recorded"
 # exactly one batch dispatched (the over-cap one is rejected before the
 # counters tick), carrying three sub-requests; nothing was shed

@@ -8,11 +8,21 @@
 //! serve differential tests pin ("served answer is byte-identical to the
 //! batch answer rendered the same way").
 //!
-//! Intentional limits (requests are single lines of modest size): numbers
-//! are `f64` (integers up to 2^53 round-trip exactly), and no
-//! streaming/incremental parsing.
+//! Both directions run in time linear in the line's length, so a line
+//! near the serve daemon's 1 MiB cap cannot pin a worker: the parser
+//! copies string content in whole runs up to the next `"` or `\`, and the
+//! serialiser writes into one `String` ([`Json::write_to`]), copying
+//! unescaped runs whole. The serve layer writes query answers straight
+//! into its response buffer with `write_string`, `write_display` and
+//! `write_num`, so the bytes match a [`Json`] tree of the same shape
+//! without building one.
+//!
+//! Intentional limits: numbers are finite `f64` (integers up to 2^53
+//! round-trip exactly; a literal that overflows, such as `1e999`, is a
+//! parse error, and a non-finite [`Json::Num`] built in code serialises as
+//! `null`), and no streaming/incremental parsing.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,15 +105,47 @@ impl Json {
     /// of ten thousand `[`s must become a parse error, not a stack
     /// overflow — a hard requirement for the serve fuzz harness.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        skip_ws(text.as_bytes(), &mut pos);
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
         }
         Ok(value)
+    }
+
+    /// Append the compact, deterministic serialisation (no added
+    /// whitespace) to `out`. [`Display`](fmt::Display) delegates here.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_string(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
@@ -144,19 +186,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     if depth > MAX_NESTING_DEPTH {
         return Err(JsonError::at(*pos, "value nested too deeply"));
     }
+    let bytes = src.as_bytes();
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{') => parse_object(src, pos, depth),
+        Some(b'[') => parse_array(src, pos, depth),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(src, pos),
         Some(c) => Err(JsonError::at(*pos, format!("unexpected byte {:?}", *c as char))),
     }
 }
@@ -175,7 +218,8 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_number(src: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = src.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -185,74 +229,73 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "non-UTF-8 number"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| JsonError::at(start, format!("malformed number {text:?}")))
+    let text = &src[start..*pos];
+    match text.parse::<f64>() {
+        // JSON has no infinities: an overflowing literal such as `1e999`
+        // must not come back out of the writer as the non-JSON `inf`
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(JsonError::at(
+            start,
+            format!("number {text:?} is out of range"),
+        )),
+        Err(_) => Err(JsonError::at(start, format!("malformed number {text:?}"))),
+    }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = src.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = parse_hex4(bytes, pos)?;
-                        // surrogate pair: a second \uXXXX must follow
-                        if (0xD800..0xDC00).contains(&hi) {
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                *pos += 2;
-                                let lo = parse_hex4(bytes, pos)?;
-                                let c = 0x10000
-                                    + ((hi as u32 - 0xD800) << 10)
-                                    + (lo as u32 - 0xDC00);
-                                out.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| JsonError::at(*pos, "bad surrogate pair"))?,
-                                );
-                            } else {
-                                return Err(JsonError::at(*pos, "lone high surrogate"));
-                            }
-                        } else {
-                            out.push(
-                                char::from_u32(hi as u32)
-                                    .ok_or_else(|| JsonError::at(*pos, "bad \\u escape"))?,
-                            );
-                        }
-                    }
-                    _ => return Err(JsonError::at(*pos, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // consume one UTF-8 scalar
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "non-UTF-8 string content"))?;
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // copy the run up to the next delimiter whole: both delimiters are
+        // ASCII, so the run of the (valid UTF-8) input ends on a char
+        // boundary
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| JsonError::at(bytes.len(), "unterminated string"))?;
+        out.push_str(&src[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1; // the backslash
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hi = parse_hex4(bytes, pos)?;
+                // surrogate pair: a second \uXXXX must follow
+                if (0xD800..0xDC00).contains(&hi) {
+                    if bytes.get(*pos + 1) == Some(&b'\\') && bytes.get(*pos + 2) == Some(&b'u') {
+                        *pos += 2;
+                        let lo = parse_hex4(bytes, pos)?;
+                        let c = 0x10000 + ((hi as u32 - 0xD800) << 10) + (lo as u32 - 0xDC00);
+                        out.push(
+                            char::from_u32(c)
+                                .ok_or_else(|| JsonError::at(*pos, "bad surrogate pair"))?,
+                        );
+                    } else {
+                        return Err(JsonError::at(*pos, "lone high surrogate"));
+                    }
+                } else {
+                    out.push(
+                        char::from_u32(hi as u32)
+                            .ok_or_else(|| JsonError::at(*pos, "bad \\u escape"))?,
+                    );
+                }
+            }
+            _ => return Err(JsonError::at(*pos, "bad escape")),
+        }
+        *pos += 1;
     }
 }
 
@@ -267,7 +310,8 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, JsonError> {
     Ok(v)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = src.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -277,7 +321,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos, depth + 1)?);
+        items.push(parse_value(src, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -290,7 +334,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = src.as_bytes();
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -303,14 +348,14 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
         if bytes.get(*pos) != Some(&b'"') {
             return Err(JsonError::at(*pos, "expected object key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(JsonError::at(*pos, "expected ':'"));
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos, depth + 1)?;
+        let value = parse_value(src, pos, depth + 1)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -324,59 +369,74 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Append `s` as a quoted JSON string, escaping `"`, `\` and control
+/// characters. Runs that need no escape are copied whole: every byte that
+/// does is ASCII, so each run ends on a char boundary.
+pub(crate) fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append `value`'s [`Display`](fmt::Display) form as a quoted JSON string,
+/// escaping as it is formatted (no intermediate `String`).
+pub(crate) fn write_display(out: &mut String, value: &impl fmt::Display) {
+    out.push('"');
+    let _ = write!(Escaper(out), "{value}");
+    out.push('"');
+}
+
+/// Append a number: integral values below 2^53 print as integers, other
+/// finite values in Rust's shortest round-trip form, and the non-finite
+/// values JSON cannot express as `null`.
+pub(crate) fn write_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9007199254740992.0 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
-    f.write_str("\"")
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// A [`fmt::Write`] sink that JSON-escapes everything written through it.
+struct Escaper<'a>(&'a mut String);
+
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
 }
 
 impl fmt::Display for Json {
     /// Compact, deterministic serialisation (no added whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9007199254740992.0 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -416,6 +476,47 @@ mod tests {
         assert_eq!(Json::Num(-3.0).to_string(), "-3");
         assert_eq!(Json::Num(1.5).to_string(), "1.5");
         assert_eq!(Json::parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
+    #[test]
+    fn strings_escape_exactly_the_json_specials() {
+        let v = Json::str("a\"b\\c\nd\te\rf\u{1}g\u{1f}h\u{7f}é🎉");
+        assert_eq!(
+            v.to_string(),
+            "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\u{7f}é🎉\""
+        );
+        let mut shown = String::new();
+        write_display(&mut shown, &"x\"\u{2}y");
+        assert_eq!(shown, "\"x\\\"\\u0002y\"");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_and_never_written() {
+        for bad in ["1e999", "-1e999", "[1e400]", r#"{"id":1e999}"#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.message.contains("out of range"), "{bad:?}: {err}");
+        }
+        // underflow rounds to a finite zero and is accepted
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(Json::Num(n).to_string(), "null");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // a line near the serve daemon's 1 MiB cap: quadratic scanning
+        // took tens of seconds here
+        let pad = "x".repeat(1 << 20);
+        let line = format!("{{\"op\":\"status\",\"pad\":\"{pad}\\n\"}}");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(
+            v.get("pad").and_then(Json::as_str).map(str::len),
+            Some(pad.len() + 1)
+        );
+        assert_eq!(v.to_string(), line);
     }
 
     #[test]

@@ -88,6 +88,7 @@
 //! `--metrics-out` reports cover the daemon too.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
@@ -104,7 +105,7 @@ use weblab_prov::EpochSnapshot;
 use weblab_xml::parse_document;
 
 use crate::error::WebLabError;
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// Requests dispatched (including failed ones; sheds are not dispatched).
 static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
@@ -445,38 +446,29 @@ impl EventLoop<'_> {
     }
 
     /// Split `read_buf` into complete lines and admit/shed/reject each.
+    /// Lines are framed with a cursor and the consumed prefix is drained
+    /// once, so a pipelined burst costs one pass over the buffer.
     fn frame_lines(&mut self, id: u64) {
-        loop {
-            let conn = self.conns.get_mut(&id).expect("conn ids are stable");
-            let Some(nl) = conn.read_buf.iter().position(|&b| b == b'\n') else {
-                // no newline yet: a partial line may not overflow the cap
-                if conn.read_buf.len() > self.max_line {
-                    let e = WebLabError::LineLimit { max: self.max_line };
-                    let resp = error_response(&e, None, None);
-                    conn.pending.push_back(Pending::Resolved(resp));
-                    conn.read_buf.clear();
-                    // framing is lost mid-line: the connection must close
-                    conn.close_by = Some(Instant::now() + CLOSE_GRACE);
-                }
-                return;
-            };
-            let mut line: Vec<u8> = conn.read_buf.drain(..=nl).collect();
-            line.pop(); // the newline
-            if line.last() == Some(&b'\r') {
-                line.pop();
+        let conn = self.conns.get_mut(&id).expect("conn ids are stable");
+        let mut start = 0;
+        while let Some(nl) = conn.read_buf[start..].iter().position(|&b| b == b'\n') {
+            let mut line = &conn.read_buf[start..start + nl];
+            start += nl + 1;
+            if let [rest @ .., b'\r'] = line {
+                line = rest;
             }
             if line.iter().all(|b| b.is_ascii_whitespace()) {
                 continue; // blank keep-alive line: no response
             }
             if line.len() > self.max_line {
                 let e = WebLabError::LineLimit { max: self.max_line };
-                let resp = error_response(&e, None, None);
+                let resp = error_response(&e, None);
                 conn.pending.push_back(Pending::Resolved(resp));
                 continue; // framing intact: the connection survives
             }
-            let Ok(text) = String::from_utf8(line) else {
+            let Ok(text) = std::str::from_utf8(line) else {
                 let e = WebLabError::Protocol("request line is not valid UTF-8".into());
-                let resp = error_response(&e, None, None);
+                let resp = error_response(&e, None);
                 conn.pending.push_back(Pending::Resolved(resp));
                 continue;
             };
@@ -488,14 +480,25 @@ impl EventLoop<'_> {
                     depth: self.load,
                     cap: self.queue_depth,
                 };
-                let id_val = Json::parse(&text).ok().and_then(|r| r.get("id").cloned());
-                let resp = error_response(&e, id_val.as_ref(), None);
+                let request = Json::parse(text).ok();
+                let id_val = request.as_ref().and_then(|r| r.get("id"));
+                let resp = error_response(&e, id_val);
                 conn.pending.push_back(Pending::Resolved(resp));
                 continue;
             }
             self.load += 1;
             SERVE_QUEUE_DEPTH.inc();
-            conn.pending.push_back(Pending::Line(text));
+            conn.pending.push_back(Pending::Line(text.to_owned()));
+        }
+        conn.read_buf.drain(..start);
+        // no newline in what is left: a partial line may not overflow the cap
+        if conn.read_buf.len() > self.max_line {
+            let e = WebLabError::LineLimit { max: self.max_line };
+            let resp = error_response(&e, None);
+            conn.pending.push_back(Pending::Resolved(resp));
+            conn.read_buf.clear();
+            // framing is lost mid-line: the connection must close
+            conn.close_by = Some(Instant::now() + CLOSE_GRACE);
         }
     }
 
@@ -543,7 +546,7 @@ impl EventLoop<'_> {
                                 depth: self.load,
                                 cap: self.queue_depth,
                             };
-                            conn.push_response(&error_response(&e, None, None));
+                            conn.push_response(&error_response(&e, None));
                         }
                     }
                     None => break,
@@ -567,7 +570,7 @@ impl EventLoop<'_> {
             {
                 let millis = timeout.as_millis().min(u128::from(u64::MAX)) as u64;
                 let e = WebLabError::IdleTimeout { millis };
-                conn.push_response(&error_response(&e, None, None));
+                conn.push_response(&error_response(&e, None));
                 flush_some(conn);
                 conn.close_by = Some(now + CLOSE_GRACE);
             }
@@ -622,7 +625,7 @@ impl Conn {
 fn reject_connection(mut stream: TcpStream, depth: usize, cap: usize) {
     let e = WebLabError::Overloaded { depth, cap };
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.write_all(error_response(&e, None, None).as_bytes());
+    let _ = stream.write_all(error_response(&e, None).as_bytes());
     let _ = stream.write_all(b"\n");
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -716,33 +719,78 @@ pub fn handle_line_limits(
 ) -> (String, bool) {
     SERVE_REQUESTS.inc();
     let span = Span::start(&SERVE_REQUEST_NS);
-    let parsed = Json::parse(line).map_err(|e| WebLabError::Protocol(e.to_string()));
-    let id = parsed.as_ref().ok().and_then(|r| r.get("id").cloned());
-    let outcome = parsed.and_then(|request| dispatch(platform, &request, limits));
-    drop(span);
-    match outcome {
-        Ok(d) => (
-            success_json(d.epoch, d.result, id.as_ref()).to_string(),
-            d.shutdown,
-        ),
+    let parsed = Json::parse(line);
+    let id = parsed.as_ref().ok().and_then(|r| r.get("id"));
+    let outcome = parsed
+        .as_ref()
+        .map_err(|e| WebLabError::Protocol(e.to_string()))
+        .and_then(|request| dispatch(platform, request, limits));
+    let mut out = String::new();
+    let stop = match outcome {
+        Ok(d) => {
+            write_success(&mut out, id, d.epoch, |out| d.result.write_to(out));
+            d.shutdown
+        }
         Err(e) => {
             SERVE_ERRORS.inc();
-            (error_response(&e, id.as_ref(), None), false)
+            write_error(&mut out, &e, id, None);
+            false
+        }
+    };
+    drop(span);
+    (out, stop)
+}
+
+struct Dispatched<'r> {
+    epoch: Option<u64>,
+    result: Reply<'r>,
+    shutdown: bool,
+}
+
+/// A dispatched request's result, kept as data until it is written into
+/// the response buffer — query answers never pass through a [`Json`] tree.
+enum Reply<'r> {
+    /// A small fixed-shape result (ingest, replay, status, shutdown).
+    Value(Json),
+    /// One query answer.
+    Answer(QueryAnswer),
+    /// A batch's sub-outcomes, each with its sub-request's `id`, all at
+    /// the batch's pinned epoch.
+    Batch {
+        epoch: u64,
+        subs: Vec<(Option<&'r Json>, Result<QueryAnswer, WebLabError>)>,
+    },
+}
+
+impl Reply<'_> {
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Reply::Value(v) => v.write_to(out),
+            Reply::Answer(answer) => write_answer(out, answer),
+            Reply::Batch { epoch, subs } => {
+                out.push('[');
+                for (i, (id, sub)) in subs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    match sub {
+                        Ok(answer) => {
+                            write_success(out, *id, Some(*epoch), |out| write_answer(out, answer))
+                        }
+                        Err(e) => write_error(out, e, *id, Some(*epoch)),
+                    }
+                }
+                out.push(']');
+            }
         }
     }
 }
 
-struct Dispatched {
-    epoch: Option<u64>,
-    result: Json,
-    shutdown: bool,
-}
-
-fn dispatch(
+fn dispatch<'r>(
     platform: &Platform,
-    request: &Json,
+    request: &'r Json,
     limits: &RequestLimits,
-) -> Result<Dispatched, WebLabError> {
+) -> Result<Dispatched<'r>, WebLabError> {
     let op = str_field(request, "op")?;
     match op {
         "why" | "lineage" | "impacted-by" | "common-origins" | "sparql" | "rank" | "summary" => {
@@ -752,7 +800,7 @@ fn dispatch(
             check_row_cap(&answer, limits)?;
             Ok(Dispatched {
                 epoch: Some(epoch),
-                result: render_answer(&answer),
+                result: Reply::Answer(answer),
                 shutdown: false,
             })
         }
@@ -772,12 +820,12 @@ fn dispatch(
             let snap = exec.snapshot()?;
             Ok(Dispatched {
                 epoch: Some(snap.epoch),
-                result: Json::obj(vec![
+                result: Reply::Value(Json::obj(vec![
                     ("execution", Json::str(exec.id())),
                     ("calls", Json::num(snap.calls as u64)),
                     ("links", Json::num(snap.graph.links.len() as u64)),
                     ("resources", Json::num(snap.graph.sources.len() as u64)),
-                ]),
+                ])),
                 shutdown: false,
             })
         }
@@ -808,14 +856,14 @@ fn dispatch(
             let snap = platform.execution(&report.execution).snapshot()?;
             Ok(Dispatched {
                 epoch: Some(snap.epoch),
-                result: Json::obj(vec![
+                result: Reply::Value(Json::obj(vec![
                     ("execution", Json::str(report.execution.as_str())),
                     ("cone", Json::num(report.cone_size as u64)),
                     ("reused", Json::num(report.reused as u64)),
                     ("recomputed", Json::num(report.recomputed as u64)),
                     ("splices", Json::num(report.splices as u64)),
                     ("grades", Json::Arr(grades)),
-                ]),
+                ])),
                 shutdown: false,
             })
         }
@@ -834,13 +882,13 @@ fn dispatch(
                 .collect();
             Ok(Dispatched {
                 epoch: None,
-                result: Json::obj(vec![("executions", Json::Arr(executions))]),
+                result: Reply::Value(Json::obj(vec![("executions", Json::Arr(executions))])),
                 shutdown: false,
             })
         }
         "shutdown" => Ok(Dispatched {
             epoch: None,
-            result: Json::obj(vec![("stopping", Json::Bool(true))]),
+            result: Reply::Value(Json::obj(vec![("stopping", Json::Bool(true))])),
             shutdown: true,
         }),
         other => Err(WebLabError::Protocol(format!("unknown op {other:?}"))),
@@ -849,11 +897,11 @@ fn dispatch(
 
 /// Dispatch a `batch` request: pin **one** snapshot and answer every
 /// sub-request on it, so the whole batch shares one atomic epoch.
-fn dispatch_batch(
+fn dispatch_batch<'r>(
     platform: &Platform,
-    request: &Json,
+    request: &'r Json,
     limits: &RequestLimits,
-) -> Result<Dispatched, WebLabError> {
+) -> Result<Dispatched<'r>, WebLabError> {
     let subs = request
         .get("requests")
         .and_then(Json::as_array)
@@ -871,19 +919,16 @@ fn dispatch_batch(
     let snap = exec.snapshot()?;
     SERVE_BATCH_REQUESTS.inc();
     SERVE_BATCH_SUBS.add(subs.len() as u64);
-    let results: Vec<Json> = subs
+    let subs = subs
         .iter()
-        .map(|sub| {
-            let id = sub.get("id");
-            match batch_sub(&exec, &snap, sub, exec_id, limits) {
-                Ok(result) => success_json(Some(snap.epoch), result, id),
-                Err(e) => error_json(&e, id, Some(snap.epoch)),
-            }
-        })
+        .map(|sub| (sub.get("id"), batch_sub(&exec, &snap, sub, exec_id, limits)))
         .collect();
     Ok(Dispatched {
         epoch: Some(snap.epoch),
-        result: Json::Arr(results),
+        result: Reply::Batch {
+            epoch: snap.epoch,
+            subs,
+        },
         shutdown: false,
     })
 }
@@ -895,7 +940,7 @@ fn batch_sub(
     sub: &Json,
     batch_exec: &str,
     limits: &RequestLimits,
-) -> Result<Json, WebLabError> {
+) -> Result<QueryAnswer, WebLabError> {
     let op = str_field(sub, "op")?;
     match op {
         "why" | "lineage" | "impacted-by" | "common-origins" | "sparql" | "rank" | "summary" => {
@@ -909,7 +954,7 @@ fn batch_sub(
             let query = parse_query(op, sub)?;
             let answer = exec.query_on(snap, &query)?;
             check_row_cap(&answer, limits)?;
-            Ok(render_answer(&answer))
+            Ok(answer)
         }
         other => Err(WebLabError::Protocol(format!(
             "op {other:?} is not batchable (only query ops)"
@@ -1035,156 +1080,171 @@ fn parse_weights(request: &Json) -> Result<Vec<(String, u32)>, WebLabError> {
     }
 }
 
-/// A success response object:
-/// `{"id"?,…,"ok":true,"v":2,"epoch"?,…,"result":…}`. The `id` member,
-/// when the request carried one, always renders first; every response
-/// carries the protocol version.
-fn success_json(epoch: Option<u64>, result: Json, id: Option<&Json>) -> Json {
-    let mut pairs = Vec::with_capacity(5);
-    if let Some(id) = id {
-        pairs.push(("id", id.clone()));
-    }
-    pairs.push(("ok", Json::Bool(true)));
-    pairs.push(("v", Json::num(PROTOCOL_VERSION)));
-    if let Some(e) = epoch {
-        pairs.push(("epoch", Json::num(e)));
-    }
-    pairs.push(("result", result));
-    Json::obj(pairs)
+/// Write a success response `{"id"?,"ok":true,"v":2,"epoch"?,"result":…}`
+/// with `result` writing the result value in place. The `id` member, when
+/// the request carried one, always renders first; every response carries
+/// the protocol version.
+fn write_success(
+    out: &mut String,
+    id: Option<&Json>,
+    epoch: Option<u64>,
+    result: impl FnOnce(&mut String),
+) {
+    write_head(out, id, true, epoch);
+    out.push_str(",\"result\":");
+    result(out);
+    out.push('}');
 }
 
-/// An error response object carrying the protocol version, the stable
-/// code and, for batch sub-requests, the epoch the batch was answered at.
-fn error_json(e: &WebLabError, id: Option<&Json>, epoch: Option<u64>) -> Json {
-    let mut pairs = Vec::with_capacity(6);
-    if let Some(id) = id {
-        pairs.push(("id", id.clone()));
-    }
-    pairs.push(("ok", Json::Bool(false)));
-    pairs.push(("v", Json::num(PROTOCOL_VERSION)));
-    if let Some(ep) = epoch {
-        pairs.push(("epoch", Json::num(ep)));
-    }
-    pairs.push(("code", Json::str(e.code())));
-    pairs.push(("error", Json::str(e.to_string())));
-    Json::obj(pairs)
+/// Write an error response carrying the protocol version, the stable code
+/// and, for batch sub-requests, the epoch the batch was answered at.
+fn write_error(out: &mut String, e: &WebLabError, id: Option<&Json>, epoch: Option<u64>) {
+    write_head(out, id, false, epoch);
+    out.push_str(",\"code\":");
+    json::write_string(out, e.code());
+    out.push_str(",\"error\":");
+    json::write_display(out, e);
+    out.push('}');
 }
 
-/// [`error_json`] rendered to wire bytes — what the event loop emits for
+/// The members every response opens with: `{"id"?,"ok":…,"v":2,"epoch"?`.
+fn write_head(out: &mut String, id: Option<&Json>, ok: bool, epoch: Option<u64>) {
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        id.write_to(out);
+        out.push(',');
+    }
+    let _ = write!(out, "\"ok\":{ok},\"v\":");
+    write_count(out, PROTOCOL_VERSION);
+    if let Some(epoch) = epoch {
+        out.push_str(",\"epoch\":");
+        write_count(out, epoch);
+    }
+}
+
+/// [`write_error`] into a fresh line — what the event loop emits for
 /// transport-layer failures (sheds, line limits, idle timeouts).
-fn error_response(e: &WebLabError, id: Option<&Json>, epoch: Option<u64>) -> String {
-    error_json(e, id, epoch).to_string()
+fn error_response(e: &WebLabError, id: Option<&Json>) -> String {
+    let mut out = String::new();
+    write_error(&mut out, e, id, None);
+    out
 }
 
-/// Render a [`QueryAnswer`] as protocol JSON. Deterministic: the same
-/// answer always renders to the same bytes — what the serve differential
-/// test compares against batch answers rendered through this same
-/// function.
-pub fn render_answer(answer: &QueryAnswer) -> Json {
+/// Write a [`QueryAnswer`] as protocol JSON. Deterministic: the same
+/// answer always writes the same bytes, for a query served alone and as a
+/// batch sub-request alike. `tests/serve_render.rs` pins these bytes
+/// against a [`Json`]-tree oracle for every answer kind.
+fn write_answer(out: &mut String, answer: &QueryAnswer) {
     match answer {
-        QueryAnswer::Why(w) => Json::obj(vec![
-            ("root", Json::str(w.root.as_str())),
-            (
-                "resources",
-                Json::Arr(w.resources.iter().map(|r| Json::str(r.as_str())).collect()),
-            ),
-            (
-                "links",
-                Json::Arr(
-                    w.links
-                        .iter()
-                        .map(|l| {
-                            Json::obj(vec![
-                                ("from", Json::str(l.from_uri.as_str())),
-                                ("to", Json::str(l.to_uri.as_str())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "calls",
-                Json::Arr(w.calls.iter().map(|c| Json::str(c.to_string())).collect()),
-            ),
-        ]),
-        QueryAnswer::Lineage(rows) => Json::Arr(
-            rows.iter()
-                .map(|(uri, depth)| {
-                    Json::Arr(vec![Json::str(uri.as_str()), Json::num(*depth as u64)])
-                })
-                .collect(),
-        ),
-        QueryAnswer::ImpactedBy(uris) | QueryAnswer::CommonOrigins(uris) => {
-            Json::Arr(uris.iter().map(|u| Json::str(u.as_str())).collect())
+        QueryAnswer::Why(w) => {
+            out.push_str("{\"root\":");
+            json::write_string(out, &w.root);
+            out.push_str(",\"resources\":");
+            write_array(out, &w.resources, |out, r| json::write_string(out, r));
+            out.push_str(",\"links\":");
+            write_array(out, &w.links, |out, l| {
+                out.push_str("{\"from\":");
+                json::write_string(out, &l.from_uri);
+                out.push_str(",\"to\":");
+                json::write_string(out, &l.to_uri);
+                out.push('}');
+            });
+            out.push_str(",\"calls\":");
+            write_array(out, &w.calls, json::write_display);
+            out.push('}');
         }
-        QueryAnswer::Solutions(solutions) => Json::Arr(
-            solutions
-                .iter()
-                .map(|sol| {
-                    Json::Obj(
-                        sol.iter()
-                            .map(|(var, term)| (var.clone(), Json::str(term.to_string())))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        ),
+        QueryAnswer::Lineage(rows) => write_array(out, rows, |out, (uri, depth)| {
+            out.push('[');
+            json::write_string(out, uri);
+            out.push(',');
+            write_count(out, *depth as u64);
+            out.push(']');
+        }),
+        QueryAnswer::ImpactedBy(uris) | QueryAnswer::CommonOrigins(uris) => {
+            write_array(out, uris, |out, u| json::write_string(out, u))
+        }
+        QueryAnswer::Solutions(solutions) => write_array(out, solutions, |out, sol| {
+            out.push('{');
+            for (i, (var, term)) in sol.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_string(out, var);
+                out.push(':');
+                json::write_display(out, term);
+            }
+            out.push('}');
+        }),
         // scores render as fixed six-decimal micro-unit strings, so the
         // bytes are exact at every worker count
-        QueryAnswer::Ranked(entries) => Json::Arr(
-            entries
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("uri", Json::str(e.uri.as_str())),
-                        ("score", Json::str(format_micro(e.score_micro))),
-                        ("hop", Json::num(e.hop as u64)),
-                    ])
-                })
-                .collect(),
-        ),
+        QueryAnswer::Ranked(entries) => write_array(out, entries, |out, e| {
+            out.push_str("{\"uri\":");
+            json::write_string(out, &e.uri);
+            out.push_str(",\"score\":");
+            json::write_string(out, &format_micro(e.score_micro));
+            out.push_str(",\"hop\":");
+            write_count(out, e.hop as u64);
+            out.push('}');
+        }),
         QueryAnswer::Summary(s) => {
-            let services: Vec<Json> = s
-                .services
-                .iter()
-                .map(|svc| {
-                    Json::obj(vec![
-                        ("service", Json::str(svc.service.as_str())),
-                        ("resources", Json::num(svc.resources)),
-                        ("influence", Json::num(svc.influence)),
-                        ("origins", Json::num(svc.origins)),
-                    ])
-                })
-                .collect();
-            let clusters: Vec<Json> = s
-                .clusters
-                .iter()
-                .map(|c| {
-                    Json::obj(vec![
-                        ("root", Json::str(c.root.as_str())),
-                        ("size", Json::num(c.size)),
-                    ])
-                })
-                .collect();
-            let mut pairs = vec![
-                ("resources", Json::num(s.resources)),
-                ("edges", Json::num(s.edges)),
-                ("services", Json::Arr(services)),
-                ("clusters", Json::Arr(clusters)),
-            ];
+            out.push_str("{\"resources\":");
+            write_count(out, s.resources);
+            out.push_str(",\"edges\":");
+            write_count(out, s.edges);
+            out.push_str(",\"services\":");
+            write_array(out, &s.services, |out, svc| {
+                out.push_str("{\"service\":");
+                json::write_string(out, &svc.service);
+                out.push_str(",\"resources\":");
+                write_count(out, svc.resources);
+                out.push_str(",\"influence\":");
+                write_count(out, svc.influence);
+                out.push_str(",\"origins\":");
+                write_count(out, svc.origins);
+                out.push('}');
+            });
+            out.push_str(",\"clusters\":");
+            write_array(out, &s.clusters, |out, c| {
+                out.push_str("{\"root\":");
+                json::write_string(out, &c.root);
+                out.push_str(",\"size\":");
+                write_count(out, c.size);
+                out.push('}');
+            });
             if let Some(b) = &s.blast {
-                pairs.push((
-                    "blast",
-                    Json::obj(vec![
-                        ("uri", Json::str(b.uri.as_str())),
-                        ("impacted", Json::num(b.impacted)),
-                        ("origins", Json::num(b.origins)),
-                    ]),
-                ));
+                out.push_str(",\"blast\":{\"uri\":");
+                json::write_string(out, &b.uri);
+                out.push_str(",\"impacted\":");
+                write_count(out, b.impacted);
+                out.push_str(",\"origins\":");
+                write_count(out, b.origins);
+                out.push('}');
             }
-            Json::obj(pairs)
+            out.push('}');
         }
     }
+}
+
+/// Write `items` as a JSON array, each element through `item`.
+fn write_array<'a, T: 'a>(
+    out: &mut String,
+    items: impl IntoIterator<Item = &'a T>,
+    mut item: impl FnMut(&mut String, &'a T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// Write a count exactly as `Json::num(n)` serialises (through `f64`).
+fn write_count(out: &mut String, n: u64) {
+    json::write_num(out, n as f64);
 }
 
 /// Render the full success response for an answer at an epoch — exactly
@@ -1192,7 +1252,9 @@ pub fn render_answer(answer: &QueryAnswer) -> Json {
 /// sub-response), exposed so differential tests can compare a served
 /// response to a locally computed one byte-for-byte.
 pub fn render_response(epoch: u64, answer: &QueryAnswer) -> String {
-    success_json(Some(epoch), render_answer(answer), None).to_string()
+    let mut out = String::new();
+    write_success(&mut out, None, Some(epoch), |out| write_answer(out, answer));
+    out
 }
 
 /// The batch reference answer for a query on a snapshot's graph, rendered

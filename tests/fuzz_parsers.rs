@@ -2,11 +2,16 @@
 //! never panic — and must be total over arbitrary near-miss inputs derived
 //! from valid ones.
 
+mod support;
+
 use proptest::prelude::*;
 
-use weblab::platform::ServiceCatalog;
+use support::AnyJson;
+use weblab::json::Json;
+use weblab::platform::{Mapper, Platform, ServiceCatalog};
 use weblab::prov::MappingRule;
 use weblab::rdf::{parse_select, parse_turtle, to_turtle, Term, Triple};
+use weblab::serve::handle_line;
 use weblab::xml::parse_document;
 use weblab::xpath::parse_pattern;
 use weblab::xquery::parse_query;
@@ -36,8 +41,57 @@ fn triple() -> impl Strategy<Value = Triple> {
         })
 }
 
+/// Well-formed protocol lines, one per op shape, for the mutation fuzz.
+const PROTOCOL_LINES: [&str; 8] = [
+    r#"{"id":1,"op":"why","exec":"e","uri":"r8"}"#,
+    r#"{"op":"lineage","exec":"e","uri":"r8","depth":3}"#,
+    r#"{"op":"sparql","exec":"e","query":"PREFIX prov: <http://www.w3.org/ns/prov#> SELECT ?d ?s WHERE { ?d prov:wasDerivedFrom ?s . }"}"#,
+    r#"{"op":"rank","exec":"e","uri":"r3","direction":"up","limit":10,"budget":4096,"decay":0.5,"weights":{"Translator":0.25}}"#,
+    r#"{"id":"b","op":"batch","exec":"e","requests":[{"id":[1,2.5],"op":"why","uri":"r8"},{"op":"summary","uri":"r3"}]}"#,
+    r#"{"op":"ingest","exec":"e","xml":"<Resource wl:id=\"weblab://doc/0\"><NativeContent wl:id=\"weblab://src/0\">caf\u00e9 \"quoted\"\n</NativeContent></Resource>","live":true}"#,
+    r#"{"op":"replay","exec":"e","as":"e2","xml":"<R/>","changed":["r3"],"proof":"concordant","tolerance":0.5}"#,
+    r#"{"id":null,"op":"status"}"#,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The serve codec round-trips every value: arbitrary Unicode strings
+    /// (every escape included), finite numbers of every magnitude, nesting.
+    #[test]
+    fn json_round_trips_random_values(v in AnyJson { depth: 4 }) {
+        let text = v.to_string();
+        let back = Json::parse(&text)
+            .unwrap_or_else(|e| panic!("writer output must reparse: {e}\n{text}"));
+        prop_assert_eq!(back, v);
+    }
+
+    /// Byte-level mutations of protocol lines (replaced, inserted and
+    /// deleted bytes) never panic the parser or the dispatcher, and every
+    /// reply is itself valid JSON.
+    #[test]
+    fn mutated_protocol_lines_never_panic(
+        which in 0usize..PROTOCOL_LINES.len(),
+        edits in prop::collection::vec((0usize..512, any::<u8>(), 0u8..3), 1..6),
+    ) {
+        let mut bytes = PROTOCOL_LINES[which].as_bytes().to_vec();
+        for (at, byte, kind) in edits {
+            let i = at % (bytes.len() + 1);
+            match kind {
+                0 if i < bytes.len() => bytes[i] = byte,
+                1 => bytes.insert(i, byte),
+                _ if i < bytes.len() => {
+                    bytes.remove(i);
+                }
+                _ => {}
+            }
+        }
+        let line = String::from_utf8_lossy(&bytes);
+        let _ = Json::parse(&line);
+        let platform = Platform::new(Mapper::native());
+        let (reply, _) = handle_line(&platform, &line);
+        prop_assert!(Json::parse(&reply).is_ok(), "reply is not JSON: {reply}");
+    }
 
     #[test]
     fn xml_parser_never_panics(input in ".{0,200}") {

@@ -94,6 +94,9 @@ fn malformed_lines_get_stable_codes_and_the_connection_survives() {
             "batch-limit",
         ),
         ("{\"op\":\"batch\",\"exec\":\"e\",\"requests\":7}".into(), "protocol"),
+        // an overflowing number is not JSON's to carry: echoing it back
+        // as the id would write a bare `inf`
+        ("{\"id\":1e999,\"op\":\"status\"}".into(), "protocol"),
     ];
     for (line, code) in &cases {
         send(&mut stream, line);
@@ -236,6 +239,42 @@ fn newline_less_flood_is_rejected_and_cannot_pin_the_worker() {
         recv(&mut other_reader).get("ok").and_then(Json::as_bool),
         Some(true)
     );
+
+    shutdown(&addr, server_thread);
+}
+
+/// Regression test for quadratic string parsing: one line just under the
+/// default `max_line` used to take tens of seconds to parse, pinning the
+/// only worker. It must parse in linear time, so a concurrent client and
+/// the long line itself are both answered well within the read timeout.
+#[test]
+fn one_long_line_cannot_pin_the_worker() {
+    let server = Server::bind(bare_platform(), "127.0.0.1:0")
+        .unwrap()
+        .idle_timeout(None);
+    let (addr, server_thread) = spawn(server);
+    let timeout = Some(Duration::from_secs(10));
+
+    let (mut long, mut long_reader) = connect(&addr);
+    long.set_read_timeout(timeout).unwrap();
+    let line = format!(
+        "{{\"id\":\"long\",\"op\":\"status\",\"pad\":\"{}\"}}",
+        "x".repeat(1000 * 1024)
+    );
+    assert!(line.len() < weblab::serve::DEFAULT_MAX_LINE);
+    send(&mut long, &line);
+
+    let (mut other, mut other_reader) = connect(&addr);
+    other.set_read_timeout(timeout).unwrap();
+    send(&mut other, "{\"op\":\"status\"}");
+    assert_eq!(
+        recv(&mut other_reader).get("ok").and_then(Json::as_bool),
+        Some(true)
+    );
+    let response = recv(&mut long_reader);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(response.get("id").and_then(Json::as_str), Some("long"));
+    drop((long, other));
 
     shutdown(&addr, server_thread);
 }

@@ -7,19 +7,18 @@
 //! on the graph *as of the epoch the response declares* — at 2 and at 4
 //! worker threads.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 
+use support::serve_platform;
 use weblab::json::Json;
-use weblab::platform::{Mapper, Platform, ProvQuery, QueryOpts, RankDirection};
+use weblab::platform::{ProvQuery, QueryOpts, RankDirection};
 use weblab::serve::{handle_line, reference_response, Server};
 use weblab::workflow::generator::generate_corpus;
-use weblab::workflow::services::{
-    self, EntityExtractor, KeywordExtractor, LanguageExtractor, Normaliser, Summariser, Tokeniser,
-};
-use weblab::workflow::Service;
 
 const PIPELINE: [&str; 6] = [
     "Normaliser",
@@ -29,31 +28,6 @@ const PIPELINE: [&str; 6] = [
     "KeywordExtractor",
     "Summariser",
 ];
-
-/// A platform with the test pipeline's services registered under their
-/// default mapping rules — the same registration path `weblab serve` uses.
-fn serve_platform() -> Arc<Platform> {
-    let rules = services::default_rules();
-    let platform = Platform::new(Mapper::native());
-    let builtins: Vec<Box<dyn Service>> = vec![
-        Box::new(Normaliser),
-        Box::new(LanguageExtractor),
-        Box::new(Tokeniser),
-        Box::new(EntityExtractor),
-        Box::new(KeywordExtractor),
-        Box::new(Summariser),
-    ];
-    for svc in builtins {
-        let texts: Vec<String> = rules
-            .rules_for(svc.name())
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        platform.register_service(Arc::from(svc), &refs).unwrap();
-    }
-    Arc::new(platform)
-}
 
 fn request(pairs: Vec<(&str, Json)>) -> String {
     Json::obj(pairs).to_string()
