@@ -58,6 +58,29 @@ pub fn run_pipeline(seed: u64, n_native: usize, words_each: usize) -> Executed {
     }
 }
 
+/// Run the five-service pipeline the one-shot CLI benchmark stamps its
+/// read documents with (`weblab run … normaliser,language,translator,
+/// tokeniser,entities`) over a generated corpus of `n_native` raw
+/// documents of `words_each` words. At 300 documents of 40 words this is
+/// the `cli-oneshot` read shape: about 3k Source rows and 2k links.
+pub fn run_cli_read_pipeline(seed: u64, n_native: usize, words_each: usize) -> Executed {
+    let mut doc = generate_corpus(seed, n_native, words_each);
+    let wf = Workflow::new()
+        .then(Normaliser)
+        .then(LanguageExtractor)
+        .then(Translator::default())
+        .then(Tokeniser)
+        .then(EntityExtractor);
+    let outcome = Orchestrator::new()
+        .execute(&wf, &mut doc)
+        .expect("pipeline executes");
+    Executed {
+        doc,
+        trace: outcome.trace,
+        rules: services::default_rules(),
+    }
+}
+
 /// The canonical nine-service media-mining workflow.
 pub fn media_mining_workflow() -> Workflow {
     Workflow::new()

@@ -25,7 +25,7 @@ use weblab_prov::{
     dirty_cone, EngineOptions, EpochSnapshot, GraphSummary, LiveDelta, LiveProvenance,
     ProvenanceGraph, QueryOpts, RankDirection, RankedEntry, ReachabilityIndex,
 };
-use weblab_rdf::{export_prov_into, QueryEngine, Solution, SparqlError, TripleStore};
+use weblab_rdf::{QueryEngine, Solution, SparqlError};
 use weblab_workflow::{
     next_time, FaultPolicy, FragmentGrade, Orchestrator, ProofMode, Service, Workflow,
     WorkflowError,
@@ -35,7 +35,7 @@ use weblab_xml::Document;
 use crate::catalog::{CatalogError, ServiceCatalog};
 use crate::mapper::{Mapper, MapperError, MapperStrategy};
 use crate::persist::PersistError;
-use crate::query::{ProvQuery, QueryAnswer};
+use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{Recorder, RecorderError};
 use crate::repository::ResourceRepository;
 use crate::store::ProvStore;
@@ -349,9 +349,7 @@ impl IndexState {
                 return Arc::clone(engine);
             }
         }
-        let mut fresh = TripleStore::new();
-        export_prov_into(&snap.graph, &mut fresh);
-        let engine = Arc::new(QueryEngine::new(Arc::new(fresh)));
+        let engine = Arc::new(QueryEngine::new(Arc::new(prov_store(&snap.graph))));
         *cached = Some((snap.epoch, Arc::clone(&engine)));
         engine
     }

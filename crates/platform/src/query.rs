@@ -16,7 +16,9 @@
 
 use weblab_prov::query::{self, WhyProvenance};
 use weblab_prov::{rank, EpochSnapshot, GraphSummary, ProvenanceGraph, RankedEntry, ReachabilityIndex};
-use weblab_rdf::{export_prov, parse_select, select, QueryEngine, Solution, SparqlError, TripleStore};
+use weblab_rdf::{
+    export_prov_into, parse_select, select, QueryEngine, Solution, SparqlError, TripleStore,
+};
 
 pub use weblab_prov::{QueryOpts, RankDirection};
 
@@ -123,10 +125,8 @@ impl ProvQuery {
                 QueryAnswer::CommonOrigins(query::common_origins(graph, a, b))
             }
             ProvQuery::Sparql { query: text } => {
-                let mut store = TripleStore::new();
-                store.extend(export_prov(graph));
                 let q = parse_select(text)?;
-                QueryAnswer::Solutions(select(&store, &q))
+                QueryAnswer::Solutions(select(&prov_store(graph), &q))
             }
             // the one-shot path has no index yet: build one for this
             // question. Scores never depend on the build order, so the
@@ -166,11 +166,7 @@ impl ProvQuery {
                 let q = parse_select(text)?;
                 let solutions = match store {
                     Some(store) => select(store, &q),
-                    None => {
-                        let mut fresh = TripleStore::new();
-                        fresh.extend(export_prov(&snap.graph));
-                        select(&fresh, &q)
-                    }
+                    None => select(&prov_store(&snap.graph), &q),
                 };
                 QueryAnswer::Solutions(solutions)
             }
@@ -199,6 +195,14 @@ impl ProvQuery {
             _ => self.answer_on_snapshot(snap, None),
         }
     }
+}
+
+/// A fresh store holding the PROV-O export of `graph`, loaded with
+/// [`export_prov_into`] — the one way every SPARQL path builds its store.
+pub(crate) fn prov_store(graph: &ProvenanceGraph) -> TripleStore {
+    let mut store = TripleStore::new();
+    export_prov_into(graph, &mut store);
+    store
 }
 
 #[cfg(test)]

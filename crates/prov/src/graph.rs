@@ -63,9 +63,25 @@ impl ProvenanceGraph {
         self.links.dedup();
     }
 
-    /// Label of a resource URI, if the resource is in the graph.
+    /// Label of a resource URI, if the resource is in the graph. The first
+    /// Source row registering `uri` wins.
+    ///
+    /// One lookup scans the Source table, O(sources). Code that resolves
+    /// a label for every link or every Source row should build
+    /// [`ProvenanceGraph::label_map`] once instead.
     pub fn label_of(&self, uri: &str) -> Option<&CallLabel> {
         self.sources.iter().find(|s| s.uri == uri).map(|s| &s.label)
+    }
+
+    /// Every labelled URI's label, built in one pass over the Source
+    /// table. The first registration of a URI wins, so a lookup agrees
+    /// with [`ProvenanceGraph::label_of`].
+    pub fn label_map(&self) -> HashMap<&str, &CallLabel> {
+        let mut map = HashMap::with_capacity(self.sources.len());
+        for s in &self.sources {
+            map.entry(s.uri.as_str()).or_insert(&s.label);
+        }
+        map
     }
 
     /// Direct dependencies of a resource: URIs it was generated from.
@@ -126,11 +142,7 @@ impl ProvenanceGraph {
     /// depends on a resource labelled by `b` (e.g. "(Translator, t₃) uses
     /// information generated by (LanguageExtractor, t₂)").
     pub fn call_dependencies(&self) -> Vec<(CallLabel, CallLabel)> {
-        let label_by_uri: HashMap<&str, &CallLabel> = self
-            .sources
-            .iter()
-            .map(|s| (s.uri.as_str(), &s.label))
-            .collect();
+        let label_by_uri = self.label_map();
         let mut pairs: Vec<(CallLabel, CallLabel)> = self
             .links
             .iter()

@@ -109,13 +109,15 @@ fn view_node(spec: &ViewSpec, label: Option<&CallLabel>, uri: &str) -> ViewNode 
 
 /// Collapse a provenance graph along a view specification.
 pub fn apply_view(graph: &ProvenanceGraph, spec: &ViewSpec) -> ViewGraph {
+    let labels = graph.label_map();
+    let label = |uri: &str| labels.get(uri).copied();
     let mut edges: Vec<(ViewNode, ViewNode)> = graph
         .links
         .iter()
         .map(|l| {
             (
-                view_node(spec, graph.label_of(&l.from_uri), &l.from_uri),
-                view_node(spec, graph.label_of(&l.to_uri), &l.to_uri),
+                view_node(spec, label(&l.from_uri), &l.from_uri),
+                view_node(spec, label(&l.to_uri), &l.to_uri),
             )
         })
         .filter(|(f, t)| f != t) // intra-module edges are hidden
@@ -183,6 +185,42 @@ mod tests {
         assert!(view.depends_on(&deliver, &acquire));
         // three modules, so at most module-to-module edges remain
         assert!(view.edges.len() <= 3);
+    }
+
+    #[test]
+    fn a_uri_registered_twice_is_grouped_by_its_first_label() {
+        use crate::algebra::ProvLink;
+        use crate::graph::SourceEntry;
+        use weblab_xml::NodeId;
+
+        let source = |uri: &str, service: &str| SourceEntry {
+            node: NodeId::from_index(1),
+            uri: uri.into(),
+            label: CallLabel::new(service, 1),
+        };
+        let mut g = ProvenanceGraph {
+            sources: vec![
+                source("r", "First"),
+                source("r", "Second"),
+                source("s", "Other"),
+            ],
+            links: Vec::new(),
+        };
+        g.add_links([ProvLink {
+            from: NodeId::from_index(1),
+            from_uri: "r".into(),
+            to: NodeId::from_index(2),
+            to_uri: "s".into(),
+        }]);
+        assert_eq!(g.label_map().get("r").copied(), g.label_of("r"));
+        let spec = ViewSpec::new().group("First", "M1").group("Second", "M2");
+        assert_eq!(
+            apply_view(&g, &spec).edges,
+            [(
+                ViewNode::Module("M1".into()),
+                ViewNode::Resource("s".into())
+            )]
+        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! | `λ(r) = c`                     | `r prov:wasGeneratedBy c`            |
 //! | edge `r → r'` ∈ E              | `r prov:wasDerivedFrom r'` and `λ(r) prov:used r'` |
 
+use std::collections::HashMap;
+
 use weblab_prov::{ProvLink, ProvenanceGraph, SourceEntry};
 use weblab_xml::CallLabel;
 
@@ -71,20 +73,31 @@ pub fn link_triples(l: &ProvLink, label: Option<&CallLabel>) -> Vec<Triple> {
 
 /// Convert a provenance graph into PROV-O triples.
 pub fn export_prov(graph: &ProvenanceGraph) -> Vec<Triple> {
-    let mut out = Vec::new();
+    let labels = graph.label_map();
+    let mut out = Vec::with_capacity(graph.sources.len() * 6 + graph.links.len() * 2);
     for s in &graph.sources {
         out.extend(source_triples(s));
     }
     for l in &graph.links {
-        out.extend(link_triples(l, graph.label_of(&l.from_uri)));
+        out.extend(link_triples(l, labels.get(l.from_uri.as_str()).copied()));
     }
     out
 }
 
-/// The PROV-O vocabulary interned into one store's dictionary, so the
-/// row-building hot loops below resolve each constant exactly once per
-/// export instead of re-cloning `Term`s per triple.
-pub(crate) struct VocabIds {
+/// Dictionary ids of one service call's activity, agent and start time.
+#[derive(Clone, Copy)]
+struct CallIds {
+    activity: u32,
+    agent: u32,
+    time: u32,
+}
+
+/// Builds PROV-O rows against one store's dictionary. The vocabulary is
+/// interned when the builder is made, and each distinct call's activity,
+/// agent and start-time terms on that call's first row, so the hot loops
+/// below format and hash those terms once per call instead of once per
+/// row. Shared by the batch exporter and the live store.
+pub(crate) struct RowBuilder {
     ty: u32,
     entity_cls: u32,
     activity_cls: u32,
@@ -94,11 +107,12 @@ pub(crate) struct VocabIds {
     started_at_time: u32,
     was_derived_from: u32,
     used: u32,
+    calls: HashMap<CallLabel, CallIds>,
 }
 
-impl VocabIds {
-    pub(crate) fn intern(store: &mut TripleStore) -> Self {
-        VocabIds {
+impl RowBuilder {
+    pub(crate) fn new(store: &mut TripleStore) -> Self {
+        RowBuilder {
             ty: store.intern_term(&Term::iri(RDF_TYPE)),
             entity_cls: store.intern_term(&Term::iri(PROV_ENTITY)),
             activity_cls: store.intern_term(&Term::iri(PROV_ACTIVITY)),
@@ -108,46 +122,58 @@ impl VocabIds {
             started_at_time: store.intern_term(&Term::iri(PROV_STARTED_AT_TIME)),
             was_derived_from: store.intern_term(&Term::iri(PROV_WAS_DERIVED_FROM)),
             used: store.intern_term(&Term::iri(PROV_USED)),
+            calls: HashMap::new(),
         }
     }
-}
 
-/// Id-space twin of [`source_triples`]: appends the same six triples as
-/// dictionary rows. Shared by the batch exporter and the live store.
-pub(crate) fn source_rows(
-    store: &mut TripleStore,
-    v: &VocabIds,
-    s: &SourceEntry,
-    rows: &mut Vec<[u32; 3]>,
-) {
-    let entity = store.intern_term(&Term::iri(&s.uri));
-    let activity = store.intern_term(&Term::iri(activity_iri(&s.label.service, s.label.time)));
-    let agent = store.intern_term(&Term::iri(agent_iri(&s.label.service)));
-    let time = store.intern_term(&Term::int(s.label.time as i64));
-    rows.extend([
-        [entity, v.ty, v.entity_cls],
-        [activity, v.ty, v.activity_cls],
-        [agent, v.ty, v.agent_cls],
-        [entity, v.was_generated_by, activity],
-        [activity, v.was_associated_with, agent],
-        [activity, v.started_at_time, time],
-    ]);
-}
+    fn call(&mut self, store: &mut TripleStore, label: &CallLabel) -> CallIds {
+        if let Some(&ids) = self.calls.get(label) {
+            return ids;
+        }
+        let ids = CallIds {
+            activity: store.intern_term(&Term::iri(activity_iri(&label.service, label.time))),
+            agent: store.intern_term(&Term::iri(agent_iri(&label.service))),
+            time: store.intern_term(&Term::int(label.time as i64)),
+        };
+        self.calls.insert(label.clone(), ids);
+        ids
+    }
 
-/// Id-space twin of [`link_triples`].
-pub(crate) fn link_rows(
-    store: &mut TripleStore,
-    v: &VocabIds,
-    l: &ProvLink,
-    label: Option<&CallLabel>,
-    rows: &mut Vec<[u32; 3]>,
-) {
-    let from = store.intern_term(&Term::iri(&l.from_uri));
-    let to = store.intern_term(&Term::iri(&l.to_uri));
-    rows.push([from, v.was_derived_from, to]);
-    if let Some(label) = label {
-        let act = store.intern_term(&Term::iri(activity_iri(&label.service, label.time)));
-        rows.push([act, v.used, to]);
+    /// Id-space twin of [`source_triples`]: appends the same six triples
+    /// as dictionary rows.
+    pub(crate) fn source_rows(
+        &mut self,
+        store: &mut TripleStore,
+        s: &SourceEntry,
+        rows: &mut Vec<[u32; 3]>,
+    ) {
+        let entity = store.intern_term(&Term::iri(&s.uri));
+        let c = self.call(store, &s.label);
+        rows.extend([
+            [entity, self.ty, self.entity_cls],
+            [c.activity, self.ty, self.activity_cls],
+            [c.agent, self.ty, self.agent_cls],
+            [entity, self.was_generated_by, c.activity],
+            [c.activity, self.was_associated_with, c.agent],
+            [c.activity, self.started_at_time, c.time],
+        ]);
+    }
+
+    /// Id-space twin of [`link_triples`].
+    pub(crate) fn link_rows(
+        &mut self,
+        store: &mut TripleStore,
+        l: &ProvLink,
+        label: Option<&CallLabel>,
+        rows: &mut Vec<[u32; 3]>,
+    ) {
+        let from = store.intern_term(&Term::iri(&l.from_uri));
+        let to = store.intern_term(&Term::iri(&l.to_uri));
+        rows.push([from, self.was_derived_from, to]);
+        if let Some(label) = label {
+            let act = self.call(store, label).activity;
+            rows.push([act, self.used, to]);
+        }
     }
 }
 
@@ -156,13 +182,15 @@ pub(crate) fn link_rows(
 /// rows straight against the store's dictionary and merges them in one
 /// batch — no intermediate `Vec<Triple>`, no per-triple `Term` clones.
 pub fn export_prov_into(graph: &ProvenanceGraph, store: &mut TripleStore) -> usize {
-    let v = VocabIds::intern(store);
+    let labels = graph.label_map();
+    let mut b = RowBuilder::new(store);
     let mut rows = Vec::with_capacity(graph.sources.len() * 6 + graph.links.len() * 2);
     for s in &graph.sources {
-        source_rows(store, &v, s, &mut rows);
+        b.source_rows(store, s, &mut rows);
     }
     for l in &graph.links {
-        link_rows(store, &v, l, graph.label_of(&l.from_uri), &mut rows);
+        let label = labels.get(l.from_uri.as_str()).copied();
+        b.link_rows(store, l, label, &mut rows);
     }
     let n = rows.len();
     store.insert_rows(rows);
@@ -222,6 +250,61 @@ mod tests {
             via_rows.iter().collect::<Vec<_>>(),
             via_triples.iter().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_uri_registered_twice_takes_its_first_label_in_every_exporter() {
+        use crate::provxml::export_prov_xml;
+        use weblab_xml::NodeId;
+
+        let first = CallLabel::new("First", 1);
+        let second = CallLabel::new("Second", 2);
+        let source = |i: usize, uri: &str, label: &CallLabel| SourceEntry {
+            node: NodeId::from_index(i),
+            uri: uri.into(),
+            label: label.clone(),
+        };
+        let mut g = ProvenanceGraph {
+            sources: vec![
+                source(1, "r", &first),
+                source(2, "r", &second),
+                source(3, "s", &second),
+            ],
+            links: Vec::new(),
+        };
+        g.add_links([ProvLink {
+            from: NodeId::from_index(1),
+            from_uri: "r".into(),
+            to: NodeId::from_index(3),
+            to_uri: "s".into(),
+        }]);
+        assert_eq!(g.label_of("r"), Some(&first));
+        let used = |label: &CallLabel| {
+            Triple::new(
+                Term::iri(activity_iri(&label.service, label.time)),
+                Term::iri(PROV_USED),
+                Term::iri("s"),
+            )
+        };
+
+        let triples = export_prov(&g);
+        assert!(triples.contains(&used(&first)) && !triples.contains(&used(&second)));
+
+        let mut store = TripleStore::new();
+        export_prov_into(&g, &mut store);
+        assert!(store.contains(&used(&first)) && !store.contains(&used(&second)));
+
+        let doc = export_prov_xml(&g);
+        let v = doc.view();
+        let used_by: Vec<&str> = v
+            .children(doc.root())
+            .iter()
+            .filter(|&&n| v.name(n) == Some("prov:used"))
+            .flat_map(|&n| v.children(n).iter())
+            .filter(|&&c| v.name(c) == Some("prov:activity"))
+            .filter_map(|&c| v.attr(c, "prov:ref"))
+            .collect();
+        assert_eq!(used_by, [activity_iri("First", 1)]);
     }
 
     #[test]

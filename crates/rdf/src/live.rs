@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use weblab_prov::LiveDelta;
 use weblab_xml::CallLabel;
 
-use crate::export::{link_rows, source_rows, VocabIds};
+use crate::export::RowBuilder;
 use crate::store::TripleStore;
 
 /// An append-only PROV-O mirror of a live provenance graph.
@@ -39,15 +39,15 @@ impl LiveProvStore {
     /// same call that registered its dependent resource finds the label.
     /// Idempotent: re-applying a delta inserts nothing.
     pub fn apply(&mut self, delta: &LiveDelta) -> usize {
-        let v = VocabIds::intern(&mut self.store);
+        let mut b = RowBuilder::new(&mut self.store);
         let mut rows = Vec::with_capacity(delta.sources.len() * 6 + delta.links.len() * 2);
         for s in &delta.sources {
             self.labels.insert(s.uri.clone(), s.label.clone());
-            source_rows(&mut self.store, &v, s, &mut rows);
+            b.source_rows(&mut self.store, s, &mut rows);
         }
         for l in &delta.links {
             let label = self.labels.get(&l.from_uri);
-            link_rows(&mut self.store, &v, l, label, &mut rows);
+            b.link_rows(&mut self.store, l, label, &mut rows);
         }
         self.store.insert_rows(rows)
     }

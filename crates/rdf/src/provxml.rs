@@ -87,6 +87,7 @@ pub fn export_prov_xml(graph: &ProvenanceGraph) -> Document {
         doc.set_attr(ag, "prov:ref", agent_iri(service)).expect("attr");
     }
     // wasDerivedFrom + used (the dependency edges E)
+    let labels = graph.label_map();
     for l in &graph.links {
         let d = doc
             .append_element(root, "prov:wasDerivedFrom")
@@ -95,7 +96,7 @@ pub fn export_prov_xml(graph: &ProvenanceGraph) -> Document {
         doc.set_attr(ge, "prov:ref", l.from_uri.clone()).expect("attr");
         let ue = doc.append_element(d, "prov:usedEntity").expect("ref");
         doc.set_attr(ue, "prov:ref", l.to_uri.clone()).expect("attr");
-        if let Some(label) = graph.label_of(&l.from_uri) {
+        if let Some(label) = labels.get(l.from_uri.as_str()) {
             let u = doc.append_element(root, "prov:used").expect("used");
             let a = doc.append_element(u, "prov:activity").expect("ref");
             doc.set_attr(a, "prov:ref", activity_iri(&label.service, label.time))

@@ -1,6 +1,6 @@
 //! RDF terms and triples.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An RDF term.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,21 +66,40 @@ impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Term::Iri(s) => write!(f, "<{s}>"),
-            Term::Literal {
-                value,
-                datatype: None,
-            } => write!(f, "\"{}\"", escape_literal(value)),
-            Term::Literal {
-                value,
-                datatype: Some(dt),
-            } => write!(f, "\"{}\"^^<{dt}>", escape_literal(value)),
+            Term::Literal { value, datatype } => {
+                f.write_char('"')?;
+                write_escaped_literal(f, value)?;
+                f.write_char('"')?;
+                match datatype {
+                    Some(dt) => write!(f, "^^<{dt}>"),
+                    None => Ok(()),
+                }
+            }
             Term::Blank(l) => write!(f, "_:{l}"),
         }
     }
 }
 
-pub(crate) fn escape_literal(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+/// Write `s` as the body of a `"…"` literal (Turtle `STRING_LITERAL_QUOTE`,
+/// also valid N-Triples): the four characters that cannot appear raw —
+/// `"`, `\`, LF and CR — become the ECHARs `\"`, `\\`, `\n` and `\r`;
+/// everything between them is copied as one run.
+pub(crate) fn write_escaped_literal<W: fmt::Write>(w: &mut W, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        // the four escaped bytes are ASCII, so `i` is a char boundary
+        w.write_str(&s[run..i])?;
+        w.write_str(esc)?;
+        run = i + 1;
+    }
+    w.write_str(&s[run..])
 }
 
 /// A triple `(subject, predicate, object)`.

@@ -7,98 +7,116 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::term::{escape_literal, Term, Triple};
+use crate::term::{write_escaped_literal, Term, Triple};
 use crate::vocab::{default_prefixes, RDF_TYPE};
 
 /// Serialise triples to Turtle, grouping by subject.
+///
+/// Subjects appear in [`Term`] order. A subject's triples keep their
+/// input order, duplicates included. Every term is written straight into
+/// the one output string.
 pub fn to_turtle(triples: &[Triple]) -> String {
     let prefixes = default_prefixes();
-    let mut out = String::new();
+    let mut out = String::with_capacity(256 + 64 * triples.len());
     for (p, ns) in &prefixes {
         let _ = writeln!(out, "@prefix {p}: <{ns}> .");
     }
     out.push('\n');
 
-    let mut by_subject: BTreeMap<Term, Vec<&Triple>> = BTreeMap::new();
-    for t in triples {
-        by_subject.entry(t.s.clone()).or_default().push(t);
-    }
-    for (s, ts) in by_subject {
-        let _ = write!(out, "{}", fmt_term(&s, &prefixes));
-        for (i, t) in ts.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, " ;\n    ");
-            } else {
-                out.push(' ');
+    let mut by_subject: Vec<&Triple> = triples.iter().collect();
+    // a stable sort keeps each subject's triples in input order
+    by_subject.sort_by(|a, b| a.s.cmp(&b.s));
+    let mut subject: Option<&Term> = None;
+    for t in by_subject {
+        if subject == Some(&t.s) {
+            out.push_str(" ;\n    ");
+        } else {
+            if subject.is_some() {
+                out.push_str(" .\n");
             }
-            let _ = write!(
-                out,
-                "{} {}",
-                fmt_pred(&t.p, &prefixes),
-                fmt_term(&t.o, &prefixes)
-            );
+            write_term(&mut out, &t.s, &prefixes);
+            out.push(' ');
+            subject = Some(&t.s);
         }
+        if t.p.as_iri() == Some(RDF_TYPE) {
+            out.push('a');
+        } else {
+            write_term(&mut out, &t.p, &prefixes);
+        }
+        out.push(' ');
+        write_term(&mut out, &t.o, &prefixes);
+    }
+    if subject.is_some() {
         out.push_str(" .\n");
     }
     out
 }
 
-fn fmt_pred(p: &Term, prefixes: &[(&str, &str)]) -> String {
-    if p.as_iri() == Some(RDF_TYPE) {
-        return "a".into();
+fn write_term(out: &mut String, t: &Term, prefixes: &[(&str, &str)]) {
+    match t {
+        Term::Iri(iri) => write_iri(out, iri, prefixes),
+        Term::Literal { value, datatype } => {
+            out.push('"');
+            // writing into a `String` cannot fail
+            let _ = write_escaped_literal(out, value);
+            out.push('"');
+            if let Some(dt) = datatype {
+                out.push_str("^^");
+                write_iri(out, dt, prefixes);
+            }
+        }
+        Term::Blank(l) => {
+            out.push_str("_:");
+            out.push_str(l);
+        }
     }
-    fmt_term(p, prefixes)
+}
+
+/// Write an IRI as a prefixed name when it lies in a prefix's namespace
+/// and its local part is alphanumerics, `_`, `-` and `.` only; otherwise
+/// as an `<…>` IRIREF.
+fn write_iri(out: &mut String, iri: &str, prefixes: &[(&str, &str)]) {
+    for (p, ns) in prefixes {
+        if let Some(local) = iri.strip_prefix(ns) {
+            if !local.is_empty()
+                && local
+                    .chars()
+                    .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
+            {
+                out.push_str(p);
+                out.push(':');
+                out.push_str(local);
+                return;
+            }
+        }
+    }
+    out.push('<');
+    write_escaped_iri(out, iri);
+    out.push('>');
 }
 
 /// Escape an IRI for an `<…>` IRIREF per the Turtle grammar: code points
 /// `#x00`–`#x20` and ``< > " { } | ^ ` \`` cannot appear raw and are
-/// emitted as numeric `\uXXXX`/`\UXXXXXXXX` (UCHAR) escapes.
-fn escape_iri(iri: &str) -> String {
-    let mut out = String::with_capacity(iri.len());
-    for c in iri.chars() {
-        if c <= '\u{20}' || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\') {
-            let code = c as u32;
-            if code <= 0xFFFF {
-                let _ = write!(out, "\\u{code:04X}");
-            } else {
-                let _ = write!(out, "\\U{code:08X}");
-            }
-        } else {
-            out.push(c);
+/// emitted as numeric `\u00XX` (UCHAR) escapes. All of them are ASCII,
+/// so the scan runs over bytes and copies the runs between them whole.
+fn write_escaped_iri(out: &mut String, iri: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    let mut run = 0;
+    for (i, b) in iri.bytes().enumerate() {
+        if b <= b' '
+            || matches!(
+                b,
+                b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+            )
+        {
+            out.push_str(&iri[run..i]);
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
+            run = i + 1;
         }
     }
-    out
-}
-
-fn fmt_term(t: &Term, prefixes: &[(&str, &str)]) -> String {
-    match t {
-        Term::Iri(iri) => {
-            for (p, ns) in prefixes {
-                if let Some(local) = iri.strip_prefix(ns) {
-                    if !local.is_empty()
-                        && local
-                            .chars()
-                            .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
-                    {
-                        return format!("{p}:{local}");
-                    }
-                }
-            }
-            format!("<{}>", escape_iri(iri))
-        }
-        Term::Literal {
-            value,
-            datatype: None,
-        } => format!("\"{}\"", escape_literal(value)),
-        Term::Literal {
-            value,
-            datatype: Some(dt),
-        } => {
-            let dts = fmt_term(&Term::iri(dt.clone()), prefixes);
-            format!("\"{}\"^^{dts}", escape_literal(value))
-        }
-        Term::Blank(l) => format!("_:{l}"),
-    }
+    out.push_str(&iri[run..]);
 }
 
 /// Turtle parse error.
@@ -257,27 +275,30 @@ impl<'a> TP<'a> {
                 out.push(c);
                 continue;
             }
-            let len = match chars.next() {
-                Some('u') => 4,
-                Some('U') => 8,
+            out.push(match chars.next() {
+                Some('u') => self.uchar(&mut chars, 4)?,
+                Some('U') => self.uchar(&mut chars, 8)?,
                 other => {
                     return Err(self.err(format!(
                         "invalid IRI escape \\{}",
                         other.map(String::from).unwrap_or_default()
                     )))
                 }
-            };
-            let hex: String = chars.by_ref().take(len).collect();
-            if hex.len() != len {
-                return Err(self.err("truncated \\u escape in IRI"));
-            }
-            let code = u32::from_str_radix(&hex, 16)
-                .map_err(|_| self.err(format!("invalid hex in IRI escape {hex:?}")))?;
-            let c = char::from_u32(code)
-                .ok_or_else(|| self.err(format!("IRI escape U+{code:X} is not a character")))?;
-            out.push(c);
+            });
         }
         Ok(out)
+    }
+
+    /// Decode the `len` hex digits that follow a `\u` (4) or `\U` (8)
+    /// UCHAR escape.
+    fn uchar(&self, digits: impl Iterator<Item = char>, len: usize) -> Result<char, TurtleError> {
+        let hex: String = digits.take(len).collect();
+        if hex.len() != len || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err(format!("invalid \\u escape {hex:?}")));
+        }
+        let code = u32::from_str_radix(&hex, 16).expect("hex digits checked above");
+        char::from_u32(code)
+            .ok_or_else(|| self.err(format!("escape U+{code:X} is not a character")))
     }
 
     fn term(&mut self) -> Result<Term, TurtleError> {
@@ -291,28 +312,32 @@ impl<'a> TP<'a> {
         if self.eat("\"") {
             let mut value = String::new();
             let mut chars = self.rest().char_indices();
-            let mut consumed = 0;
-            let mut closed = false;
+            let mut consumed = None;
             while let Some((i, c)) = chars.next() {
-                if c == '\\' {
-                    if let Some((_, n)) = chars.next() {
-                        value.push(match n {
-                            'n' => '\n',
-                            't' => '\t',
-                            other => other,
-                        });
+                match c {
+                    '"' => {
+                        consumed = Some(i + 1);
+                        break;
                     }
-                } else if c == '"' {
-                    consumed = i + 1;
-                    closed = true;
-                    break;
-                } else {
-                    value.push(c);
+                    // ECHAR and UCHAR escapes
+                    '\\' => value.push(match chars.next().map(|(_, e)| e) {
+                        Some('t') => '\t',
+                        Some('b') => '\u{8}',
+                        Some('n') => '\n',
+                        Some('r') => '\r',
+                        Some('f') => '\u{c}',
+                        Some(e @ ('"' | '\'' | '\\')) => e,
+                        Some('u') => self.uchar(chars.by_ref().map(|(_, c)| c), 4)?,
+                        Some('U') => self.uchar(chars.by_ref().map(|(_, c)| c), 8)?,
+                        Some(e) => return Err(self.err(format!("invalid literal escape \\{e}"))),
+                        None => break,
+                    }),
+                    c => value.push(c),
                 }
             }
-            if !closed {
+            let Some(consumed) = consumed else {
                 return Err(self.err("unterminated literal"));
-            }
+            };
             self.pos += consumed;
             if self.eat("^^") {
                 let dt = self.term()?;
@@ -425,6 +450,51 @@ mod tests {
         assert!(ttl.contains("\\u003C"), "escaped '<' missing: {ttl}");
         let parsed = parse_turtle(&ttl).unwrap();
         assert_eq!(parsed[0].s, Term::iri(hostile));
+    }
+
+    #[test]
+    fn literal_escapes_are_conformant_and_lossless() {
+        let value = "tab\t lf\n cr\r quote\" backslash\\ nul\u{0} bell\u{7} é 😀";
+        let triples = vec![Triple::new(
+            Term::iri("http://x/s"),
+            Term::iri("http://x/p"),
+            Term::lit(value),
+        )];
+        let ttl = to_turtle(&triples);
+        // STRING_LITERAL_QUOTE forbids a raw CR or LF
+        assert!(!ttl.contains('\r'), "raw CR in {ttl:?}");
+        // a tab stays raw, which the grammar allows
+        assert!(
+            ttl.contains("\"tab\t lf\\n cr\\r quote\\\" backslash\\\\ nul"),
+            "{ttl:?}"
+        );
+        assert_eq!(parse_turtle(&ttl).unwrap(), triples);
+    }
+
+    #[test]
+    fn parser_decodes_every_echar_and_uchar() {
+        let parsed = parse_turtle(
+            r#"<http://x/s> <http://x/p> "\t\b\n\r\f\"\'\\ \u0041\u00e9 \U0001F600" ."#,
+        )
+        .unwrap();
+        assert_eq!(parsed[0].o, Term::lit("\t\u{8}\n\r\u{c}\"'\\ Aé 😀"));
+    }
+
+    #[test]
+    fn invalid_literal_escapes_are_rejected() {
+        let bad_escapes = [
+            r"\q",
+            r"\u12",
+            r"\u12G4",
+            r"\U0000004",
+            r"\uD800",
+            r"\U00110000",
+            r"\u+041",
+        ];
+        for bad in bad_escapes {
+            let ttl = format!(r#"<http://x/s> <http://x/p> "a{bad}z" ."#);
+            assert!(parse_turtle(&ttl).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

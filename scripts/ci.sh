@@ -46,6 +46,27 @@ for name, value in report["gauges"].items():
 print(f"ci: metrics report ok ({len(counters)} counters)")
 PY
 
+echo "==> CLI golden outputs (infer, query and why on the stamped sample)"
+# tests/golden/ holds the stdout of these commands on the stamped sample
+# corpus above. Export, SPARQL and Turtle changes must not move a byte.
+golden() {
+    local name="$1"
+    shift
+    ./target/release/weblab "$@" > "$metrics_dir/$name"
+    cmp "$metrics_dir/$name" "tests/golden/$name" \
+        || { echo "ci: weblab $* no longer matches tests/golden/$name" >&2; exit 1; }
+}
+stamped="$metrics_dir/stamped.xml"
+golden infer.table.txt infer "$stamped" --format table
+golden infer.turtle.ttl infer "$stamped" --format turtle
+golden infer.inherit.turtle.ttl infer "$stamped" --inherit --format turtle
+golden infer.provxml.xml infer "$stamped" --format provxml
+golden infer.dot infer "$stamped" --format dot
+golden query.derived.txt query "$stamped" \
+    "PREFIX prov: <http://www.w3.org/ns/prov#> SELECT ?d ?s WHERE { ?d prov:wasDerivedFrom ?s . }"
+golden why.translator.txt why "$stamped" weblab://res/Translator-t3-1
+echo "ci: CLI golden outputs ok"
+
 echo "==> fault-tolerance smoke run (flaky service under --retries 2)"
 ./target/release/weblab --metrics --metrics-out "$metrics_dir/fault.json" \
     run data/sample_corpus.xml Normaliser,flaky:2,LanguageExtractor \

@@ -17,14 +17,15 @@ use weblab::xpath::parse_pattern;
 use weblab::xquery::parse_query;
 
 /// Strategy for one triple: IRI subject and predicate; the object is (by
-/// `kind`) an IRI, a plain literal over the charset the writer escapes
-/// losslessly (printable ASCII plus tab/newline), or an `xsd:integer`.
+/// `kind`) an IRI, a plain literal over printable ASCII, every control
+/// character (CR, LF, tab and NUL among them) and non-ASCII text, or an
+/// `xsd:integer`.
 fn triple() -> impl Strategy<Value = Triple> {
     (
         "[a-zA-Z0-9_]{1,8}",
         "[a-zA-Z0-9_]{1,8}",
         0u8..3,
-        "[ -~\\t\\n]{0,20}",
+        "[ -~\t\n\r\u{0}-\u{1f}\u{7f}é€😀]{0,20}",
         any::<i64>(),
     )
         .prop_map(|(s, p, kind, lit, int)| {
@@ -182,6 +183,8 @@ proptest! {
     #[test]
     fn turtle_writer_round_trips(triples in prop::collection::vec(triple(), 0..12)) {
         let ttl = to_turtle(&triples);
+        // no production of the writer's output admits a raw CR
+        prop_assert!(!ttl.contains('\r'), "raw CR in {:?}", ttl);
         let mut parsed = parse_turtle(&ttl)
             .unwrap_or_else(|e| panic!("writer output must reparse: {e}\n{ttl}"));
         let mut original = triples;

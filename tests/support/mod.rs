@@ -8,9 +8,13 @@
 //! direct writer: `tests/serve_render.rs` asserts that served and rendered
 //! bytes equal the oracle's for every answer kind, in single and batch
 //! replies alike. [`AnyJson`] generates random values for the codec's
-//! property tests.
+//! property tests. [`turtle_oracle`] keeps the Turtle writer that
+//! `weblab_rdf::to_turtle` replaced, as the byte oracle of
+//! `tests/export_differential.rs`.
 
 #![allow(dead_code)]
+
+pub mod turtle_oracle;
 
 use std::fmt::Write as _;
 use std::sync::Arc;
