@@ -5,10 +5,10 @@
 //! Per-execution behaviour is exposed through [`Platform::execution`],
 //! which returns an [`ExecutionHandle`] — the façade the CLI and the
 //! `weblab serve` query service are written against. The handle answers
-//! reachability queries from a published [`EpochSnapshot`] (an immutable
-//! graph + [`ReachabilityIndex`] pair swapped in after every committed
-//! live delta), so readers never block ingestion and never re-walk the
-//! edge list.
+//! reachability queries from a published [`EpochSnapshot`] (a graph +
+//! [`ReachabilityIndex`] pair that every committed live delta advances by
+//! one epoch), so readers never wait for inference and never re-walk the
+//! edge list; a snapshot a reader holds never changes under it.
 //!
 //! The original per-execution method sprawl (`provenance_graph`,
 //! `dependencies_of`, …) is gone: the handle is the one query surface,
@@ -45,6 +45,9 @@ use crate::trace_store::TraceStore;
 static EVICTIONS: Counter = Counter::new("store.evictions");
 /// Executions currently resident in memory (store attached only).
 static RESIDENT: Gauge = Gauge::new("store.resident");
+/// Live deltas that copied their execution's snapshot before folding in,
+/// because a reader still held the epoch being advanced.
+static SNAPSHOT_COPIES: Counter = Counter::new("platform.snapshot.copies");
 
 /// Platform-level failure.
 #[derive(Debug)]
@@ -222,24 +225,17 @@ struct MaterializedGraph {
     graph: ProvenanceGraph,
 }
 
-/// The writer's side of one execution's reachability index: the mutable
-/// master copy that live deltas fold into, plus the immutable published
-/// [`EpochSnapshot`] that readers clone an `Arc` of (so queries run
-/// lock-free, concurrently with ingestion).
-struct MasterIndex {
-    epoch: u64,
-    calls: usize,
-    graph: ProvenanceGraph,
-    index: ReachabilityIndex,
-}
-
-/// Per-execution epoch/snapshot machinery. Lock order is always
-/// *maintainer before master*: callers compute graphs (which may lock the
-/// [`LiveProvenance`] mutex) before taking `master`, and the call hook
-/// releases the maintainer before applying its delta here.
+/// Per-execution epoch/snapshot machinery around the execution's one
+/// [`EpochSnapshot`]. Readers clone an `Arc` of it and query that epoch
+/// for as long as they hold it. A live delta folds into the snapshot in
+/// place through [`Arc::make_mut`], under the write lock; only while a
+/// reader still holds the epoch being advanced does the fold copy it
+/// first (counted under `platform.snapshot.copies`). Lock order is always
+/// *maintainer before snapshot*: callers compute graphs (which may lock
+/// the [`LiveProvenance`] mutex) before taking the write lock, and the
+/// call hook releases the maintainer before applying its delta here.
 struct IndexState {
-    master: Mutex<MasterIndex>,
-    published: RwLock<Arc<EpochSnapshot>>,
+    snapshot: RwLock<Arc<EpochSnapshot>>,
     /// Epoch-keyed query engine over the published graph's PROV-O export,
     /// built lazily on the first SPARQL query of an epoch and shared by
     /// the rest — carrying the epoch's plan cache with it.
@@ -249,95 +245,87 @@ struct IndexState {
 impl IndexState {
     fn new() -> Self {
         IndexState {
-            master: Mutex::new(MasterIndex {
-                epoch: 0,
-                calls: 0,
-                graph: ProvenanceGraph::default(),
+            snapshot: RwLock::new(Arc::new(EpochSnapshot {
                 // `new` counts under `prov.index.builds`: one build per
                 // execution index, maintained incrementally afterwards.
                 index: ReachabilityIndex::new(),
-            }),
-            published: RwLock::new(Arc::new(EpochSnapshot::empty())),
+                ..EpochSnapshot::empty()
+            })),
             engine: Mutex::new(None),
         }
     }
 
     fn published(&self) -> Arc<EpochSnapshot> {
-        Arc::clone(&self.published.read().expect("lock poisoned"))
+        Arc::clone(&self.snapshot.read().expect("lock poisoned"))
     }
 
-    fn publish_locked(&self, m: &MasterIndex) -> Arc<EpochSnapshot> {
-        let snap = Arc::new(EpochSnapshot {
-            epoch: m.epoch,
-            calls: m.calls,
-            graph: m.graph.clone(),
-            index: m.index.clone(),
-        });
-        *self.published.write().expect("lock poisoned") = Arc::clone(&snap);
-        snap
-    }
-
-    /// Fold one committed live delta into the master index and publish the
-    /// next epoch. No-op for an empty delta that advances nothing.
+    /// Fold one committed live delta into the snapshot as the next epoch.
+    /// No-op for an empty delta that advances nothing.
     fn apply_delta(&self, delta: &LiveDelta, calls: usize) {
-        let mut m = self.master.lock().expect("lock poisoned");
-        if delta.is_empty() && calls <= m.calls {
+        let mut slot = self.snapshot.write().expect("lock poisoned");
+        if delta.is_empty() && calls <= slot.calls {
             return;
         }
-        // A cold-loaded master already carries the stored sources; a live
-        // catch-up delta may re-deliver them, so only genuinely new entries
-        // are folded in (links dedup inside add_links).
+        if Arc::get_mut(&mut slot).is_none() {
+            SNAPSHOT_COPIES.inc();
+        }
+        let snap = Arc::make_mut(&mut slot);
+        // A cold-loaded snapshot already carries the stored sources; a live
+        // catch-up delta may re-deliver them. URIs are unique within a
+        // document, so a row is new exactly when the index holds no label
+        // for its URI (links dedup inside add_links).
         let fresh: Vec<_> = delta
             .sources
             .iter()
-            .filter(|s| !m.graph.sources.contains(s))
+            .filter(|s| snap.index.label_of(&s.uri).is_none())
             .cloned()
             .collect();
-        m.index.add_sources(&fresh);
-        m.index.add_links(&delta.links);
-        m.graph.sources.extend(fresh);
-        m.graph.add_links(delta.links.iter().cloned());
-        m.calls = m.calls.max(calls);
-        m.epoch += 1;
-        self.publish_locked(&m);
+        snap.index.add_sources(&fresh);
+        snap.index.add_links(&delta.links);
+        snap.graph.sources.extend(fresh);
+        snap.graph.add_links(delta.links.iter().cloned());
+        snap.calls = snap.calls.max(calls);
+        snap.epoch += 1;
     }
 
-    /// Replace the master with a freshly materialised graph (rebuilding the
-    /// index) and publish it — the refresh path for executions whose calls
-    /// were recorded outside any live hook. Skipped if a concurrent
-    /// [`IndexState::apply_delta`] already advanced past `calls`, so a
-    /// slower full rebuild never rolls back a newer incremental epoch.
+    /// Publish a freshly materialised graph (rebuilding the index) — the
+    /// refresh path for executions whose calls were recorded outside any
+    /// live hook. Skipped if a concurrent [`IndexState::apply_delta`]
+    /// already advanced past `calls`, so a slower full rebuild never rolls
+    /// back a newer incremental epoch.
     fn publish_full(&self, graph: ProvenanceGraph, calls: usize) -> Arc<EpochSnapshot> {
         let index = ReachabilityIndex::from_graph(&graph);
-        let mut m = self.master.lock().expect("lock poisoned");
-        if m.epoch > 0 && m.calls >= calls {
-            drop(m);
-            return self.published();
+        let mut slot = self.snapshot.write().expect("lock poisoned");
+        if slot.epoch > 0 && slot.calls >= calls {
+            return Arc::clone(&slot);
         }
-        m.graph = graph;
-        m.index = index;
-        m.calls = m.calls.max(calls);
-        m.epoch += 1;
-        self.publish_locked(&m)
+        *slot = Arc::new(EpochSnapshot {
+            epoch: slot.epoch + 1,
+            calls: slot.calls.max(calls),
+            graph,
+            index,
+        });
+        Arc::clone(&slot)
     }
 
     /// Adopt a snapshot reloaded from the disk store, publishing the
     /// *exact* persisted epoch: serve responses embed the epoch, so a
     /// cold-loaded execution must answer with the same epoch number (and
     /// the same graph row order) it was saved at to stay byte-identical
-    /// with the resident path. Skipped when the master already advanced at
-    /// least as far — a restore never rolls an index back.
+    /// with the resident path. Skipped when the snapshot already advanced
+    /// at least as far — a restore never rolls an index back.
     fn restore(&self, graph: ProvenanceGraph, calls: usize, epoch: u64) {
         let index = ReachabilityIndex::from_graph(&graph);
-        let mut m = self.master.lock().expect("lock poisoned");
-        if m.epoch >= epoch && m.calls >= calls {
+        let mut slot = self.snapshot.write().expect("lock poisoned");
+        if slot.epoch >= epoch && slot.calls >= calls {
             return;
         }
-        m.graph = graph;
-        m.index = index;
-        m.calls = calls;
-        m.epoch = epoch;
-        self.publish_locked(&m);
+        *slot = Arc::new(EpochSnapshot {
+            epoch,
+            calls,
+            graph,
+            index,
+        });
     }
 
     /// The query engine over a snapshot's PROV-O export, cached per epoch
@@ -476,7 +464,7 @@ impl Platform {
                 // sources present before any call), then open a fresh segment:
                 // the orchestration below reports its calls from index 0. The
                 // catch-up delta is published like any other — maintainer
-                // lock released before the master is touched.
+                // lock released before the snapshot is touched.
                 let (delta, calls) = {
                     let mut lp = maintainer.lock().expect("lock poisoned");
                     let folded = lp.calls_folded();
@@ -923,8 +911,8 @@ impl Platform {
             return Ok(snap);
         }
         // Refresh. Graphs are computed (taking the maintainer lock if live)
-        // before publish_full takes the master lock — see IndexState's lock
-        // ordering note.
+        // before publish_full takes the snapshot lock — see IndexState's
+        // lock ordering note.
         let (graph, calls) = if self.live_enabled_impl(exec_id) {
             let graph = self.live_graph_impl(exec_id)?;
             let folded = self
@@ -1066,9 +1054,10 @@ impl ExecutionHandle<'_> {
         self.platform.live_graph_impl(&self.id)
     }
 
-    /// A current epoch snapshot — immutable graph + reachability index.
-    /// Queries answered on one snapshot are mutually consistent even while
-    /// ingestion publishes newer epochs concurrently.
+    /// A current epoch snapshot — graph + reachability index, unchanged
+    /// for as long as the caller holds it. Queries answered on one
+    /// snapshot are mutually consistent even while ingestion publishes
+    /// newer epochs concurrently.
     pub fn snapshot(&self) -> Result<Arc<EpochSnapshot>, PlatformError> {
         self.platform.snapshot_impl(&self.id)
     }
@@ -1660,6 +1649,8 @@ mod tests {
         exec.execute(&["Normaliser"]).unwrap();
         assert!(exec.evict().unwrap());
 
+        // The cold load restores the stored Source table under a fresh
+        // maintainer, whose catch-up delta re-delivers every stored row.
         exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
         assert!(exec.live_enabled(), "live mode survives eviction");
         let live = exec.live_graph().unwrap();
@@ -1668,6 +1659,20 @@ mod tests {
         batch_links.sort();
         assert_eq!(live.links, batch_links);
         assert_eq!(live.sources, batch.sources);
+        // The published Source table took no re-delivered row twice and
+        // equals that of an execution that stayed resident throughout.
+        let sources = exec.snapshot().unwrap().graph.sources.clone();
+        let mut uris: Vec<&str> = sources.iter().map(|s| s.uri.as_str()).collect();
+        uris.sort_unstable();
+        uris.dedup();
+        assert_eq!(uris.len(), sources.len(), "duplicate Source rows");
+        let resident = platform();
+        let r = resident.execution("e");
+        r.ingest(generate_corpus(3, 1, 20));
+        r.enable_live();
+        r.execute(&["Normaliser"]).unwrap();
+        r.execute(&["LanguageExtractor", "Translator"]).unwrap();
+        assert_eq!(sources, r.snapshot().unwrap().graph.sources);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,9 +26,9 @@
 //! `prov.trace.channel_map.builds == 0` guarantee for live maintenance.
 //!
 //! [`EpochSnapshot`] bundles an index with the graph it was built from and
-//! a monotone epoch, the unit of the serving layer's `Arc`-swap scheme:
-//! writers publish a fresh snapshot after every committed delta, readers
-//! query whichever snapshot they hold without blocking ingestion.
+//! a monotone epoch, the unit of the serving layer's copy-on-write scheme:
+//! every committed delta advances the published snapshot by one epoch, and
+//! readers query whichever snapshot they hold without blocking ingestion.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -76,8 +76,6 @@ pub struct ReachabilityIndex {
     /// Label of each labelled resource (first registration wins, like
     /// [`ProvenanceGraph::label_of`]).
     labels: HashMap<String, CallLabel>,
-    /// The Source table rows absorbed so far, in registration order.
-    sources: Vec<SourceEntry>,
     /// Distinct edges.
     edges: usize,
 }
@@ -122,15 +120,15 @@ impl ReachabilityIndex {
         (self.nodes[id as usize], &self.uris[id as usize])
     }
 
-    /// Absorb new Source rows (idempotent per URI for label lookup; rows
-    /// are appended in registration order like the batch Source table).
+    /// Absorb Source rows: intern each URI and record its label (idempotent
+    /// per URI, first registration wins). The rows themselves live in the
+    /// graph's Source table, not here.
     pub fn add_sources(&mut self, sources: &[SourceEntry]) {
         for s in sources {
             self.intern(&s.uri, s.node);
             self.labels
                 .entry(s.uri.clone())
                 .or_insert_with(|| s.label.clone());
-            self.sources.push(s.clone());
         }
     }
 
@@ -189,11 +187,6 @@ impl ReachabilityIndex {
     /// Distinct resources interned.
     pub fn resource_count(&self) -> usize {
         self.uris.len()
-    }
-
-    /// The Source table rows absorbed so far.
-    pub fn sources(&self) -> &[SourceEntry] {
-        &self.sources
     }
 
     /// Label of a resource, if registered.
@@ -405,14 +398,15 @@ impl ReachabilityIndex {
     }
 }
 
-/// An immutable snapshot of one execution's provenance as of a monotone
-/// epoch: the materialised graph (for batch-equivalence checks and SPARQL
-/// export) plus the reachability index over it.
+/// A snapshot of one execution's provenance as of a monotone epoch: the
+/// materialised graph (for batch-equivalence checks and SPARQL export) plus
+/// the reachability index over it.
 ///
 /// This is the unit of the serving layer's concurrency scheme: the platform
-/// keeps one mutable master per execution and publishes an
-/// `Arc<EpochSnapshot>` after every committed delta; readers clone the
-/// `Arc` and answer from a consistent graph while ingestion keeps moving.
+/// keeps one `Arc<EpochSnapshot>` per execution and folds every committed
+/// delta into it through `Arc::make_mut` — in place when no reader holds
+/// it, on a copy when one does. Readers clone the `Arc` and answer from a
+/// graph that stays fixed while ingestion keeps moving.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// Monotone snapshot version (bumped once per published refresh).

@@ -11,7 +11,7 @@
 //! never invalidated by later appends, so the union of the per-call deltas
 //! is exactly the batch graph.
 //!
-//! Per-delta work is O(delta), not O(history):
+//! Per-delta work never re-infers calls already folded:
 //!
 //! * the **channel map** (produced node → control-flow channel) is updated
 //!   incrementally from the newly observed calls instead of being rebuilt
@@ -24,6 +24,16 @@
 //! * the delta itself covers only the new calls — historical calls are
 //!   never re-inferred — and [`CompactGraph::merge_link`] touches only the
 //!   adjacency lists of the delta's endpoints.
+//!
+//! It is still not O(delta). Under the default `TemporalRewrite` strategy
+//! (and `GroupedSinglePass`) a delta evaluates the new calls' rules over
+//! the whole current document: it builds a fresh element index over that
+//! document, O(document), and each rule's unconstrained pattern table
+//! holds every matching row of the history, which the call's temporal
+//! filter then scans. The document's state mark moves with every call
+//! that adds to it, so the carried cache cannot serve these evaluations.
+//! A live run of n calls over a document that grows to D nodes therefore
+//! costs O(n · D) beyond its links.
 //!
 //! A prefix channel map is equivalent to the full one for the calls it
 //! covers: a call's link targets (and their ancestors) always predate the

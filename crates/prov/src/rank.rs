@@ -600,7 +600,7 @@ mod tests {
         for svc in &s.services {
             let mut influence = 0u64;
             let mut seen = std::collections::HashSet::new();
-            for src in idx.sources() {
+            for src in &g.sources {
                 if !seen.insert(src.uri.clone()) {
                     continue;
                 }

@@ -73,16 +73,12 @@ fn write_term(out: &mut String, t: &Term, prefixes: &[(&str, &str)]) {
 }
 
 /// Write an IRI as a prefixed name when it lies in a prefix's namespace
-/// and its local part is alphanumerics, `_`, `-` and `.` only; otherwise
-/// as an `<…>` IRIREF.
+/// and its local part passes [`is_local_name`]; otherwise as an `<…>`
+/// IRIREF.
 fn write_iri(out: &mut String, iri: &str, prefixes: &[(&str, &str)]) {
     for (p, ns) in prefixes {
         if let Some(local) = iri.strip_prefix(ns) {
-            if !local.is_empty()
-                && local
-                    .chars()
-                    .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
-            {
+            if is_local_name(local) {
                 out.push_str(p);
                 out.push(':');
                 out.push_str(local);
@@ -93,6 +89,19 @@ fn write_iri(out: &mut String, iri: &str, prefixes: &[(&str, &str)]) {
     out.push('<');
     write_escaped_iri(out, iri);
     out.push('>');
+}
+
+/// Whether `local` can be written as the local part of a prefixed name:
+/// alphanumerics, `_`, `-` and `.`, where (as in Turtle's `PN_LOCAL`) the
+/// first character is neither `-` nor `.` and the last is not `.` — a
+/// final `.` would end the statement instead.
+fn is_local_name(local: &str) -> bool {
+    !local.is_empty()
+        && !local.starts_with(['-', '.'])
+        && !local.ends_with('.')
+        && local
+            .chars()
+            .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
 }
 
 /// Escape an IRI for an `<…>` IRIREF per the Turtle grammar: code points
@@ -363,9 +372,13 @@ impl<'a> TP<'a> {
             self.pos += 1;
             return Ok(Term::iri(RDF_TYPE));
         }
-        let end = r
-            .find(|c: char| c.is_whitespace() || matches!(c, ';' | ',' | '.'))
+        // A prefixed name runs to whitespace, `;` or `,`. A `.` inside it
+        // is part of the local name, but trailing dots end the statement:
+        // a `PN_LOCAL` never ends with one.
+        let run = r
+            .find(|c: char| c.is_whitespace() || matches!(c, ';' | ','))
             .unwrap_or(r.len());
+        let end = r[..run].trim_end_matches('.').len();
         let token = &r[..end];
         let Some(colon) = token.find(':') else {
             return Err(self.err(format!("unrecognised token {token:?}")));
@@ -450,6 +463,42 @@ mod tests {
         assert!(ttl.contains("\\u003C"), "escaped '<' missing: {ttl}");
         let parsed = parse_turtle(&ttl).unwrap();
         assert_eq!(parsed[0].s, Term::iri(hostile));
+    }
+
+    #[test]
+    fn dotted_local_names_abbreviate_only_where_pn_local_allows() {
+        let wl = crate::vocab::WL_NS;
+        let cases = [
+            ("a.b", "wl:a.b"),
+            ("a..b-c", "wl:a..b-c"),
+            ("a.", "<http://weblab.example.org/prov#a.>"),
+            (".a", "<http://weblab.example.org/prov#.a>"),
+            ("-a", "<http://weblab.example.org/prov#-a>"),
+        ];
+        for (local, written) in cases {
+            let triples = vec![Triple::new(
+                Term::iri(format!("{wl}{local}")),
+                Term::iri(format!("{wl}p")),
+                Term::iri(format!("{wl}{local}")),
+            )];
+            let ttl = to_turtle(&triples);
+            assert!(
+                ttl.contains(&format!("{written} wl:p {written} .")),
+                "{local}: {ttl}"
+            );
+            assert_eq!(parse_turtle(&ttl).unwrap(), triples, "{local}");
+        }
+        // a dot that ends the name ends the statement, with or without a
+        // space before it
+        let parsed = parse_turtle(&format!("@prefix wl: <{wl}> .\nwl:a.b wl:p wl:c.d.")).unwrap();
+        assert_eq!(
+            parsed,
+            vec![Triple::new(
+                Term::iri(format!("{wl}a.b")),
+                Term::iri(format!("{wl}p")),
+                Term::iri(format!("{wl}c.d")),
+            )]
+        );
     }
 
     #[test]

@@ -259,6 +259,11 @@ assert report["gauges"].get("serve.queue.depth", 0) == 0, "queue depth leaked"
 assert counters.get("prov.index.builds", 0) >= 1, "index never built"
 assert counters.get("prov.index.traversals", 0) == 0, \
     "served queries must not re-walk the provenance edge list"
+# no reader overlapped the sequential live ingest, so every delta folded
+# into the published snapshot in place: a daemon that copies the snapshot
+# on every call fails here
+assert counters.get("platform.snapshot.copies", 0) == 0, \
+    f"live deltas copied the snapshot {counters.get('platform.snapshot.copies')} times"
 # the repeated sparql text was answered from the per-epoch plan cache
 assert counters.get("rdf.plan.cache.hits", 0) >= 1, \
     f"plan cache never hit: {counters.get('rdf.plan.cache.hits')}"

@@ -10,33 +10,39 @@ use support::AnyJson;
 use weblab::json::Json;
 use weblab::platform::{Mapper, Platform, ServiceCatalog};
 use weblab::prov::MappingRule;
+use weblab::rdf::vocab::WL_NS;
 use weblab::rdf::{parse_select, parse_turtle, to_turtle, Term, Triple};
 use weblab::serve::handle_line;
 use weblab::xml::parse_document;
 use weblab::xpath::parse_pattern;
 use weblab::xquery::parse_query;
 
-/// Strategy for one triple: IRI subject and predicate; the object is (by
-/// `kind`) an IRI, a plain literal over printable ASCII, every control
-/// character (CR, LF, tab and NUL among them) and non-ASCII text, or an
-/// `xsd:integer`.
+/// Strategy for one triple: IRI subject and predicate in `http://ex.org/`
+/// (always written as IRIREFs) or in the writer's `wl:` namespace, with
+/// local names that put `.` and `-` in any position — so some abbreviate
+/// to dotted prefixed names and some (a leading `-` or `.`, a trailing
+/// `.`) must stay IRIREFs. The object is (by `kind`) an IRI, a plain
+/// literal over printable ASCII, every control character (CR, LF, tab and
+/// NUL among them) and non-ASCII text, or an `xsd:integer`.
 fn triple() -> impl Strategy<Value = Triple> {
     (
-        "[a-zA-Z0-9_]{1,8}",
-        "[a-zA-Z0-9_]{1,8}",
+        "[a-zA-Z0-9_.-]{1,8}",
+        "[a-zA-Z0-9_.-]{1,8}",
+        any::<bool>(),
         0u8..3,
         "[ -~\t\n\r\u{0}-\u{1f}\u{7f}é€😀]{0,20}",
         any::<i64>(),
     )
-        .prop_map(|(s, p, kind, lit, int)| {
+        .prop_map(|(s, p, prefixed, kind, lit, int)| {
+            let ns = if prefixed { WL_NS } else { "http://ex.org/" };
             let o = match kind {
-                0 => Term::iri(format!("http://ex.org/o_{s}")),
+                0 => Term::iri(format!("{ns}o_{s}")),
                 1 => Term::lit(lit),
                 _ => Term::int(int),
             };
             Triple::new(
-                Term::iri(format!("http://ex.org/{s}")),
-                Term::iri(format!("http://ex.org/{p}")),
+                Term::iri(format!("{ns}{s}")),
+                Term::iri(format!("{ns}{p}")),
                 o,
             )
         })

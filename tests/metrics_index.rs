@@ -4,15 +4,17 @@
 //! share a process with other engine work; within the binary they
 //! serialise on a mutex).
 //!
-//! The property under guard: `ExecutionHandle::deps`/`rdeps` (and the
+//! The properties under guard: `ExecutionHandle::deps`/`rdeps` (and the
 //! structured queries behind `weblab serve`, ranked analytics included)
 //! answer from the published reachability index — **zero** full edge-list
-//! traversals.
+//! traversals — and live deltas fold into that published snapshot in
+//! place, copying it only while a reader holds the epoch they advance.
 
 use std::sync::{Arc, Mutex as StdMutex};
 
 use weblab::obs;
 use weblab::platform::{Mapper, Platform, ProvQuery, QueryOpts, RankDirection};
+use weblab::serve::render_response;
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{self, LanguageExtractor, Normaliser, Tokeniser};
 use weblab::workflow::Service;
@@ -22,6 +24,7 @@ static SERIAL: StdMutex<()> = StdMutex::new(());
 const BUILDS: &str = "prov.index.builds";
 const HITS: &str = "prov.index.hits";
 const TRAVERSALS: &str = "prov.index.traversals";
+const COPIES: &str = "platform.snapshot.copies";
 
 fn platform_with_pipeline() -> Platform {
     let rules = services::default_rules();
@@ -156,4 +159,76 @@ fn live_ingestion_maintains_the_index_incrementally() {
     );
     assert_eq!(snap.counter(TRAVERSALS), 0);
     assert!(snap.counter(HITS) >= 1);
+}
+
+#[test]
+fn live_deltas_fold_in_place_when_no_reader_holds_the_snapshot() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let platform = platform_with_pipeline();
+    let exec = platform.execution("in-place");
+    exec.ingest(generate_corpus(11, 2, 10));
+    exec.enable_live();
+
+    obs::reset();
+    obs::enable();
+    exec.execute(&["Normaliser", "LanguageExtractor", "Tokeniser"])
+        .unwrap();
+    let snap = obs::snapshot();
+    obs::disable();
+
+    assert_eq!(snap.counter(COPIES), 0, "no reader held the snapshot");
+    let published = exec.snapshot().unwrap();
+    assert_eq!(published.calls, 3);
+    // the catch-up delta (the ingested sources), then one epoch per call
+    assert_eq!(published.epoch, 4, "one published epoch per live call");
+}
+
+#[test]
+fn a_held_snapshot_is_copied_before_a_live_delta_folds_in() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let platform = platform_with_pipeline();
+    let exec = platform.execution("held");
+    exec.ingest(generate_corpus(11, 2, 10));
+    exec.enable_live();
+    exec.execute(&["Normaliser"]).unwrap();
+
+    let held = exec.snapshot().unwrap();
+    let uris: Vec<String> = held.graph.sources.iter().map(|s| s.uri.clone()).collect();
+    let answers = || -> Vec<String> {
+        uris.iter()
+            .flat_map(|uri| {
+                [
+                    ProvQuery::Why { uri: uri.clone() },
+                    ProvQuery::Lineage {
+                        uri: uri.clone(),
+                        depth: 3,
+                    },
+                ]
+            })
+            .map(|q| render_response(held.epoch, &exec.query_on(&held, &q).unwrap()))
+            .collect()
+    };
+    let epoch = held.epoch;
+    let links = held.graph.links.clone();
+    let before = answers();
+
+    obs::reset();
+    obs::enable();
+    exec.execute(&["LanguageExtractor", "Tokeniser"]).unwrap();
+    let snap = obs::snapshot();
+    obs::disable();
+
+    // the first delta copied the held epoch; the second folded into that
+    // copy in place, since no reader holds it
+    assert_eq!(snap.counter(COPIES), 1);
+    assert_eq!(held.epoch, epoch);
+    assert_eq!(held.graph.links, links);
+    assert_eq!(
+        answers(),
+        before,
+        "a held snapshot changed under its reader"
+    );
+    let current = exec.snapshot().unwrap();
+    assert_eq!(current.epoch, epoch + 2);
+    assert!(current.graph.links.len() > links.len());
 }

@@ -1,8 +1,9 @@
 //! The Turtle writer `weblab_rdf::to_turtle` replaced, kept as its byte
 //! oracle: subjects grouped through a `BTreeMap` keyed by cloned terms,
 //! every term `format!`ed into its own `String`, literals escaped by
-//! chained `replace` calls. Only the literal escape set follows the
-//! writer's current rules (a CR becomes `\r`).
+//! chained `replace` calls. Only the literal escape set (a CR becomes
+//! `\r`) and the prefixed-name rule (a local name neither starts with `-`
+//! or `.` nor ends with `.`) follow the writer's current rules.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -80,6 +81,8 @@ fn fmt_term(t: &Term, prefixes: &[(&str, &str)]) -> String {
             for (p, ns) in prefixes {
                 if let Some(local) = iri.strip_prefix(ns) {
                     if !local.is_empty()
+                        && !local.starts_with(['-', '.'])
+                        && !local.ends_with('.')
                         && local
                             .chars()
                             .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
