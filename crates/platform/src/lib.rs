@@ -6,8 +6,11 @@
 //! 1. **Recording** — [`Recorder`] captures every service call (in-process
 //!    or as a serialised document exchange, with XML-diff based fragment
 //!    identification), updates the [`ResourceRepository`] and writes the
-//!    execution metadata into the [`TraceStore`] (whose RDF mirror makes
-//!    traces SPARQL-queryable).
+//!    execution metadata into the [`TraceStore`]. Each execution's PROV-O
+//!    export makes its trace SPARQL-queryable: it gives the activity,
+//!    agent and start time of every call that generated a resource. The
+//!    disk-backed [`ProvStore`] keeps executions across processes, for
+//!    the daemon and CLI runs alike.
 //! 2. **Graph construction** — the [`ServiceCatalog`] holds per-service
 //!    endpoints, signatures and mapping rules; the [`Mapper`] combines
 //!    catalog rules with the trace and the final document to materialise
@@ -43,7 +46,6 @@
 
 mod catalog;
 mod mapper;
-pub mod persist;
 mod platform;
 pub mod query;
 mod recorder;
@@ -59,5 +61,5 @@ pub use platform::{
 pub use query::{ProvQuery, QueryAnswer, QueryOpts, RankDirection, PROTOCOL_VERSION};
 pub use recorder::{merge_exchange, Recorder, RecorderError};
 pub use repository::ResourceRepository;
-pub use store::{ProvStore, StoredExecution};
+pub use store::{PersistError, ProvStore, ResumePoint, StoredExecution};
 pub use trace_store::TraceStore;

@@ -34,11 +34,10 @@ use weblab_xml::Document;
 
 use crate::catalog::{CatalogError, ServiceCatalog};
 use crate::mapper::{Mapper, MapperError, MapperStrategy};
-use crate::persist::PersistError;
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{Recorder, RecorderError};
 use crate::repository::ResourceRepository;
-use crate::store::ProvStore;
+use crate::store::{PersistError, ProvStore};
 use crate::trace_store::TraceStore;
 
 /// Executions evicted from residency to the attached store.
@@ -486,14 +485,7 @@ impl Platform {
         }
         let outcome = orch.execute_starting_at(&workflow, &mut doc, start)?;
         // persist: document into the repository, calls into the trace store
-        for call in &outcome.trace.calls {
-            let produced_uris: Vec<String> = call
-                .produced
-                .iter()
-                .filter_map(|&n| doc.resource(n).map(|m| m.uri.clone()))
-                .collect();
-            self.traces.record(exec_id, call.clone(), &produced_uris);
-        }
+        self.traces.put(exec_id, &outcome.trace);
         self.repository.put(exec_id, doc);
         self.persist_through(exec_id)?;
         Ok(())
@@ -585,14 +577,7 @@ impl Platform {
         // calls into the trace store, document into the repository, then
         // write-through. Live mode is inherited from the prior execution
         // through the proven "enabled late" catch-up path.
-        for call in &replayed.outcome.trace.calls {
-            let produced_uris: Vec<String> = call
-                .produced
-                .iter()
-                .filter_map(|&n| changed.resource(n).map(|m| m.uri.clone()))
-                .collect();
-            self.traces.record(new_id, call.clone(), &produced_uris);
-        }
+        self.traces.put(new_id, &replayed.outcome.trace);
         if self.live_enabled_impl(prior_id) {
             self.enable_live_impl(new_id);
         }
@@ -712,18 +697,7 @@ impl Platform {
         };
         // Rebuild in-memory state. The trace goes in first; the repository
         // entry is the residency signal, so it is published last.
-        let produced: Vec<Vec<String>> = stored
-            .trace
-            .calls
-            .iter()
-            .map(|c| {
-                c.produced
-                    .iter()
-                    .filter_map(|&n| stored.doc.resource(n).map(|m| m.uri.clone()))
-                    .collect()
-            })
-            .collect();
-        self.traces.put(exec_id, &stored.trace, &produced);
+        self.traces.put(exec_id, &stored.trace);
         let state = self.index_state(exec_id);
         match stored.snapshot {
             Some(snap) => {
@@ -1100,14 +1074,8 @@ impl ExecutionHandle<'_> {
         snap: &Arc<EpochSnapshot>,
         q: &ProvQuery,
     ) -> Result<QueryAnswer, PlatformError> {
-        Ok(match q {
-            ProvQuery::Sparql { .. } => {
-                let state = self.platform.index_state(&self.id);
-                let engine = state.engine_for(snap);
-                q.answer_on_engine(snap, &engine)?
-            }
-            _ => q.answer_on_snapshot(snap, None)?,
-        })
+        let engine = || self.platform.index_state(&self.id).engine_for(snap);
+        Ok(q.answer_on_snapshot(snap, engine)?)
     }
 
     /// A SPARQL SELECT over this execution's PROV-O export.

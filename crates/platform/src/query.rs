@@ -14,6 +14,8 @@
 //! responses stamp `"v": 2` next to the epoch so clients can detect the
 //! new answer shapes.
 
+use std::sync::Arc;
+
 use weblab_prov::query::{self, WhyProvenance};
 use weblab_prov::{rank, EpochSnapshot, GraphSummary, ProvenanceGraph, RankedEntry, ReachabilityIndex};
 use weblab_rdf::{
@@ -142,14 +144,16 @@ impl ProvQuery {
         })
     }
 
-    /// Answer against an epoch snapshot using its reachability index (no
-    /// edge-list traversals) — the serving path. `store` is the PROV-O
-    /// export of the snapshot's graph; pass `None` to have one built here
-    /// (callers that serve many SPARQL queries per epoch should cache it).
+    /// Answer against an epoch snapshot — the serving path. Reachability
+    /// and ranked queries answer from the snapshot's index, with no
+    /// edge-list traversal. SPARQL goes through `engine`, the
+    /// [`QueryEngine`] over the epoch's PROV-O export, which is asked for
+    /// only when a SPARQL query needs it: the platform caches one engine
+    /// per epoch, so each repeated query text is parsed and planned once.
     pub fn answer_on_snapshot(
         &self,
         snap: &EpochSnapshot,
-        store: Option<&TripleStore>,
+        engine: impl FnOnce() -> Arc<QueryEngine>,
     ) -> Result<QueryAnswer, SparqlError> {
         Ok(match self {
             ProvQuery::Why { uri } => QueryAnswer::Why(snap.index.why(uri)),
@@ -162,14 +166,7 @@ impl ProvQuery {
             ProvQuery::CommonOrigins { a, b } => {
                 QueryAnswer::CommonOrigins(snap.index.common_origins(a, b))
             }
-            ProvQuery::Sparql { query: text } => {
-                let q = parse_select(text)?;
-                let solutions = match store {
-                    Some(store) => select(store, &q),
-                    None => select(&prov_store(&snap.graph), &q),
-                };
-                QueryAnswer::Solutions(solutions)
-            }
+            ProvQuery::Sparql { query: text } => QueryAnswer::Solutions(engine().select(text)?),
             ProvQuery::Rank { uris, direction, opts, weights } => {
                 QueryAnswer::Ranked(rank::rank(&snap.index, uris, *direction, opts, weights))
             }
@@ -177,23 +174,6 @@ impl ProvQuery {
                 QueryAnswer::Summary(rank::summary(&snap.index, uri.as_deref()))
             }
         })
-    }
-
-    /// Answer against an epoch snapshot with a [`QueryEngine`] over that
-    /// epoch's PROV-O export — the serving path. SPARQL queries go through
-    /// the engine's plan cache (each repeated query text is parsed and
-    /// planned once per epoch); everything else answers from the
-    /// snapshot's reachability index exactly like
-    /// [`ProvQuery::answer_on_snapshot`].
-    pub fn answer_on_engine(
-        &self,
-        snap: &EpochSnapshot,
-        engine: &QueryEngine,
-    ) -> Result<QueryAnswer, SparqlError> {
-        match self {
-            ProvQuery::Sparql { query: text } => Ok(QueryAnswer::Solutions(engine.select(text)?)),
-            _ => self.answer_on_snapshot(snap, None),
-        }
     }
 }
 
@@ -223,6 +203,11 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    /// The engine factory the platform passes, uncached.
+    fn engine(graph: &ProvenanceGraph) -> impl FnOnce() -> Arc<QueryEngine> + '_ {
+        move || Arc::new(QueryEngine::new(Arc::new(prov_store(graph))))
     }
 
     fn snapshot(graph: &ProvenanceGraph) -> EpochSnapshot {
@@ -259,7 +244,7 @@ mod tests {
         ];
         for q in &queries {
             assert_eq!(
-                q.answer_on_snapshot(&snap, None).unwrap(),
+                q.answer_on_snapshot(&snap, engine(&g)).unwrap(),
                 q.answer_on_graph(&g).unwrap(),
                 "op {}",
                 q.op()
@@ -273,7 +258,7 @@ mod tests {
         let snap = snapshot(&g);
         let q = ProvQuery::Sparql { query: "SELEKT nonsense".into() };
         assert!(q.answer_on_graph(&g).is_err());
-        assert!(q.answer_on_snapshot(&snap, None).is_err());
+        assert!(q.answer_on_snapshot(&snap, engine(&g)).is_err());
     }
 
     #[test]

@@ -1,25 +1,29 @@
 //! # Disk-backed sharded provenance store
 //!
-//! The persistent storage engine behind `Platform`'s LRU residency: every
-//! execution written through the store survives process death, and an
-//! evicted execution cold-loads back with query answers *byte-identical*
-//! to the resident path.
+//! The one on-disk format of the system: `Platform`'s LRU residency
+//! writes every execution through it (`weblab serve --store`), and so do
+//! CLI runs (`weblab run --store`, read back by `--resume` and `weblab
+//! replay --from`). Every execution written here survives process death,
+//! and an evicted execution cold-loads back with query answers
+//! *byte-identical* to the resident path.
 //!
 //! ## Layout
 //!
 //! The store root holds 16 shard directories, an execution landing in the
 //! shard named by an FNV-1a hash of its id. Inside a shard, each execution
-//! owns a family of files keyed by its injectively escaped id (see
-//! [`persist`](crate::persist) — `exec/1` becomes `exec%2F1`):
+//! owns a family of files keyed by its injectively escaped id (`exec/1`
+//! becomes `exec%2F1`, never colliding with `exec_1`):
 //!
 //! ```text
 //! store/
+//!   store.lock             pid of the process holding the directory
 //!   shard-07/
 //!     exec%2F1.doc.xml     stamped WebLab document
 //!     exec%2F1.seg-1       sealed log segment (calls + links, URI dict)
 //!     exec%2F1.seg-2
 //!     exec%2F1.delta       unsealed tail of the log
 //!     exec%2F1.snap-5      index snapshot published at epoch 5
+//!     exec%2F1.resume      resume point of an unfinished CLI run
 //! ```
 //!
 //! * **Segments** ([`segment`]) are the append-only trace/link log. Each
@@ -33,11 +37,17 @@
 //! * **Snapshots** ([`snapshot`]) serialise the published
 //!   [`EpochSnapshot`](weblab_prov::EpochSnapshot)'s graph together with
 //!   its epoch and call count. Only the newest snapshot is kept.
+//! * **Resume points** ([`resume`]) record how far an unfinished CLI run
+//!   got, which the log cannot say; the run removes its own when it
+//!   completes.
 //!
-//! Every file is written with the persist layer's atomic-rename discipline
-//! and ends in a checked `# end` integrity footer, so truncation surfaces
-//! as [`PersistError::Truncated`] instead of a silently shorter execution.
+//! Every file is written atomically (temporary file, fsync, rename,
+//! directory fsync) and ends in a checked `# end` integrity footer, so
+//! truncation surfaces as [`PersistError::Truncated`] instead of a
+//! silently shorter execution.
 
+mod file;
+pub mod resume;
 pub mod segment;
 pub mod snapshot;
 
@@ -45,7 +55,9 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::persist::{sanitise, unsanitise, write_atomic, PersistError};
+use file::{sanitise, unsanitise, write_atomic};
+pub use file::PersistError;
+pub use resume::ResumePoint;
 use segment::{SegmentCall, SegmentData};
 use snapshot::SnapshotData;
 use weblab_obs::Counter;
@@ -124,9 +136,10 @@ impl ProvStore {
     /// Open (creating if needed) a store rooted at `root`.
     ///
     /// The directory is guarded by a `store.lock` file holding the owner's
-    /// pid: a second daemon attaching the same `--store` directory while
-    /// the first is alive fails with [`PersistError::StoreLocked`] (stable
-    /// error code `store-locked`) instead of silently interleaving writes.
+    /// pid: a second process opening the same directory while the first is
+    /// alive — a second daemon, or a CLI run on a directory a daemon
+    /// serves — fails with [`PersistError::StoreLocked`] (stable error
+    /// code `store-locked`) instead of silently interleaving writes.
     /// A lock left behind by a dead process — a daemon killed without
     /// unwinding — is detected as stale on restart and reclaimed, and a
     /// re-open from the *same* process (several platforms over one
@@ -184,6 +197,10 @@ impl ProvStore {
 
     fn snapshot_path(&self, exec_id: &str, epoch: u64) -> PathBuf {
         self.shard_dir(exec_id).join(format!("{}.snap-{epoch}", sanitise(exec_id)))
+    }
+
+    fn resume_path(&self, exec_id: &str) -> PathBuf {
+        self.shard_dir(exec_id).join(format!("{}.resume", sanitise(exec_id)))
     }
 
     /// Does the store hold an execution with this id?
@@ -517,6 +534,32 @@ impl ProvStore {
         Ok(changed)
     }
 
+    /// Record how far an unfinished run of `exec_id` got. Written after
+    /// each [`save`](Self::save) of a completed step.
+    pub fn save_resume_point(
+        &self,
+        exec_id: &str,
+        point: &ResumePoint,
+    ) -> Result<(), PersistError> {
+        std::fs::create_dir_all(self.shard_dir(exec_id))?;
+        resume::write(&self.resume_path(exec_id), exec_id, point)
+    }
+
+    /// The resume point of `exec_id`, or `None` if no run of it is
+    /// unfinished.
+    pub fn resume_point(&self, exec_id: &str) -> Result<Option<ResumePoint>, PersistError> {
+        resume::read(&self.resume_path(exec_id))
+    }
+
+    /// Remove the resume point of `exec_id` once its run completed, so the
+    /// stored execution reads as finished. Removing none is fine.
+    pub fn clear_resume_point(&self, exec_id: &str) -> Result<(), PersistError> {
+        match std::fs::remove_file(self.resume_path(exec_id)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
+
     /// Run [`compact`](Self::compact) over every stored execution.
     /// Returns how many executions changed on disk.
     pub fn compact_all(&self) -> Result<usize, PersistError> {
@@ -573,7 +616,7 @@ fn call_record(doc: &Document, c: &SegmentCall) -> Result<CallRecord, PersistErr
         .produced
         .iter()
         .map(|u| {
-            doc.node_by_uri(u).ok_or_else(|| PersistError::Trace {
+            doc.node_by_uri(u).ok_or_else(|| PersistError::Format {
                 line: 0,
                 message: format!("produced uri {u:?} not in document"),
             })
@@ -591,7 +634,7 @@ fn call_record(doc: &Document, c: &SegmentCall) -> Result<CallRecord, PersistErr
 
 fn resolve_link(doc: &Document, from: &str, to: &str) -> Result<ProvLink, PersistError> {
     let resolve = |uri: &str| {
-        doc.node_by_uri(uri).ok_or_else(|| PersistError::Trace {
+        doc.node_by_uri(uri).ok_or_else(|| PersistError::Format {
             line: 0,
             message: format!("link uri {uri:?} not in document"),
         })

@@ -1,0 +1,126 @@
+//! Resume points: how far an unfinished `weblab run --store` got.
+//!
+//! The log says which calls a run recorded, but not where to resume it: a
+//! skipped step records no call and a parallel block records several, so
+//! the completed top-level step count, the next call instant and the
+//! workflow's step names (checked on resume, so a resume point cannot be
+//! replayed against a different workflow) are kept beside the log, in the
+//! execution's shard as `<id>.resume`:
+//!
+//! ```text
+//! # weblab prov resume point
+//! exec: exec%2F1
+//! completed: 2
+//! next-time: 5
+//! step: Normaliser
+//! step: [LanguageExtractor %7C Translator]
+//! # end steps=2
+//! ```
+//!
+//! Step names are field-escaped: a parallel block renders as
+//! `[A | B]`, and a name holding a line break must not inject lines. The
+//! file is removed when the run completes, so a stored execution without
+//! one is a finished run.
+
+use std::path::Path;
+
+use super::file::{escape_field, unescape_field, write_atomic, PersistError};
+use weblab_xml::Timestamp;
+
+/// How far a resumable run got: what the log cannot tell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Top-level workflow steps fully completed (their calls are in the
+    /// stored log and their effects in the stored document).
+    pub completed_steps: usize,
+    /// The call instant the next step starts at.
+    pub next_time: Timestamp,
+    /// The workflow's step names.
+    pub step_names: Vec<String>,
+}
+
+/// Serialise a resume point to its line format.
+pub fn encode(exec_id: &str, point: &ResumePoint) -> String {
+    let mut out = String::from("# weblab prov resume point\n");
+    out.push_str(&format!("exec: {}\n", escape_field(exec_id)));
+    out.push_str(&format!("completed: {}\n", point.completed_steps));
+    out.push_str(&format!("next-time: {}\n", point.next_time));
+    for s in &point.step_names {
+        out.push_str(&format!("step: {}\n", escape_field(s)));
+    }
+    out.push_str(&format!("# end steps={}\n", point.step_names.len()));
+    out
+}
+
+/// Parse a resume point's text, verifying its integrity footer.
+pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
+    let mut completed = None;
+    let mut next_time = None;
+    let mut steps = Vec::new();
+    let mut footer = None;
+    for (i, raw) in text.lines().enumerate() {
+        let line = i + 1;
+        let raw = raw.trim();
+        let err = |message: String| PersistError::Format { line, message };
+        if let Some(v) = raw.strip_prefix("# end steps=") {
+            footer = v.trim().parse::<usize>().ok();
+        } else if raw.is_empty() || raw.starts_with('#') || raw.starts_with("exec:") {
+            continue;
+        } else if let Some(v) = raw.strip_prefix("completed:") {
+            completed = Some(
+                v.trim()
+                    .parse::<usize>()
+                    .map_err(|_| err(format!("invalid step count {v:?}")))?,
+            );
+        } else if let Some(v) = raw.strip_prefix("next-time:") {
+            next_time = Some(
+                v.trim()
+                    .parse::<Timestamp>()
+                    .map_err(|_| err(format!("invalid call instant {v:?}")))?,
+            );
+        } else if let Some(v) = raw.strip_prefix("step:") {
+            steps.push(unescape_field(v.trim()).map_err(err)?);
+        } else {
+            return Err(err(format!("unrecognised line {raw:?}")));
+        }
+    }
+    let truncated = |message: String| PersistError::Truncated { file: file.into(), message };
+    match footer {
+        None => return Err(truncated("missing '# end steps=N' footer (file truncated?)".into())),
+        Some(n) if n != steps.len() => {
+            return Err(truncated(format!(
+                "footer claims {n} steps but file holds {}",
+                steps.len()
+            )))
+        }
+        Some(_) => {}
+    }
+    let (Some(completed_steps), Some(next_time)) = (completed, next_time) else {
+        return Err(truncated("missing 'completed:' or 'next-time:' header".into()));
+    };
+    if completed_steps > steps.len() {
+        return Err(PersistError::Format {
+            line: 0,
+            message: format!(
+                "completed {completed_steps} exceeds the {} workflow steps",
+                steps.len()
+            ),
+        });
+    }
+    Ok(ResumePoint { completed_steps, next_time, step_names: steps })
+}
+
+/// Write a resume point to `path` atomically.
+pub fn write(path: &Path, exec_id: &str, point: &ResumePoint) -> Result<(), PersistError> {
+    write_atomic(path, &encode(exec_id, point))
+}
+
+/// Read the resume point at `path`, verifying its footer. `Ok(None)` if
+/// there is none.
+pub fn read(path: &Path) -> Result<Option<ResumePoint>, PersistError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => decode(&path.display().to_string(), &text).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}

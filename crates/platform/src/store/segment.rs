@@ -2,7 +2,7 @@
 //!
 //! A segment file holds a contiguous run of an execution's calls plus the
 //! provenance links first derived while those calls were the frontier. The
-//! format is line-based like the rest of the persist layer, but URIs are
+//! format is line-based like the other store files, but URIs are
 //! dictionary-encoded: each distinct URI is written once as a `uri:` line
 //! and referenced everywhere else by its 0-based position, mirroring the
 //! interning scheme of `weblab-rdf`'s dictionary (URIs repeat heavily
@@ -26,11 +26,11 @@
 //! duplication compaction can leave behind (a crash after writing a merged
 //! segment but before deleting its inputs). Every file ends in a `# end`
 //! footer checked on load; a mismatch surfaces as
-//! [`PersistError::Truncated`](crate::persist::PersistError::Truncated).
+//! [`PersistError::Truncated`].
 
 use std::path::Path;
 
-use crate::persist::{escape_field, unescape_field, write_atomic, PersistError};
+use super::file::{escape_field, unescape_field, write_atomic, PersistError};
 use weblab_xml::{StateMark, Timestamp};
 
 /// One call as stored in a segment: like
@@ -151,7 +151,7 @@ pub fn decode(file: &str, text: &str) -> Result<SegmentData, PersistError> {
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let raw = raw.trim();
-        let err = |message: String| PersistError::Trace { line, message };
+        let err = |message: String| PersistError::Format { line, message };
         if let Some(rest) = raw.strip_prefix("# end ") {
             footer = parse_footer(rest);
         } else if raw.is_empty() || raw.starts_with('#') {

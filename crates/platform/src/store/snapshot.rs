@@ -31,7 +31,7 @@
 
 use std::path::Path;
 
-use crate::persist::{escape_field, unescape_field, write_atomic, PersistError};
+use super::file::{escape_field, unescape_field, write_atomic, PersistError};
 use weblab_prov::{ProvLink, ProvenanceGraph, SourceEntry};
 use weblab_xml::{CallLabel, NodeId};
 
@@ -119,7 +119,7 @@ pub fn decode(file: &str, text: &str) -> Result<SnapshotData, PersistError> {
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let raw = raw.trim();
-        let err = |message: String| PersistError::Trace { line, message };
+        let err = |message: String| PersistError::Format { line, message };
         if let Some(rest) = raw.strip_prefix("# end ") {
             footer = parse_footer(rest);
         } else if raw.is_empty() || raw.starts_with('#') {

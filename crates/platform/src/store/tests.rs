@@ -1,4 +1,5 @@
 use super::*;
+use proptest::prelude::*;
 use weblab_prov::{infer_provenance, EngineOptions, ReachabilityIndex, SourceEntry};
 use weblab_workflow::generator::synthetic_workload;
 use weblab_workflow::Orchestrator;
@@ -213,7 +214,7 @@ fn truncated_segment_delta_and_snapshot_are_detected() {
             bad.push(lines[lines.len() - 1]);
             std::fs::write(path, bad.join("\n") + "\n").unwrap();
             match store.load("e") {
-                Err(PersistError::Truncated { .. }) | Err(PersistError::Trace { .. }) => {}
+                Err(PersistError::Truncated { .. }) | Err(PersistError::Format { .. }) => {}
                 other => panic!("expected rejection for {path:?}, got {other:?}"),
             }
         }
@@ -335,4 +336,149 @@ fn lock_file_guards_against_a_second_live_owner() {
     let store = ProvStore::open(&root).unwrap();
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn resume_points_round_trip_and_detect_truncation() {
+    let (doc, trace, graph) = executed(29);
+    let store = ProvStore::open(tmpstore("resume")).unwrap();
+    assert_eq!(store.resume_point("e").unwrap(), None);
+    let point = ResumePoint {
+        completed_steps: 2,
+        next_time: 5,
+        step_names: vec![
+            "Normaliser".into(),
+            "[LanguageExtractor | Translator]".into(),
+            "line\nbreak".into(),
+        ],
+    };
+    store.save("e", &doc, &trace, &graph, 2, true).unwrap();
+    store.save_resume_point("e", &point).unwrap();
+    assert_eq!(store.resume_point("e").unwrap(), Some(point.clone()));
+    // the resume point is not part of the log: compaction and cold loads
+    // ignore it, and it lists no execution of its own
+    store.compact("e").unwrap();
+    assert_eq!(store.load("e").unwrap().unwrap().trace.len(), trace.len());
+    assert_eq!(store.execution_ids(), vec!["e".to_string()]);
+    assert_eq!(store.resume_point("e").unwrap(), Some(point));
+
+    // kill the footer: detected, never read as a shorter step list
+    let path = store.resume_path("e");
+    let full = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = full.lines().collect();
+    std::fs::write(&path, lines[..lines.len() - 1].join("\n") + "\n").unwrap();
+    assert!(matches!(
+        store.resume_point("e"),
+        Err(PersistError::Truncated { .. })
+    ));
+    // a footer that disagrees with the body is caught too
+    let mut bad: Vec<&str> = lines[..lines.len() - 2].to_vec();
+    bad.push(lines[lines.len() - 1]);
+    std::fs::write(&path, bad.join("\n") + "\n").unwrap();
+    assert!(matches!(
+        store.resume_point("e"),
+        Err(PersistError::Truncated { .. })
+    ));
+
+    // clearing removes it; clearing twice is fine
+    std::fs::write(&path, full).unwrap();
+    store.clear_resume_point("e").unwrap();
+    assert_eq!(store.resume_point("e").unwrap(), None);
+    store.clear_resume_point("e").unwrap();
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
+fn inconsistent_resume_points_are_rejected() {
+    let store = ProvStore::open(tmpstore("badresume")).unwrap();
+    store
+        .save_resume_point(
+            "e",
+            &ResumePoint { completed_steps: 0, next_time: 1, step_names: Vec::new() },
+        )
+        .unwrap();
+    let path = store.resume_path("e");
+    for text in [
+        // completed beyond the step list
+        "completed: 9\nnext-time: 1\nstep: A\n# end steps=1\n",
+        // unknown line
+        "completed: 0\nnext-time: 1\nwat\n# end steps=0\n",
+        // unparsable counter
+        "completed: x\nnext-time: 1\n# end steps=0\n",
+    ] {
+        std::fs::write(&path, text).unwrap();
+        match store.resume_point("e") {
+            Err(PersistError::Format { .. }) => {}
+            other => panic!("expected a format error for {text:?}, got {other:?}"),
+        }
+    }
+    // headers missing under an intact footer: the file lost its head
+    std::fs::write(&path, "step: A\n# end steps=1\n").unwrap();
+    assert!(matches!(
+        store.resume_point("e"),
+        Err(PersistError::Truncated { .. })
+    ));
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+// Service names, channels, produced URIs and link URIs soaked in the line
+// formats' own separators, and in the characters XML and line parsing
+// normalise, must round-trip through save and load.
+const HOSTILE: [char; 11] = ['|', ',', '%', ' ', '\n', '\t', '\r', 'a', 'Z', '/', 'é'];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_names_round_trip_through_save_and_load(
+        picks in prop::collection::vec(
+            (0usize..HOSTILE.len(), 0usize..HOSTILE.len(), 0usize..HOSTILE.len()),
+            1..6,
+        ),
+    ) {
+        let field = |seed: &[usize]| -> String { seed.iter().map(|&i| HOSTILE[i]).collect() };
+        let mut doc = Document::new("Resource");
+        let root = doc.root();
+        let mut trace = ExecutionTrace::default();
+        let mut uris = Vec::new();
+        for (i, &(a, b, c)) in picks.iter().enumerate() {
+            let time = i as u64 + 1;
+            let service = field(&[b, a]);
+            let before = doc.mark();
+            let n = doc.append_element(root, "A").unwrap();
+            // unique per node, but soaked in separator characters
+            let uri = format!("{}#{i}", field(&[a, b, c]));
+            doc.register_resource(n, uri.clone(), Some(weblab_xml::CallLabel::new(&service, time)))
+                .unwrap();
+            uris.push(uri);
+            let after = doc.mark();
+            trace.record_call_on_channel(&doc, &service, time, before, after, field(&[c, b, a]));
+        }
+        let mut graph = ProvenanceGraph::from_view(&doc.view());
+        graph.add_links(uris.windows(2).map(|w| ProvLink {
+            from: doc.node_by_uri(&w[1]).unwrap(),
+            from_uri: w[1].clone(),
+            to: doc.node_by_uri(&w[0]).unwrap(),
+            to_uri: w[0].clone(),
+        }));
+
+        let store = ProvStore::open(tmpstore("hostile-names")).unwrap();
+        store.save("h", &doc, &trace, &graph, 1, true).unwrap();
+        let back = store.load("h").unwrap().unwrap();
+        prop_assert_eq!(back.trace.len(), trace.len());
+        let uris_of = |d: &Document, c: &CallRecord| -> Vec<String> {
+            c.produced.iter().map(|&n| d.resource(n).unwrap().uri.clone()).collect()
+        };
+        for (orig, round) in trace.calls.iter().zip(&back.trace.calls) {
+            prop_assert_eq!(&orig.service, &round.service);
+            prop_assert_eq!(&orig.channel, &round.channel);
+            prop_assert_eq!(orig.produced.len(), 1);
+            prop_assert_eq!(uris_of(&doc, orig), uris_of(&back.doc, round));
+        }
+        prop_assert_eq!(&back.links, &graph.links);
+        let snap = back.snapshot.expect("fresh snapshot");
+        prop_assert_eq!(&snap.graph.links, &graph.links);
+        prop_assert_eq!(&snap.graph.sources, &graph.sources);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
 }

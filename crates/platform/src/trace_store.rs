@@ -2,33 +2,26 @@
 //!
 //! Figure 5: the Recorder "transmits all generated meta-data (service,
 //! timestamp, generated nodes) to the Execution Trace triple-store for
-//! future use". The store keeps the structured [`ExecutionTrace`] (what
-//! the Mapper consumes) and mirrors it into RDF triples so the trace is
-//! SPARQL-queryable like everything else in the architecture.
+//! future use". The store keeps the structured [`ExecutionTrace`] the
+//! Mapper consumes. The same metadata is SPARQL-queryable through each
+//! execution's PROV-O export: every call that generated a resource appears
+//! there as a `prov:Activity` with its agent and start time.
 
 use std::collections::HashMap;
 
 use std::sync::RwLock;
 use weblab_obs::Counter;
 use weblab_prov::{CallRecord, ExecutionTrace};
-use weblab_rdf::{vocab, Term, Triple, TripleStore};
 
-/// Call records written to the store (structured + RDF mirror).
+/// Call records written to the store.
 static RECORDS_WRITTEN: Counter = Counter::new("platform.trace_store.records");
 /// Structured-trace reads served (`get`).
 static TRACE_READS: Counter = Counter::new("platform.trace_store.reads");
-
-/// Namespace predicates for trace triples.
-const WL_SERVICE: &str = "http://weblab.example.org/prov#service";
-const WL_TIME: &str = "http://weblab.example.org/prov#time";
-const WL_PRODUCED: &str = "http://weblab.example.org/prov#produced";
-const WL_IN_EXECUTION: &str = "http://weblab.example.org/prov#inExecution";
 
 /// Thread-safe store of execution traces.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: RwLock<HashMap<String, ExecutionTrace>>,
-    triples: RwLock<TripleStore>,
 }
 
 impl TraceStore {
@@ -37,37 +30,9 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// Record one call of an execution, extending both the structured
-    /// trace and the RDF mirror. `produced_uris` are the URIs of
-    /// `out(c_i)`.
-    pub fn record(&self, exec_id: &str, call: CallRecord, produced_uris: &[String]) {
+    /// Record one call of an execution.
+    pub fn record(&self, exec_id: &str, call: CallRecord) {
         RECORDS_WRITTEN.inc();
-        let activity = Term::iri(vocab::activity_iri(&call.service, call.time));
-        {
-            let mut triples = self.triples.write().expect("lock poisoned");
-            triples.insert(Triple::new(
-                activity.clone(),
-                Term::iri(WL_IN_EXECUTION),
-                Term::lit(exec_id),
-            ));
-            triples.insert(Triple::new(
-                activity.clone(),
-                Term::iri(WL_SERVICE),
-                Term::lit(&call.service),
-            ));
-            triples.insert(Triple::new(
-                activity.clone(),
-                Term::iri(WL_TIME),
-                Term::int(call.time as i64),
-            ));
-            for uri in produced_uris {
-                triples.insert(Triple::new(
-                    activity.clone(),
-                    Term::iri(WL_PRODUCED),
-                    Term::iri(uri.clone()),
-                ));
-            }
-        }
         self.traces
             .write().expect("lock poisoned")
             .entry(exec_id.to_string())
@@ -76,11 +41,11 @@ impl TraceStore {
             .push(call);
     }
 
-    /// Store a complete trace at once (used when an orchestrator ran the
-    /// workflow outside the platform).
-    pub fn put(&self, exec_id: &str, trace: &ExecutionTrace, produced_uris: &[Vec<String>]) {
-        for (call, uris) in trace.calls.iter().zip(produced_uris) {
-            self.record(exec_id, call.clone(), uris);
+    /// Record every call of `trace`, in order: an orchestration's
+    /// outcome, or a trace a cold load read back.
+    pub fn put(&self, exec_id: &str, trace: &ExecutionTrace) {
+        for call in &trace.calls {
+            self.record(exec_id, call.clone());
         }
     }
 
@@ -90,18 +55,10 @@ impl TraceStore {
         self.traces.read().expect("lock poisoned").get(exec_id).cloned()
     }
 
-    /// Drop an execution's structured trace (LRU eviction by the
-    /// platform's store layer). The RDF mirror is shared across executions
-    /// and is left in place — re-recording the trace on a later cold load
-    /// re-inserts the same triples, which the set-semantics store
-    /// deduplicates. Returns whether anything was removed.
+    /// Drop an execution's trace (LRU eviction by the platform's store
+    /// layer). Returns whether anything was removed.
     pub fn remove(&self, exec_id: &str) -> bool {
         self.traces.write().expect("lock poisoned").remove(exec_id).is_some()
-    }
-
-    /// Snapshot of the RDF mirror.
-    pub fn triples(&self) -> TripleStore {
-        self.triples.read().expect("lock poisoned").clone()
     }
 }
 
@@ -123,26 +80,23 @@ mod tests {
     }
 
     #[test]
-    fn record_builds_trace_and_triples() {
+    fn record_builds_the_trace_in_call_order() {
         let store = TraceStore::new();
-        store.record("e1", call("Normaliser", 1), &["r4".into(), "r5".into()]);
-        store.record("e1", call("Translator", 3), &["r8".into()]);
+        store.record("e1", call("Normaliser", 1));
+        store.record("e1", call("Translator", 3));
         let t = store.get("e1").unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.calls[1].service, "Translator");
-
-        let triples = store.triples();
-        let produced = triples.matching(&None, &Some(Term::iri(WL_PRODUCED)), &None);
-        assert_eq!(produced.len(), 3);
-        let in_exec = triples.matching(&None, &Some(Term::iri(WL_IN_EXECUTION)), &Some(Term::lit("e1")));
-        assert_eq!(in_exec.len(), 2);
+        assert!(store.remove("e1"));
+        assert!(store.get("e1").is_none());
+        assert!(!store.remove("e1"));
     }
 
     #[test]
     fn executions_are_isolated() {
         let store = TraceStore::new();
-        store.record("a", call("S", 1), &[]);
-        store.record("b", call("S", 1), &[]);
+        store.record("a", call("S", 1));
+        store.record("b", call("S", 1));
         assert_eq!(store.get("a").unwrap().len(), 1);
         assert_eq!(store.get("b").unwrap().len(), 1);
         assert!(store.get("c").is_none());

@@ -284,9 +284,9 @@ impl Orchestrator {
     /// top-level steps (they ran before a crash and their effects are
     /// already in `doc`), and invoke `checkpoint` after every top-level
     /// step that completes, with the number of steps now completed, the
-    /// document, the outcome so far, and the next call instant. The
-    /// platform's persist layer plugs in here to write durable checkpoints
-    /// a crashed execution can be reloaded from.
+    /// document, the outcome so far, and the next call instant. `weblab
+    /// run --store` plugs in here to store each completed step with a
+    /// resume point a crashed execution can be reloaded from.
     ///
     /// A parallel block counts as one step: it either completes as a whole
     /// or is re-run as a whole on resume.

@@ -95,12 +95,13 @@ print("ci: fault-tolerance metrics ok "
       f"(rollbacks={counters['workflow.rollbacks']}, retries={counters['workflow.retries']})")
 PY
 
-echo "==> live provenance smoke run (--live --link-store)"
+echo "==> live provenance smoke run (--store, which implies --live)"
+live_store="$metrics_dir/live-store"
 ./target/release/weblab --metrics --metrics-out "$metrics_dir/live.json" \
     run data/sample_corpus.xml Normaliser,LanguageExtractor,Translator \
-    --live --link-store "$metrics_dir/run.links" -o "$metrics_dir/live.xml"
-python3 - "$metrics_dir/live.json" "$metrics_dir/run.links" <<'PY'
-import json, sys
+    --store "$live_store" -o "$metrics_dir/live.xml"
+python3 - "$metrics_dir/live.json" "$live_store" <<'PY'
+import glob, json, os, sys
 
 with open(sys.argv[1]) as f:
     counters = json.load(f)["counters"]
@@ -113,16 +114,72 @@ assert counters.get("live.links", 0) >= 1, "live run derived no links"
 assert counters.get("prov.trace.channel_map.builds", 0) == 0, \
     "live run rebuilt the channel map from the whole trace"
 
-# the persisted link store is intact: footer agrees with the body
-with open(sys.argv[2]) as f:
-    lines = [l.rstrip("\n") for l in f]
-n_links = sum(1 for l in lines if l.startswith("link:"))
-assert lines[-1] == f"# end links={n_links}", \
-    f"link store footer mismatch: {lines[-1]!r} vs {n_links} links"
+# read the store back: the execution's link log (the run never compacts,
+# so it is all in the delta) and its snapshot are intact, footers agree
+# with their bodies, and both hold every link the live run derived
+def footer(path):
+    with open(path) as f:
+        lines = [l.rstrip("\n") for l in f]
+    fields = dict(kv.split("=") for kv in lines[-1].removeprefix("# end ").split())
+    n_links = sum(1 for l in lines if l.startswith("link:"))
+    assert int(fields["links"]) == n_links, f"{path}: footer {lines[-1]!r} vs {n_links} links"
+    return n_links
+
+shard = os.path.join(sys.argv[2], "shard-*", "sample_corpus")
+[delta] = glob.glob(shard + ".delta")
+[snap] = glob.glob(shard + ".snap-*")
+assert not glob.glob(shard + ".resume"), "a finished run left its resume point behind"
+n_links = footer(delta)
 assert n_links == counters["live.links"], \
-    "persisted link count disagrees with the live.links counter"
+    "stored link count disagrees with the live.links counter"
+assert footer(snap) == n_links, "the snapshot and the log disagree"
 print(f"ci: live provenance ok (deltas={counters['live.deltas']}, links={n_links})")
 PY
+
+echo "==> serve over a CLI-written store (weblab run --store, then serve --store)"
+./target/release/weblab serve --port 0 --workers 1 --store "$live_store" \
+    > "$metrics_dir/clistore.out" 2> "$metrics_dir/clistore.err" &
+serve_pid=$!
+for _ in $(seq 1 100); do
+    grep -q "^listening on " "$metrics_dir/clistore.out" 2>/dev/null && break
+    sleep 0.1
+done
+addr="$(sed -n 's/^listening on //p' "$metrics_dir/clistore.out")"
+[ -n "$addr" ] || { echo "ci: serve over the CLI store never printed its address" >&2; exit 1; }
+# while the daemon holds the directory, a CLI run on it is refused
+if ./target/release/weblab run data/sample_corpus.xml Normaliser \
+    --store "$live_store" > /dev/null 2> "$metrics_dir/clistore-run.err"; then
+    echo "ci: a CLI run on a store a daemon holds must fail" >&2; exit 1
+fi
+grep -q 'error\[store-locked\]' "$metrics_dir/clistore-run.err" \
+    || { echo "ci: a CLI run on a held store must fail with store-locked" >&2;
+         cat "$metrics_dir/clistore-run.err" >&2; exit 1; }
+python3 - "$addr" <<'PY'
+import json, socket, sys
+
+host, port = sys.argv[1].rsplit(":", 1)
+sock = socket.create_connection((host, int(port)), timeout=10)
+f = sock.makefile("rw", encoding="utf-8", newline="\n")
+
+def rpc(req):
+    f.write(json.dumps(req) + "\n")
+    f.flush()
+    return json.loads(f.readline())
+
+r = rpc({"op": "status"})
+assert r.get("ok"), r
+assert {"id": "sample_corpus", "live": False, "resident": False} in \
+    r["result"]["executions"], r
+r = rpc({"op": "why", "exec": "sample_corpus", "uri": "weblab://res/Translator-t3-1"})
+assert r.get("ok") and r.get("epoch", 0) >= 1, r
+assert len(r["result"]["links"]) >= 1, r
+assert "weblab://res/Translator-t3-1" in r["result"]["resources"], r
+assert rpc({"op": "shutdown"}).get("ok"), "shutdown failed"
+sock.close()
+print(f"ci: CLI-written store served ({len(r['result']['links'])} why link(s))")
+PY
+wait "$serve_pid" || { echo "ci: serve over the CLI store did not shut down cleanly" >&2; exit 1; }
+serve_pid=""
 
 echo "==> serve smoke (line-delimited JSON protocol on an ephemeral port)"
 ./target/release/weblab --metrics-out "$metrics_dir/serve.json" \
@@ -603,11 +660,11 @@ replay_dir="$metrics_dir/replay"
 mkdir -p "$replay_dir"
 ./target/release/weblab run data/sample_corpus.xml \
     Normaliser,LanguageExtractor,Translator,Tokeniser \
-    --checkpoint "$replay_dir/ck" -o "$replay_dir/prior.xml"
+    --store "$replay_dir/st" -o "$replay_dir/prior.xml"
 sed 's/the language of peace/the language of war/' data/sample_corpus.xml \
     > "$replay_dir/changed.xml"
 ./target/release/weblab replay "$replay_dir/changed.xml" \
-    --from "$replay_dir/ck" --exec sample_corpus \
+    --from "$replay_dir/st" --exec sample_corpus \
     --changed weblab://src/1 --proof exact \
     -o "$replay_dir/replayed.xml" 2> "$replay_dir/replay.err"
 # the English source dirties 3 of the 4 pipeline services; the Translator

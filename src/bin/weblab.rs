@@ -2,31 +2,36 @@
 //!
 //! ```text
 //! weblab run <input.xml> <service,service,…> [-o out.xml] [--retries N]
-//!            [--on-failure abort|skip|retry] [--checkpoint DIR [--resume]]
-//!            [--live [--link-store FILE]]
+//!            [--on-failure abort|skip|retry] [--live] [--store DIR [--resume]]
 //!     Run built-in media-mining services over a WebLab document and write
 //!     the stamped result (wl:id / wl:s / wl:t metadata included).
 //!     `--retries N` grants each step N extra attempts (failed attempts are
 //!     rolled back to the pre-call state; retries reuse the call instant).
 //!     `--on-failure` sets the disposition once attempts are exhausted:
 //!     abort the run (default), skip the step, or retry (implied by
-//!     `--retries`). `--checkpoint DIR` persists document + trace + a
-//!     checkpoint after every completed step; `--resume` restarts a crashed
-//!     run from the last checkpoint in DIR instead of from <input.xml>.
-//!     The `flaky` / `flaky:N` pseudo-service fails its first 2 / N calls
-//!     and then succeeds — a fault-injection aid for exercising the flags.
+//!     `--retries`). The `flaky` / `flaky:N` pseudo-service fails its
+//!     first 2 / N calls and then succeeds — a fault-injection aid for
+//!     exercising the flags.
 //!     `--live` maintains the provenance graph *during* the run: every
 //!     committed call is folded into a materialized link store as it
 //!     completes (rolled-back attempts never reach it), so by the final
 //!     call the full graph exists without a batch inference pass. A
-//!     summary goes to stderr; `--link-store FILE` (implies `--live`)
-//!     additionally writes the links atomically with an integrity footer.
+//!     summary goes to stderr.
+//!     `--store DIR` (implies `--live`) writes the execution, named after
+//!     the input's file stem, into the provenance store at DIR after every
+//!     completed step: document, call log, links and an index snapshot,
+//!     the format `weblab serve --store DIR` serves. Until the run
+//!     completes, a resume point records how far it got; `--resume`
+//!     restarts a crashed run from there instead of from <input.xml>. A
+//!     run without `--resume` on an execution the store already holds
+//!     fails before any service runs, and so does `--resume` on a finished
+//!     run. A directory a running daemon holds fails with `store-locked`.
 //!
 //! weblab replay <changed.xml> --from DIR [--exec ID] --changed URI[,URI…]
 //!               [--proof trusted|exact|concordant] [--tolerance F]
 //!               [-o out.xml] [catalog.txt]
 //!     Provenance-guided incremental recomputation: re-run a prior
-//!     execution (persisted by `weblab run --checkpoint DIR`) under a
+//!     execution (stored by `weblab run --store DIR`) under a
 //!     changed copy of its *input* document, re-executing only the
 //!     services whose outputs fall inside the dirty cone of the
 //!     `--changed` URIs (the `impacted-by` closure in the prior run's
@@ -119,16 +124,16 @@
 //! stable [`WebLabError::code`] string shared with the serve protocol.
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use weblab::error::WebLabError;
 use weblab::platform::{
-    persist, Mapper, Platform, PlatformError, ProvQuery, QueryAnswer, QueryOpts, RankDirection,
-    ServiceCatalog,
+    Mapper, PersistError, Platform, PlatformError, ProvQuery, ProvStore, QueryAnswer, QueryOpts,
+    RankDirection, ResumePoint, ServiceCatalog,
 };
 use weblab::prov::{
     dirty_cone, format_micro, infer_provenance, micro_from_f64, EngineOptions, ExecutionTrace,
-    InheritMode, Parallelism, ProvenanceGraph, ReachabilityIndex, RuleSet,
+    InheritMode, LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex, RuleSet,
 };
 use weblab::rdf::{export_prov, to_turtle};
 use weblab::serve::Server;
@@ -336,17 +341,16 @@ fn cmd_run(args: &[String]) -> CliResult {
     let (mut input, mut pipeline, mut out) = (None, None, None);
     let mut retries: Option<u32> = None;
     let mut on_failure: Option<FailurePolicy> = None;
-    let mut checkpoint_dir: Option<String> = None;
+    let mut store_dir: Option<String> = None;
     let mut resume = false;
     let mut live = false;
-    let mut link_store: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "-o" | "--out" => out = Some(it.next().ok_or("missing value for -o")?.clone()),
             "--live" => live = true,
-            "--link-store" => {
-                link_store = Some(it.next().ok_or("missing value for --link-store")?.clone());
+            "--store" => {
+                store_dir = Some(it.next().ok_or("missing value for --store")?.clone());
                 live = true;
             }
             "--retries" => {
@@ -362,9 +366,6 @@ fn cmd_run(args: &[String]) -> CliResult {
                     format!("--on-failure expects abort|skip|retry, got {v:?}")
                 })?);
             }
-            "--checkpoint" => {
-                checkpoint_dir = Some(it.next().ok_or("missing value for --checkpoint")?.clone())
-            }
             "--resume" => resume = true,
             other if input.is_none() => input = Some(other.to_string()),
             other if pipeline.is_none() => pipeline = Some(other.to_string()),
@@ -373,12 +374,11 @@ fn cmd_run(args: &[String]) -> CliResult {
     }
     let input = input.ok_or(
         "usage: weblab run <input.xml> <service,…> [-o out.xml] [--retries N] \
-         [--on-failure abort|skip|retry] [--checkpoint DIR [--resume]] \
-         [--live [--link-store FILE]]",
+         [--on-failure abort|skip|retry] [--live] [--store DIR [--resume]]",
     )?;
     let pipeline = pipeline.ok_or("missing service list")?;
-    if resume && checkpoint_dir.is_none() {
-        return Err("--resume requires --checkpoint DIR".into());
+    if resume && store_dir.is_none() {
+        return Err("--resume requires --store DIR".into());
     }
 
     let mut wf = Workflow::new();
@@ -401,111 +401,117 @@ fn cmd_run(args: &[String]) -> CliResult {
     }
     let mut orch = Orchestrator::new().with_fault(fault);
 
-    // checkpoint/resume: the execution id is derived from the input path
-    let exec_id = std::path::Path::new(&input)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("execution")
-        .to_string();
-    let ckpt_dir = checkpoint_dir.as_ref().map(std::path::Path::new);
+    // the execution id is derived from the input path
+    let exec_id = file_stem(&input);
+    let store = store_dir.as_deref().map(ProvStore::open).transpose()?;
 
-    let (mut doc, mut completed, mut start, prior_calls) = if resume {
-        let dir = ckpt_dir.expect("checked above");
-        match persist::load_checkpoint(dir, &exec_id)? {
-            Some(ckpt) => {
-                if ckpt.step_names != step_names {
-                    return Err(format!(
-                        "checkpoint in {} was written by a different workflow \
-                         ({:?}, not {:?})",
-                        dir.display(),
-                        ckpt.step_names,
-                        step_names
-                    )
-                    .into());
-                }
-                let (doc, trace) = persist::load_execution(dir, &exec_id)?;
-                eprintln!(
-                    "resuming after {} completed step(s) at t={}",
-                    ckpt.completed_steps, ckpt.next_time
-                );
-                (doc, ckpt.completed_steps, ckpt.next_time, trace.calls)
+    // Start from the input, or from where an unfinished run stopped. A
+    // stored execution is only ever continued: a second run on its id
+    // would append its calls to the first run's log.
+    let (mut doc, prior, completed, start) = match &store {
+        Some(store) if store.contains(&exec_id) => {
+            let dir = store.root().display();
+            if !resume {
+                return Err(format!(
+                    "store {dir} already holds execution {exec_id:?}; pass --resume to \
+                     continue its unfinished run, or use a fresh --store directory"
+                )
+                .into());
             }
-            None => {
-                eprintln!("no checkpoint found in {}; starting fresh", dir.display());
-                (read_doc(&input)?, 0, 0, Vec::new())
+            let point = store.resume_point(&exec_id)?.ok_or_else(|| {
+                format!(
+                    "execution {exec_id:?} in {dir} has no resume point: its run \
+                     finished, so there is nothing to resume"
+                )
+            })?;
+            if point.step_names != step_names {
+                return Err(format!(
+                    "execution {exec_id:?} in {dir} was run by a different workflow \
+                     ({:?}, not {:?})",
+                    point.step_names, step_names
+                )
+                .into());
             }
+            let stored = store
+                .load(&exec_id)?
+                .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
+            eprintln!(
+                "resuming after {} completed step(s) at t={}",
+                point.completed_steps, point.next_time
+            );
+            (stored.doc, stored.trace, point.completed_steps, point.next_time)
         }
-    } else {
-        (read_doc(&input)?, 0, 0, Vec::new())
+        _ => {
+            if let Some(store) = store.as_ref().filter(|_| resume) {
+                eprintln!(
+                    "no run of {exec_id:?} in {}; starting fresh",
+                    store.root().display()
+                );
+            }
+            let doc = read_doc(&input)?;
+            let start = weblab::workflow::next_time(&doc);
+            (doc, ExecutionTrace::default(), 0, start)
+        }
     };
-    if start == 0 {
-        start = weblab::workflow::next_time(&doc);
-        completed = 0;
-    }
 
     // live mode: a maintainer folds every committed call into its link
     // store from the orchestrator's call-completion hook. On a resumed run
-    // it first catches up on the calls of the persisted trace, then opens a
+    // it first catches up on the calls of the stored trace, then opens a
     // fresh segment (the resumed outcome's call indices restart at 0).
     let maintainer = live.then(|| {
-        let mut lp = weblab::prov::LiveProvenance::new(
-            services::default_rules(),
-            EngineOptions::default(),
-        );
-        lp.catch_up(
-            &doc,
-            &ExecutionTrace {
-                calls: prior_calls.clone(),
-            },
-        );
+        let mut lp = LiveProvenance::new(services::default_rules(), EngineOptions::default());
+        lp.catch_up(&doc, &prior);
         lp.new_segment();
-        std::sync::Arc::new(std::sync::Mutex::new(lp))
+        Arc::new(Mutex::new(lp))
     });
     if let Some(lp) = &maintainer {
-        let hook = std::sync::Arc::clone(lp);
-        orch = orch.with_call_hook(std::sync::Arc::new(move |doc, trace, idx| {
+        let hook = Arc::clone(lp);
+        orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
             hook.lock().expect("live maintainer lock poisoned").observe_call(doc, trace, idx);
         }));
     }
 
-    // after every completed top-level step, persist document + trace + a
-    // checkpoint (atomically); a crash resumes from the last completed step
-    let ckpt_error = std::cell::RefCell::new(None::<persist::PersistError>);
+    // after every completed top-level step, write the execution through
+    // the store — document, log tail and the live graph as a snapshot the
+    // daemon can serve — then the resume point a crashed run restarts from
+    let save_error = std::cell::RefCell::new(None::<PersistError>);
     let outcome_result = orch.execute_resumable(
         &wf,
         &mut doc,
         start,
         completed,
         &mut |done, doc, outcome, next_time| {
-            if let Some(dir) = ckpt_dir {
-                let mut full = ExecutionTrace {
-                    calls: prior_calls.clone(),
-                };
-                full.calls.extend(outcome.trace.calls.iter().cloned());
-                let r = persist::save_execution(dir, &exec_id, doc, &full)
-                    .and_then(|()| {
-                        persist::save_checkpoint(
-                            dir,
-                            &exec_id,
-                            &persist::Checkpoint {
-                                completed_steps: done,
-                                next_time,
-                                step_names: step_names.clone(),
-                            },
-                        )
-                    });
-                if let Err(e) = r {
-                    ckpt_error.borrow_mut().get_or_insert(e);
-                }
+            let (Some(store), Some(lp)) = (&store, &maintainer) else {
+                return;
+            };
+            let mut trace = prior.clone();
+            trace.calls.extend(outcome.trace.calls.iter().cloned());
+            // the maintainer's graph is the snapshot a live daemon
+            // publishes; epochs count its first Source publish plus one
+            // per folded call
+            let (graph, epoch) = {
+                let lp = lp.lock().expect("live maintainer lock poisoned");
+                (lp.to_provenance_graph(), lp.calls_folded() as u64 + 1)
+            };
+            let point = ResumePoint {
+                completed_steps: done,
+                next_time,
+                step_names: step_names.clone(),
+            };
+            let saved = store
+                .save(&exec_id, doc, &trace, &graph, epoch, true)
+                .and_then(|()| store.save_resume_point(&exec_id, &point));
+            if let Err(e) = saved {
+                save_error.borrow_mut().get_or_insert(e);
             }
         },
     );
     let outcome = outcome_result?;
-    if let Some(e) = ckpt_error.into_inner() {
+    if let Some(e) = save_error.into_inner() {
         return Err(e.into());
     }
-    if let Some(dir) = ckpt_dir {
-        persist::clear_checkpoint(dir, &exec_id)?;
+    if let Some(store) = &store {
+        store.clear_resume_point(&exec_id)?;
     }
 
     let (mut rolled_back, mut skipped) = (0usize, 0usize);
@@ -545,10 +551,9 @@ fn cmd_run(args: &[String]) -> CliResult {
             lp.link_count(),
             lp.sources().len()
         );
-        if let Some(path) = &link_store {
-            persist::save_link_store(std::path::Path::new(path), &lp.links())?;
-            eprintln!("link store written to {path}");
-        }
+    }
+    if let Some(store) = &store {
+        eprintln!("execution {exec_id:?} stored in {}", store.root().display());
     }
     let xml = to_xml_string_pretty(&doc.view());
     match out {
@@ -557,6 +562,16 @@ fn cmd_run(args: &[String]) -> CliResult {
         None => emit(&format!("{xml}\n"))?,
     }
     Ok(())
+}
+
+/// The execution id `weblab run` derives from an input path, and `weblab
+/// replay` from a changed copy of it: the file stem.
+fn file_stem(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("execution")
+        .to_string()
 }
 
 fn cmd_replay(args: &[String]) -> CliResult {
@@ -596,7 +611,7 @@ fn cmd_replay(args: &[String]) -> CliResult {
         "usage: weblab replay <changed.xml> --from DIR [--exec ID] --changed URI[,URI…] \
          [--proof trusted|exact|concordant] [--tolerance F] [-o out.xml] [catalog.txt]",
     )?;
-    let from = from.ok_or("--from DIR is required (a weblab run --checkpoint directory)")?;
+    let from = from.ok_or("--from DIR is required (a weblab run --store directory)")?;
     if changed.is_empty() {
         return Err("--changed URI is required (repeat or comma-separate for several)".into());
     }
@@ -613,18 +628,16 @@ fn cmd_replay(args: &[String]) -> CliResult {
         }
     };
 
-    // the prior execution: document + trace persisted by `weblab run
-    // --checkpoint DIR` (ids derive from the input file stem there, so the
-    // same derivation is the default here)
-    let exec_id = exec.unwrap_or_else(|| {
-        std::path::Path::new(&input)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("execution")
-            .to_string()
-    });
-    let dir = std::path::Path::new(&from);
-    let (prior_doc, prior_trace) = persist::load_execution(dir, &exec_id)?;
+    // the prior execution, as `weblab run --store DIR` stored it (ids
+    // derive from the input file stem there, so the same derivation is the
+    // default here). Opening a store creates its directory, which a read
+    // must not do.
+    let exec_id = exec.unwrap_or_else(|| file_stem(&input));
+    std::fs::read_dir(&from).map_err(|e| WebLabError::io(format!("opening store {from}"), e))?;
+    let stored = ProvStore::open(&from)?
+        .load(&exec_id)?
+        .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
+    let (prior_doc, prior_trace) = (stored.doc, stored.trace);
     if prior_trace.calls.is_empty() {
         return Err(format!("execution {exec_id:?} in {from} has no recorded calls").into());
     }
@@ -993,7 +1006,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         platform.register_service(Arc::from(svc), &refs)?;
     }
     if let Some(dir) = &store_dir {
-        let store = weblab::platform::ProvStore::open(dir).map_err(WebLabError::from)?;
+        let store = ProvStore::open(dir).map_err(WebLabError::from)?;
         platform.attach_store(store, max_resident.max(1))?;
         eprintln!("store attached at {dir} (max {max_resident} resident)");
     }

@@ -9,8 +9,7 @@
 
 use std::fmt;
 
-use weblab_platform::persist::PersistError;
-use weblab_platform::PlatformError;
+use weblab_platform::{PersistError, PlatformError};
 use weblab_rdf::SparqlError;
 
 /// Top-level failure of any `weblab` entry point (CLI command or serve
@@ -19,7 +18,8 @@ use weblab_rdf::SparqlError;
 pub enum WebLabError {
     /// A platform operation failed (execution, materialisation, catalog…).
     Platform(PlatformError),
-    /// Persistence (checkpoint/link-store/trace files) failed.
+    /// A CLI command's own store directory failed to open, read or write
+    /// (`weblab run --store`, `weblab replay --from`).
     Persist(PersistError),
     /// An XML document failed to parse.
     Xml(weblab_xml::Error),

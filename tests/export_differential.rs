@@ -11,6 +11,8 @@
 
 mod support;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use proptest::rng::SplitMix64;
 use support::{any_string, turtle_oracle};
@@ -21,8 +23,8 @@ use weblab::prov::{
 };
 use weblab::rdf::vocab::{PROV_NS, RDF_TYPE, WL_NS, XSD_INTEGER};
 use weblab::rdf::{
-    export_prov, export_prov_into, parse_select, select, to_turtle, Solution, Term, Triple,
-    TripleStore,
+    export_prov, export_prov_into, parse_select, select, to_turtle, QueryEngine, Solution, Term,
+    Triple, TripleStore,
 };
 use weblab::xml::{CallLabel, NodeId};
 use weblab_bench::run_cli_read_pipeline;
@@ -185,8 +187,14 @@ fn assert_exports_agree(graph: &ProvenanceGraph) {
             query: text.clone(),
         };
         assert_eq!(q.answer_on_graph(graph).unwrap(), expected, "{text}");
+        // the serving path: a query engine over the snapshot's export
+        let engine = || {
+            let mut store = TripleStore::new();
+            export_prov_into(graph, &mut store);
+            Arc::new(QueryEngine::new(Arc::new(store)))
+        };
         assert_eq!(
-            q.answer_on_snapshot(&snapshot, None).unwrap(),
+            q.answer_on_snapshot(&snapshot, engine).unwrap(),
             expected,
             "{text}"
         );

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use weblab::platform::{persist, Mapper, Platform, PlatformError};
+use weblab::platform::{Mapper, Platform, PlatformError, ProvStore, ResumePoint};
 use weblab::prov::{infer_provenance, EngineOptions, ProvenanceGraph, RuleSet};
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{self, Flaky, LanguageExtractor, Normaliser};
@@ -220,67 +220,84 @@ fn link_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
     pairs
 }
 
-/// Crash after the first step, resume from the persisted checkpoint: the
-/// inferred provenance links match a run that never crashed.
+/// Crash after the first step, resume from the stored execution and its
+/// resume point: the inferred provenance links match a run that never
+/// crashed, and so do the links the store logs for the resumed run.
 #[test]
 fn resume_after_crash_produces_the_same_inferred_links() {
     let dir = std::env::temp_dir().join(format!("weblab-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let full_wf = || Workflow::new().then(Normaliser).then(LanguageExtractor);
+    let rules = services::default_rules();
+    let opts = EngineOptions::default();
 
     let mut clean = generate_corpus(9, 1, 20);
     let clean_outcome = Orchestrator::new().execute(&full_wf(), &mut clean).unwrap();
 
-    // first process: run only the first step, checkpointing, then "crash"
+    // first process: run only the first step, storing it with its resume
+    // point, then "crash"
     let orch = Orchestrator::new();
     let step_names = full_wf().step_names();
     let mut doc = generate_corpus(9, 1, 20);
     let start = next_time(&doc);
-    orch.execute_resumable(
-        &Workflow::new().then(Normaliser),
-        &mut doc,
-        start,
-        0,
-        &mut |done, d, o, t| {
-            persist::save_execution(&dir, "e", d, &o.trace).unwrap();
-            persist::save_checkpoint(
-                &dir,
-                "e",
-                &persist::Checkpoint {
-                    completed_steps: done,
-                    next_time: t,
-                    step_names: step_names.clone(),
-                },
-            )
-            .unwrap();
-        },
-    )
-    .unwrap();
+    {
+        let store = ProvStore::open(&dir).unwrap();
+        orch.execute_resumable(
+            &Workflow::new().then(Normaliser),
+            &mut doc,
+            start,
+            0,
+            &mut |done, d, o, t| {
+                let graph = infer_provenance(d, &o.trace, &rules, &opts);
+                store.save("e", d, &o.trace, &graph, done as u64, true).unwrap();
+                store
+                    .save_resume_point(
+                        "e",
+                        &ResumePoint {
+                            completed_steps: done,
+                            next_time: t,
+                            step_names: step_names.clone(),
+                        },
+                    )
+                    .unwrap();
+            },
+        )
+        .unwrap();
+    }
     drop(doc); // the crash: in-memory state is gone
 
-    // second process: reload and resume from the checkpoint
-    let ckpt = persist::load_checkpoint(&dir, "e").unwrap().unwrap();
-    assert_eq!(ckpt.completed_steps, 1);
-    let (mut resumed, prior) = persist::load_execution(&dir, "e").unwrap();
+    // second process: reload and resume from the resume point
+    let store = ProvStore::open(&dir).unwrap();
+    let point = store.resume_point("e").unwrap().unwrap();
+    assert_eq!(point.completed_steps, 1);
+    assert_eq!(point.step_names, step_names);
+    let stored = store.load("e").unwrap().unwrap();
+    let mut resumed = stored.doc;
     let outcome = orch
         .execute_resumable(
             &full_wf(),
             &mut resumed,
-            ckpt.next_time,
-            ckpt.completed_steps,
+            point.next_time,
+            point.completed_steps,
             &mut |_, _, _, _| {},
         )
         .unwrap();
     assert_eq!(outcome.trace.len(), 1); // only the remaining step ran
-    let mut full_trace = prior;
+    let mut full_trace = stored.trace;
     full_trace.calls.extend(outcome.trace.calls);
 
-    let rules = services::default_rules();
-    let opts = EngineOptions::default();
     let g_clean = infer_provenance(&clean, &clean_outcome.trace, &rules, &opts);
     let g_resumed = infer_provenance(&resumed, &full_trace, &rules, &opts);
     assert_eq!(link_pairs(&g_clean), link_pairs(&g_resumed));
     assert!(!g_resumed.links.is_empty());
+
+    // the store appends only the resumed tail to the log
+    store.save("e", &resumed, &full_trace, &g_resumed, 2, true).unwrap();
+    store.clear_resume_point("e").unwrap();
+    let logged = store.load("e").unwrap().unwrap();
+    assert_eq!(logged.trace.len(), 2);
+    let logged = ProvenanceGraph { sources: Vec::new(), links: logged.links };
+    assert_eq!(link_pairs(&logged), link_pairs(&g_clean));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

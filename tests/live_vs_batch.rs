@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use weblab::prov::{
     infer_provenance, paper_example, EngineOptions, ExecutionTrace, InheritMode, LiveProvenance,
-    Parallelism, ProvenanceGraph, RuleSet, Strategy,
+    Parallelism, ProvLink, ProvenanceGraph, RuleSet, Strategy,
 };
 use weblab::rdf::{export_prov_into, to_turtle, LiveProvStore, Triple, TripleStore};
 use weblab::workflow::generator::{synthetic_workload, SyntheticService};
@@ -276,7 +276,7 @@ fn cli_live_link_store_matches_batch_inference_on_the_stamped_output() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let stamped = dir.join("stamped.xml");
-    let links = dir.join("run.links");
+    let store_dir = dir.join("store");
     let status = Command::new(bin)
         .args([
             "run",
@@ -284,26 +284,25 @@ fn cli_live_link_store_matches_batch_inference_on_the_stamped_output() {
             "Normaliser,flaky:2,LanguageExtractor,Translator",
             "--retries",
             "2",
-            "--live",
         ])
-        .arg("--link-store")
-        .arg(&links)
+        // --store implies --live
+        .arg("--store")
+        .arg(&store_dir)
         .arg("-o")
         .arg(&stamped)
         .status()
         .expect("spawn weblab");
-    assert!(status.success(), "weblab run --live failed");
+    assert!(status.success(), "weblab run --store failed");
 
-    // the persisted store carries its integrity footer…
-    let text = std::fs::read_to_string(&links).unwrap();
-    let n_links = text.lines().filter(|l| l.starts_with("link:")).count();
-    assert_eq!(
-        text.lines().next_back().unwrap(),
-        format!("# end links={n_links}"),
-        "link store footer missing or wrong"
-    );
+    // the store reads back through its integrity footers, with a fresh
+    // snapshot of the live graph at the end of the run…
+    let store = weblab::platform::ProvStore::open(&store_dir).unwrap();
+    let stored = store.load("sample_corpus").unwrap().expect("execution stored");
+    let snapshot = stored.snapshot.expect("fresh snapshot");
+    assert!(snapshot.live);
+    assert_eq!(snapshot.calls, stored.trace.len());
 
-    // …and its link set equals batch inference over the stamped document
+    // …and its link log equals batch inference over the stamped document
     let xml = std::fs::read_to_string(&stamped).unwrap();
     let doc = weblab::xml::parse_document(&xml).unwrap();
     let trace = ExecutionTrace::reconstruct_from(&doc);
@@ -315,15 +314,14 @@ fn cli_live_link_store_matches_batch_inference_on_the_stamped_output() {
     );
     let mut batch_pairs = sorted_pairs(&batch);
     batch_pairs.sort();
-    let mut live_pairs: Vec<(String, String)> = text
-        .lines()
-        .filter_map(|l| l.strip_prefix("link:"))
-        .filter_map(|rest| {
-            rest.split_once('|')
-                .map(|(a, b)| (a.trim().to_string(), b.trim().to_string()))
-        })
-        .collect();
-    live_pairs.sort();
-    assert_eq!(live_pairs, batch_pairs);
+    let pairs = |links: &[ProvLink]| {
+        let mut pairs: Vec<(String, String)> =
+            links.iter().map(|l| (l.from_uri.clone(), l.to_uri.clone())).collect();
+        pairs.sort();
+        pairs
+    };
+    assert_eq!(pairs(&stored.links), batch_pairs);
+    assert_eq!(pairs(&snapshot.graph.links), batch_pairs);
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
