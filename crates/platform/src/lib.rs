@@ -18,10 +18,10 @@
 //!    XQuery.
 //! 3. **Request management** — per-execution behaviour is grouped behind
 //!    the [`ExecutionHandle`] façade ([`Platform::execution`]): batch
-//!    materialisation checks the Provenance triple store for an
-//!    already-materialised graph and invokes the Mapper on a miss, while
-//!    structured queries ([`ProvQuery`]) answer from a published
-//!    epoch/snapshot reachability index without re-walking edge lists.
+//!    materialisation reuses the execution's cached graph and invokes the
+//!    Mapper on a miss, while structured queries ([`ProvQuery`]) answer
+//!    from a published epoch/snapshot reachability index without
+//!    re-walking edge lists.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! The assembled WebLab PROV platform (Figure 5) and its Request Manager.
 //!
 //! [`Platform`] wires the Recorder, Resource Repository, Execution Trace
-//! store, Service Catalog, Mapper and Provenance triple store together.
+//! store, Service Catalog and Mapper together, with an optional disk-backed
+//! [`ProvStore`] behind them.
 //! Per-execution behaviour is exposed through [`Platform::execution`],
 //! which returns an [`ExecutionHandle`] — the façade the CLI and the
 //! `weblab serve` query service are written against. The handle answers
@@ -1075,7 +1076,7 @@ impl ExecutionHandle<'_> {
         q: &ProvQuery,
     ) -> Result<QueryAnswer, PlatformError> {
         let engine = || self.platform.index_state(&self.id).engine_for(snap);
-        Ok(q.answer_on_snapshot(snap, engine)?)
+        Ok(q.answer(|| &snap.index, engine)?)
     }
 
     /// A SPARQL SELECT over this execution's PROV-O export.
@@ -1497,36 +1498,6 @@ mod tests {
         assert!(after.epoch > snap.epoch);
         assert_eq!(after.calls, 3);
         assert!(after.graph.links.len() >= snap.graph.links.len());
-    }
-
-    #[test]
-    fn handle_queries_answer_like_batch_on_the_snapshot_graph() {
-        let p = platform();
-        let exec = p.execution("e");
-        exec.ingest(generate_corpus(3, 2, 25));
-        exec.execute(&["Normaliser", "LanguageExtractor", "Translator"]).unwrap();
-        let snap = exec.snapshot().unwrap();
-        let sparql = format!(
-            "PREFIX prov: <{PROV_NS}> SELECT ?d ?s WHERE {{ ?d prov:wasDerivedFrom ?s . }}"
-        );
-        let mut queries = vec![ProvQuery::Sparql { query: sparql.clone() }];
-        for l in &snap.graph.links {
-            queries.push(ProvQuery::Why { uri: l.from_uri.clone() });
-            queries.push(ProvQuery::Lineage { uri: l.from_uri.clone(), depth: 2 });
-            queries.push(ProvQuery::ImpactedBy { uri: l.to_uri.clone() });
-            queries.push(ProvQuery::CommonOrigins {
-                a: l.from_uri.clone(),
-                b: l.to_uri.clone(),
-            });
-        }
-        for q in &queries {
-            let (epoch, answer) = exec.query_at(q).unwrap();
-            assert_eq!(epoch, snap.epoch);
-            assert_eq!(answer, q.answer_on_graph(&snap.graph).unwrap(), "op {}", q.op());
-        }
-        // the sparql convenience wrapper unwraps the same solutions
-        let sols = exec.sparql(&sparql).unwrap();
-        assert_eq!(sols.len(), snap.graph.links.len());
     }
 
     #[test]

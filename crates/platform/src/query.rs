@@ -5,7 +5,10 @@
 //! matching. [`ProvQuery`] is the single source of truth both now parse
 //! into: the serve protocol's `op` strings, the CLI subcommands and the
 //! `ExecutionHandle` API all dispatch through it, and [`QueryAnswer`] is
-//! the common result shape they render.
+//! the common result shape they render. Every asker is answered by the
+//! same match, [`ProvQuery::answer`], over a [`ReachabilityIndex`]: the
+//! daemon passes its pinned snapshot's index, the CLI one it builds for
+//! the question.
 //!
 //! This is **protocol v2** ([`PROTOCOL_VERSION`]): alongside the exact
 //! queries of v1 it carries the ranked analytics ops — [`ProvQuery::Rank`]
@@ -14,13 +17,13 @@
 //! responses stamp `"v": 2` next to the epoch so clients can detect the
 //! new answer shapes.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use weblab_prov::query::{self, WhyProvenance};
-use weblab_prov::{rank, EpochSnapshot, GraphSummary, ProvenanceGraph, RankedEntry, ReachabilityIndex};
-use weblab_rdf::{
-    export_prov_into, parse_select, select, QueryEngine, Solution, SparqlError, TripleStore,
+use weblab_prov::{
+    rank, GraphSummary, ProvenanceGraph, RankedEntry, ReachabilityIndex, WhyProvenance,
 };
+use weblab_rdf::{export_prov_into, QueryEngine, Solution, SparqlError, TripleStore};
 
 pub use weblab_prov::{QueryOpts, RankDirection};
 
@@ -112,68 +115,46 @@ impl ProvQuery {
         }
     }
 
-    /// Answer against a materialised graph using the batch query functions
-    /// (edge-list traversals) — the one-shot CLI path.
-    pub fn answer_on_graph(&self, graph: &ProvenanceGraph) -> Result<QueryAnswer, SparqlError> {
+    /// Answer from a reachability index, or for SPARQL from a
+    /// [`QueryEngine`] over the graph's PROV-O export. Both are asked for
+    /// lazily and only by the arm that reads them, so a SPARQL query
+    /// builds no index and the other queries build no store. The platform
+    /// passes its pinned snapshot's index and the engine it caches per
+    /// epoch, so each repeated query text is parsed and planned once.
+    pub fn answer<I: Borrow<ReachabilityIndex>>(
+        &self,
+        index: impl FnOnce() -> I,
+        engine: impl FnOnce() -> Arc<QueryEngine>,
+    ) -> Result<QueryAnswer, SparqlError> {
         Ok(match self {
-            ProvQuery::Why { uri } => QueryAnswer::Why(query::why(graph, uri)),
+            ProvQuery::Why { uri } => QueryAnswer::Why(index().borrow().why(uri)),
             ProvQuery::Lineage { uri, depth } => {
-                QueryAnswer::Lineage(query::lineage_to_depth(graph, uri, *depth))
+                QueryAnswer::Lineage(index().borrow().lineage(uri, *depth))
             }
             ProvQuery::ImpactedBy { uri } => {
-                QueryAnswer::ImpactedBy(query::impacted_by(graph, uri))
+                QueryAnswer::ImpactedBy(index().borrow().impacted_by(uri))
             }
             ProvQuery::CommonOrigins { a, b } => {
-                QueryAnswer::CommonOrigins(query::common_origins(graph, a, b))
+                QueryAnswer::CommonOrigins(index().borrow().common_origins(a, b))
             }
-            ProvQuery::Sparql { query: text } => {
-                let q = parse_select(text)?;
-                QueryAnswer::Solutions(select(&prov_store(graph), &q))
-            }
-            // the one-shot path has no index yet: build one for this
-            // question. Scores never depend on the build order, so the
-            // answer is byte-identical to the serving path's.
+            ProvQuery::Sparql { query } => QueryAnswer::Solutions(engine().select(query)?),
             ProvQuery::Rank { uris, direction, opts, weights } => {
-                let index = ReachabilityIndex::from_graph(graph);
-                QueryAnswer::Ranked(rank::rank(&index, uris, *direction, opts, weights))
+                QueryAnswer::Ranked(rank::rank(index().borrow(), uris, *direction, opts, weights))
             }
             ProvQuery::Summary { uri } => {
-                let index = ReachabilityIndex::from_graph(graph);
-                QueryAnswer::Summary(rank::summary(&index, uri.as_deref()))
+                QueryAnswer::Summary(rank::summary(index().borrow(), uri.as_deref()))
             }
         })
     }
 
-    /// Answer against an epoch snapshot — the serving path. Reachability
-    /// and ranked queries answer from the snapshot's index, with no
-    /// edge-list traversal. SPARQL goes through `engine`, the
-    /// [`QueryEngine`] over the epoch's PROV-O export, which is asked for
-    /// only when a SPARQL query needs it: the platform caches one engine
-    /// per epoch, so each repeated query text is parsed and planned once.
-    pub fn answer_on_snapshot(
-        &self,
-        snap: &EpochSnapshot,
-        engine: impl FnOnce() -> Arc<QueryEngine>,
-    ) -> Result<QueryAnswer, SparqlError> {
-        Ok(match self {
-            ProvQuery::Why { uri } => QueryAnswer::Why(snap.index.why(uri)),
-            ProvQuery::Lineage { uri, depth } => {
-                QueryAnswer::Lineage(snap.index.lineage(uri, *depth))
-            }
-            ProvQuery::ImpactedBy { uri } => {
-                QueryAnswer::ImpactedBy(snap.index.impacted_by(uri))
-            }
-            ProvQuery::CommonOrigins { a, b } => {
-                QueryAnswer::CommonOrigins(snap.index.common_origins(a, b))
-            }
-            ProvQuery::Sparql { query: text } => QueryAnswer::Solutions(engine().select(text)?),
-            ProvQuery::Rank { uris, direction, opts, weights } => {
-                QueryAnswer::Ranked(rank::rank(&snap.index, uris, *direction, opts, weights))
-            }
-            ProvQuery::Summary { uri } => {
-                QueryAnswer::Summary(rank::summary(&snap.index, uri.as_deref()))
-            }
-        })
+    /// Answer against a materialised graph — the one-shot CLI path: the
+    /// index or the SPARQL engine [`ProvQuery::answer`] asks for is built
+    /// from `graph` for this one question.
+    pub fn answer_on_graph(&self, graph: &ProvenanceGraph) -> Result<QueryAnswer, SparqlError> {
+        self.answer(
+            || ReachabilityIndex::from_graph(graph),
+            || Arc::new(QueryEngine::new(Arc::new(prov_store(graph)))),
+        )
     }
 }
 
@@ -188,9 +169,7 @@ pub(crate) fn prov_store(graph: &ProvenanceGraph) -> TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use weblab_prov::{
-        infer_provenance, paper_example, EngineOptions, InheritMode, ReachabilityIndex,
-    };
+    use weblab_prov::{infer_provenance, paper_example, EngineOptions, EpochSnapshot, InheritMode};
 
     fn graph() -> ProvenanceGraph {
         let (doc, trace, rules) = paper_example::build();
@@ -220,45 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_answers_equal_graph_answers_for_every_op() {
-        let g = graph();
-        let snap = snapshot(&g);
-        let queries = [
-            ProvQuery::Why { uri: "r8".into() },
-            ProvQuery::Lineage { uri: "r8".into(), depth: 2 },
-            ProvQuery::ImpactedBy { uri: "r3".into() },
-            ProvQuery::CommonOrigins { a: "r8".into(), b: "r6".into() },
-            ProvQuery::Sparql {
-                query: format!(
-                    "PREFIX prov: <{}> SELECT ?d ?s WHERE {{ ?d prov:wasDerivedFrom ?s . }}",
-                    weblab_rdf::vocab::PROV_NS
-                ),
-            },
-            ProvQuery::Rank {
-                uris: vec!["r3".into()],
-                direction: RankDirection::Up,
-                opts: QueryOpts { limit: 5, budget: 8, decay_micro: 0 },
-                weights: vec![("Translator".into(), 250_000)],
-            },
-            ProvQuery::Summary { uri: Some("r8".into()) },
-        ];
-        for q in &queries {
-            assert_eq!(
-                q.answer_on_snapshot(&snap, engine(&g)).unwrap(),
-                q.answer_on_graph(&g).unwrap(),
-                "op {}",
-                q.op()
-            );
-        }
-    }
-
-    #[test]
     fn sparql_parse_errors_surface_from_both_paths() {
         let g = graph();
         let snap = snapshot(&g);
         let q = ProvQuery::Sparql { query: "SELEKT nonsense".into() };
         assert!(q.answer_on_graph(&g).is_err());
-        assert!(q.answer_on_snapshot(&snap, engine(&g)).is_err());
+        assert!(q.answer(|| &snap.index, engine(&g)).is_err());
     }
 
     #[test]

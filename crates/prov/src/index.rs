@@ -1,14 +1,16 @@
-//! Read-optimized reachability index over provenance graphs.
+//! Read-optimized reachability index over provenance graphs — the one
+//! way this crate answers why-provenance, lineage, impact and
+//! common-origin questions.
 //!
-//! The query module answers why-provenance, lineage and impact questions by
-//! walking the raw edge list — fine for one-shot CLI runs, wasteful for a
-//! long-running query service where the same graph is asked thousands of
-//! questions. [`ReachabilityIndex`] trades memory for query time:
+//! The serving layer asks the same graph thousands of questions, and a
+//! one-shot CLI run asks one; both build a [`ReachabilityIndex`] and
+//! answer from it. The index trades memory for query time:
 //!
 //! * **Interned adjacency** — URIs are interned once; the out/in neighbour
 //!   lists of every resource are index lookups (like
 //!   [`CompactGraph`](crate::storage::CompactGraph)), kept in *edge-list
-//!   order* so answers are byte-identical to the batch query functions.
+//!   order*, so answers enumerate resources exactly as a walk over the
+//!   sorted edge list would.
 //! * **Ancestor-set encoding** — for every resource the full downward
 //!   (dependency) and upward (dependent) reachable sets are materialised,
 //!   so why-provenance and common-origin queries are set unions and
@@ -20,9 +22,10 @@
 //! The index is pinned by the `prov.index.{builds,hits,traversals}`
 //! counter family: `builds` counts full index constructions, `hits` counts
 //! queries answered from the index, and `traversals` counts full-graph
-//! edge-list walks (the paths in [`crate::graph`] and [`crate::query`] the
-//! index exists to avoid). A serving layer that routes every query through
-//! an index shows `traversals == 0` — the analogue of the
+//! edge-list scans (the [`ProvenanceGraph::dependencies_of`] and
+//! [`ProvenanceGraph::dependents_of`] baselines the index exists to
+//! avoid). Every production query path answers from an index, so it shows
+//! `traversals == 0` — the analogue of the
 //! `prov.trace.channel_map.builds == 0` guarantee for live maintenance.
 //!
 //! [`EpochSnapshot`] bundles an index with the graph it was built from and
@@ -30,33 +33,55 @@
 //! every committed delta advances the published snapshot by one epoch, and
 //! readers query whichever snapshot they hold without blocking ingestion.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use weblab_obs::Counter;
 use weblab_xml::{CallLabel, NodeId};
 
 use crate::algebra::ProvLink;
 use crate::graph::{ProvenanceGraph, SourceEntry};
-use crate::query::WhyProvenance;
 
 /// Full index constructions (initial builds and rebuild-from-scratch).
 static INDEX_BUILDS: Counter = Counter::new("prov.index.builds");
 /// Queries answered from an index (no edge-list walk).
 static INDEX_HITS: Counter = Counter::new("prov.index.hits");
-/// Full-graph edge-list traversals (the un-indexed query paths).
+/// Full-graph edge-list scans: [`ProvenanceGraph::dependencies_of`] and
+/// [`ProvenanceGraph::dependents_of`], kept as the compact-storage
+/// baseline. No query path runs one.
 static INDEX_TRAVERSALS: Counter = Counter::new("prov.index.traversals");
 /// Links merged into indexes incrementally (delta maintenance).
 static INDEX_LINKS: Counter = Counter::new("prov.index.links");
 
-/// Record one full-graph traversal. Called by the edge-list query paths in
-/// [`crate::graph`] and [`crate::query`] so tests and the serving layer can
-/// pin their absence.
+/// Record one full-graph traversal. Called by the edge-list scans in
+/// [`crate::graph`] so tests and the serving layer can pin their absence.
 pub(crate) fn record_traversal() {
     INDEX_TRAVERSALS.inc();
 }
 
+/// The *why-provenance* of a resource: every resource and edge reachable
+/// from it along dependency links, i.e. the minimal subgraph justifying
+/// its existence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WhyProvenance {
+    /// The queried resource.
+    pub root: String,
+    /// All resources in the justification, including the root.
+    pub resources: BTreeSet<String>,
+    /// The edges of the justifying subgraph.
+    pub links: Vec<ProvLink>,
+    /// The service calls involved, deduplicated and sorted.
+    pub calls: Vec<CallLabel>,
+}
+
 /// A read-optimized reachability index over a provenance graph's edges and
 /// Source table. See the module docs for the encoding.
+///
+/// A resource is keyed by its URI alone: the first [`NodeId`] seen for a
+/// URI is the one every reconstructed [`ProvLink`] carries. The index
+/// therefore assumes each URI names exactly one node, which
+/// `Document::register_resource` guarantees by rejecting a duplicate URI.
+/// On a hand-built edge set that pairs one URI with two nodes, links that
+/// differ only in those nodes collapse into one.
 #[derive(Debug, Clone, Default)]
 pub struct ReachabilityIndex {
     /// Interned URI strings.
@@ -73,9 +98,9 @@ pub struct ReachabilityIndex {
     down: Vec<BTreeSet<u32>>,
     /// Upward closure: every resource that can reach this one.
     up: Vec<BTreeSet<u32>>,
-    /// Label of each labelled resource (first registration wins, like
-    /// [`ProvenanceGraph::label_of`]).
-    labels: HashMap<String, CallLabel>,
+    /// Label of each interned resource, if registered (first registration
+    /// wins, like [`ProvenanceGraph::label_of`]).
+    labels: Vec<Option<CallLabel>>,
     /// Distinct edges.
     edges: usize,
 }
@@ -109,6 +134,7 @@ impl ReachabilityIndex {
         self.rdeps.push(Vec::new());
         self.down.push(BTreeSet::new());
         self.up.push(BTreeSet::new());
+        self.labels.push(None);
         self.ids.insert(uri.to_string(), id);
         id
     }
@@ -125,10 +151,8 @@ impl ReachabilityIndex {
     /// graph's Source table, not here.
     pub fn add_sources(&mut self, sources: &[SourceEntry]) {
         for s in sources {
-            self.intern(&s.uri, s.node);
-            self.labels
-                .entry(s.uri.clone())
-                .or_insert_with(|| s.label.clone());
+            let id = self.intern(&s.uri, s.node);
+            self.labels[id as usize].get_or_insert_with(|| s.label.clone());
         }
     }
 
@@ -191,7 +215,7 @@ impl ReachabilityIndex {
 
     /// Label of a resource, if registered.
     pub fn label_of(&self, uri: &str) -> Option<&CallLabel> {
-        self.labels.get(uri)
+        self.labels[*self.ids.get(uri)? as usize].as_ref()
     }
 
     /// Direct dependencies, identical to
@@ -237,17 +261,19 @@ impl ReachabilityIndex {
         }
     }
 
-    /// Why-provenance from the ancestor sets: byte-identical to
-    /// [`crate::query::why`] on the same graph, with no edge-list walk —
-    /// the justifying subgraph's links are exactly the out-edges of the
-    /// downward closure (which is closed under dependencies).
+    /// Why-provenance from the ancestor sets, with no edge-list walk: the
+    /// justifying subgraph's links are exactly the out-edges of the
+    /// downward closure (which is closed under dependencies). An unknown
+    /// URI justifies only itself.
     pub fn why(&self, uri: &str) -> WhyProvenance {
         INDEX_HITS.inc();
         let mut resources: BTreeSet<String> = BTreeSet::new();
         resources.insert(uri.to_string());
         let mut links = Vec::new();
+        let mut calls = Vec::new();
         for &u in &self.down_closure(uri) {
             resources.insert(self.uris[u as usize].clone());
+            calls.extend(self.labels[u as usize].clone());
             for &v in &self.deps[u as usize] {
                 links.push(ProvLink {
                     from: self.nodes[u as usize],
@@ -259,10 +285,6 @@ impl ReachabilityIndex {
         }
         links.sort();
         links.dedup();
-        let mut calls: Vec<CallLabel> = resources
-            .iter()
-            .filter_map(|r| self.labels.get(r).cloned())
-            .collect();
         calls.sort();
         calls.dedup();
         WhyProvenance {
@@ -273,9 +295,10 @@ impl ReachabilityIndex {
         }
     }
 
-    /// Depth-limited lineage, identical to
-    /// [`crate::query::lineage_to_depth`]: breadth-first over the adjacency
-    /// lists (already in edge-list order), touching only reached rows.
+    /// Upstream lineage limited to `depth` hops, as (resource, hop
+    /// distance) pairs in breadth-first order: breadth-first over the
+    /// adjacency lists (already in edge-list order), touching only reached
+    /// rows. Depth 0 returns just the root.
     pub fn lineage(&self, uri: &str, depth: usize) -> Vec<(String, usize)> {
         INDEX_HITS.inc();
         let mut out = vec![(uri.to_string(), 0)];
@@ -303,8 +326,9 @@ impl ReachabilityIndex {
         out
     }
 
-    /// Impact analysis, identical to [`crate::query::impacted_by`]:
-    /// breadth-first over the incoming adjacency lists.
+    /// Impact analysis: every resource that transitively depends on `uri`
+    /// (the blast radius of a corrupted input), breadth-first over the
+    /// incoming adjacency lists.
     pub fn impacted_by(&self, uri: &str) -> Vec<String> {
         INDEX_HITS.inc();
         let Some(&root) = self.ids.get(uri) else {
@@ -313,7 +337,7 @@ impl ReachabilityIndex {
         let mut seen: HashSet<u32> = HashSet::new();
         seen.insert(root);
         let mut out = Vec::new();
-        let mut queue = std::collections::VecDeque::from([root]);
+        let mut queue = VecDeque::from([root]);
         while let Some(u) = queue.pop_front() {
             for &v in &self.rdeps[u as usize] {
                 if seen.insert(v) {
@@ -326,8 +350,8 @@ impl ReachabilityIndex {
     }
 
     /// Common origins of two resources: the intersection of the two
-    /// downward closures (each including its own root, like the batch
-    /// query's why-provenance sets), sorted.
+    /// downward closures, each including its own root (the resource sets
+    /// of the two why-provenances), sorted.
     pub fn common_origins(&self, a: &str, b: &str) -> Vec<String> {
         INDEX_HITS.inc();
         let mut ca: BTreeSet<String> = self
@@ -375,9 +399,13 @@ impl ReachabilityIndex {
         self.up[id as usize].len()
     }
 
-    /// The label table (rank-module access for per-service aggregation).
-    pub(crate) fn label_table(&self) -> &HashMap<String, CallLabel> {
-        &self.labels
+    /// Every labelled resource's interned id and label, in interning
+    /// order (rank-module access for per-service aggregation).
+    pub(crate) fn labelled(&self) -> impl Iterator<Item = (u32, &CallLabel)> {
+        self.labels
+            .iter()
+            .enumerate()
+            .filter_map(|(id, l)| Some((id as u32, l.as_ref()?)))
     }
 
     /// Expand back to the sorted edge list the index was fed.
@@ -437,7 +465,6 @@ mod tests {
     use super::*;
     use crate::engine::{infer_provenance, EngineOptions, InheritMode};
     use crate::paper_example;
-    use crate::query;
 
     fn graph() -> ProvenanceGraph {
         let (doc, trace, rules) = paper_example::build();
@@ -470,46 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn index_answers_match_batch_queries_on_every_resource() {
-        let g = graph();
-        let idx = ReachabilityIndex::from_graph(&g);
-        for uri in all_uris(&g) {
-            assert_eq!(
-                idx.dependencies_of(&uri),
-                g.dependencies_of(&uri),
-                "deps of {uri}"
-            );
-            assert_eq!(
-                idx.dependents_of(&uri),
-                g.dependents_of(&uri),
-                "rdeps of {uri}"
-            );
-            assert_eq!(idx.why(&uri), query::why(&g, &uri), "why of {uri}");
-            for depth in 0..4 {
-                assert_eq!(
-                    idx.lineage(&uri, depth),
-                    query::lineage_to_depth(&g, &uri, depth),
-                    "lineage of {uri} at depth {depth}"
-                );
-            }
-            assert_eq!(
-                idx.impacted_by(&uri),
-                query::impacted_by(&g, &uri),
-                "impact of {uri}"
-            );
-        }
-        for a in all_uris(&g) {
-            for b in all_uris(&g) {
-                assert_eq!(
-                    idx.common_origins(&a, &b),
-                    query::common_origins(&g, &a, &b),
-                    "common origins of {a}/{b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn incremental_insertion_equals_full_build() {
         let g = graph();
         let full = ReachabilityIndex::from_graph(&g);
@@ -527,36 +514,6 @@ mod tests {
         // re-merging the same delta is a no-op
         assert_eq!(inc.add_links(&g.links), 0);
         assert_eq!(inc.edge_count(), g.links.len());
-    }
-
-    #[test]
-    fn closure_survives_cycles() {
-        // provenance graphs are DAGs by construction, but the index must
-        // not loop or corrupt its closure if fed one
-        fn link(f: (usize, &str), t: (usize, &str)) -> ProvLink {
-            ProvLink {
-                from: NodeId::from_index(f.0),
-                from_uri: f.1.into(),
-                to: NodeId::from_index(t.0),
-                to_uri: t.1.into(),
-            }
-        }
-        let links = [
-            link((1, "a"), (2, "b")),
-            link((2, "b"), (3, "c")),
-            link((3, "c"), (1, "a")),
-        ];
-        let mut idx = ReachabilityIndex::new();
-        for l in &links {
-            idx.add_link(l);
-        }
-        let mut g = ProvenanceGraph::default();
-        g.add_links(links.iter().cloned());
-        for u in ["a", "b", "c"] {
-            assert_eq!(idx.why(u), query::why(&g, u), "why of {u} on a cycle");
-            assert_eq!(idx.impacted_by(u), query::impacted_by(&g, u));
-        }
-        assert_eq!(idx.common_origins("a", "c"), query::common_origins(&g, "a", "c"));
     }
 
     #[test]

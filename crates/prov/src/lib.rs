@@ -16,10 +16,11 @@
 //!   [`Strategy::GroupedSinglePass`]) plus inherited-provenance inference
 //!   ([`InheritMode`]);
 //! * [`skolem`] — the Section 5 aggregation mappings;
-//! * [`query`] — why-provenance, depth-limited lineage, impact analysis;
 //! * [`storage`] — compact (interned, grouped-adjacency) graph storage;
 //! * [`index`] — read-optimized reachability index (ancestor-set
-//!   encoding) and the epoch snapshots the query service serves from;
+//!   encoding) answering why-provenance ([`WhyProvenance`]),
+//!   depth-limited lineage, impact analysis and common origins, and the
+//!   epoch snapshots the query service serves from;
 //! * [`rank`] — spreading-activation ranked analytics (bounded top-k
 //!   relevance over the index) and traversal-free aggregate summaries;
 //! * [`live`] — per-call incremental maintenance of that storage
@@ -50,7 +51,6 @@ mod graph;
 pub mod index;
 pub mod live;
 pub mod paper_example;
-pub mod query;
 pub mod rank;
 pub mod replay;
 mod rule;
@@ -68,7 +68,7 @@ pub use engine::{
     service_call_provenance, EngineOptions, InheritMode, Strategy,
 };
 pub use executor::{run_units, Parallelism};
-pub use index::{EpochSnapshot, ReachabilityIndex};
+pub use index::{EpochSnapshot, ReachabilityIndex, WhyProvenance};
 pub use rank::{
     format_micro, micro_from_f64, rank, summary, BlastRadius, GraphSummary, OriginCluster,
     QueryOpts, RankDirection, RankedEntry, ServiceInfluence,

@@ -4,9 +4,11 @@
 //! final document. [`LiveProvenance`] turns that posthoc computation into a
 //! streaming one: after every committed service call it derives just that
 //! call's links ([`infer_links_since_cached`]) and merges them into a
-//! mutable [`CompactGraph`], so "what does resource R depend on?" is
-//! answerable *while the workflow is still running*. Soundness rests on the
-//! append-only delta law pinned in the engine tests
+//! mutable [`CompactGraph`], and each [`LiveDelta`] it returns carries the
+//! new links and Source rows to whoever answers queries — the serving
+//! layer folds them into its reachability index, so "what does resource R
+//! depend on?" is answerable *while the workflow is still running*.
+//! Soundness rests on the append-only delta law pinned in the engine tests
 //! (`links(0..n) = links(0..k) ∪ links(k..n)`): earlier calls' links are
 //! never invalidated by later appends, so the union of the per-call deltas
 //! is exactly the batch graph.
@@ -51,7 +53,7 @@
 use std::collections::HashMap;
 
 use weblab_obs::{Counter, Histogram, Span};
-use weblab_xml::{CallLabel, Document, NodeId};
+use weblab_xml::{Document, NodeId};
 
 use crate::algebra::ProvLink;
 use crate::cache::PatternCache;
@@ -244,21 +246,6 @@ impl LiveProvenance {
         fresh
     }
 
-    /// Direct dependencies of a resource, answerable mid-execution.
-    pub fn dependencies_of(&self, uri: &str) -> Vec<&str> {
-        self.graph.dependencies(uri)
-    }
-
-    /// Direct dependents of a resource, answerable mid-execution.
-    pub fn dependents_of(&self, uri: &str) -> Vec<&str> {
-        self.graph.dependents(uri)
-    }
-
-    /// Label of a resource, if it has been registered yet.
-    pub fn label_of(&self, uri: &str) -> Option<&CallLabel> {
-        self.sources.iter().find(|s| s.uri == uri).map(|s| &s.label)
-    }
-
     /// The accumulated link store.
     pub fn graph(&self) -> &CompactGraph {
         &self.graph
@@ -366,11 +353,12 @@ mod tests {
         live.observe_call(&doc, &trace, 1);
         // after the LanguageExtractor call, r6 ← r5 is queryable while the
         // Translator has not run yet
-        assert_eq!(live.dependencies_of("r6"), vec!["r5"]);
-        assert!(live.dependents_of("r8").is_empty());
+        assert_eq!(live.graph().dependencies("r6"), vec!["r5"]);
+        assert!(live.graph().dependents("r8").is_empty());
         live.observe_call(&doc, &trace, 2);
-        assert!(live.dependencies_of("r8").contains(&"r4"));
-        assert_eq!(live.label_of("r8").map(|l| l.service.as_str()), Some("Translator"));
+        assert!(live.graph().dependencies("r8").contains(&"r4"));
+        let label_of = |uri: &str| live.sources().iter().find(|s| s.uri == uri).map(|s| &s.label);
+        assert_eq!(label_of("r8").map(|l| l.service.as_str()), Some("Translator"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Ranked provenance analytics: spreading activation over the
 //! reachability index.
 //!
-//! The exact queries in [`crate::query`] and [`crate::index`] return whole
-//! reachable sets — unreadable once a production graph holds millions of
-//! artifacts. This module answers the same questions *ranked and bounded*:
+//! The exact queries of [`crate::index`] return whole reachable sets —
+//! unreadable once a production graph holds millions of artifacts. This
+//! module answers the same questions *ranked and bounded*:
 //! activation is seeded at the queried resources, propagates along the
 //! dependency (or dependent) adjacency with a per-hop decay and
 //! per-service edge weights, and the expansion stops at an explicit node
@@ -326,7 +326,7 @@ pub fn summary(index: &ReachabilityIndex, uri: Option<&str>) -> GraphSummary {
     RANK_QUERIES.inc();
     let _span = Span::start(&RANK_SCORE_NS);
     let mut per_service: BTreeMap<&str, ServiceInfluence> = BTreeMap::new();
-    for (res, label) in index.label_table() {
+    for (id, label) in index.labelled() {
         let entry = per_service
             .entry(label.service.as_str())
             .or_insert_with(|| ServiceInfluence {
@@ -336,10 +336,8 @@ pub fn summary(index: &ReachabilityIndex, uri: Option<&str>) -> GraphSummary {
                 origins: 0,
             });
         entry.resources += 1;
-        if let Some(id) = index.id_of(res) {
-            entry.influence += index.up_size(id) as u64;
-            entry.origins += index.down_size(id) as u64;
-        }
+        entry.influence += index.up_size(id) as u64;
+        entry.origins += index.down_size(id) as u64;
     }
     let mut services: Vec<ServiceInfluence> = per_service.into_values().collect();
     services.sort_by(|a, b| {

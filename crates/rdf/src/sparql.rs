@@ -103,9 +103,10 @@ pub fn parse_select(input: &str) -> Result<SelectQuery, SparqlError> {
 /// projected variables (all bound variables for `SELECT *`), deduplicated
 /// and sorted for deterministic output.
 ///
-/// Plans on every call; long-lived callers that repeat query texts
-/// against one store should use [`crate::QueryEngine`], which caches
-/// compiled plans.
+/// Plans on every call. No query path of the system calls it: the CLI
+/// and the daemon both answer SPARQL through [`crate::QueryEngine`],
+/// which runs the same planner and caches compiled plans. This façade
+/// serves one-off callers such as tests and benches.
 pub fn select(store: &TripleStore, query: &SelectQuery) -> Vec<Solution> {
     let plan = plan::compile(store, query);
     plan::execute(store, &plan)

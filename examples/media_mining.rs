@@ -7,7 +7,7 @@
 //! cargo run --example media_mining
 //! ```
 
-use weblab::prov::{infer_provenance, EngineOptions, InheritMode};
+use weblab::prov::{infer_provenance, EngineOptions, InheritMode, ReachabilityIndex};
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{
     self, EntityExtractor, Indexer, KeywordExtractor, LanguageExtractor, Normaliser,
@@ -68,15 +68,15 @@ fn main() {
         println!("  {user}  <-uses-  {used}");
     }
 
-    // Full upstream lineage of every summary.
+    // Full upstream lineage of every summary, from a reachability index.
     println!("\nsummary lineage (transitive):");
+    let index = ReachabilityIndex::from_graph(&graph);
     let v = doc.view();
     for &node in doc.resource_nodes() {
         if v.name(node) == Some("Summary") {
             let uri = v.uri(node).unwrap();
-            let deps = graph.transitive_dependencies(uri);
             println!("  {uri}");
-            for d in deps {
+            for (d, _) in index.lineage(uri, usize::MAX).into_iter().skip(1) {
                 println!("    <- {d}");
             }
         }

@@ -46,7 +46,7 @@ for name, value in report["gauges"].items():
 print(f"ci: metrics report ok ({len(counters)} counters)")
 PY
 
-echo "==> CLI golden outputs (infer, query and why on the stamped sample)"
+echo "==> CLI golden outputs (infer, query, rank, summary and why on the stamped sample)"
 # tests/golden/ holds the stdout of these commands on the stamped sample
 # corpus above. Export, SPARQL and Turtle changes must not move a byte.
 golden() {
@@ -64,8 +64,28 @@ golden infer.provxml.xml infer "$stamped" --format provxml
 golden infer.dot infer "$stamped" --format dot
 golden query.derived.txt query "$stamped" \
     "PREFIX prov: <http://www.w3.org/ns/prov#> SELECT ?d ?s WHERE { ?d prov:wasDerivedFrom ?s . }"
+golden query.rank.txt query "$stamped" rank weblab://src/0
+golden query.summary.txt query "$stamped" summary weblab://src/0
 golden why.translator.txt why "$stamped" weblab://res/Translator-t3-1
 echo "ci: CLI golden outputs ok"
+
+echo "==> the CLI answers through the reachability index (one query path)"
+./target/release/weblab --metrics --metrics-out "$metrics_dir/why.json" \
+    why "$stamped" weblab://res/Translator-t3-1 > /dev/null
+python3 - "$metrics_dir/why.json" <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["counters"]
+
+# `weblab why` builds one index and answers from it, as the daemon does;
+# an edge-list walk would tick prov.index.traversals instead
+assert counters.get("prov.index.builds", 0) == 1, counters.get("prov.index.builds")
+assert counters.get("prov.index.hits", 0) >= 1, counters.get("prov.index.hits")
+assert counters.get("prov.index.traversals", 0) == 0, \
+    f"weblab why walked the edge list: {counters.get('prov.index.traversals')}"
+print(f"ci: CLI query path ok (index hits={counters['prov.index.hits']})")
+PY
 
 echo "==> fault-tolerance smoke run (flaky service under --retries 2)"
 ./target/release/weblab --metrics --metrics-out "$metrics_dir/fault.json" \

@@ -748,8 +748,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     let doc = read_doc(input)?;
     let rules = rules_from(pos.get(2).map(String::as_str))?;
     let graph = build_graph(&doc, &rules, false, jobs);
-    // same dispatch enum the serve protocol uses — one query path, two
-    // front-ends
+    // the same query enum and answering match the serve protocol uses
     let query = ProvQuery::Sparql {
         query: sparql.clone(),
     };

@@ -1257,9 +1257,9 @@ pub fn render_response(epoch: u64, answer: &QueryAnswer) -> String {
     out
 }
 
-/// The batch reference answer for a query on a snapshot's graph, rendered
-/// as a response line. Differential tests call this with a snapshot whose
-/// epoch matches a served response and assert byte equality.
+/// The one-shot answer for a query on a snapshot's graph
+/// ([`ProvQuery::answer_on_graph`], over an index built for the question),
+/// rendered as the response line at the snapshot's epoch.
 pub fn reference_response(snap: &EpochSnapshot, query: &ProvQuery) -> Result<String, WebLabError> {
     let answer = query
         .answer_on_graph(&snap.graph)

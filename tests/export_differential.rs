@@ -194,7 +194,7 @@ fn assert_exports_agree(graph: &ProvenanceGraph) {
             Arc::new(QueryEngine::new(Arc::new(store)))
         };
         assert_eq!(
-            q.answer_on_snapshot(&snapshot, engine).unwrap(),
+            q.answer(|| &snapshot.index, engine).unwrap(),
             expected,
             "{text}"
         );

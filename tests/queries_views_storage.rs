@@ -1,9 +1,12 @@
 //! Integration of the provenance analysis layers — why-provenance, views
 //! and compact storage — over a realistically sized pipeline run.
 
+mod support;
+
+use support::edgewalk;
 use weblab::prov::storage::{storage_stats, CompactGraph};
 use weblab::prov::views::{apply_view, ViewNode, ViewSpec};
-use weblab::prov::{infer_provenance, query, EngineOptions, InheritMode};
+use weblab::prov::{infer_provenance, EngineOptions, InheritMode, ReachabilityIndex};
 use weblab::workflow::generator::generate_mixed_corpus;
 use weblab::workflow::services::{
     self, Indexer, LanguageExtractor, Normaliser, OcrExtractor, SpeechTranscriber, Summariser,
@@ -38,6 +41,7 @@ fn executed() -> (weblab::xml::Document, weblab::prov::ProvenanceGraph) {
 #[test]
 fn why_provenance_of_every_summary_reaches_a_source() {
     let (doc, graph) = executed();
+    let index = ReachabilityIndex::from_graph(&graph);
     let v = doc.view();
     let mut summaries = 0;
     for &node in doc.resource_nodes() {
@@ -46,13 +50,13 @@ fn why_provenance_of_every_summary_reaches_a_source() {
         }
         summaries += 1;
         let uri = v.uri(node).unwrap();
-        let w = query::why(&graph, uri);
+        let w = index.why(uri);
         assert!(
             w.resources.iter().any(|r| r.starts_with("weblab://src/")),
             "summary {uri} does not trace to a source"
         );
         // lineage depth 1 is exactly the direct dependencies
-        let d1 = query::lineage_to_depth(&graph, uri, 1);
+        let d1 = index.lineage(uri, 1);
         let direct = graph.dependencies_of(uri);
         assert_eq!(d1.len() - 1, direct.len());
     }
@@ -62,13 +66,12 @@ fn why_provenance_of_every_summary_reaches_a_source() {
 #[test]
 fn impact_of_a_source_equals_reverse_reachability() {
     let (_, graph) = executed();
-    let impacted = query::impacted_by(&graph, "weblab://src/0");
-    // cross-check against transitive dependencies from the other side
+    let impacted = ReachabilityIndex::from_graph(&graph).impacted_by("weblab://src/0");
+    // cross-check against the edge walk's transitive dependencies from the
+    // other side
     for uri in &impacted {
         assert!(
-            graph
-                .transitive_dependencies(uri)
-                .contains(&"weblab://src/0".to_string()),
+            edgewalk::why(&graph, uri).resources.contains("weblab://src/0"),
             "{uri} reported impacted but does not depend on the source"
         );
     }

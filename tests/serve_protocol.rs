@@ -3,9 +3,9 @@
 //! The centrepiece is the **differential test**: while a background thread
 //! keeps executing pipeline steps on a live execution (each committed call
 //! publishing a new index epoch), TCP clients issue provenance queries and
-//! every served answer must be byte-identical to the batch answer computed
-//! on the graph *as of the epoch the response declares* — at 2 and at 4
-//! worker threads.
+//! every served answer must be byte-identical to the edge-walk oracle's
+//! answer (`support::edgewalk`) computed on the graph *as of the epoch the
+//! response declares* — at 2 and at 4 worker threads.
 
 mod support;
 
@@ -14,10 +14,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 
-use support::serve_platform;
+use support::{edgewalk, serve_platform};
 use weblab::json::Json;
 use weblab::platform::{ProvQuery, QueryOpts, RankDirection};
-use weblab::serve::{handle_line, reference_response, Server};
+use weblab::serve::{handle_line, Server};
 use weblab::workflow::generator::generate_corpus;
 
 const PIPELINE: [&str; 6] = [
@@ -219,7 +219,7 @@ fn served_answers_match_batch_at_the_same_epoch_while_ingesting() {
                 assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
                 let epoch = parsed.get("epoch").and_then(Json::as_u64).unwrap();
                 // epoch-bracketing: if the response's epoch matches a
-                // snapshot we hold, the bytes must match the batch answer
+                // snapshot we hold, the bytes must match the oracle answer
                 // computed on that snapshot's graph
                 let snap = if epoch == before.epoch {
                     Some(before)
@@ -231,7 +231,7 @@ fn served_answers_match_batch_at_the_same_epoch_while_ingesting() {
                 if let Some(snap) = snap {
                     assert_eq!(
                         response,
-                        reference_response(&snap, q).unwrap(),
+                        edgewalk::response(&snap, q),
                         "served {op} answer diverged from batch at epoch {epoch} \
                          ({workers} workers)",
                         op = q.op(),
@@ -249,7 +249,7 @@ fn served_answers_match_batch_at_the_same_epoch_while_ingesting() {
             let response = roundtrip(&mut stream, &mut reader, &query_request(exec_id, q));
             assert_eq!(
                 response,
-                reference_response(&settled, q).unwrap(),
+                edgewalk::response(&settled, q),
                 "quiescent {} answer diverged ({workers} workers)",
                 q.op(),
             );
@@ -350,7 +350,7 @@ fn batch_answers_share_one_epoch_and_match_serial_responses() {
                 for (sub, q) in subs.iter().zip(&queries) {
                     assert_eq!(
                         sub.to_string(),
-                        reference_response(&snap, q).unwrap(),
+                        edgewalk::response(&snap, q),
                         "batch {} sub diverged from serial at epoch {epoch} \
                          ({workers} workers)",
                         q.op(),
@@ -502,7 +502,7 @@ fn tcp_ingest_round_trip_executes_the_pipeline() {
     let uri = snap.graph.sources.first().map(|s| s.uri.clone()).unwrap();
     let why = ProvQuery::Why { uri };
     let served = roundtrip(&mut stream, &mut reader, &query_request("tcp-exec", &why));
-    assert_eq!(served, reference_response(&snap, &why).unwrap());
+    assert_eq!(served, edgewalk::response(&snap, &why));
 
     let bye = roundtrip(&mut stream, &mut reader, &request(vec![("op", Json::str("shutdown"))]));
     assert!(bye.contains("\"stopping\":true"));
@@ -576,5 +576,5 @@ fn shutdown_is_flagged_and_sources_only_snapshots_serve() {
     let uri = snap.graph.sources.first().map(|s| s.uri.clone()).unwrap();
     let why = ProvQuery::Why { uri };
     let (served, _) = handle_line(&platform, &query_request("fresh", &why));
-    assert_eq!(served, reference_response(&snap, &why).unwrap());
+    assert_eq!(served, edgewalk::response(&snap, &why));
 }

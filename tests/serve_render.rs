@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use weblab::error::WebLabError;
 use weblab::json::Json;
 use weblab::platform::{ExecutionHandle, ProvQuery, QueryAnswer, QueryOpts, RankDirection};
-use weblab::prov::query::WhyProvenance;
+use weblab::prov::WhyProvenance;
 use weblab::prov::{
     BlastRadius, EpochSnapshot, GraphSummary, OriginCluster, ProvLink, RankedEntry,
     ServiceInfluence,

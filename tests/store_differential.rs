@@ -10,14 +10,17 @@
 //! (segment, delta, snapshot) and asserts the corruption is *detected* —
 //! a `store` error response — never silently served.
 
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use support::edgewalk;
 use weblab::json::Json;
 use weblab::platform::{Mapper, Platform, ProvQuery, ProvStore, QueryOpts, RankDirection};
 use weblab::prov::Parallelism;
 use weblab::rdf::vocab::PROV_NS;
-use weblab::serve::{handle_line, reference_response};
+use weblab::serve::handle_line;
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{
     self, EntityExtractor, KeywordExtractor, LanguageExtractor, Normaliser, Summariser, Tokeniser,
@@ -202,10 +205,10 @@ fn cold_loaded_answers_are_byte_identical_at_every_worker_count() {
             let queries = query_suite(&platform, "e");
             assert!(queries.len() > 1, "suite needs links to query");
             let resident = serve_suite(&platform, "e", &queries);
-            // the resident responses themselves match the reference render
+            // the resident responses themselves match the oracle render
             let snap = platform.execution("e").snapshot().unwrap();
             for (q, served) in queries.iter().zip(&resident) {
-                assert_eq!(served, &reference_response(&snap, q).unwrap());
+                assert_eq!(served, &edgewalk::response(&snap, q));
             }
 
             assert!(platform.execution("e").evict().unwrap());

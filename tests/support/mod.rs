@@ -10,10 +10,12 @@
 //! replies alike. [`AnyJson`] generates random values for the codec's
 //! property tests. [`turtle_oracle`] keeps the Turtle writer that
 //! `weblab_rdf::to_turtle` replaced, as the byte oracle of
-//! `tests/export_differential.rs`.
+//! `tests/export_differential.rs`. [`edgewalk`] keeps the edge-list query
+//! walks as the oracle of the reachability index.
 
 #![allow(dead_code)]
 
+pub mod edgewalk;
 pub mod turtle_oracle;
 
 use std::fmt::Write as _;
