@@ -17,10 +17,11 @@
 //!    the provenance graph, through either the native engine or compiled
 //!    XQuery.
 //! 3. **Request management** — per-execution behaviour is grouped behind
-//!    the [`ExecutionHandle`] façade ([`Platform::execution`]): batch
-//!    materialisation reuses the execution's cached graph and invokes the
-//!    Mapper on a miss, while structured queries ([`ProvQuery`]) answer
-//!    from a published epoch/snapshot reachability index without
+//!    the [`ExecutionHandle`] façade ([`Platform::execution`]). Each
+//!    execution caches one graph, a published epoch snapshot with its
+//!    reachability index; a stale snapshot asks the Mapper (or the live
+//!    maintainer) only for the calls it lacks and folds them in, and
+//!    structured queries ([`ProvQuery`]) answer from the index without
 //!    re-walking edge lists.
 //!
 //! ```

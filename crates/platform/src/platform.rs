@@ -7,9 +7,10 @@
 //! which returns an [`ExecutionHandle`] — the façade the CLI and the
 //! `weblab serve` query service are written against. The handle answers
 //! reachability queries from a published [`EpochSnapshot`] (a graph +
-//! [`ReachabilityIndex`] pair that every committed live delta advances by
-//! one epoch), so readers never wait for inference and never re-walk the
-//! edge list; a snapshot a reader holds never changes under it.
+//! [`ReachabilityIndex`] pair, the execution's one cached graph, which
+//! every committed live delta and every refresh advances by one epoch), so
+//! readers never wait for inference and never re-walk the edge list; a
+//! snapshot a reader holds never changes under it.
 //!
 //! The original per-execution method sprawl (`provenance_graph`,
 //! `dependencies_of`, …) is gone: the handle is the one query surface,
@@ -20,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 use weblab_obs::{Counter, Gauge};
 use weblab_prov::{
     dirty_cone, EngineOptions, EpochSnapshot, GraphSummary, LiveDelta, LiveProvenance,
@@ -68,6 +69,9 @@ pub enum PlatformError {
     Sparql(SparqlError),
     /// The attached disk store failed to save or load an execution.
     Store(PersistError),
+    /// An ingest or replay named an execution id that already exists,
+    /// resident or stored.
+    ExecutionExists(String),
 }
 
 impl fmt::Display for PlatformError {
@@ -81,6 +85,10 @@ impl fmt::Display for PlatformError {
             PlatformError::Mapper(e) => write!(f, "{e}"),
             PlatformError::Sparql(e) => write!(f, "{e}"),
             PlatformError::Store(e) => write!(f, "store: {e}"),
+            PlatformError::ExecutionExists(e) => write!(
+                f,
+                "execution {e:?} already exists; pick a fresh execution id"
+            ),
         }
     }
 }
@@ -190,7 +198,6 @@ pub struct Platform {
     recorder: Recorder,
     catalog: RwLock<ServiceCatalog>,
     services: RwLock<HashMap<String, Arc<dyn Service>>>,
-    materialized: RwLock<HashMap<String, MaterializedGraph>>,
     mapper: Mapper,
     fault: RwLock<FaultPolicy>,
     /// Live provenance maintainers, per execution id, for executions where
@@ -218,24 +225,21 @@ struct StoreState {
     loading: Mutex<()>,
 }
 
-/// Cache entry: the graph as of a number of recorded calls.
-#[derive(Clone)]
-struct MaterializedGraph {
-    calls: usize,
-    graph: ProvenanceGraph,
-}
-
 /// Per-execution epoch/snapshot machinery around the execution's one
-/// [`EpochSnapshot`]. Readers clone an `Arc` of it and query that epoch
-/// for as long as they hold it. A live delta folds into the snapshot in
-/// place through [`Arc::make_mut`], under the write lock; only while a
-/// reader still holds the epoch being advanced does the fold copy it
-/// first (counted under `platform.snapshot.copies`). Lock order is always
-/// *maintainer before snapshot*: callers compute graphs (which may lock
-/// the [`LiveProvenance`] mutex) before taking the write lock, and the
-/// call hook releases the maintainer before applying its delta here.
+/// [`EpochSnapshot`], the only graph the platform caches. Readers clone an
+/// `Arc` of it and query that epoch for as long as they hold it. Every
+/// live delta and every refresh folds into the snapshot in place through
+/// [`Arc::make_mut`], under the write lock; only while a reader still
+/// holds the epoch being advanced does the fold copy it first (counted
+/// under `platform.snapshot.copies`). Lock order is always *refresh, then
+/// maintainer, then snapshot*: deltas are computed (which may lock the
+/// [`LiveProvenance`] mutex) before the write lock is taken, and the call
+/// hook releases the maintainer before applying its delta here.
 struct IndexState {
     snapshot: RwLock<Arc<EpochSnapshot>>,
+    /// Serialises refreshes of a stale snapshot, so readers racing on one
+    /// publish a single epoch and run inference once between them.
+    refresh: Mutex<()>,
     /// Epoch-keyed query engine over the published graph's PROV-O export,
     /// built lazily on the first SPARQL query of an epoch and shared by
     /// the rest — carrying the epoch's plan cache with it.
@@ -251,6 +255,7 @@ impl IndexState {
                 index: ReachabilityIndex::new(),
                 ..EpochSnapshot::empty()
             })),
+            refresh: Mutex::new(()),
             engine: Mutex::new(None),
         }
     }
@@ -259,12 +264,14 @@ impl IndexState {
         Arc::clone(&self.snapshot.read().expect("lock poisoned"))
     }
 
-    /// Fold one committed live delta into the snapshot as the next epoch.
-    /// No-op for an empty delta that advances nothing.
-    fn apply_delta(&self, delta: &LiveDelta, calls: usize) {
+    /// Fold a delta into the snapshot as the next epoch, bringing it to
+    /// `calls` folded calls, and return the result — the only way a
+    /// snapshot advances. Once epoch 1 is published, an empty delta that
+    /// advances no call is a no-op; the first fold always publishes.
+    fn apply_delta(&self, delta: &LiveDelta, calls: usize) -> Arc<EpochSnapshot> {
         let mut slot = self.snapshot.write().expect("lock poisoned");
-        if delta.is_empty() && calls <= slot.calls {
-            return;
+        if slot.epoch > 0 && delta.is_empty() && calls <= slot.calls {
+            return Arc::clone(&slot);
         }
         if Arc::get_mut(&mut slot).is_none() {
             SNAPSHOT_COPIES.inc();
@@ -286,25 +293,6 @@ impl IndexState {
         snap.graph.add_links(delta.links.iter().cloned());
         snap.calls = snap.calls.max(calls);
         snap.epoch += 1;
-    }
-
-    /// Publish a freshly materialised graph (rebuilding the index) — the
-    /// refresh path for executions whose calls were recorded outside any
-    /// live hook. Skipped if a concurrent [`IndexState::apply_delta`]
-    /// already advanced past `calls`, so a slower full rebuild never rolls
-    /// back a newer incremental epoch.
-    fn publish_full(&self, graph: ProvenanceGraph, calls: usize) -> Arc<EpochSnapshot> {
-        let index = ReachabilityIndex::from_graph(&graph);
-        let mut slot = self.snapshot.write().expect("lock poisoned");
-        if slot.epoch > 0 && slot.calls >= calls {
-            return Arc::clone(&slot);
-        }
-        *slot = Arc::new(EpochSnapshot {
-            epoch: slot.epoch + 1,
-            calls: slot.calls.max(calls),
-            graph,
-            index,
-        });
         Arc::clone(&slot)
     }
 
@@ -357,7 +345,6 @@ impl Platform {
             traces,
             catalog: RwLock::new(ServiceCatalog::new()),
             services: RwLock::new(HashMap::new()),
-            materialized: RwLock::new(HashMap::new()),
             mapper,
             fault: RwLock::new(FaultPolicy::default()),
             live: RwLock::new(HashMap::new()),
@@ -464,7 +451,9 @@ impl Platform {
                 // sources present before any call), then open a fresh segment:
                 // the orchestration below reports its calls from index 0. The
                 // catch-up delta is published like any other — maintainer
-                // lock released before the snapshot is touched.
+                // lock released before the snapshot is touched — except
+                // that one with nothing to fold, before any call, opens no
+                // epoch: the run's first call does.
                 let (delta, calls) = {
                     let mut lp = maintainer.lock().expect("lock poisoned");
                     let folded = lp.calls_folded();
@@ -472,7 +461,9 @@ impl Platform {
                     lp.new_segment();
                     (delta, lp.calls_folded())
                 };
-                state.apply_delta(&delta, calls);
+                if !delta.is_empty() || calls > 0 {
+                    state.apply_delta(&delta, calls);
+                }
             }
             let hook_lp = Arc::clone(maintainer);
             orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
@@ -515,19 +506,8 @@ impl Platform {
         changed_uris: &[String],
         proof: ProofMode,
     ) -> Result<ReplayReport, PlatformError> {
-        let replay_err = |message: &str| {
-            PlatformError::Workflow(WorkflowError::Service {
-                service: "replay".into(),
-                message: message.into(),
-            })
-        };
-        if new_id == prior_id
-            || self.repository.with(new_id, |_| ()).is_some()
-            || self.store_state().is_some_and(|ss| ss.store.contains(new_id))
-        {
-            return Err(replay_err(&format!(
-                "replay target {new_id:?} already exists; pick a fresh execution id"
-            )));
+        if new_id == prior_id || self.execution(new_id).exists() {
+            return Err(PlatformError::ExecutionExists(new_id.to_string()));
         }
         self.ensure_resident(prior_id)?;
         let prior_doc = self
@@ -540,9 +520,11 @@ impl Platform {
             .filter(|t| !t.calls.is_empty())
             .ok_or_else(|| PlatformError::UnknownExecution(prior_id.to_string()))?;
         if prior_trace.has_parallel_channels() {
-            return Err(replay_err(
-                "cannot replay a parallel-channel trace; re-execute the workflow instead",
-            ));
+            return Err(PlatformError::Workflow(WorkflowError::Service {
+                service: "replay".into(),
+                message: "cannot replay a parallel-channel trace; re-execute the workflow instead"
+                    .into(),
+            }));
         }
         let names: Vec<&str> = prior_trace.calls.iter().map(|c| c.service.as_str()).collect();
         let workflow = self.build_workflow(&WorkflowSpec::sequence(&names))?;
@@ -711,11 +693,10 @@ impl Platform {
             }
             None => {
                 // No fresh snapshot survived (crash between log append and
-                // snapshot write): rebuild from the replayed log. Epochs
-                // restart, like after ExecutionHandle::invalidate.
+                // snapshot write): adopt the replayed log. Epochs restart.
                 let mut graph = ProvenanceGraph::from_view(&stored.doc.view());
                 graph.add_links(stored.links);
-                state.publish_full(graph, stored.trace.len());
+                state.restore(graph, stored.trace.len(), 1);
             }
         }
         self.repository.put(exec_id, stored.doc);
@@ -770,7 +751,6 @@ impl Platform {
             self.persist_through(exec_id)?;
             self.repository.remove(exec_id);
             self.traces.remove(exec_id);
-            self.materialized.write().expect("lock poisoned").remove(exec_id);
             self.live.write().expect("lock poisoned").remove(exec_id);
             self.index_states.write().expect("lock poisoned").remove(exec_id);
             EVICTIONS.inc();
@@ -781,47 +761,6 @@ impl Platform {
             RESIDENT.dec();
         }
         Ok(was_resident)
-    }
-
-    fn provenance_graph_impl(&self, exec_id: &str) -> Result<ProvenanceGraph, PlatformError> {
-        self.ensure_resident(exec_id)?;
-        let doc = self
-            .repository
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let trace = self
-            .traces
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let cached = self.materialized.read().expect("lock poisoned").get(exec_id).cloned();
-        if let Some(entry) = &cached {
-            if entry.calls == trace.len() {
-                return Ok(entry.graph.clone());
-            }
-        }
-        let first = cached.as_ref().map(|e| e.calls).unwrap_or(0);
-        let rules = self.catalog.read().expect("lock poisoned").rule_set();
-        let delta = self
-            .mapper
-            .materialize_since(&doc, &trace, first, &rules)?;
-        let mut graph = ProvenanceGraph::from_view(&doc.view());
-        if let Some(entry) = cached {
-            graph.add_links(entry.graph.links);
-        }
-        graph.add_links(delta);
-        self.materialized.write().expect("lock poisoned").insert(
-            exec_id.to_string(),
-            MaterializedGraph {
-                calls: trace.len(),
-                graph: graph.clone(),
-            },
-        );
-        Ok(graph)
-    }
-
-    fn invalidate_impl(&self, exec_id: &str) {
-        self.materialized.write().expect("lock poisoned").remove(exec_id);
-        self.index_states.write().expect("lock poisoned").remove(exec_id);
     }
 
     fn enable_live_impl(&self, exec_id: &str) {
@@ -844,36 +783,12 @@ impl Platform {
         self.live.read().expect("lock poisoned").get(exec_id).cloned()
     }
 
-    fn live_graph_impl(&self, exec_id: &str) -> Result<ProvenanceGraph, PlatformError> {
-        self.ensure_resident(exec_id)?;
-        let maintainer = self
-            .live_provenance_impl(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let doc = self
-            .repository
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let trace = self.traces.get(exec_id).unwrap_or_default();
-        let mut lp = maintainer.lock().expect("lock poisoned");
-        let folded = lp.calls_folded();
-        lp.catch_up_from(&doc, &trace, folded);
-        Ok(lp.to_provenance_graph())
-    }
-
-    fn is_materialized_impl(&self, exec_id: &str) -> bool {
-        let trace_len = self.traces.get(exec_id).map(|t| t.len()).unwrap_or(0);
-        self.materialized
-            .read().expect("lock poisoned")
-            .get(exec_id)
-            .map(|e| e.calls == trace_len)
-            .unwrap_or(false)
-    }
-
     /// A current [`EpochSnapshot`] of the execution: the published one if
-    /// it already covers every recorded call, else a refresh. A snapshot
-    /// published mid-execution by the live hook runs *ahead* of the trace
-    /// store (calls reach it only after orchestration), which is why
-    /// freshness is `snapshot.calls >= trace len`, not equality.
+    /// it already covers every recorded call, else a refresh that folds
+    /// in what it lacks as one delta. A snapshot published mid-execution by
+    /// the live hook runs *ahead* of the trace store (calls reach it only
+    /// after orchestration), which is why freshness is
+    /// `snapshot.calls >= trace len`, not equality.
     fn snapshot_impl(&self, exec_id: &str) -> Result<Arc<EpochSnapshot>, PlatformError> {
         self.ensure_resident(exec_id)?;
         if self.repository.with(exec_id, |_| ()).is_none() {
@@ -881,31 +796,53 @@ impl Platform {
         }
         let state = self.index_state(exec_id);
         let trace_len = self.traces.get(exec_id).map(|t| t.len()).unwrap_or(0);
+        let fresh = |snap: &EpochSnapshot| snap.epoch > 0 && snap.calls >= trace_len;
         let snap = state.published();
-        if snap.epoch > 0 && snap.calls >= trace_len {
+        if fresh(&snap) {
             return Ok(snap);
         }
-        // Refresh. Graphs are computed (taking the maintainer lock if live)
-        // before publish_full takes the snapshot lock — see IndexState's
-        // lock ordering note.
-        let (graph, calls) = if self.live_enabled_impl(exec_id) {
-            let graph = self.live_graph_impl(exec_id)?;
-            let folded = self
-                .live_provenance_impl(exec_id)
-                .map(|m| m.lock().expect("lock poisoned").calls_folded())
-                .unwrap_or(trace_len);
-            (graph, folded)
-        } else if trace_len > 0 {
-            (self.provenance_graph_impl(exec_id)?, trace_len)
-        } else {
-            // Ingested but never executed: sources only, no links yet.
-            let doc = self
-                .repository
-                .get(exec_id)
-                .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-            (ProvenanceGraph::from_view(&doc.view()), 0)
+        drop(snap);
+        // A reader that waited for another's refresh finds it published.
+        // The mutex guards no data, so a panicked refresh leaves it usable.
+        let _refresh = state.refresh.lock().unwrap_or_else(PoisonError::into_inner);
+        let snap = state.published();
+        if fresh(&snap) {
+            return Ok(snap);
+        }
+        let doc = self
+            .repository
+            .get(exec_id)
+            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
+        let trace = self.traces.get(exec_id).unwrap_or_default();
+        // The delta holds only the calls the snapshot lacks: the live
+        // maintainer's catch-up, or else the Mapper's links for the calls
+        // past the snapshot plus the Source rows it does not hold yet.
+        let (delta, calls) = match self.live_provenance_impl(exec_id) {
+            Some(maintainer) => {
+                let mut lp = maintainer.lock().expect("lock poisoned");
+                let folded = lp.calls_folded();
+                let delta = lp.catch_up_from(&doc, &trace, folded);
+                (delta, lp.calls_folded())
+            }
+            None => {
+                let links = if trace.len() > snap.calls {
+                    let rules = self.catalog.read().expect("lock poisoned").rule_set();
+                    self.mapper
+                        .materialize_since(&doc, &trace, snap.calls, &rules)?
+                } else {
+                    Vec::new()
+                };
+                let sources = ProvenanceGraph::from_view(&doc.view())
+                    .sources
+                    .into_iter()
+                    .filter(|s| snap.index.label_of(&s.uri).is_none())
+                    .collect();
+                (LiveDelta { links, sources }, trace.len())
+            }
         };
-        Ok(state.publish_full(graph, calls))
+        // Release this reader's hold, so the fold need not copy the epoch.
+        drop(snap);
+        Ok(state.apply_delta(&delta, calls))
     }
 }
 
@@ -1018,15 +955,10 @@ impl ExecutionHandle<'_> {
         self.platform.live_provenance_impl(&self.id)
     }
 
-    /// The batch-materialised provenance graph (incremental Mapper path).
+    /// The current snapshot's provenance graph (see
+    /// [`ExecutionHandle::snapshot`]).
     pub fn graph(&self) -> Result<ProvenanceGraph, PlatformError> {
-        self.platform.provenance_graph_impl(&self.id)
-    }
-
-    /// The live maintainer's view as a batch-style graph, catching up on
-    /// calls recorded outside live mode first.
-    pub fn live_graph(&self) -> Result<ProvenanceGraph, PlatformError> {
-        self.platform.live_graph_impl(&self.id)
+        Ok(self.snapshot()?.graph.clone())
     }
 
     /// A current epoch snapshot — graph + reachability index, unchanged
@@ -1118,17 +1050,6 @@ impl ExecutionHandle<'_> {
             _ => unreachable!("Summary queries answer with Summary"),
         }
     }
-
-    /// Whether the batch graph cache is materialised and current.
-    pub fn is_materialized(&self) -> bool {
-        self.platform.is_materialized_impl(&self.id)
-    }
-
-    /// Drop the cached batch graph and the reachability index, forcing a
-    /// rebuild on the next query.
-    pub fn invalidate(&self) {
-        self.platform.invalidate_impl(&self.id);
-    }
 }
 
 #[cfg(test)]
@@ -1158,6 +1079,25 @@ mod tests {
         p
     }
 
+    /// The from-scratch oracle: the Mapper's full materialisation of the
+    /// execution's current document and trace.
+    fn oracle(p: &Platform, id: &str) -> ProvenanceGraph {
+        let doc = p.repository.get(id).unwrap();
+        let trace = p.traces.get(id).unwrap_or_default();
+        let rules = p.catalog.read().unwrap().rule_set();
+        p.mapper.materialize(&doc, &trace, &rules).unwrap()
+    }
+
+    fn assert_same_graph(got: &ProvenanceGraph, want: &ProvenanceGraph) {
+        assert_eq!(got.links, want.links);
+        assert_eq!(got.sources, want.sources);
+    }
+
+    /// The maintainer's own link store, as a batch-style graph.
+    fn maintainer_graph(exec: &ExecutionHandle<'_>) -> ProvenanceGraph {
+        exec.live().unwrap().lock().unwrap().to_provenance_graph()
+    }
+
     #[test]
     fn end_to_end_execution_and_query() {
         let p = platform();
@@ -1171,6 +1111,7 @@ mod tests {
         let graph = exec.graph().unwrap();
         assert!(!graph.links.is_empty());
         assert!(graph.is_acyclic());
+        assert_same_graph(&graph, &oracle(&p, "exec-1"));
         // SPARQL over the execution's PROV-O export
         let sols = exec
             .sparql(&format!(
@@ -1178,7 +1119,6 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(sols.len(), graph.links.len());
-        assert!(exec.is_materialized());
     }
 
     #[test]
@@ -1187,9 +1127,19 @@ mod tests {
         p.ingest("e", generate_corpus(5, 1, 20));
         p.execute("e", &["Normaliser"]).unwrap();
         let exec = p.execution("e");
-        assert!(!exec.is_materialized());
+        let state = p.index_state("e");
+        assert_eq!(
+            state.published().epoch,
+            0,
+            "nothing materialised before the query"
+        );
         exec.sparql("SELECT ?s WHERE { ?s <p> ?o . }").unwrap();
-        assert!(exec.is_materialized());
+        let snap = state.published();
+        assert_eq!((snap.epoch, snap.calls), (1, 1));
+        assert_same_graph(&snap.graph, &oracle(&p, "e"));
+        // a second query reuses the published snapshot
+        exec.sparql("SELECT ?s WHERE { ?s <p> ?o . }").unwrap();
+        assert!(Arc::ptr_eq(&snap, &state.published()));
     }
 
     #[test]
@@ -1199,17 +1149,17 @@ mod tests {
         p.execute("e", &["Normaliser"]).unwrap();
         let exec = p.execution("e");
         let g1 = exec.graph().unwrap();
-        assert!(exec.is_materialized());
+        assert_same_graph(&g1, &oracle(&p, "e"));
         p.execute("e", &["LanguageExtractor"]).unwrap();
-        assert!(!exec.is_materialized()); // stale: one call un-materialised
-        // incremental re-materialisation equals a from-scratch derivation
+        // stale: one call not folded into the published snapshot yet
+        assert_eq!(p.index_state("e").published().calls, 1);
+        // the refresh folds in the one-call delta, equal to a from-scratch
+        // derivation
         let g2 = exec.graph().unwrap();
-        assert!(exec.is_materialized());
         assert!(g2.links.len() > g1.links.len());
-        exec.invalidate();
-        assert!(!exec.is_materialized());
-        let g3 = exec.graph().unwrap();
-        assert_eq!(g2.links, g3.links);
+        assert_same_graph(&g2, &oracle(&p, "e"));
+        let snap = exec.snapshot().unwrap();
+        assert_eq!((snap.epoch, snap.calls), (2, 2));
     }
 
     #[test]
@@ -1307,12 +1257,9 @@ mod tests {
                 WorkflowSpec::sequence(&["Translator"]),
             ]);
         p.execute_spec("e", &spec).unwrap();
-        let live = exec.live_graph().unwrap();
-        let batch = exec.graph().unwrap();
-        let mut batch_links = batch.links.clone();
-        batch_links.sort();
-        assert_eq!(live.links, batch_links);
-        assert_eq!(live.sources, batch.sources);
+        let live = maintainer_graph(&exec);
+        assert_same_graph(&live, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live);
         assert!(!live.links.is_empty());
     }
 
@@ -1324,17 +1271,18 @@ mod tests {
         exec.enable_live();
         assert!(exec.live_enabled());
         p.execute("e", &["Normaliser", "LanguageExtractor"]).unwrap();
-        // the live store already holds the graph: querying it does not
-        // trigger batch materialisation
-        let batch = exec.graph().unwrap();
-        exec.invalidate();
+        // the live deltas already published the whole graph: querying it
+        // needs no refresh
+        let published = p.index_state("e").published();
+        assert_eq!(published.calls, 2);
+        let batch = oracle(&p, "e");
         for l in &batch.links {
             let deps = exec.deps(&l.from_uri).unwrap();
             assert!(deps.contains(&l.to_uri));
             let rdeps = exec.rdeps(&l.to_uri).unwrap();
             assert!(rdeps.contains(&l.from_uri));
         }
-        assert!(!exec.is_materialized()); // live answers left the cache alone
+        assert_eq!(exec.snapshot().unwrap().epoch, published.epoch);
     }
 
     #[test]
@@ -1345,12 +1293,9 @@ mod tests {
         p.execute("e", &["Normaliser"]).unwrap();
         exec.enable_live(); // after one call already recorded
         p.execute("e", &["LanguageExtractor", "Translator"]).unwrap();
-        let live = exec.live_graph().unwrap();
-        let batch = exec.graph().unwrap();
-        let mut batch_links = batch.links.clone();
-        batch_links.sort();
-        assert_eq!(live.links, batch_links);
-        assert_eq!(live.sources, batch.sources);
+        let live = maintainer_graph(&exec);
+        assert_same_graph(&live, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live);
         let trace = p.traces.get("e").unwrap();
         let lp = exec.live().unwrap();
         assert_eq!(lp.lock().unwrap().calls_folded(), trace.calls.len());
@@ -1367,11 +1312,8 @@ mod tests {
         exec.ingest(generate_corpus(2, 1, 15));
         exec.enable_live();
         p.execute("e", &["Normaliser", "Flaky", "LanguageExtractor"]).unwrap();
-        let live = exec.live_graph().unwrap();
-        let batch = exec.graph().unwrap();
-        let mut batch_links = batch.links.clone();
-        batch_links.sort();
-        assert_eq!(live.links, batch_links);
+        let live = maintainer_graph(&exec);
+        assert_same_graph(&live, &oracle(&p, "e"));
         // only committed calls were folded in — one per workflow step
         let lp = exec.live().unwrap();
         assert_eq!(lp.lock().unwrap().calls_folded(), 3);
@@ -1384,13 +1326,11 @@ mod tests {
         exec.ingest(generate_corpus(2, 1, 15));
         p.execute("e", &["Normaliser"]).unwrap();
         assert!(!exec.live_enabled());
-        let batch = exec.graph().unwrap();
+        assert!(exec.live().is_none());
+        let batch = oracle(&p, "e");
         let l = &batch.links[0];
         assert!(exec.deps(&l.from_uri).unwrap().contains(&l.to_uri));
-        assert!(matches!(
-            exec.live_graph(),
-            Err(PlatformError::UnknownExecution(_))
-        ));
+        assert_same_graph(&exec.graph().unwrap(), &batch);
     }
 
     #[test]
@@ -1412,7 +1352,8 @@ mod tests {
         let gb = p.execution("b").graph().unwrap();
         assert!(!ga.links.is_empty());
         assert!(!gb.links.is_empty());
-        assert!(p.execution("a").is_materialized() && p.execution("b").is_materialized());
+        assert_same_graph(&ga, &oracle(&p, "a"));
+        assert_same_graph(&gb, &oracle(&p, "b"));
         assert_eq!(p.executions(), vec!["a", "b"]);
     }
 
@@ -1433,7 +1374,7 @@ mod tests {
                 graph.dependents_of(&l.to_uri).into_iter().map(String::from).collect();
             assert_eq!(exec.rdeps(&l.to_uri).unwrap(), rdeps);
         }
-        assert!(exec.is_materialized());
+        assert_same_graph(&graph, &oracle(&p, "e"));
         assert!(!p.execution("missing").exists());
         assert!(matches!(
             p.execution("missing").snapshot(),
@@ -1486,9 +1427,9 @@ mod tests {
         // at least one epoch per committed call (plus the catch-up publish)
         assert!(snap.epoch >= 2, "epoch {} after two live calls", snap.epoch);
         assert_eq!(snap.calls, 2);
-        // the published snapshot IS the live graph — no batch materialisation
-        assert_eq!(snap.graph.links, exec.live_graph().unwrap().links);
-        assert!(!exec.is_materialized());
+        // the published snapshot IS the live graph, which is the batch graph
+        assert_same_graph(&snap.graph, &maintainer_graph(&exec));
+        assert_same_graph(&snap.graph, &oracle(&p, "e"));
         // freshness: querying again serves the same snapshot
         let again = exec.snapshot().unwrap();
         assert_eq!(again.epoch, snap.epoch);
@@ -1501,19 +1442,48 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_resets_the_snapshot_epoch() {
+    fn readers_racing_on_a_stale_batch_snapshot_publish_one_epoch() {
         let p = platform();
         let exec = p.execution("e");
-        exec.ingest(generate_corpus(2, 1, 15));
+        exec.ingest(generate_corpus(4, 2, 25));
         exec.execute(&["Normaliser"]).unwrap();
-        let before = exec.snapshot().unwrap();
-        assert!(before.epoch >= 1);
-        exec.invalidate();
-        assert!(!exec.is_materialized());
-        let after = exec.snapshot().unwrap();
-        // a fresh index state starts its epochs over, with the same graph
-        assert_eq!(after.epoch, 1);
-        assert_eq!(after.graph.links, before.graph.links);
+        let before = exec.snapshot().unwrap().epoch;
+        exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
+        let barrier = std::sync::Barrier::new(4);
+        let snaps: Vec<Arc<EpochSnapshot>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        p.execution("e").snapshot().unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for snap in &snaps {
+            assert_eq!((snap.epoch, snap.calls), (before + 1, 3));
+        }
+        assert_same_graph(&snaps[0].graph, &oracle(&p, "e"));
+    }
+
+    #[test]
+    fn nothing_to_fold_publishes_epoch_1_on_a_refresh_but_not_on_a_live_catch_up() {
+        let p = platform();
+        let unlabelled = || {
+            weblab_xml::parse_document("<R><NativeContent id=\"n\">x</NativeContent></R>").unwrap()
+        };
+        let batch = p.execution("batch");
+        batch.ingest(unlabelled());
+        assert_eq!(batch.snapshot().unwrap().epoch, 1);
+        assert_eq!(batch.snapshot().unwrap().epoch, 1);
+        // the live run's empty catch-up opens no epoch: its one call does
+        let live = p.execution("live");
+        live.ingest(unlabelled());
+        live.enable_live();
+        live.execute(&["Normaliser"]).unwrap();
+        let snap = live.snapshot().unwrap();
+        assert_eq!((snap.epoch, snap.calls), (1, 1));
     }
 
     fn tmpstore(name: &str) -> std::path::PathBuf {
@@ -1592,12 +1562,9 @@ mod tests {
         // maintainer, whose catch-up delta re-delivers every stored row.
         exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
         assert!(exec.live_enabled(), "live mode survives eviction");
-        let live = exec.live_graph().unwrap();
-        let batch = exec.graph().unwrap();
-        let mut batch_links = batch.links.clone();
-        batch_links.sort();
-        assert_eq!(live.links, batch_links);
-        assert_eq!(live.sources, batch.sources);
+        let live = maintainer_graph(&exec);
+        assert_same_graph(&live, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live);
         // The published Source table took no re-delivered row twice and
         // equals that of an execution that stayed resident throughout.
         let sources = exec.snapshot().unwrap().graph.sources.clone();

@@ -42,9 +42,9 @@
 //! call, so their channel entries are already present, and
 //! `channels_compatible` is total in the root channel.
 //!
-//! **Caveat** (shared with `Platform::provenance_graph`'s incremental
-//! path): a delta is evaluated against the document state at observation
-//! time. Resources *promoted* by later calls onto nodes nested under an
+//! **Caveat** (shared with the platform's batch snapshot refresh, which
+//! folds in only the calls a snapshot lacks): a delta is evaluated against
+//! the document state at observation time. Resources *promoted* by later calls onto nodes nested under an
 //! earlier link endpoint can extend the batch graph's inherited links in
 //! ways a live maintainer has already missed; workloads that register
 //! resources when their nodes are created (every service in this repo) are

@@ -26,8 +26,8 @@ use crate::vocab::{
 
 /// The PROV-O triples describing one Source row: the entity, its
 /// generating activity and agent with their types, and the
-/// `wasGeneratedBy` / `wasAssociatedWith` / `startedAtTime` edges. Shared
-/// by the batch exporter and the live store so both emit identical shapes.
+/// `wasGeneratedBy` / `wasAssociatedWith` / `startedAtTime` edges — the
+/// shape [`export_prov`] emits, and [`export_prov_into`] in id space.
 pub fn source_triples(s: &SourceEntry) -> Vec<Triple> {
     let type_iri = Term::iri(RDF_TYPE);
     let entity = Term::iri(&s.uri);
@@ -96,8 +96,8 @@ struct CallIds {
 /// interned when the builder is made, and each distinct call's activity,
 /// agent and start-time terms on that call's first row, so the hot loops
 /// below format and hash those terms once per call instead of once per
-/// row. Shared by the batch exporter and the live store.
-pub(crate) struct RowBuilder {
+/// row.
+struct RowBuilder {
     ty: u32,
     entity_cls: u32,
     activity_cls: u32,
@@ -111,7 +111,7 @@ pub(crate) struct RowBuilder {
 }
 
 impl RowBuilder {
-    pub(crate) fn new(store: &mut TripleStore) -> Self {
+    fn new(store: &mut TripleStore) -> Self {
         RowBuilder {
             ty: store.intern_term(&Term::iri(RDF_TYPE)),
             entity_cls: store.intern_term(&Term::iri(PROV_ENTITY)),
@@ -141,7 +141,7 @@ impl RowBuilder {
 
     /// Id-space twin of [`source_triples`]: appends the same six triples
     /// as dictionary rows.
-    pub(crate) fn source_rows(
+    fn source_rows(
         &mut self,
         store: &mut TripleStore,
         s: &SourceEntry,
@@ -160,7 +160,7 @@ impl RowBuilder {
     }
 
     /// Id-space twin of [`link_triples`].
-    pub(crate) fn link_rows(
+    fn link_rows(
         &mut self,
         store: &mut TripleStore,
         l: &ProvLink,

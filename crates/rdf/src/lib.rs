@@ -42,7 +42,6 @@
 
 mod dict;
 mod export;
-mod live;
 mod plan;
 mod provxml;
 mod sparql;
@@ -52,7 +51,6 @@ mod turtle;
 pub mod vocab;
 
 pub use export::{export_prov, export_prov_into, link_triples, source_triples};
-pub use live::LiveProvStore;
 pub use plan::QueryEngine;
 pub use provxml::{derivations_from_prov_xml, export_prov_xml};
 pub use sparql::{parse_select, select, Filter, PatTerm, SelectQuery, Solution, SparqlError, TriplePattern};

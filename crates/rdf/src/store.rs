@@ -140,7 +140,7 @@ impl TripleStore {
     }
 
     /// Intern a term into this store's dictionary without inserting any
-    /// triple — the id-level entry point for the export and live paths.
+    /// triple — the id-level entry point of `export_prov_into`.
     pub(crate) fn intern_term(&mut self, t: &Term) -> u32 {
         self.dict.intern(t)
     }

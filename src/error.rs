@@ -84,6 +84,7 @@ impl WebLabError {
         match self {
             WebLabError::Platform(PlatformError::UnknownExecution(_)) => "unknown-execution",
             WebLabError::Platform(PlatformError::UnknownService(_)) => "unknown-service",
+            WebLabError::Platform(PlatformError::ExecutionExists(_)) => "execution-exists",
             WebLabError::Platform(PlatformError::Catalog(_)) => "catalog",
             WebLabError::Platform(PlatformError::Workflow(_)) => "workflow",
             WebLabError::Platform(PlatformError::Recorder(_)) => "recorder",
@@ -220,6 +221,10 @@ mod tests {
         assert_eq!(
             WebLabError::from(PlatformError::UnknownService("s".into())).code(),
             "unknown-service"
+        );
+        assert_eq!(
+            WebLabError::from(PlatformError::ExecutionExists("e".into())).code(),
+            "execution-exists"
         );
         assert_eq!(WebLabError::Protocol("bad".into()).code(), "protocol");
         assert_eq!(

@@ -41,7 +41,10 @@
 //! member of the response, so pipelining clients can match responses
 //! under overload. `sparql` responses are capped at [`Server::max_rows`]
 //! solution rows (stable code `result-limit`); `rank` and `summary`
-//! result lists are capped by the same limit and code.
+//! result lists are capped by the same limit and code. `ingest` (its
+//! `exec`) and `replay` (its `as`) take a fresh execution id: one the
+//! daemon already holds, resident or stored, is refused with the code
+//! `execution-exists` before anything is stored.
 //!
 //! ## The `batch` op
 //!
@@ -97,7 +100,8 @@ use std::time::{Duration, Instant};
 
 use weblab_obs::{Counter, Gauge, Histogram, Span};
 use weblab_platform::{
-    ExecutionHandle, Platform, ProvQuery, QueryAnswer, QueryOpts, RankDirection, PROTOCOL_VERSION,
+    ExecutionHandle, Platform, PlatformError, ProvQuery, QueryAnswer, QueryOpts, RankDirection,
+    PROTOCOL_VERSION,
 };
 use weblab_prov::{format_micro, micro_from_f64};
 use weblab_workflow::ProofMode;
@@ -808,6 +812,9 @@ fn dispatch<'r>(
         "ingest" => {
             let exec = platform.execution(str_field(request, "exec")?);
             let doc = parse_document(str_field(request, "xml")?)?;
+            if exec.exists() {
+                return Err(PlatformError::ExecutionExists(exec.id().to_string()).into());
+            }
             exec.ingest(doc);
             if request.get("live").and_then(Json::as_bool).unwrap_or(false) {
                 exec.enable_live();
@@ -1263,7 +1270,7 @@ pub fn render_response(epoch: u64, answer: &QueryAnswer) -> String {
 pub fn reference_response(snap: &EpochSnapshot, query: &ProvQuery) -> Result<String, WebLabError> {
     let answer = query
         .answer_on_graph(&snap.graph)
-        .map_err(weblab_platform::PlatformError::from)?;
+        .map_err(PlatformError::from)?;
     Ok(render_response(snap.epoch, &answer))
 }
 

@@ -16,7 +16,7 @@ use weblab::prov::{
     infer_provenance, paper_example, EngineOptions, ExecutionTrace, InheritMode, LiveProvenance,
     Parallelism, ProvLink, ProvenanceGraph, RuleSet, Strategy,
 };
-use weblab::rdf::{export_prov_into, to_turtle, LiveProvStore, Triple, TripleStore};
+use weblab::rdf::{export_prov_into, to_turtle, Triple, TripleStore};
 use weblab::workflow::generator::{synthetic_workload, SyntheticService};
 use weblab::workflow::services::Flaky;
 use weblab::workflow::{
@@ -250,16 +250,17 @@ fn live_turtle_export_is_byte_identical_to_batch_on_the_paper_example() {
             ..Default::default()
         };
         let mut live = LiveProvenance::new(rules.clone(), opts);
-        let mut store = LiveProvStore::new();
-        store.apply(&live.catch_up(&doc, &ExecutionTrace::default()));
+        live.catch_up(&doc, &ExecutionTrace::default());
         for k in 0..trace.calls.len() {
-            store.apply(&live.observe_call(&doc, &trace, k));
+            live.observe_call(&doc, &trace, k);
         }
-        let batch_graph = infer_provenance(&doc, &trace, &rules, &opts);
-        let mut batch = TripleStore::new();
-        export_prov_into(&batch_graph, &mut batch);
-        let live_triples: Vec<Triple> = store.store().iter().collect();
-        let batch_triples: Vec<Triple> = batch.iter().collect();
+        let export = |graph: &ProvenanceGraph| -> Vec<Triple> {
+            let mut store = TripleStore::new();
+            export_prov_into(graph, &mut store);
+            store.iter().collect()
+        };
+        let live_triples = export(&live.to_provenance_graph());
+        let batch_triples = export(&infer_provenance(&doc, &trace, &rules, &opts));
         assert_eq!(
             to_turtle(&live_triples),
             to_turtle(&batch_triples),

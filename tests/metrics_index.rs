@@ -7,8 +7,9 @@
 //! The properties under guard: `ExecutionHandle::deps`/`rdeps` (and the
 //! structured queries behind `weblab serve`, ranked analytics included)
 //! answer from the published reachability index — **zero** full edge-list
-//! traversals — and live deltas fold into that published snapshot in
-//! place, copying it only while a reader holds the epoch they advance.
+//! traversals — and live deltas and batch refreshes alike fold into that
+//! published snapshot in place, copying it only while a reader holds the
+//! epoch they advance.
 
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -231,4 +232,47 @@ fn a_held_snapshot_is_copied_before_a_live_delta_folds_in() {
     let current = exec.snapshot().unwrap();
     assert_eq!(current.epoch, epoch + 2);
     assert!(current.graph.links.len() > links.len());
+}
+
+#[test]
+fn batch_refreshes_fold_into_the_published_index() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let platform = platform_with_pipeline();
+
+    obs::reset();
+    obs::enable();
+    let exec = platform.execution("batch");
+    exec.ingest(generate_corpus(11, 2, 10));
+    exec.execute(&["Normaliser", "LanguageExtractor"]).unwrap();
+    let first = exec.snapshot().unwrap();
+    exec.execute(&["Tokeniser"]).unwrap();
+    let second = exec.snapshot().unwrap();
+    let snap = obs::snapshot();
+    obs::disable();
+
+    assert!(!exec.live_enabled());
+    // one build when the execution's index state is created; each refresh
+    // folds the calls the snapshot lacks into it as a delta
+    assert_eq!(
+        snap.counter(BUILDS),
+        1,
+        "batch refreshes must extend the index, not rebuild it"
+    );
+    // the first refresh folded in place; the second copied the epoch this
+    // test still holds in `first`
+    assert_eq!(snap.counter(COPIES), 1);
+    assert_eq!((first.epoch, first.calls), (1, 2));
+    assert_eq!((second.epoch, second.calls), (2, 3));
+
+    // the same graph as an execution that ran every step before its first
+    // query
+    let whole = platform.execution("whole");
+    whole.ingest(generate_corpus(11, 2, 10));
+    whole.execute(&["Normaliser", "LanguageExtractor"]).unwrap();
+    whole.execute(&["Tokeniser"]).unwrap();
+    let oneshot = whole.snapshot().unwrap();
+    assert_eq!(oneshot.epoch, 1);
+    assert_eq!(second.graph.links, oneshot.graph.links);
+    assert_eq!(second.graph.sources, oneshot.graph.sources);
+    assert!(first.graph.links.len() < second.graph.links.len());
 }

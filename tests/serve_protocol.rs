@@ -553,6 +553,95 @@ fn protocol_errors_carry_the_stable_codes() {
 }
 
 #[test]
+fn ingest_and_replay_refuse_an_execution_id_already_held() {
+    let platform = serve_platform();
+    let ingest = |exec: &str, xml: &str, pipeline: &[&str]| {
+        let mut pairs = vec![
+            ("op", Json::str("ingest")),
+            ("exec", Json::str(exec)),
+            ("xml", Json::str(xml)),
+            ("live", Json::Bool(true)),
+        ];
+        if !pipeline.is_empty() {
+            pairs.push((
+                "pipeline",
+                Json::Arr(pipeline.iter().map(|s| Json::str(*s)).collect()),
+            ));
+        }
+        Json::parse(&handle_line(&platform, &request(pairs)).0).unwrap()
+    };
+    let code = |response: &Json| {
+        response
+            .get("code")
+            .and_then(Json::as_str)
+            .map(String::from)
+    };
+    let first = "<Resource wl:id=\"weblab://doc/a\">\
+                 <NativeContent wl:id=\"weblab://src/0\" wl:s=\"Source\" wl:t=\"0\">\
+                 the text is in the language for peace</NativeContent></Resource>";
+    let second = "<Resource wl:id=\"weblab://doc/b\">\
+                  <NativeContent wl:id=\"weblab://src/0\" wl:s=\"Source\" wl:t=\"0\">\
+                  a different text</NativeContent>\
+                  <NativeContent wl:id=\"weblab://src/1\" wl:s=\"Source\" wl:t=\"0\">\
+                  and one more</NativeContent></Resource>";
+    let ok = ingest("e", first, &["Normaliser", "LanguageExtractor"]);
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+    let why = query_request(
+        "e",
+        &ProvQuery::Why {
+            uri: "weblab://src/0".into(),
+        },
+    );
+    let (before, _) = handle_line(&platform, &why);
+
+    // a second document under the same id, with and without a pipeline,
+    // is refused before anything is stored
+    for pipeline in [&[][..], &["Normaliser"][..]] {
+        let refused = ingest("e", second, pipeline);
+        assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            code(&refused).as_deref(),
+            Some("execution-exists"),
+            "{pipeline:?}"
+        );
+    }
+    assert_eq!(
+        handle_line(&platform, &why).0,
+        before,
+        "the refusal changed the first execution"
+    );
+
+    // replay onto an id the daemon holds fails with the same code
+    let replay = request(vec![
+        ("op", Json::str("replay")),
+        ("exec", Json::str("e")),
+        ("as", Json::str("e")),
+        ("xml", Json::str(first)),
+        ("changed", Json::Arr(vec![Json::str("weblab://src/0")])),
+    ]);
+    let refused = Json::parse(&handle_line(&platform, &replay).0).unwrap();
+    assert_eq!(code(&refused).as_deref(), Some("execution-exists"));
+
+    // an execution evicted to the attached store is held too
+    let dir = std::env::temp_dir().join(format!("weblab-serve-exists-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    platform
+        .attach_store(weblab::platform::ProvStore::open(&dir).unwrap(), 1)
+        .unwrap();
+    assert_eq!(
+        ingest("f", second, &[]).get("ok").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert!(!platform.execution("e").is_resident());
+    assert_eq!(
+        code(&ingest("e", second, &[])).as_deref(),
+        Some("execution-exists")
+    );
+    assert_eq!(handle_line(&platform, &why).0, before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_is_flagged_and_sources_only_snapshots_serve() {
     let platform = serve_platform();
     let (_, stop) = handle_line(&platform, "{\"op\":\"shutdown\"}");
