@@ -1,8 +1,9 @@
 //! X12 — Live maintenance vs batch inference.
 //!
-//! Live provenance maintenance folds each committed call into a
-//! materialised link store from the orchestrator's call-completion hook
-//! (incremental channel map, shared pattern cache, O(delta) per call);
+//! Live provenance maintenance folds each committed call's delta into an
+//! epoch snapshot (graph plus reachability index) from the orchestrator's
+//! call-completion hook (incremental channel map, shared pattern cache,
+//! O(delta) inference per call);
 //! batch inference pays the whole cost once at the end. This experiment
 //! measures both totals over the same workloads. Expected shape: the
 //! summed cost of all live deltas stays within a small constant factor of
@@ -15,7 +16,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 
-use weblab_prov::{infer_provenance, EngineOptions, LiveProvenance};
+use weblab_prov::{
+    infer_provenance, EngineOptions, EpochSnapshot, ExecutionTrace, LiveProvenance,
+};
 use weblab_workflow::generator::synthetic_workload;
 use weblab_workflow::Orchestrator;
 
@@ -46,20 +49,22 @@ fn bench_live_vs_batch(c: &mut Criterion) {
             |b, &n| {
                 b.iter(|| {
                     let (mut doc, wf, rules) = synthetic_workload(1, n, 4, 5);
-                    let maintainer = Arc::new(Mutex::new(LiveProvenance::new(
-                        rules,
-                        EngineOptions::default(),
-                    )));
-                    let hook = Arc::clone(&maintainer);
+                    let producer = Mutex::new(
+                        LiveProvenance::new(rules, EngineOptions::default())
+                            .starting_at(&doc, &ExecutionTrace::default()),
+                    );
+                    let snap = Arc::new(Mutex::new(EpochSnapshot::empty()));
+                    let hook = Arc::clone(&snap);
                     let orch = Orchestrator::new().with_call_hook(Arc::new(
                         move |d, t, i| {
-                            hook.lock().unwrap().observe_call(d, t, i);
+                            let mut lp = producer.lock().unwrap();
+                            let delta = lp.observe_call(d, t, i);
+                            hook.lock().unwrap().fold(&delta, lp.calls_seen());
                         },
                     ));
-                    let outcome = orch.execute(&wf, &mut doc).unwrap();
-                    let mut lp = maintainer.lock().unwrap();
-                    lp.catch_up(&doc, &outcome.trace);
-                    black_box(lp.link_count())
+                    orch.execute(&wf, &mut doc).unwrap();
+                    let links = snap.lock().unwrap().graph.links.len();
+                    black_box(links)
                 });
             },
         );

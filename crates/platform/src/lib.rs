@@ -19,10 +19,11 @@
 //! 3. **Request management** — per-execution behaviour is grouped behind
 //!    the [`ExecutionHandle`] façade ([`Platform::execution`]). Each
 //!    execution caches one graph, a published epoch snapshot with its
-//!    reachability index; a stale snapshot asks the Mapper (or the live
-//!    maintainer) only for the calls it lacks and folds them in, and
-//!    structured queries ([`ProvQuery`]) answer from the index without
-//!    re-walking edge lists.
+//!    reachability index, and it is the execution's only link store: a
+//!    live execution's runs fold one delta per committed call into it from
+//!    a per-run producer, a stale snapshot asks the Mapper only for the
+//!    calls it lacks and folds them in, and structured queries
+//!    ([`ProvQuery`]) answer from the index without re-walking edge lists.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -7,10 +7,10 @@
 //! which returns an [`ExecutionHandle`] — the façade the CLI and the
 //! `weblab serve` query service are written against. The handle answers
 //! reachability queries from a published [`EpochSnapshot`] (a graph +
-//! [`ReachabilityIndex`] pair, the execution's one cached graph, which
-//! every committed live delta and every refresh advances by one epoch), so
-//! readers never wait for inference and never re-walk the edge list; a
-//! snapshot a reader holds never changes under it.
+//! [`ReachabilityIndex`] pair, the execution's one graph and link store,
+//! which every committed live delta and every refresh advances by one
+//! epoch), so readers never wait for inference and never re-walk the edge
+//! list; a snapshot a reader holds never changes under it.
 //!
 //! The original per-execution method sprawl (`provenance_graph`,
 //! `dependencies_of`, …) is gone: the handle is the one query surface,
@@ -200,10 +200,10 @@ pub struct Platform {
     services: RwLock<HashMap<String, Arc<dyn Service>>>,
     mapper: Mapper,
     fault: RwLock<FaultPolicy>,
-    /// Live provenance maintainers, per execution id, for executions where
-    /// live mode was enabled. Each is shared with the call-completion hook
-    /// of in-flight orchestrations.
-    live: RwLock<HashMap<String, Arc<Mutex<LiveProvenance>>>>,
+    /// Executions in live mode: each of their runs folds one delta per
+    /// committed call into the published snapshot. A flag survives
+    /// eviction, and a cold load sets it from the stored snapshot.
+    live: RwLock<HashSet<String>>,
     /// Per-execution reachability index state backing [`ExecutionHandle`]
     /// queries and the `weblab serve` daemon.
     index_states: RwLock<HashMap<String, Arc<IndexState>>>,
@@ -231,10 +231,9 @@ struct StoreState {
 /// live delta and every refresh folds into the snapshot in place through
 /// [`Arc::make_mut`], under the write lock; only while a reader still
 /// holds the epoch being advanced does the fold copy it first (counted
-/// under `platform.snapshot.copies`). Lock order is always *refresh, then
-/// maintainer, then snapshot*: deltas are computed (which may lock the
-/// [`LiveProvenance`] mutex) before the write lock is taken, and the call
-/// hook releases the maintainer before applying its delta here.
+/// under `platform.snapshot.copies`). Lock order is *refresh, then
+/// snapshot*: a refresh computes its delta before taking the write lock. A
+/// run's producer sits behind a mutex only its call hook ever locks.
 struct IndexState {
     snapshot: RwLock<Arc<EpochSnapshot>>,
     /// Serialises refreshes of a stale snapshot, so readers racing on one
@@ -264,9 +263,9 @@ impl IndexState {
         Arc::clone(&self.snapshot.read().expect("lock poisoned"))
     }
 
-    /// Fold a delta into the snapshot as the next epoch, bringing it to
-    /// `calls` folded calls, and return the result — the only way a
-    /// snapshot advances. Once epoch 1 is published, an empty delta that
+    /// Fold a delta into the snapshot as the next epoch
+    /// ([`EpochSnapshot::fold`]), bringing it to `calls` folded calls, and
+    /// return the result. Once epoch 1 is published, an empty delta that
     /// advances no call is a no-op; the first fold always publishes.
     fn apply_delta(&self, delta: &LiveDelta, calls: usize) -> Arc<EpochSnapshot> {
         let mut slot = self.snapshot.write().expect("lock poisoned");
@@ -276,44 +275,21 @@ impl IndexState {
         if Arc::get_mut(&mut slot).is_none() {
             SNAPSHOT_COPIES.inc();
         }
-        let snap = Arc::make_mut(&mut slot);
-        // A cold-loaded snapshot already carries the stored sources; a live
-        // catch-up delta may re-deliver them. URIs are unique within a
-        // document, so a row is new exactly when the index holds no label
-        // for its URI (links dedup inside add_links).
-        let fresh: Vec<_> = delta
-            .sources
-            .iter()
-            .filter(|s| snap.index.label_of(&s.uri).is_none())
-            .cloned()
-            .collect();
-        snap.index.add_sources(&fresh);
-        snap.index.add_links(&delta.links);
-        snap.graph.sources.extend(fresh);
-        snap.graph.add_links(delta.links.iter().cloned());
-        snap.calls = snap.calls.max(calls);
-        snap.epoch += 1;
+        Arc::make_mut(&mut slot).fold(delta, calls);
         Arc::clone(&slot)
     }
 
-    /// Adopt a snapshot reloaded from the disk store, publishing the
-    /// *exact* persisted epoch: serve responses embed the epoch, so a
-    /// cold-loaded execution must answer with the same epoch number (and
-    /// the same graph row order) it was saved at to stay byte-identical
-    /// with the resident path. Skipped when the snapshot already advanced
-    /// at least as far — a restore never rolls an index back.
-    fn restore(&self, graph: ProvenanceGraph, calls: usize, epoch: u64) {
-        let index = ReachabilityIndex::from_graph(&graph);
+    /// Publish a rebuilt snapshot: a cold load's, at its *exact* persisted
+    /// epoch (serve responses embed the epoch, so a cold-loaded execution
+    /// must answer with the epoch and graph row order it was saved at to
+    /// stay byte-identical with the resident path), or a failed live run's.
+    /// Skipped when the published one is as far along in epoch and calls.
+    fn restore(&self, snap: EpochSnapshot) {
         let mut slot = self.snapshot.write().expect("lock poisoned");
-        if slot.epoch >= epoch && slot.calls >= calls {
+        if slot.epoch >= snap.epoch && slot.calls >= snap.calls {
             return;
         }
-        *slot = Arc::new(EpochSnapshot {
-            epoch,
-            calls,
-            graph,
-            index,
-        });
+        *slot = Arc::new(snap);
     }
 
     /// The query engine over a snapshot's PROV-O export, cached per epoch
@@ -347,7 +323,7 @@ impl Platform {
             services: RwLock::new(HashMap::new()),
             mapper,
             fault: RwLock::new(FaultPolicy::default()),
-            live: RwLock::new(HashMap::new()),
+            live: RwLock::new(HashSet::new()),
             index_states: RwLock::new(HashMap::new()),
             store: RwLock::new(None),
         }
@@ -435,47 +411,54 @@ impl Platform {
             .repository
             .get(exec_id)
             .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let prior = self.traces.get(exec_id);
+        let prior = self.traces.get(exec_id).unwrap_or_default();
         let mut start = next_time(&doc);
-        if let Some(last) = prior.as_ref().and_then(|t| t.calls.last()) {
+        if let Some(last) = prior.calls.last() {
             start = start.max(last.time + 1);
         }
         let workflow = self.build_workflow(spec)?;
         let fault = self.fault.read().expect("lock poisoned").clone();
         let mut orch = Orchestrator::new().with_fault(fault);
-        let live = self.live.read().expect("lock poisoned").get(exec_id).cloned();
-        if let Some(maintainer) = &live {
-            let state = self.index_state(exec_id);
-            {
-                // Fold in anything recorded before live mode was enabled (or
-                // sources present before any call), then open a fresh segment:
-                // the orchestration below reports its calls from index 0. The
-                // catch-up delta is published like any other — maintainer
-                // lock released before the snapshot is touched — except
-                // that one with nothing to fold, before any call, opens no
-                // epoch: the run's first call does.
-                let (delta, calls) = {
-                    let mut lp = maintainer.lock().expect("lock poisoned");
-                    let folded = lp.calls_folded();
-                    let delta = lp.catch_up_from(&doc, &prior.unwrap_or_default(), folded);
-                    lp.new_segment();
-                    (delta, lp.calls_folded())
-                };
-                if !delta.is_empty() || calls > 0 {
-                    state.apply_delta(&delta, calls);
-                }
-            }
-            let hook_lp = Arc::clone(maintainer);
+        let rules = || self.catalog.read().expect("lock poisoned").rule_set();
+        let live = self.live_enabled_impl(exec_id).then(|| self.index_state(exec_id));
+        if let Some(state) = &live {
+            // Bring the snapshot up to the run's starting document and
+            // prior trace (dropping the refresh's hold, so the run's deltas
+            // fold in place), then fold one delta per committed call from a
+            // producer positioned there, which the orchestrator owns.
+            drop(self.refresh(exec_id, false)?);
+            let opts = match &self.mapper.strategy {
+                MapperStrategy::Native(opts) => *opts,
+                MapperStrategy::XQuery(_) => EngineOptions::default(),
+            };
+            let producer = Mutex::new(LiveProvenance::new(rules(), opts).starting_at(&doc, &prior));
+            let (state, base) = (Arc::clone(state), prior.len());
             orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
-                let (delta, calls) = {
-                    let mut lp = hook_lp.lock().expect("lock poisoned");
-                    let delta = lp.observe_call(doc, trace, idx);
-                    (delta, lp.calls_folded())
-                };
-                state.apply_delta(&delta, calls);
+                let mut lp = producer.lock().expect("lock poisoned");
+                let delta = lp.observe_call(doc, trace, idx);
+                state.apply_delta(&delta, base + lp.calls_seen());
             }));
         }
-        let outcome = orch.execute_starting_at(&workflow, &mut doc, start)?;
+        let outcome = match orch.execute_starting_at(&workflow, &mut doc, start) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                if let Some(state) = live.filter(|s| s.published().calls > prior.len()) {
+                    // The run folded calls the platform does not keep: publish
+                    // the graph of the kept document and trace at the next
+                    // epoch, rebuilt as a cold load rebuilds from its log.
+                    if let Some(kept) = self.repository.get(exec_id) {
+                        let graph = self.mapper.materialize(&kept, &prior, &rules())?;
+                        state.restore(EpochSnapshot {
+                            epoch: state.published().epoch + 1,
+                            calls: prior.len(),
+                            index: ReachabilityIndex::from_graph(&graph),
+                            graph,
+                        });
+                    }
+                }
+                return Err(e.into());
+            }
+        };
         // persist: document into the repository, calls into the trace store
         self.traces.put(exec_id, &outcome.trace);
         self.repository.put(exec_id, doc);
@@ -558,8 +541,8 @@ impl Platform {
         )?;
         // Register the result exactly as execute_spec persists a run:
         // calls into the trace store, document into the repository, then
-        // write-through. Live mode is inherited from the prior execution
-        // through the proven "enabled late" catch-up path.
+        // write-through. Live mode is inherited from the prior execution;
+        // the first refresh folds the replayed calls in.
         self.traces.put(new_id, &replayed.outcome.trace);
         if self.live_enabled_impl(prior_id) {
             self.enable_live_impl(new_id);
@@ -675,30 +658,16 @@ impl Platform {
             self.touch_lru(&ss, exec_id);
             return Ok(());
         }
-        let Some(stored) = ss.store.load(exec_id)? else {
+        let Some(mut stored) = ss.store.load(exec_id)? else {
             return Ok(());
         };
         // Rebuild in-memory state. The trace goes in first; the repository
         // entry is the residency signal, so it is published last.
         self.traces.put(exec_id, &stored.trace);
-        let state = self.index_state(exec_id);
-        match stored.snapshot {
-            Some(snap) => {
-                if snap.live && !self.live_enabled_impl(exec_id) {
-                    // Fresh maintainer; the next execution catches up on the
-                    // reloaded trace (the proven "live enabled late" path).
-                    self.enable_live_impl(exec_id);
-                }
-                state.restore(snap.graph, snap.calls, snap.epoch);
-            }
-            None => {
-                // No fresh snapshot survived (crash between log append and
-                // snapshot write): adopt the replayed log. Epochs restart.
-                let mut graph = ProvenanceGraph::from_view(&stored.doc.view());
-                graph.add_links(stored.links);
-                state.restore(graph, stored.trace.len(), 1);
-            }
+        if stored.snapshot.as_ref().is_some_and(|snap| snap.live) {
+            self.enable_live_impl(exec_id);
         }
+        self.index_state(exec_id).restore(stored.resume_snapshot());
         self.repository.put(exec_id, stored.doc);
         self.touch_lru(&ss, exec_id);
         drop(_guard);
@@ -751,7 +720,6 @@ impl Platform {
             self.persist_through(exec_id)?;
             self.repository.remove(exec_id);
             self.traces.remove(exec_id);
-            self.live.write().expect("lock poisoned").remove(exec_id);
             self.index_states.write().expect("lock poisoned").remove(exec_id);
             EVICTIONS.inc();
         }
@@ -764,38 +732,38 @@ impl Platform {
     }
 
     fn enable_live_impl(&self, exec_id: &str) {
-        let rules = self.catalog.read().expect("lock poisoned").rule_set();
-        let opts = match &self.mapper.strategy {
-            MapperStrategy::Native(opts) => *opts,
-            MapperStrategy::XQuery(_) => EngineOptions::default(),
-        };
-        self.live.write().expect("lock poisoned").insert(
-            exec_id.to_string(),
-            Arc::new(Mutex::new(LiveProvenance::new(rules, opts))),
-        );
+        self.live.write().expect("lock poisoned").insert(exec_id.to_string());
     }
 
+    /// The live flag of a resident (or once resident) execution; for one
+    /// not resident, the stored snapshot's `live:` header, read without a
+    /// cold load.
     fn live_enabled_impl(&self, exec_id: &str) -> bool {
-        self.live.read().expect("lock poisoned").contains_key(exec_id)
+        self.live.read().expect("lock poisoned").contains(exec_id)
+            || (self.repository.with(exec_id, |_| ()).is_none()
+                && self.store_state().is_some_and(|ss| ss.store.stored_live(exec_id)))
     }
 
-    fn live_provenance_impl(&self, exec_id: &str) -> Option<Arc<Mutex<LiveProvenance>>> {
-        self.live.read().expect("lock poisoned").get(exec_id).cloned()
-    }
-
-    /// A current [`EpochSnapshot`] of the execution: the published one if
-    /// it already covers every recorded call, else a refresh that folds
-    /// in what it lacks as one delta. A snapshot published mid-execution by
-    /// the live hook runs *ahead* of the trace store (calls reach it only
-    /// after orchestration), which is why freshness is
-    /// `snapshot.calls >= trace len`, not equality.
+    /// A current [`EpochSnapshot`] of the execution — see
+    /// [`Platform::refresh`].
     fn snapshot_impl(&self, exec_id: &str) -> Result<Arc<EpochSnapshot>, PlatformError> {
         self.ensure_resident(exec_id)?;
         if self.repository.with(exec_id, |_| ()).is_none() {
             return Err(PlatformError::UnknownExecution(exec_id.to_string()));
         }
+        self.refresh(exec_id, true)
+    }
+
+    /// The published snapshot if it already covers every recorded call,
+    /// else a refresh that folds in what it lacks as one delta. A snapshot
+    /// published mid-execution by the live hook runs *ahead* of the trace
+    /// store (calls reach it only after orchestration), which is why
+    /// freshness is `snapshot.calls >= trace len`, not equality. A reader's
+    /// refresh always publishes, so epoch 1 at least; a live run's start
+    /// publishes only a delta that adds something.
+    fn refresh(&self, exec_id: &str, reader: bool) -> Result<Arc<EpochSnapshot>, PlatformError> {
         let state = self.index_state(exec_id);
-        let trace_len = self.traces.get(exec_id).map(|t| t.len()).unwrap_or(0);
+        let trace_len = self.traces.call_count(exec_id);
         let fresh = |snap: &EpochSnapshot| snap.epoch > 0 && snap.calls >= trace_len;
         let snap = state.published();
         if fresh(&snap) {
@@ -814,35 +782,24 @@ impl Platform {
             .get(exec_id)
             .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
         let trace = self.traces.get(exec_id).unwrap_or_default();
-        // The delta holds only the calls the snapshot lacks: the live
-        // maintainer's catch-up, or else the Mapper's links for the calls
-        // past the snapshot plus the Source rows it does not hold yet.
-        let (delta, calls) = match self.live_provenance_impl(exec_id) {
-            Some(maintainer) => {
-                let mut lp = maintainer.lock().expect("lock poisoned");
-                let folded = lp.calls_folded();
-                let delta = lp.catch_up_from(&doc, &trace, folded);
-                (delta, lp.calls_folded())
-            }
-            None => {
-                let links = if trace.len() > snap.calls {
-                    let rules = self.catalog.read().expect("lock poisoned").rule_set();
-                    self.mapper
-                        .materialize_since(&doc, &trace, snap.calls, &rules)?
-                } else {
-                    Vec::new()
-                };
-                let sources = ProvenanceGraph::from_view(&doc.view())
-                    .sources
-                    .into_iter()
-                    .filter(|s| snap.index.label_of(&s.uri).is_none())
-                    .collect();
-                (LiveDelta { links, sources }, trace.len())
-            }
+        // The delta holds only what the snapshot lacks: the Mapper's links
+        // for the calls past it plus the Source rows it does not hold yet.
+        let links = if trace.len() > snap.calls {
+            let rules = self.catalog.read().expect("lock poisoned").rule_set();
+            self.mapper.materialize_since(&doc, &trace, snap.calls, &rules)?
+        } else {
+            Vec::new()
         };
+        let delta = LiveDelta {
+            links,
+            sources: snap.missing_sources(&doc),
+        };
+        if !reader && delta.is_empty() && trace.len() <= snap.calls {
+            return Ok(snap);
+        }
         // Release this reader's hold, so the fold need not copy the epoch.
         drop(snap);
-        Ok(state.apply_delta(&delta, calls))
+        Ok(state.apply_delta(&delta, trace.len()))
     }
 }
 
@@ -937,22 +894,17 @@ impl ExecutionHandle<'_> {
             .replay_execution(&self.id, new_id, changed, changed_uris, proof)
     }
 
-    /// Switch this execution to live provenance maintenance: every
-    /// committed call is folded into the link store *and* the reachability
-    /// index as it happens, publishing a new [`EpochSnapshot`] per delta.
+    /// Switch this execution to live provenance: every committed call of
+    /// its later runs is folded into the published [`EpochSnapshot`] as it
+    /// happens, one epoch per delta.
     pub fn enable_live(&self) {
         self.platform.enable_live_impl(&self.id);
     }
 
-    /// Whether live maintenance is enabled.
+    /// Whether live mode is enabled — for an execution not resident, as
+    /// its stored snapshot records it.
     pub fn live_enabled(&self) -> bool {
         self.platform.live_enabled_impl(&self.id)
-    }
-
-    /// The live maintainer, shared with any in-flight orchestration's hook
-    /// — lock it to inspect mid-execution state.
-    pub fn live(&self) -> Option<Arc<Mutex<LiveProvenance>>> {
-        self.platform.live_provenance_impl(&self.id)
     }
 
     /// The current snapshot's provenance graph (see
@@ -1091,11 +1043,6 @@ mod tests {
     fn assert_same_graph(got: &ProvenanceGraph, want: &ProvenanceGraph) {
         assert_eq!(got.links, want.links);
         assert_eq!(got.sources, want.sources);
-    }
-
-    /// The maintainer's own link store, as a batch-style graph.
-    fn maintainer_graph(exec: &ExecutionHandle<'_>) -> ProvenanceGraph {
-        exec.live().unwrap().lock().unwrap().to_provenance_graph()
     }
 
     #[test]
@@ -1257,10 +1204,12 @@ mod tests {
                 WorkflowSpec::sequence(&["Translator"]),
             ]);
         p.execute_spec("e", &spec).unwrap();
-        let live = maintainer_graph(&exec);
-        assert_same_graph(&live, &oracle(&p, "e"));
-        assert_same_graph(&exec.graph().unwrap(), &live);
-        assert!(!live.links.is_empty());
+        // what the live deltas published, before any reader's refresh
+        let live = p.index_state("e").published();
+        assert_eq!(live.calls, 3);
+        assert_same_graph(&live.graph, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live.graph);
+        assert!(!live.graph.links.is_empty());
     }
 
     #[test]
@@ -1293,12 +1242,11 @@ mod tests {
         p.execute("e", &["Normaliser"]).unwrap();
         exec.enable_live(); // after one call already recorded
         p.execute("e", &["LanguageExtractor", "Translator"]).unwrap();
-        let live = maintainer_graph(&exec);
-        assert_same_graph(&live, &oracle(&p, "e"));
-        assert_same_graph(&exec.graph().unwrap(), &live);
+        let live = p.index_state("e").published();
+        assert_same_graph(&live.graph, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live.graph);
         let trace = p.traces.get("e").unwrap();
-        let lp = exec.live().unwrap();
-        assert_eq!(lp.lock().unwrap().calls_folded(), trace.calls.len());
+        assert_eq!(live.calls, trace.calls.len());
     }
 
     #[test]
@@ -1312,11 +1260,10 @@ mod tests {
         exec.ingest(generate_corpus(2, 1, 15));
         exec.enable_live();
         p.execute("e", &["Normaliser", "Flaky", "LanguageExtractor"]).unwrap();
-        let live = maintainer_graph(&exec);
-        assert_same_graph(&live, &oracle(&p, "e"));
+        let live = p.index_state("e").published();
+        assert_same_graph(&live.graph, &oracle(&p, "e"));
         // only committed calls were folded in — one per workflow step
-        let lp = exec.live().unwrap();
-        assert_eq!(lp.lock().unwrap().calls_folded(), 3);
+        assert_eq!(live.calls, 3);
     }
 
     #[test]
@@ -1326,7 +1273,6 @@ mod tests {
         exec.ingest(generate_corpus(2, 1, 15));
         p.execute("e", &["Normaliser"]).unwrap();
         assert!(!exec.live_enabled());
-        assert!(exec.live().is_none());
         let batch = oracle(&p, "e");
         let l = &batch.links[0];
         assert!(exec.deps(&l.from_uri).unwrap().contains(&l.to_uri));
@@ -1428,7 +1374,6 @@ mod tests {
         assert!(snap.epoch >= 2, "epoch {} after two live calls", snap.epoch);
         assert_eq!(snap.calls, 2);
         // the published snapshot IS the live graph, which is the batch graph
-        assert_same_graph(&snap.graph, &maintainer_graph(&exec));
         assert_same_graph(&snap.graph, &oracle(&p, "e"));
         // freshness: querying again serves the same snapshot
         let again = exec.snapshot().unwrap();
@@ -1558,13 +1503,13 @@ mod tests {
         exec.execute(&["Normaliser"]).unwrap();
         assert!(exec.evict().unwrap());
 
-        // The cold load restores the stored Source table under a fresh
-        // maintainer, whose catch-up delta re-delivers every stored row.
+        // The cold load restores the stored snapshot and the live flag; the
+        // next run's producer starts where that snapshot stands.
         exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
         assert!(exec.live_enabled(), "live mode survives eviction");
-        let live = maintainer_graph(&exec);
-        assert_same_graph(&live, &oracle(&p, "e"));
-        assert_same_graph(&exec.graph().unwrap(), &live);
+        let live = p.index_state("e").published();
+        assert_same_graph(&live.graph, &oracle(&p, "e"));
+        assert_same_graph(&exec.graph().unwrap(), &live.graph);
         // The published Source table took no re-delivered row twice and
         // equals that of an execution that stayed resident throughout.
         let sources = exec.snapshot().unwrap().graph.sources.clone();
@@ -1580,6 +1525,55 @@ mod tests {
         r.execute(&["LanguageExtractor", "Translator"]).unwrap();
         assert_eq!(sources, r.snapshot().unwrap().graph.sources);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_evicted_live_execution_ends_like_a_resident_one() {
+        let run = |p: &Platform, evict: bool| {
+            let exec = p.execution("e");
+            exec.ingest(generate_corpus(3, 1, 20));
+            exec.enable_live();
+            exec.execute(&["Normaliser"]).unwrap();
+            if evict {
+                assert!(exec.evict().unwrap());
+            }
+            exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
+            exec.snapshot().unwrap()
+        };
+        let resident = run(&platform(), false);
+        let p = platform();
+        let dir = tmpstore("parity");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+        let evicted = run(&p, true);
+        // the store-backed ingest and the cold load publish nothing a
+        // resident run does not: same epoch, same graph, same Source table
+        assert_eq!((evicted.epoch, evicted.calls), (resident.epoch, resident.calls));
+        assert_eq!(resident.epoch, 4, "sources, then one epoch per live call");
+        assert_same_graph(&evicted.graph, &resident.graph);
+        assert_same_graph(&evicted.graph, &oracle(&p, "e"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_live_run_publishes_the_kept_state() {
+        use weblab_workflow::services::Flaky;
+        let p = platform();
+        p.register_service(Arc::new(Flaky::failing(100)), &[]).unwrap();
+        let exec = p.execution("e");
+        exec.ingest(generate_corpus(3, 1, 20));
+        exec.enable_live();
+        let before = exec.snapshot().unwrap().epoch;
+        // the two committed calls' deltas were folded before the third
+        // step failed, and the platform keeps neither call
+        assert!(exec.execute(&["Normaliser", "LanguageExtractor", "Flaky"]).is_err());
+        let failed = exec.snapshot().unwrap();
+        assert_eq!(failed.calls, 0);
+        assert_eq!(failed.epoch, before + 3, "two deltas, then the republish");
+        assert_same_graph(&failed.graph, &oracle(&p, "e"));
+        exec.execute(&["Normaliser"]).unwrap();
+        let clean = exec.snapshot().unwrap();
+        assert_eq!(clean.calls, 1);
+        assert_same_graph(&clean.graph, &oracle(&p, "e"));
     }
 
     #[test]

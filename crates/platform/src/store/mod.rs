@@ -35,8 +35,8 @@
 //!   [`ProvStore::compact`] seals into a numbered segment; when sealed
 //!   segments pile up they are folded into one.
 //! * **Snapshots** ([`snapshot`]) serialise the published
-//!   [`EpochSnapshot`](weblab_prov::EpochSnapshot)'s graph together with
-//!   its epoch and call count. Only the newest snapshot is kept.
+//!   [`EpochSnapshot`]'s graph together with its epoch and call count.
+//!   Only the newest snapshot is kept.
 //! * **Resume points** ([`resume`]) record how far an unfinished CLI run
 //!   got, which the log cannot say; the run removes its own when it
 //!   completes.
@@ -61,7 +61,9 @@ pub use resume::ResumePoint;
 use segment::{SegmentCall, SegmentData};
 use snapshot::SnapshotData;
 use weblab_obs::Counter;
-use weblab_prov::{CallRecord, ExecutionTrace, ProvLink, ProvenanceGraph};
+use weblab_prov::{
+    CallRecord, EpochSnapshot, ExecutionTrace, ProvLink, ProvenanceGraph, ReachabilityIndex,
+};
 use weblab_xml::{parse_document, to_xml_string, Document};
 
 static SEGMENTS: Counter = Counter::new("store.segments");
@@ -107,6 +109,25 @@ pub struct StoredExecution {
     pub links: Vec<ProvLink>,
     /// The newest snapshot, if it is fresh (covers the whole trace).
     pub snapshot: Option<SnapshotData>,
+}
+
+impl StoredExecution {
+    /// The epoch snapshot the execution continues from: the stored one if
+    /// it is fresh, else the log replayed onto the document's Source table
+    /// at epoch 1 (epochs restart). What a cold load publishes and a
+    /// resumed `weblab run` folds its calls into.
+    pub fn resume_snapshot(&mut self) -> EpochSnapshot {
+        let (graph, epoch) = match self.snapshot.take() {
+            Some(snap) => (snap.graph, snap.epoch),
+            None => {
+                let mut graph = ProvenanceGraph::from_view(&self.doc.view());
+                graph.add_links(std::mem::take(&mut self.links));
+                (graph, 1)
+            }
+        };
+        let (calls, index) = (self.trace.len(), ReachabilityIndex::from_graph(&graph));
+        EpochSnapshot { epoch, calls, graph, index }
+    }
 }
 
 /// The disk-backed sharded provenance store.
@@ -206,6 +227,13 @@ impl ProvStore {
     /// Does the store hold an execution with this id?
     pub fn contains(&self, exec_id: &str) -> bool {
         self.doc_path(exec_id).exists()
+    }
+
+    /// Whether the newest stored snapshot of `exec_id` was taken in live
+    /// mode: its `live:` header, read without loading the execution.
+    pub fn stored_live(&self, exec_id: &str) -> bool {
+        let (_, snaps, _) = self.scan_files(exec_id);
+        snaps.last().is_some_and(|&e| snapshot::read_live(&self.snapshot_path(exec_id, e)))
     }
 
     /// All execution ids present in the store, sorted.

@@ -29,6 +29,7 @@
 //! # end uris=1 sources=1 links=1
 //! ```
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use super::file::{escape_field, unescape_field, write_atomic, PersistError};
@@ -235,6 +236,15 @@ fn parse_footer(rest: &str) -> Option<(usize, usize, usize)> {
 /// Write a snapshot to `path` atomically.
 pub fn write(path: &Path, exec_id: &str, data: &SnapshotData) -> Result<(), PersistError> {
     write_atomic(path, &encode(exec_id, data))
+}
+
+/// The `live:` header of the snapshot at `path` (the fifth line), read
+/// without the body; `false` when the file cannot be read.
+pub fn read_live(path: &Path) -> bool {
+    std::fs::File::open(path).is_ok_and(|file| {
+        let mut header = BufReader::new(file).lines().take(5).map_while(Result::ok);
+        header.any(|line| line.trim() == "live: 1")
+    })
 }
 
 /// Read the snapshot at `path`, verifying its footer.

@@ -59,6 +59,34 @@ fn save_load_round_trips_trace_links_and_snapshot() {
 }
 
 #[test]
+fn the_live_header_reads_without_a_load_and_resume_snapshots_fall_back_to_the_log() {
+    let (doc, trace, graph) = executed(22);
+    let store = ProvStore::open(tmpstore("live-header")).unwrap();
+    assert!(!store.stored_live("live"), "no such execution");
+    store.save("live", &doc, &trace, &graph, 3, true).unwrap();
+    store.save("batch", &doc, &trace, &graph, 3, false).unwrap();
+    assert!(store.stored_live("live"));
+    assert!(!store.stored_live("batch"));
+
+    // a fresh stored snapshot is taken as it is, at its epoch
+    let mut stored = store.load("live").unwrap().expect("stored");
+    let snap = stored.resume_snapshot();
+    assert_eq!((snap.epoch, snap.calls), (3, trace.len()));
+    assert_eq!(snap.graph.links, graph.links);
+    assert_eq!(snap.index.edge_count(), graph.links.len());
+    // without one, the log is replayed onto the document's Source table at
+    // epoch 1
+    std::fs::remove_file(store.snapshot_path("live", 3)).unwrap();
+    let mut replayed = ProvStore::open(store.root()).unwrap().load("live").unwrap().unwrap();
+    assert!(replayed.snapshot.is_none());
+    let snap = replayed.resume_snapshot();
+    assert_eq!((snap.epoch, snap.calls), (1, trace.len()));
+    assert_eq!(snap.graph.links, graph.links);
+    assert_eq!(snap.graph.sources, ProvenanceGraph::from_view(&doc.view()).sources);
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
 fn ids_shard_and_never_collide() {
     let (doc_a, trace_a, graph_a) = executed(5);
     let (doc_b, trace_b, graph_b) = executed(17);

@@ -55,6 +55,12 @@ impl TraceStore {
         self.traces.read().expect("lock poisoned").get(exec_id).cloned()
     }
 
+    /// Recorded calls of an execution, counted without cloning its trace
+    /// or counting a read: the snapshot freshness check.
+    pub fn call_count(&self, exec_id: &str) -> usize {
+        self.traces.read().expect("lock poisoned").get(exec_id).map_or(0, ExecutionTrace::len)
+    }
+
     /// Drop an execution's trace (LRU eviction by the platform's store
     /// layer). Returns whether anything was removed.
     pub fn remove(&self, exec_id: &str) -> bool {
@@ -87,6 +93,7 @@ mod tests {
         let t = store.get("e1").unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.calls[1].service, "Translator");
+        assert_eq!((store.call_count("e1"), store.call_count("e2")), (2, 0));
         assert!(store.remove("e1"));
         assert!(store.get("e1").is_none());
         assert!(!store.remove("e1"));

@@ -133,7 +133,7 @@ impl Default for EngineOptions {
 }
 
 /// Read-only evaluation state shared by every unit of one inference run:
-/// the pattern cache (borrowed, so a live maintainer can carry one cache
+/// the pattern cache (borrowed, so a live producer can carry one cache
 /// across many per-delta runs), and the element index built lazily by
 /// whichever worker first needs it (all others block on the `OnceLock` and
 /// then share it read-only).
@@ -234,11 +234,11 @@ pub fn infer_links_since(
 /// [`infer_links_since`] with caller-owned evaluation state: the channel
 /// map and the pattern cache are passed in instead of being rebuilt per
 /// invocation. This is the live-maintenance entry point
-/// ([`crate::live::LiveProvenance`]): a maintainer processing one delta per
+/// ([`crate::live::LiveProvenance`]): a producer deriving one delta per
 /// call keeps the channel map incrementally updated (O(delta) instead of
 /// the O(trace) rebuild `trace.channel_map()` performs) and carries one
-/// [`PatternCache`] across deltas so evaluations against unchanged document
-/// states are reused.
+/// [`PatternCache`] across a run's deltas so evaluations against unchanged
+/// document states are reused.
 ///
 /// The caller's `channel_map` must cover at least every produced node of
 /// `trace.calls[..first_call + processed]` — for a prefix map this is

@@ -17,7 +17,7 @@
 //!   intersections instead of breadth-first searches.
 //! * **Incremental maintenance** — [`ReachabilityIndex::add_link`] extends
 //!   both encodings in time proportional to the affected closure rows, so a
-//!   live maintainer's per-call deltas never force a rebuild.
+//!   live run's per-call deltas never force a rebuild.
 //!
 //! The index is pinned by the `prov.index.{builds,hits,traversals}`
 //! counter family: `builds` counts full index constructions, `hits` counts
@@ -30,16 +30,18 @@
 //!
 //! [`EpochSnapshot`] bundles an index with the graph it was built from and
 //! a monotone epoch, the unit of the serving layer's copy-on-write scheme:
-//! every committed delta advances the published snapshot by one epoch, and
-//! readers query whichever snapshot they hold without blocking ingestion.
+//! every committed delta advances the published snapshot by one epoch
+//! through [`EpochSnapshot::fold`], and readers query whichever snapshot
+//! they hold without blocking ingestion.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use weblab_obs::Counter;
-use weblab_xml::{CallLabel, NodeId};
+use weblab_xml::{CallLabel, Document, NodeId};
 
 use crate::algebra::ProvLink;
 use crate::graph::{ProvenanceGraph, SourceEntry};
+use crate::live::LiveDelta;
 
 /// Full index constructions (initial builds and rebuild-from-scratch).
 static INDEX_BUILDS: Counter = Counter::new("prov.index.builds");
@@ -432,9 +434,11 @@ impl ReachabilityIndex {
 ///
 /// This is the unit of the serving layer's concurrency scheme: the platform
 /// keeps one `Arc<EpochSnapshot>` per execution and folds every committed
-/// delta into it through `Arc::make_mut` — in place when no reader holds
-/// it, on a copy when one does. Readers clone the `Arc` and answer from a
-/// graph that stays fixed while ingestion keeps moving.
+/// delta into it ([`EpochSnapshot::fold`]) through `Arc::make_mut` — in
+/// place when no reader holds it, on a copy when one does. Readers clone
+/// the `Arc` and answer from a graph that stays fixed while ingestion
+/// keeps moving. A live `weblab run` folds into its own snapshot the same
+/// way and stores it.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// Monotone snapshot version (bumped once per published refresh).
@@ -457,6 +461,36 @@ impl EpochSnapshot {
             graph: ProvenanceGraph::default(),
             index: ReachabilityIndex::default(),
         }
+    }
+
+    /// Fold a delta in as the next epoch, bringing the snapshot to `calls`
+    /// folded calls — the one way a snapshot advances. A Source row is new
+    /// exactly when the index holds no label for its URI (URIs are unique
+    /// within a document); links the snapshot holds already are skipped.
+    pub fn fold(&mut self, delta: &LiveDelta, calls: usize) {
+        let fresh: Vec<SourceEntry> = delta
+            .sources
+            .iter()
+            .filter(|s| self.index.label_of(&s.uri).is_none())
+            .cloned()
+            .collect();
+        self.index.add_sources(&fresh);
+        self.index.add_links(&delta.links);
+        self.graph.sources.extend(fresh);
+        self.graph.add_links(delta.links.iter().cloned());
+        self.calls = self.calls.max(calls);
+        self.epoch += 1;
+    }
+
+    /// The Source rows of `doc` this snapshot holds no label for, in
+    /// registration order — what a refresh delivers beside the links of
+    /// the calls the snapshot lacks.
+    pub fn missing_sources(&self, doc: &Document) -> Vec<SourceEntry> {
+        ProvenanceGraph::from_view(&doc.view())
+            .sources
+            .into_iter()
+            .filter(|s| self.index.label_of(&s.uri).is_none())
+            .collect()
     }
 }
 

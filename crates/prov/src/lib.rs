@@ -23,8 +23,9 @@
 //!   epoch snapshots the query service serves from;
 //! * [`rank`] — spreading-activation ranked analytics (bounded top-k
 //!   relevance over the index) and traversal-free aggregate summaries;
-//! * [`live`] — per-call incremental maintenance of that storage
-//!   ([`LiveProvenance`]), fed by the orchestrator's call-completion hook;
+//! * [`live`] — per-run producers of per-call provenance deltas
+//!   ([`LiveProvenance`]), fed by the orchestrator's call-completion hook
+//!   and folded into an [`EpochSnapshot`];
 //! * [`views`] — provenance views over composite service modules;
 //! * parallel-execution support: control-flow channels on call records
 //!   ([`CallRecord::channel`], [`channels_compatible`]) with visibility

@@ -1,17 +1,24 @@
-//! Live provenance maintenance — per-call incremental inference.
+//! Live provenance — per-call incremental inference.
 //!
 //! The paper's Request Manager computes provenance *on demand* over the
 //! final document. [`LiveProvenance`] turns that posthoc computation into a
 //! streaming one: after every committed service call it derives just that
-//! call's links ([`infer_links_since_cached`]) and merges them into a
-//! mutable [`CompactGraph`], and each [`LiveDelta`] it returns carries the
-//! new links and Source rows to whoever answers queries — the serving
-//! layer folds them into its reachability index, so "what does resource R
-//! depend on?" is answerable *while the workflow is still running*.
+//! call's links ([`infer_links_since_cached`]) and returns them, with the
+//! Source rows registered since, as a [`LiveDelta`]. It keeps no link store
+//! of its own: each delta is folded into the one graph readers query, an
+//! [`EpochSnapshot`](crate::EpochSnapshot) (through
+//! [`EpochSnapshot::fold`](crate::EpochSnapshot::fold)), so "what does
+//! resource R depend on?" is answerable *while the workflow is still
+//! running*.
 //! Soundness rests on the append-only delta law pinned in the engine tests
 //! (`links(0..n) = links(0..k) ∪ links(k..n)`): earlier calls' links are
 //! never invalidated by later appends, so the union of the per-call deltas
 //! is exactly the batch graph.
+//!
+//! A producer serves one run. It is created once its snapshot already
+//! covers the run's starting document and prior trace, positioned there
+//! ([`LiveProvenance::starting_at`]), and dropped when the run ends; the
+//! run's own calls are observed from index 0 of the run's trace.
 //!
 //! Per-delta work never re-infers calls already folded:
 //!
@@ -19,13 +26,14 @@
 //!   incrementally from the newly observed calls instead of being rebuilt
 //!   from the whole trace — the rebuild is what made a naive
 //!   `infer_links_since` loop O(n²) over a live run, and the
-//!   `prov.trace.channel_map.builds` counter pins its absence;
-//! * one [`PatternCache`] is carried across deltas, so evaluations keyed to
-//!   unchanged document states are reused (the replay strategy's input
-//!   state of call *k+1* is the output state of call *k*);
+//!   `prov.trace.channel_map.builds` counter pins its absence. Positioning
+//!   a producer feeds the prior calls through the same update once per run;
+//! * one [`PatternCache`] is carried across the run's deltas, so
+//!   evaluations keyed to unchanged document states are reused (the replay
+//!   strategy's input state of call *k+1* is the output state of call *k*);
 //! * the delta itself covers only the new calls — historical calls are
-//!   never re-inferred — and [`CompactGraph::merge_link`] touches only the
-//!   adjacency lists of the delta's endpoints.
+//!   never re-inferred — and the fold touches only the index rows of the
+//!   delta's endpoints.
 //!
 //! It is still not O(delta). Under the default `TemporalRewrite` strategy
 //! (and `GroupedSinglePass`) a delta evaluates the new calls' rules over
@@ -46,7 +54,7 @@
 //! folds in only the calls a snapshot lacks): a delta is evaluated against
 //! the document state at observation time. Resources *promoted* by later calls onto nodes nested under an
 //! earlier link endpoint can extend the batch graph's inherited links in
-//! ways a live maintainer has already missed; workloads that register
+//! ways a live run has already missed; workloads that register
 //! resources when their nodes are created (every service in this repo) are
 //! unaffected. See DESIGN.md §9.
 
@@ -58,26 +66,25 @@ use weblab_xml::{Document, NodeId};
 use crate::algebra::ProvLink;
 use crate::cache::PatternCache;
 use crate::engine::{infer_links_since_cached, EngineOptions};
-use crate::graph::{ProvenanceGraph, SourceEntry};
+use crate::graph::SourceEntry;
 use crate::ruleset::RuleSet;
-use crate::storage::CompactGraph;
-use crate::trace::ExecutionTrace;
+use crate::trace::{CallRecord, ExecutionTrace};
 
-/// Deltas observed (one per committed call, or one per catch-up batch).
+/// Deltas observed (one per committed call).
 static LIVE_DELTAS: Counter = Counter::new("live.deltas");
-/// New links merged into the live graph across all deltas.
+/// Links carried by deltas.
 static LIVE_LINKS: Counter = Counter::new("live.links");
-/// Wall time of one delta (inference + merge), in nanoseconds.
+/// Wall time of one delta's inference, in nanoseconds.
 static LIVE_MERGE_NS: Histogram = Histogram::new("live.merge_ns");
 
-/// The increment contributed by one observed delta: the links that were
-/// actually new to the graph and the Source-table rows registered since
-/// the previous delta (including promotions and initial acquisition
-/// resources — everything `ProvenanceGraph::from_view` would list).
+/// The increment contributed by one observed delta, or by a snapshot
+/// refresh: links and the Source-table rows registered since the previous
+/// delta (including promotions and initial acquisition resources —
+/// everything `ProvenanceGraph::from_view` would list).
 #[derive(Debug, Clone, Default)]
 pub struct LiveDelta {
-    /// Newly merged dependency links, sorted (already deduplicated against
-    /// the accumulated graph).
+    /// The dependency links the delta's calls derive, sorted. The fold
+    /// skips any the snapshot already holds.
     pub links: Vec<ProvLink>,
     /// Newly registered labelled resources, in registration order.
     pub sources: Vec<SourceEntry>,
@@ -90,53 +97,57 @@ impl LiveDelta {
     }
 }
 
-/// Incrementally maintained provenance of one running execution.
+/// The per-run delta producer of one live execution: inference state only
+/// (rules, options, pattern cache, channel map) and its position in the
+/// run's trace and in the document's resource log.
 #[derive(Debug)]
 pub struct LiveProvenance {
     rules: RuleSet,
     opts: EngineOptions,
-    /// Pattern cache carried across deltas.
+    /// Pattern cache carried across the run's deltas.
     cache: PatternCache,
     /// Incrementally maintained produced-node → channel map (never rebuilt
     /// from the whole trace).
     channel_map: HashMap<NodeId, String>,
-    /// The accumulated link store.
-    graph: CompactGraph,
-    /// The accumulated Source table, in registration order.
-    sources: Vec<SourceEntry>,
-    /// Calls of the *current trace segment* already folded in.
+    /// Calls of the run's trace already observed.
     calls_seen: usize,
-    /// Calls folded in across every segment of the execution's lifetime.
-    folded_total: usize,
     /// Length of the document's resource log already scanned for Source
     /// rows.
     resources_seen: usize,
 }
 
 impl LiveProvenance {
-    /// A maintainer for an execution governed by `rules`, inferring deltas
-    /// with `opts`.
+    /// A producer inferring deltas under `rules` with `opts`, positioned at
+    /// an empty document and trace: its first delta lists every Source row
+    /// registered so far.
     pub fn new(rules: RuleSet, opts: EngineOptions) -> Self {
         LiveProvenance {
             rules,
             opts,
             cache: PatternCache::new(),
             channel_map: HashMap::new(),
-            graph: CompactGraph::default(),
-            sources: Vec::new(),
             calls_seen: 0,
-            folded_total: 0,
             resources_seen: 0,
         }
     }
 
-    /// Fold in the committed call `trace.calls[call_idx]` (and any earlier
+    /// Position the producer where its snapshot already stands: past
+    /// `doc`'s registered resources and past the calls of `prior`, the
+    /// execution's trace before this run (whose channels it records).
+    pub fn starting_at(mut self, doc: &Document, prior: &ExecutionTrace) -> Self {
+        self.extend_channel_map(&prior.calls);
+        self.resources_seen = doc.resource_nodes().len();
+        self
+    }
+
+    /// Derive the committed call `trace.calls[call_idx]` (and any earlier
     /// calls not yet observed), given the document state at its completion.
-    /// Idempotent: re-observing an already-folded index is a no-op.
+    /// Idempotent: re-observing an already-observed index yields an empty
+    /// delta.
     ///
     /// This is the orchestrator call-hook entry point: the hook fires only
     /// for *committed* calls — rolled-back and skipped attempts never reach
-    /// the maintainer, so they leave zero residue in the link store.
+    /// the producer, so they leave zero residue in the snapshot.
     pub fn observe_call(
         &mut self,
         doc: &Document,
@@ -147,19 +158,10 @@ impl LiveProvenance {
         if upto <= self.calls_seen {
             return LiveDelta::default();
         }
-        let span = (self.opts.metrics && weblab_obs::enabled())
-            .then(|| Span::start(&LIVE_MERGE_NS));
-        // O(delta) channel-map maintenance: only the new calls' produced
-        // nodes are inserted.
-        for call in &trace.calls[self.calls_seen..upto] {
-            if call.channel.is_empty() {
-                continue;
-            }
-            for &n in &call.produced {
-                self.channel_map.insert(n, call.channel.clone());
-            }
-        }
-        let derived = infer_links_since_cached(
+        let span =
+            (self.opts.metrics && weblab_obs::enabled()).then(|| Span::start(&LIVE_MERGE_NS));
+        self.extend_channel_map(&trace.calls[self.calls_seen..upto]);
+        let links = infer_links_since_cached(
             doc,
             trace,
             self.calls_seen,
@@ -168,13 +170,6 @@ impl LiveProvenance {
             &self.channel_map,
             &self.cache,
         );
-        let mut links = Vec::with_capacity(derived.len());
-        for l in derived {
-            if self.graph.merge_link(&l) {
-                links.push(l);
-            }
-        }
-        self.folded_total += upto - self.calls_seen;
         self.calls_seen = upto;
         let sources = self.absorb_sources(doc);
         if self.opts.metrics {
@@ -185,47 +180,18 @@ impl LiveProvenance {
         LiveDelta { links, sources }
     }
 
-    /// Fold in every not-yet-observed call of `trace` at once — used when a
-    /// maintainer is attached to an execution that already made progress
-    /// (e.g. a checkpointed run being resumed), and to pick up Source rows
-    /// (initial acquisition resources) that exist before any call runs.
-    pub fn catch_up(&mut self, doc: &Document, trace: &ExecutionTrace) -> LiveDelta {
-        if trace.calls.len() > self.calls_seen {
-            self.observe_call(doc, trace, trace.calls.len() - 1)
-        } else {
-            LiveDelta {
-                links: Vec::new(),
-                sources: self.absorb_sources(doc),
+    /// O(delta) channel-map maintenance: only the given calls' produced
+    /// nodes are inserted.
+    fn extend_channel_map(&mut self, calls: &[CallRecord]) {
+        for call in calls.iter().filter(|c| !c.channel.is_empty()) {
+            for &n in &call.produced {
+                self.channel_map.insert(n, call.channel.clone());
             }
         }
     }
 
-    /// Fold in the calls of `trace` starting at segment index `first` — the
-    /// multi-segment variant of [`LiveProvenance::catch_up`]. A platform
-    /// that accumulates one growing trace across several runs of the same
-    /// execution passes `calls_folded()` as `first` so only the calls no
-    /// segment has reported yet are inferred.
-    pub fn catch_up_from(
-        &mut self,
-        doc: &Document,
-        trace: &ExecutionTrace,
-        first: usize,
-    ) -> LiveDelta {
-        self.calls_seen = first.min(trace.calls.len());
-        self.catch_up(doc, trace)
-    }
-
-    /// Start a new trace segment: subsequent [`LiveProvenance::observe_call`]
-    /// indices count from 0 again while the accumulated graph, Source
-    /// table, channel map and pattern cache are all retained. Used when one
-    /// logical execution is recorded as several [`ExecutionTrace`]s (a
-    /// resumed run's outcome trace restarts at index 0).
-    pub fn new_segment(&mut self) {
-        self.calls_seen = 0;
-    }
-
     /// Scan the document's resource log past the last scanned position and
-    /// append every labelled registration as a Source row — exactly the
+    /// return every labelled registration as a Source row — exactly the
     /// rows `ProvenanceGraph::from_view` lists, in the same order.
     fn absorb_sources(&mut self, doc: &Document) -> Vec<SourceEntry> {
         let nodes = doc.resource_nodes();
@@ -242,48 +208,12 @@ impl LiveProvenance {
             }
         }
         self.resources_seen = nodes.len();
-        self.sources.extend(fresh.iter().cloned());
         fresh
     }
 
-    /// The accumulated link store.
-    pub fn graph(&self) -> &CompactGraph {
-        &self.graph
-    }
-
-    /// The accumulated Source table, in registration order.
-    pub fn sources(&self) -> &[SourceEntry] {
-        &self.sources
-    }
-
-    /// The accumulated links as a sorted edge list.
-    pub fn links(&self) -> Vec<ProvLink> {
-        self.graph.expand()
-    }
-
-    /// Number of links merged so far.
-    pub fn link_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    /// Calls of the current segment folded in so far.
+    /// Calls of the run's trace observed so far.
     pub fn calls_seen(&self) -> usize {
         self.calls_seen
-    }
-
-    /// Calls folded in across *all* segments since construction.
-    pub fn calls_folded(&self) -> usize {
-        self.folded_total
-    }
-
-    /// Materialise the equivalent batch-style [`ProvenanceGraph`]: same
-    /// Source rows, same sorted link set as `infer_provenance` over the
-    /// full trace.
-    pub fn to_provenance_graph(&self) -> ProvenanceGraph {
-        ProvenanceGraph {
-            sources: self.sources.clone(),
-            links: self.graph.expand(),
-        }
     }
 }
 
@@ -291,19 +221,33 @@ impl LiveProvenance {
 mod tests {
     use super::*;
     use crate::engine::{infer_provenance, InheritMode, Strategy};
+    use crate::graph::ProvenanceGraph;
+    use crate::index::EpochSnapshot;
     use crate::paper_example;
 
-    fn run_live(opts: EngineOptions) -> (LiveProvenance, ProvenanceGraph) {
+    /// A snapshot of `doc` before any call: its Source rows folded in.
+    fn starting_snapshot(doc: &Document) -> EpochSnapshot {
+        let mut snap = EpochSnapshot::empty();
+        let delta = LiveDelta {
+            links: Vec::new(),
+            sources: snap.missing_sources(doc),
+        };
+        snap.fold(&delta, 0);
+        snap
+    }
+
+    fn run_live(opts: EngineOptions) -> (EpochSnapshot, ProvenanceGraph) {
         let (doc, trace, rules) = paper_example::build();
-        let mut live = LiveProvenance::new(rules.clone(), opts);
         // posthoc replay of the call stream: the final document is a valid
         // observation state for every call (posthoc equivalence)
-        live.catch_up(&doc, &ExecutionTrace::default());
+        let mut snap = starting_snapshot(&doc);
+        let mut live =
+            LiveProvenance::new(rules.clone(), opts).starting_at(&doc, &ExecutionTrace::default());
         for k in 0..trace.calls.len() {
-            live.observe_call(&doc, &trace, k);
+            snap.fold(&live.observe_call(&doc, &trace, k), k + 1);
         }
         let batch = infer_provenance(&doc, &trace, &rules, &opts);
-        (live, batch)
+        (snap, batch)
     }
 
     #[test]
@@ -324,10 +268,9 @@ mod tests {
                     ..Default::default()
                 };
                 let (live, batch) = run_live(opts);
-                assert_eq!(live.links(), batch.links, "{strategy:?}/{inherit:?}");
+                assert_eq!(live.graph.links, batch.links, "{strategy:?}/{inherit:?}");
                 assert_eq!(
-                    live.to_provenance_graph().sources,
-                    batch.sources,
+                    live.graph.sources, batch.sources,
                     "{strategy:?}/{inherit:?}"
                 );
             }
@@ -349,27 +292,47 @@ mod tests {
     fn mid_execution_queries_see_the_prefix_graph() {
         let (doc, trace, rules) = paper_example::build();
         let mut live = LiveProvenance::new(rules, EngineOptions::default());
-        live.observe_call(&doc, &trace, 0);
-        live.observe_call(&doc, &trace, 1);
+        let mut snap = EpochSnapshot::empty();
+        snap.fold(&live.observe_call(&doc, &trace, 0), 1);
+        snap.fold(&live.observe_call(&doc, &trace, 1), 2);
         // after the LanguageExtractor call, r6 ← r5 is queryable while the
         // Translator has not run yet
-        assert_eq!(live.graph().dependencies("r6"), vec!["r5"]);
-        assert!(live.graph().dependents("r8").is_empty());
-        live.observe_call(&doc, &trace, 2);
-        assert!(live.graph().dependencies("r8").contains(&"r4"));
-        let label_of = |uri: &str| live.sources().iter().find(|s| s.uri == uri).map(|s| &s.label);
-        assert_eq!(label_of("r8").map(|l| l.service.as_str()), Some("Translator"));
+        assert_eq!(snap.index.dependencies_of("r6"), vec!["r5"]);
+        assert!(snap.index.dependents_of("r8").is_empty());
+        snap.fold(&live.observe_call(&doc, &trace, 2), 3);
+        assert!(snap.index.dependencies_of("r8").contains(&"r4"));
+        let label = snap.index.label_of("r8");
+        assert_eq!(label.map(|l| l.service.as_str()), Some("Translator"));
     }
 
     #[test]
-    fn catch_up_skips_straight_to_the_end() {
+    fn a_positioned_producer_delivers_only_what_follows_its_start() {
         let (doc, trace, rules) = paper_example::build();
         let opts = EngineOptions::default();
-        let mut live = LiveProvenance::new(rules.clone(), opts);
-        let delta = live.catch_up(&doc, &trace);
+        // a snapshot already holding the first call, and a producer for a
+        // run that continues from there
+        let first = ExecutionTrace {
+            calls: trace.calls[..1].to_vec(),
+        };
+        let mut snap = starting_snapshot(&doc);
+        let mut warm =
+            LiveProvenance::new(rules.clone(), opts).starting_at(&doc, &ExecutionTrace::default());
+        snap.fold(&warm.observe_call(&doc, &first, 0), 1);
+        let rest = ExecutionTrace {
+            calls: trace.calls[1..].to_vec(),
+        };
+        let mut live = LiveProvenance::new(rules.clone(), opts).starting_at(&doc, &first);
+        for k in 0..rest.calls.len() {
+            let delta = live.observe_call(&doc, &rest, k);
+            assert!(delta.sources.is_empty(), "the start already held every row");
+            snap.fold(&delta, 2 + k);
+        }
         let batch = infer_provenance(&doc, &trace, &rules, &opts);
-        assert_eq!(delta.links, batch.links);
-        assert_eq!(live.links(), batch.links);
-        assert!(live.catch_up(&doc, &trace).is_empty());
+        assert_eq!(snap.graph.links, batch.links);
+        assert_eq!(snap.graph.sources, batch.sources);
+        assert_eq!(
+            (snap.calls, snap.epoch),
+            (trace.calls.len(), 1 + trace.calls.len() as u64)
+        );
     }
 }

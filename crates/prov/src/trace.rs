@@ -10,10 +10,10 @@ use weblab_obs::Counter;
 use weblab_xml::{CallLabel, Document, NodeId, StateMark, Timestamp};
 
 /// Full O(trace) channel-map builds performed by
-/// [`ExecutionTrace::channel_map`]. The live maintainer avoids these by
-/// updating its map incrementally per delta; the perf-regression suite
-/// asserts a live run performs at most one build per execution while the
-/// naive per-delta loop performs one per call.
+/// [`ExecutionTrace::channel_map`]. A live producer avoids these by
+/// updating its map incrementally per delta (and from the prior calls once,
+/// when a run starts); the perf-regression suite asserts a live run
+/// performs no build while the naive per-delta loop performs one per call.
 static CHANNEL_MAP_BUILDS: Counter = Counter::new("prov.trace.channel_map.builds");
 
 /// Record of one service call `c_i = (s, t_i)` within an execution.

@@ -126,7 +126,7 @@ import glob, json, os, sys
 with open(sys.argv[1]) as f:
     counters = json.load(f)["counters"]
 
-# the live maintainer folded every committed call as a delta
+# the live producer derived every committed call as a delta
 assert counters.get("live.deltas", 0) >= 1, \
     f"live.deltas did not tick: {counters.get('live.deltas')}"
 assert counters.get("live.links", 0) >= 1, "live run derived no links"
@@ -148,6 +148,9 @@ def footer(path):
 shard = os.path.join(sys.argv[2], "shard-*", "sample_corpus")
 [delta] = glob.glob(shard + ".delta")
 [snap] = glob.glob(shard + ".snap-*")
+# the run's snapshot epoch: the input's Source rows, then one per call —
+# what a live ingest of the same three calls publishes
+assert snap.endswith(".snap-4"), f"stored snapshot {snap}, expected epoch 4"
 assert not glob.glob(shard + ".resume"), "a finished run left its resume point behind"
 n_links = footer(delta)
 assert n_links == counters["live.links"], \
@@ -188,7 +191,7 @@ def rpc(req):
 
 r = rpc({"op": "status"})
 assert r.get("ok"), r
-assert {"id": "sample_corpus", "live": False, "resident": False} in \
+assert {"id": "sample_corpus", "live": True, "resident": False} in \
     r["result"]["executions"], r
 r = rpc({"op": "why", "exec": "sample_corpus", "uri": "weblab://res/Translator-t3-1"})
 assert r.get("ok") and r.get("epoch", 0) >= 1, r
@@ -471,6 +474,13 @@ xml = ('<Resource wl:id="weblab://doc/cold">'
 r = json.loads(send({"op": "ingest", "exec": "cold", "xml": xml,
                      "pipeline": ["Normaliser", "LanguageExtractor"]}))
 assert r.get("ok") and r["result"]["links"] >= 1, r
+# a live ingest through the store publishes the epochs a store-less one
+# does: the input's Source rows, then one per call (the serve smoke's `ci`)
+r = json.loads(send({"op": "ingest", "exec": "cold-live", "xml": xml, "live": True,
+                     "pipeline": ["Normaliser", "LanguageExtractor"]}))
+assert r.get("ok") and r["result"]["calls"] == 2, r
+r = json.loads(send({"op": "why", "exec": "cold-live", "uri": "weblab://src/0"}))
+assert r.get("ok") and r.get("epoch") == 3, r
 
 # the exact query lines the restarted daemon will re-answer below
 derived = ("PREFIX prov: <http://www.w3.org/ns/prov#> "

@@ -13,14 +13,14 @@
 //!     first 2 / N calls and then succeeds — a fault-injection aid for
 //!     exercising the flags.
 //!     `--live` maintains the provenance graph *during* the run: every
-//!     committed call is folded into a materialized link store as it
+//!     committed call is folded into the run's epoch snapshot as it
 //!     completes (rolled-back attempts never reach it), so by the final
 //!     call the full graph exists without a batch inference pass. A
 //!     summary goes to stderr.
 //!     `--store DIR` (implies `--live`) writes the execution, named after
 //!     the input's file stem, into the provenance store at DIR after every
-//!     completed step: document, call log, links and an index snapshot,
-//!     the format `weblab serve --store DIR` serves. Until the run
+//!     completed step: document, call log, links and that snapshot, the
+//!     format `weblab serve --store DIR` serves. Until the run
 //!     completes, a resume point records how far it got; `--resume`
 //!     restarts a crashed run from there instead of from <input.xml>. A
 //!     run without `--resume` on an execution the store already holds
@@ -132,8 +132,9 @@ use weblab::platform::{
     RankDirection, ResumePoint, ServiceCatalog,
 };
 use weblab::prov::{
-    dirty_cone, format_micro, infer_provenance, micro_from_f64, EngineOptions, ExecutionTrace,
-    InheritMode, LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex, RuleSet,
+    dirty_cone, format_micro, infer_provenance, micro_from_f64, EngineOptions, EpochSnapshot,
+    ExecutionTrace, InheritMode, LiveDelta, LiveProvenance, Parallelism, ProvenanceGraph,
+    ReachabilityIndex, RuleSet,
 };
 use weblab::rdf::{export_prov, to_turtle};
 use weblab::serve::Server;
@@ -405,10 +406,10 @@ fn cmd_run(args: &[String]) -> CliResult {
     let exec_id = file_stem(&input);
     let store = store_dir.as_deref().map(ProvStore::open).transpose()?;
 
-    // Start from the input, or from where an unfinished run stopped. A
-    // stored execution is only ever continued: a second run on its id
-    // would append its calls to the first run's log.
-    let (mut doc, prior, completed, start) = match &store {
+    // Start from the input, or from where an unfinished run stopped (with
+    // the snapshot it stored). A stored execution is only ever continued: a
+    // second run on its id would append its calls to the first run's log.
+    let (stored_snapshot, mut doc, prior, completed, start) = match &store {
         Some(store) if store.contains(&exec_id) => {
             let dir = store.root().display();
             if !resume {
@@ -432,14 +433,15 @@ fn cmd_run(args: &[String]) -> CliResult {
                 )
                 .into());
             }
-            let stored = store
+            let mut stored = store
                 .load(&exec_id)?
                 .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
             eprintln!(
                 "resuming after {} completed step(s) at t={}",
                 point.completed_steps, point.next_time
             );
-            (stored.doc, stored.trace, point.completed_steps, point.next_time)
+            let snapshot = Some(stored.resume_snapshot());
+            (snapshot, stored.doc, stored.trace, point.completed_steps, point.next_time)
         }
         _ => {
             if let Some(store) = store.as_ref().filter(|_| resume) {
@@ -450,30 +452,36 @@ fn cmd_run(args: &[String]) -> CliResult {
             }
             let doc = read_doc(&input)?;
             let start = weblab::workflow::next_time(&doc);
-            (doc, ExecutionTrace::default(), 0, start)
+            (None, doc, ExecutionTrace::default(), 0, start)
         }
     };
 
-    // live mode: a maintainer folds every committed call into its link
-    // store from the orchestrator's call-completion hook. On a resumed run
-    // it first catches up on the calls of the stored trace, then opens a
-    // fresh segment (the resumed outcome's call indices restart at 0).
-    let maintainer = live.then(|| {
-        let mut lp = LiveProvenance::new(services::default_rules(), EngineOptions::default());
-        lp.catch_up(&doc, &prior);
-        lp.new_segment();
-        Arc::new(Mutex::new(lp))
+    // live mode: fold every committed call into the run's epoch snapshot,
+    // numbered as a live `ingest` numbers the daemon's: a fresh run's starts
+    // with the input's Source rows (epoch 1, unless there are none), a
+    // resumed run's is the stored one, and each call adds one epoch.
+    let snapshot = live.then(|| {
+        let mut snap = stored_snapshot.unwrap_or_else(EpochSnapshot::empty);
+        let sources = snap.missing_sources(&doc);
+        if !sources.is_empty() {
+            snap.fold(&LiveDelta { links: Vec::new(), sources }, snap.calls);
+        }
+        Arc::new(Mutex::new(snap))
     });
-    if let Some(lp) = &maintainer {
-        let hook = Arc::clone(lp);
+    if let Some(snap) = &snapshot {
+        let lp = LiveProvenance::new(services::default_rules(), EngineOptions::default());
+        let producer = Mutex::new(lp.starting_at(&doc, &prior));
+        let (snap, base) = (Arc::clone(snap), prior.len());
         orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
-            hook.lock().expect("live maintainer lock poisoned").observe_call(doc, trace, idx);
+            let mut lp = producer.lock().expect("live producer lock poisoned");
+            let delta = lp.observe_call(doc, trace, idx);
+            snap.lock().expect("live snapshot lock poisoned").fold(&delta, base + lp.calls_seen());
         }));
     }
 
     // after every completed top-level step, write the execution through
-    // the store — document, log tail and the live graph as a snapshot the
-    // daemon can serve — then the resume point a crashed run restarts from
+    // the store — document, log tail and the live snapshot the daemon
+    // serves — then the resume point a crashed run restarts from
     let save_error = std::cell::RefCell::new(None::<PersistError>);
     let outcome_result = orch.execute_resumable(
         &wf,
@@ -481,25 +489,19 @@ fn cmd_run(args: &[String]) -> CliResult {
         start,
         completed,
         &mut |done, doc, outcome, next_time| {
-            let (Some(store), Some(lp)) = (&store, &maintainer) else {
+            let (Some(store), Some(snap)) = (&store, &snapshot) else {
                 return;
             };
             let mut trace = prior.clone();
             trace.calls.extend(outcome.trace.calls.iter().cloned());
-            // the maintainer's graph is the snapshot a live daemon
-            // publishes; epochs count its first Source publish plus one
-            // per folded call
-            let (graph, epoch) = {
-                let lp = lp.lock().expect("live maintainer lock poisoned");
-                (lp.to_provenance_graph(), lp.calls_folded() as u64 + 1)
-            };
             let point = ResumePoint {
                 completed_steps: done,
                 next_time,
                 step_names: step_names.clone(),
             };
+            let snap = snap.lock().expect("live snapshot lock poisoned");
             let saved = store
-                .save(&exec_id, doc, &trace, &graph, epoch, true)
+                .save(&exec_id, doc, &trace, &snap.graph, snap.epoch, true)
                 .and_then(|()| store.save_resume_point(&exec_id, &point));
             if let Err(e) = saved {
                 save_error.borrow_mut().get_or_insert(e);
@@ -541,16 +543,10 @@ fn cmd_run(args: &[String]) -> CliResult {
         doc.node_count(),
         doc.resource_nodes().len()
     );
-    if let Some(lp) = &maintainer {
-        let mut lp = lp.lock().expect("live maintainer lock poisoned");
-        // absorb any sources registered after the last committed call
-        lp.catch_up(&doc, &outcome.trace);
-        eprintln!(
-            "live provenance: {} call(s) folded, {} link(s), {} source(s)",
-            lp.calls_folded(),
-            lp.link_count(),
-            lp.sources().len()
-        );
+    if let Some(snap) = &snapshot {
+        let s = snap.lock().expect("live snapshot lock poisoned");
+        let (calls, links, sources) = (s.calls, s.graph.links.len(), s.graph.sources.len());
+        eprintln!("live provenance: {calls} call(s) folded, {links} link(s), {sources} source(s)");
     }
     if let Some(store) = &store {
         eprintln!("execution {exec_id:?} stored in {}", store.root().display());

@@ -3,8 +3,8 @@
 //! directories: it refuses to mix two runs in one execution's log, a run
 //! aborted mid-pipeline resumes to the uninterrupted result, and a daemon
 //! attached to a CLI-written directory answers every query op with the
-//! same `result` as a daemon that ingested the same corpus and pipeline
-//! live. Epochs are not compared: the CLI numbers them by folded calls.
+//! same bytes as a daemon that ingested the same corpus and pipeline live,
+//! epoch included.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -162,6 +162,15 @@ fn a_run_aborted_mid_pipeline_resumes_to_the_uninterrupted_result() {
     let resumed_links = pairs(&crashed);
     assert!(!resumed_links.is_empty());
     assert_eq!(resumed_links, pairs(&clean));
+    // the resumed run continued the stored snapshot: same epoch and graph
+    let snapshot = |root: &Path| {
+        let stored = ProvStore::open(root).unwrap().load("corpus").unwrap().expect("stored");
+        let snap = stored.snapshot.expect("a fresh snapshot");
+        (snap.epoch, snap.graph.sources, snap.graph.links)
+    };
+    let resumed_snapshot = snapshot(&crashed);
+    assert_eq!(resumed_snapshot.0, 4, "the input's Source rows, then three calls");
+    assert_eq!(resumed_snapshot, snapshot(&clean));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -190,7 +199,7 @@ fn serving_a_cli_written_store_answers_like_a_live_ingest() {
     let stored = support::serve_platform();
     stored.attach_store(ProvStore::open(&store).unwrap(), 8).unwrap();
     let (status, _) = handle_line(&stored, r#"{"op":"status"}"#);
-    assert!(status.contains(r#"{"id":"corpus","live":false,"resident":false}"#), "{status}");
+    assert!(status.contains(r#"{"id":"corpus","live":true,"resident":false}"#), "{status}");
 
     // … and one that ingested the same corpus and pipeline live
     let live = support::serve_platform();
@@ -232,8 +241,9 @@ fn serving_a_cli_written_store_answers_like_a_live_ingest() {
         ));
     }
     for line in &lines {
-        let served = result_of(&handle_line(&stored, line).0);
-        assert_eq!(served, result_of(&handle_line(&live, line).0), "request {line}");
+        let served = handle_line(&stored, line).0;
+        result_of(&served);
+        assert_eq!(served, handle_line(&live, line).0, "request {line}");
     }
     assert!(stored.execution("corpus").live_enabled(), "the CLI stored a live run");
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,10 +1,11 @@
-//! Differential tests for live provenance maintenance: a [`LiveProvenance`]
-//! maintainer fed one committed call at a time from the orchestrator's
-//! call-completion hook must end up with *exactly* the graph a one-shot
-//! batch `infer_provenance` derives over the final document and trace —
-//! across every strategy, inherit mode and worker count, through parallel
-//! blocks, and under fault injection (retried and skipped steps), where
-//! rolled-back attempts must leave no residue in the live store.
+//! Differential tests for live provenance maintenance: the deltas of a
+//! [`LiveProvenance`] producer fed one committed call at a time from the
+//! orchestrator's call-completion hook, folded into an [`EpochSnapshot`],
+//! must build *exactly* the graph a one-shot batch `infer_provenance`
+//! derives over the final document and trace — across every strategy,
+//! inherit mode and worker count, through parallel blocks, and under fault
+//! injection (retried and skipped steps), where rolled-back attempts must
+//! leave no residue in the snapshot.
 //!
 //! The underlying law is the append-only delta decomposition
 //! `links(0..n) = links(0..k) ∪ links(k..n)` (DESIGN.md § 9); these tests
@@ -13,8 +14,8 @@
 use std::sync::{Arc, Mutex};
 
 use weblab::prov::{
-    infer_provenance, paper_example, EngineOptions, ExecutionTrace, InheritMode, LiveProvenance,
-    Parallelism, ProvLink, ProvenanceGraph, RuleSet, Strategy,
+    infer_provenance, paper_example, EngineOptions, EpochSnapshot, ExecutionTrace, InheritMode,
+    LiveDelta, LiveProvenance, Parallelism, ProvLink, ProvenanceGraph, RuleSet, Strategy,
 };
 use weblab::rdf::{export_prov_into, to_turtle, Triple, TripleStore};
 use weblab::workflow::generator::{synthetic_workload, SyntheticService};
@@ -54,35 +55,46 @@ fn all_opts() -> Vec<EngineOptions> {
     out
 }
 
-/// Execute `wf` over `doc` with a live maintainer attached to the
-/// orchestrator's call hook, returning the final document, the outcome and
-/// the maintainer (with trailing sources absorbed).
+/// A snapshot of `doc` before any call: its Source rows folded in.
+fn starting_snapshot(doc: &Document) -> EpochSnapshot {
+    let mut snap = EpochSnapshot::empty();
+    let delta = LiveDelta {
+        links: Vec::new(),
+        sources: snap.missing_sources(doc),
+    };
+    snap.fold(&delta, 0);
+    snap
+}
+
+/// Execute `wf` over `doc` with a live producer on the orchestrator's call
+/// hook, folding its deltas into a snapshot of the input; return the final
+/// document, the outcome and the snapshot.
 fn run_live(
     mut doc: Document,
     wf: &Workflow,
     rules: &RuleSet,
     opts: EngineOptions,
     fault: Option<FaultPolicy>,
-) -> (Document, ExecutionOutcome, LiveProvenance) {
-    let maintainer = Arc::new(Mutex::new(LiveProvenance::new(rules.clone(), opts)));
-    maintainer
-        .lock()
-        .unwrap()
-        .catch_up(&doc, &ExecutionTrace::default());
-    let hook = Arc::clone(&maintainer);
+) -> (Document, ExecutionOutcome, EpochSnapshot) {
+    let snap = Arc::new(Mutex::new(starting_snapshot(&doc)));
+    let producer = Mutex::new(
+        LiveProvenance::new(rules.clone(), opts).starting_at(&doc, &ExecutionTrace::default()),
+    );
+    let hook = Arc::clone(&snap);
     let mut orch = Orchestrator::new().with_call_hook(Arc::new(move |d, t, i| {
-        hook.lock().unwrap().observe_call(d, t, i);
+        let mut lp = producer.lock().unwrap();
+        let delta = lp.observe_call(d, t, i);
+        hook.lock().unwrap().fold(&delta, lp.calls_seen());
     }));
     if let Some(f) = fault {
         orch = orch.with_fault(f);
     }
     let outcome = orch.execute(wf, &mut doc).expect("workflow execution");
-    drop(orch); // release the hook's clone of the maintainer
-    let mut live = match Arc::try_unwrap(maintainer) {
+    drop(orch); // release the hook's clone of the snapshot
+    let live = match Arc::try_unwrap(snap) {
         Ok(m) => m.into_inner().unwrap(),
-        Err(_) => panic!("maintainer uniquely owned after the orchestrator is dropped"),
+        Err(_) => panic!("snapshot uniquely owned after the orchestrator is dropped"),
     };
-    live.catch_up(&doc, &outcome.trace);
     (doc, outcome, live)
 }
 
@@ -97,20 +109,20 @@ fn sorted_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
     pairs
 }
 
-/// Assert the maintainer's accumulated state equals a fresh batch
-/// inference over the final document and trace.
+/// Assert the live snapshot's graph equals a fresh batch inference over
+/// the final document and trace.
 fn assert_live_equals_batch(
     doc: &Document,
     trace: &ExecutionTrace,
     rules: &RuleSet,
     opts: &EngineOptions,
-    live: &LiveProvenance,
+    live: &EpochSnapshot,
     label: &str,
 ) {
     let batch = infer_provenance(doc, trace, rules, opts);
-    let live_graph = live.to_provenance_graph();
+    let live_graph = &live.graph;
     assert_eq!(
-        sorted_pairs(&live_graph),
+        sorted_pairs(live_graph),
         sorted_pairs(&batch),
         "link sets diverge: {label}"
     );
@@ -126,7 +138,7 @@ fn live_equals_batch_across_strategies_inherit_modes_and_workers() {
         for opts in all_opts() {
             let (doc, wf, rules) = synthetic_workload(seed, 5, 3, 2);
             let (doc, outcome, live) = run_live(doc, &wf, &rules, opts, None);
-            assert!(live.link_count() > 0, "workload produced no links");
+            assert!(!live.graph.links.is_empty(), "workload produced no links");
             assert_live_equals_batch(
                 &doc,
                 &outcome.trace,
@@ -205,7 +217,8 @@ fn retried_steps_leave_no_rollback_residue_in_the_live_store() {
     // rolled-back attempts registered probes that were truncated away; the
     // live source table must hold exactly the one committed probe
     let probes = live
-        .sources()
+        .graph
+        .sources
         .iter()
         .filter(|s| s.label.service == "Flaky")
         .count();
@@ -232,7 +245,7 @@ fn skipped_steps_contribute_nothing_to_the_live_store() {
     assert_eq!(outcome.trace.len(), 2);
     assert_live_equals_batch(&doc, &outcome.trace, &rules, &opts, &live, "flaky + skip");
     assert!(
-        !live.sources().iter().any(|s| s.label.service == "Flaky"),
+        !live.graph.sources.iter().any(|s| s.label.service == "Flaky"),
         "a skipped step's rolled-back work reached the live store"
     );
 }
@@ -249,17 +262,19 @@ fn live_turtle_export_is_byte_identical_to_batch_on_the_paper_example() {
             inherit,
             ..Default::default()
         };
-        let mut live = LiveProvenance::new(rules.clone(), opts);
-        live.catch_up(&doc, &ExecutionTrace::default());
+        // posthoc replay of the call stream over the final document
+        let mut snap = starting_snapshot(&doc);
+        let mut live = LiveProvenance::new(rules.clone(), opts)
+            .starting_at(&doc, &ExecutionTrace::default());
         for k in 0..trace.calls.len() {
-            live.observe_call(&doc, &trace, k);
+            snap.fold(&live.observe_call(&doc, &trace, k), k + 1);
         }
         let export = |graph: &ProvenanceGraph| -> Vec<Triple> {
             let mut store = TripleStore::new();
             export_prov_into(graph, &mut store);
             store.iter().collect()
         };
-        let live_triples = export(&live.to_provenance_graph());
+        let live_triples = export(&snap.graph);
         let batch_triples = export(&infer_provenance(&doc, &trace, &rules, &opts));
         assert_eq!(
             to_turtle(&live_triples),

@@ -276,3 +276,25 @@ fn batch_refreshes_fold_into_the_published_index() {
     assert_eq!(second.graph.sources, oneshot.graph.sources);
     assert!(first.graph.links.len() < second.graph.links.len());
 }
+
+#[test]
+fn reads_on_a_fresh_snapshot_never_copy_the_trace() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let platform = platform_with_pipeline();
+    let exec = platform.execution("fresh");
+    exec.ingest(generate_corpus(11, 2, 10));
+    exec.execute(&["Normaliser", "LanguageExtractor"]).unwrap();
+    let uri = exec.snapshot().unwrap().graph.sources[0].uri.clone();
+
+    obs::reset();
+    obs::enable();
+    for _ in 0..10 {
+        exec.deps(&uri).unwrap();
+    }
+    let snap = obs::snapshot();
+    obs::disable();
+
+    // the freshness check reads the trace's length, not a copy of it
+    assert_eq!(snap.counter("platform.trace_store.reads"), 0);
+    assert_eq!(snap.counter(HITS), 10);
+}

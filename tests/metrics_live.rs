@@ -3,7 +3,7 @@
 //! registry is process-global, so these tests must not share a process
 //! with other engine work; within the binary they serialise on a mutex).
 //!
-//! The property under guard: a live maintainer keeps its channel map
+//! The property under guard: a live producer keeps its channel map
 //! *incrementally* (extending it with each committed call's productions)
 //! and therefore performs **zero** full `ExecutionTrace::channel_map`
 //! builds over an entire execution — while batch inference builds it once,
@@ -13,7 +13,10 @@
 use std::sync::{Arc, Mutex as StdMutex};
 
 use weblab::obs;
-use weblab::prov::{infer_links_since, infer_provenance, EngineOptions, LiveProvenance};
+use weblab::prov::{
+    infer_links_since, infer_provenance, EngineOptions, EpochSnapshot, ExecutionTrace,
+    LiveProvenance,
+};
 use weblab::workflow::generator::synthetic_workload;
 use weblab::workflow::Orchestrator;
 
@@ -27,26 +30,31 @@ fn live_run_performs_no_full_channel_map_builds() {
     let (mut doc, wf, rules) = synthetic_workload(9, 6, 3, 0);
     obs::reset();
     obs::enable();
-    let maintainer = Arc::new(StdMutex::new(LiveProvenance::new(
-        rules,
-        EngineOptions::default(),
-    )));
-    let hook = Arc::clone(&maintainer);
+    let producer = Arc::new(StdMutex::new(
+        LiveProvenance::new(rules, EngineOptions::default())
+            .starting_at(&doc, &ExecutionTrace::default()),
+    ));
+    let live = Arc::new(StdMutex::new(EpochSnapshot::empty()));
+    let (hook_lp, hook_snap) = (Arc::clone(&producer), Arc::clone(&live));
     let orch = Orchestrator::new().with_call_hook(Arc::new(move |d, t, i| {
-        hook.lock().unwrap().observe_call(d, t, i);
+        let mut lp = hook_lp.lock().unwrap();
+        let delta = lp.observe_call(d, t, i);
+        hook_snap.lock().unwrap().fold(&delta, lp.calls_seen());
     }));
     let outcome = orch.execute(&wf, &mut doc).unwrap();
     let snap = obs::snapshot();
     obs::disable();
 
-    let lp = maintainer.lock().unwrap();
-    assert_eq!(lp.calls_seen(), outcome.trace.len());
-    assert!(lp.link_count() > 0);
+    assert_eq!(producer.lock().unwrap().calls_seen(), outcome.trace.len());
+    let live = live.lock().unwrap();
+    assert_eq!(live.calls, outcome.trace.len());
+    assert!(!live.graph.links.is_empty());
     // the incremental channel map made every delta O(delta): not a single
     // full rebuild across the whole execution
     assert_eq!(snap.counter(BUILDS), 0, "live maintenance rebuilt the channel map");
     assert_eq!(snap.counter("live.deltas"), outcome.trace.len() as u64);
-    assert_eq!(snap.counter("live.links"), lp.link_count() as u64);
+    // the links the deltas carried are the links the snapshot holds
+    assert_eq!(snap.counter("live.links"), live.graph.links.len() as u64);
 }
 
 #[test]

@@ -293,7 +293,7 @@ proptest! {
     /// The delta law behind live maintenance (DESIGN.md § 9): links derived
     /// for calls `0..n` decompose at *any* split point `k` into the links
     /// for `0..k` (inferred against the final document, as a live
-    /// maintainer does) plus the links for `k..n` — with no duplicates
+    /// producer does) plus the links for `k..n` — with no duplicates
     /// across the two deltas.
     #[test]
     fn incremental_deltas_compose_at_any_split(

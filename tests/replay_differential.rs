@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use weblab::prov::{
-    dirty_cone, infer_provenance, EngineOptions, ExecutionTrace, InheritMode,
-    LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex, Strategy,
+    dirty_cone, infer_provenance, EngineOptions, EpochSnapshot, ExecutionTrace, InheritMode,
+    LiveDelta, LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex, Strategy,
 };
 use weblab::rdf::{export_prov, to_turtle};
 use weblab::workflow::services::{
@@ -250,28 +250,39 @@ fn replay_under_live_provenance_matches_batch_inference() {
 
     let rules = services::default_rules();
     for opts in all_opts() {
-        // Live maintainer fed by the replay orchestrator's call hook —
-        // spliced calls must look exactly like executed ones to it.
+        // Live producer fed by the replay orchestrator's call hook, its
+        // deltas folded into a snapshot of the input — spliced calls must
+        // look exactly like executed ones to it.
         let mut replayed_doc = corpus(&changed_payloads);
-        let maintainer = Arc::new(Mutex::new(LiveProvenance::new(rules.clone(), opts)));
-        maintainer.lock().unwrap().catch_up(&replayed_doc, &ExecutionTrace::default());
-        let hook = Arc::clone(&maintainer);
+        let mut snap = EpochSnapshot::empty();
+        let start = LiveDelta {
+            links: Vec::new(),
+            sources: snap.missing_sources(&replayed_doc),
+        };
+        snap.fold(&start, 0);
+        let snap = Arc::new(Mutex::new(snap));
+        let producer = Mutex::new(
+            LiveProvenance::new(rules.clone(), opts)
+                .starting_at(&replayed_doc, &ExecutionTrace::default()),
+        );
+        let hook = Arc::clone(&snap);
         let orch = Orchestrator::new().with_call_hook(Arc::new(move |d, t, i| {
-            hook.lock().unwrap().observe_call(d, t, i);
+            let mut lp = producer.lock().unwrap();
+            let delta = lp.observe_call(d, t, i);
+            hook.lock().unwrap().fold(&delta, lp.calls_seen());
         }));
         let replayed = orch
             .replay(&wf, &mut replayed_doc, &prior_doc, &prior.trace, &dirty, ProofMode::Trusted)
             .expect("replay");
         drop(orch);
-        let mut live = match Arc::try_unwrap(maintainer) {
+        let live = match Arc::try_unwrap(snap) {
             Ok(m) => m.into_inner().unwrap(),
-            Err(_) => panic!("maintainer uniquely owned after the orchestrator is dropped"),
+            Err(_) => panic!("snapshot uniquely owned after the orchestrator is dropped"),
         };
-        live.catch_up(&replayed_doc, &replayed.outcome.trace);
 
         let batch = infer_provenance(&replayed_doc, &replayed.outcome.trace, &rules, &opts);
         assert_eq!(
-            sorted_pairs(&live.to_provenance_graph()),
+            sorted_pairs(&live.graph),
             sorted_pairs(&batch),
             "live provenance diverges from batch over a replayed execution under {opts:?}"
         );

@@ -16,9 +16,10 @@ use std::thread;
 
 use support::{edgewalk, serve_platform};
 use weblab::json::Json;
-use weblab::platform::{ProvQuery, QueryOpts, RankDirection};
+use weblab::platform::{ProvQuery, ProvStore, QueryOpts, RankDirection};
 use weblab::serve::{handle_line, Server};
 use weblab::workflow::generator::generate_corpus;
+use weblab::xml::to_xml_string;
 
 const PIPELINE: [&str; 6] = [
     "Normaliser",
@@ -666,4 +667,85 @@ fn shutdown_is_flagged_and_sources_only_snapshots_serve() {
     let why = ProvQuery::Why { uri };
     let (served, _) = handle_line(&platform, &query_request("fresh", &why));
     assert_eq!(served, edgewalk::response(&snap, &why));
+}
+
+fn live_ingest(exec: &str, xml: &str, pipeline: &[&str]) -> String {
+    request(vec![
+        ("op", Json::str("ingest")),
+        ("exec", Json::str(exec)),
+        ("xml", Json::str(xml)),
+        ("live", Json::Bool(true)),
+        (
+            "pipeline",
+            Json::Arr(pipeline.iter().map(|s| Json::str(*s)).collect()),
+        ),
+    ])
+}
+
+fn tmpstore(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("weblab-serve-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn a_live_ingest_answers_at_the_same_epoch_with_a_store_as_without() {
+    let xml = to_xml_string(&generate_corpus(3, 2, 25).view());
+    let ingest = live_ingest("e", &xml, &PIPELINE[..3]);
+    let storeless = serve_platform();
+    let dir = tmpstore("epochs");
+    let stored = serve_platform();
+    stored.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+    let (want, _) = handle_line(&storeless, &ingest);
+    assert_eq!(handle_line(&stored, &ingest).0, want, "ingest replies differ");
+
+    let snap = storeless.execution("e").snapshot().unwrap();
+    let why = query_request(
+        "e",
+        &ProvQuery::Why {
+            uri: snap.graph.links[0].from_uri.clone(),
+        },
+    );
+    let (served, _) = handle_line(&stored, &why);
+    assert_eq!(served, handle_line(&storeless, &why).0);
+    // the input's Source rows, then one epoch per live call
+    let epoch = Json::parse(&served).unwrap().get("epoch").and_then(Json::as_u64);
+    assert_eq!(epoch, Some(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn status_reports_an_evicted_live_execution_as_live() {
+    let xml = to_xml_string(&generate_corpus(2, 1, 15).view());
+    let dir = tmpstore("status");
+    let platform = serve_platform();
+    platform.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+    let status = |platform: &weblab::platform::Platform| handle_line(platform, "{\"op\":\"status\"}").0;
+    handle_line(&platform, &live_ingest("a", &xml, &["Normaliser"]));
+    handle_line(
+        &platform,
+        &request(vec![
+            ("op", Json::str("ingest")),
+            ("exec", Json::str("b")),
+            ("xml", Json::str(xml.as_str())),
+        ]),
+    );
+    let evicted = status(&platform);
+    assert!(evicted.contains(r#"{"id":"a","live":true,"resident":false}"#), "{evicted}");
+    assert!(evicted.contains(r#"{"id":"b","live":false,"resident":true}"#), "{evicted}");
+
+    // a daemon that never loaded it reads the stored snapshot's header
+    let restarted = serve_platform();
+    restarted.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+    let unloaded = status(&restarted);
+    assert!(unloaded.contains(r#"{"id":"a","live":true,"resident":false}"#), "{unloaded}");
+
+    // a query cold-loads it, and it stays live
+    let why = query_request("a", &ProvQuery::Why { uri: "weblab://src/0".into() });
+    for platform in [&platform, &restarted] {
+        assert!(handle_line(platform, &why).0.contains("\"ok\":true"));
+        let loaded = status(platform);
+        assert!(loaded.contains(r#"{"id":"a","live":true,"resident":true}"#), "{loaded}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
