@@ -16,13 +16,14 @@
 //!    catalog rules with the trace and the final document to materialise
 //!    the provenance graph, through either the native engine or compiled
 //!    XQuery.
-//! 3. **Request management** — per-execution behaviour is grouped behind
-//!    the [`ExecutionHandle`] façade ([`Platform::execution`]). Each
-//!    execution caches one graph, a published epoch snapshot with its
-//!    reachability index, and it is the execution's only link store: a
-//!    live execution's runs fold one delta per committed call into it from
-//!    a per-run producer, a stale snapshot asks the Mapper only for the
-//!    calls it lacks and folds them in, and structured queries
+//! 3. **Request management** — one code path runs every pipeline, the
+//!    daemon's and the CLI's ([`Platform::execute_durable`] adds per-step
+//!    resume points), and one function computes every replay
+//!    ([`Platform::recompute`]). Each execution, behind the
+//!    [`ExecutionHandle`] façade, caches one graph, its published epoch
+//!    snapshot and reachability index, which is also its only link store:
+//!    a live run folds one delta per committed call into it, a stale one
+//!    asks the Mapper only for the calls it lacks, and structured queries
 //!    ([`ProvQuery`]) answer from the index without re-walking edge lists.
 //!
 //! ```
@@ -58,7 +59,7 @@ mod trace_store;
 pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry};
 pub use mapper::{Mapper, MapperError, MapperStrategy};
 pub use platform::{
-    ExecutionHandle, Platform, PlatformError, ReplayReport, SpecStep, WorkflowSpec,
+    ExecutionHandle, Platform, PlatformError, SpecStep, WorkflowSpec,
 };
 pub use query::{ProvQuery, QueryAnswer, QueryOpts, RankDirection, PROTOCOL_VERSION};
 pub use recorder::{merge_exchange, Recorder, RecorderError};

@@ -24,13 +24,13 @@ use std::sync::Arc;
 use std::sync::{Mutex, PoisonError, RwLock};
 use weblab_obs::{Counter, Gauge};
 use weblab_prov::{
-    dirty_cone, EngineOptions, EpochSnapshot, GraphSummary, LiveDelta, LiveProvenance,
-    ProvenanceGraph, QueryOpts, RankDirection, RankedEntry, ReachabilityIndex,
+    dirty_cone, CallRecord, EngineOptions, EpochSnapshot, GraphSummary, LiveDelta,
+    LiveProvenance, ProvenanceGraph, QueryOpts, RankDirection, RankedEntry, ReachabilityIndex,
 };
 use weblab_rdf::{QueryEngine, Solution, SparqlError};
 use weblab_workflow::{
-    next_time, FaultPolicy, FragmentGrade, Orchestrator, ProofMode, Service, Workflow,
-    WorkflowError,
+    next_time, ExecutionOutcome, FaultPolicy, Orchestrator, ProofMode, ReplayOutcome, Service,
+    Workflow, WorkflowError,
 };
 use weblab_xml::Document;
 
@@ -39,7 +39,7 @@ use crate::mapper::{Mapper, MapperError, MapperStrategy};
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{Recorder, RecorderError};
 use crate::repository::ResourceRepository;
-use crate::store::{PersistError, ProvStore};
+use crate::store::{PersistError, ProvStore, ResumePoint};
 use crate::trace_store::TraceStore;
 
 /// Executions evicted from residency to the attached store.
@@ -171,24 +171,6 @@ impl WorkflowSpec {
         self.steps.push(SpecStep::Parallel(branches));
         self
     }
-}
-
-/// Summary of a [`Platform::replay_execution`] run — the serve protocol's
-/// `replay` response body.
-#[derive(Debug)]
-pub struct ReplayReport {
-    /// Id the replayed execution was registered under.
-    pub execution: String,
-    /// Size of the dirty cone (changed URIs plus everything impacted).
-    pub cone_size: usize,
-    /// Prior calls reused via fragment splicing.
-    pub reused: usize,
-    /// Prior calls re-executed because their outputs sat in the cone.
-    pub recomputed: usize,
-    /// Fragments spliced forward from the prior document.
-    pub splices: usize,
-    /// Per-fragment verification grades (empty under [`ProofMode::Trusted`]).
-    pub grades: Vec<FragmentGrade>,
 }
 
 /// The assembled platform.
@@ -387,12 +369,7 @@ impl Platform {
     /// attached the document is persisted best-effort right away (the
     /// write-through on the next execution repeats it durably).
     pub fn ingest(&self, exec_id: &str, doc: Document) {
-        self.repository.put(exec_id, doc);
-        if let Some(ss) = self.store_state() {
-            self.touch_lru(&ss, exec_id);
-            let _ = self.persist_through(exec_id);
-            let _ = self.evict_excess(&ss, exec_id);
-        }
+        let _ = self.commit(exec_id, &[], doc);
     }
 
     /// Execute a sequential workflow (a sequence of registered service
@@ -406,17 +383,107 @@ impl Platform {
     /// their control-flow channels, which the Mapper's strategies respect
     /// during inference.
     pub fn execute_spec(&self, exec_id: &str, spec: &WorkflowSpec) -> Result<(), PlatformError> {
+        let workflow = self.build_workflow(spec)?;
+        self.drive(exec_id, &workflow, None).map(drop)
+    }
+
+    /// Execute a built [`Workflow`], whose services the registry need not
+    /// hold (`weblab run`'s aliases and `flaky:N` instances), and return
+    /// the outcome with every attempt made.
+    pub fn execute_workflow(
+        &self,
+        exec_id: &str,
+        workflow: &Workflow,
+    ) -> Result<ExecutionOutcome, PlatformError> {
+        self.drive(exec_id, workflow, None)
+    }
+
+    /// Execute a built [`Workflow`] durably in the attached store, step by
+    /// step (`weblab run --store`): after each completed top-level step the
+    /// run so far is committed, written through and recorded as the resume
+    /// point, which is cleared when the run completes. A failed run stays
+    /// at its last durable state, in memory and on disk alike.
+    ///
+    /// `input` starts a new execution from that document, writing the
+    /// point for zero steps before the ingest's first save. `None` resumes
+    /// the stored execution from its point, which must name this
+    /// workflow's steps and witness the stored log's call count.
+    pub fn execute_durable(
+        &self,
+        exec_id: &str,
+        workflow: &Workflow,
+        input: Option<Document>,
+    ) -> Result<ExecutionOutcome, PlatformError> {
+        let refuse = |message: String| PlatformError::Store(PersistError::Resume(message));
+        let ss = self
+            .store_state()
+            .ok_or_else(|| refuse("a durable run needs an attached store".into()))?;
+        let step_names = workflow.step_names();
+        let point = match input {
+            Some(doc) => {
+                if self.execution(exec_id).exists() {
+                    return Err(PlatformError::ExecutionExists(exec_id.to_string()));
+                }
+                let point = ResumePoint {
+                    completed_steps: 0,
+                    next_time: next_time(&doc),
+                    calls: 0,
+                    step_names,
+                };
+                ss.store.save_resume_point(exec_id, &point)?;
+                self.commit(exec_id, &[], doc)?;
+                point
+            }
+            None => {
+                let point = ss.store.resume_point(exec_id)?.ok_or_else(|| {
+                    refuse(format!("execution {exec_id:?} has no resume point: its run finished"))
+                })?;
+                if point.step_names != step_names {
+                    return Err(refuse(format!(
+                        "execution {exec_id:?} was run by a different workflow ({:?}, not {:?})",
+                        point.step_names, step_names
+                    )));
+                }
+                self.ensure_resident(exec_id)?;
+                let logged = self.traces.call_count(exec_id);
+                if point.calls != logged {
+                    return Err(refuse(format!(
+                        "the resume point of {exec_id:?} witnesses {} call(s) but its log holds \
+                         {logged}: resuming would re-run a stored step over its own output",
+                        point.calls
+                    )));
+                }
+                point
+            }
+        };
+        let outcome = self.drive(exec_id, workflow, Some(&point))?;
+        ss.store.clear_resume_point(exec_id)?;
+        Ok(outcome)
+    }
+
+    /// The one code path that runs a pipeline and maintains its provenance:
+    /// it runs `workflow` over the kept document, folds each committed call
+    /// of a live execution into the published snapshot, and commits the
+    /// run. `durable` is the checkpoint: the resume point to start from,
+    /// after which every completed top-level step is committed and recorded
+    /// as the next point. Without it the run starts after the kept trace
+    /// and commits once, when it completes. A failed live run whose deltas
+    /// folded calls it does not keep publishes the kept state's graph.
+    fn drive(
+        &self,
+        exec_id: &str,
+        workflow: &Workflow,
+        durable: Option<&ResumePoint>,
+    ) -> Result<ExecutionOutcome, PlatformError> {
         self.ensure_resident(exec_id)?;
         let mut doc = self
             .repository
             .get(exec_id)
             .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
         let prior = self.traces.get(exec_id).unwrap_or_default();
-        let mut start = next_time(&doc);
-        if let Some(last) = prior.calls.last() {
-            start = start.max(last.time + 1);
-        }
-        let workflow = self.build_workflow(spec)?;
+        let after = |start: u64| prior.calls.last().map_or(start, |last| start.max(last.time + 1));
+        let (completed, start) = durable
+            .map_or_else(|| (0, after(next_time(&doc))), |p| (p.completed_steps, p.next_time));
         let fault = self.fault.read().expect("lock poisoned").clone();
         let mut orch = Orchestrator::new().with_fault(fault);
         let rules = || self.catalog.read().expect("lock poisoned").rule_set();
@@ -439,48 +506,80 @@ impl Platform {
                 state.apply_delta(&delta, base + lp.calls_seen());
             }));
         }
-        let outcome = match orch.execute_starting_at(&workflow, &mut doc, start) {
-            Ok(outcome) => outcome,
+        // A failed checkpoint stops the checkpoints, not the run; the run
+        // then fails with it.
+        let (store, mut committed, mut failed) = (durable.and(self.store_state()), 0, None);
+        let run = orch.execute_resumable(
+            workflow,
+            &mut doc,
+            start,
+            completed,
+            &mut |done, doc, outcome, next_time| {
+                let (Some(point), Some(ss), None) = (durable, &store, &failed) else {
+                    return;
+                };
+                let point = ResumePoint {
+                    completed_steps: done,
+                    next_time,
+                    calls: prior.len() + outcome.trace.len(),
+                    step_names: point.step_names.clone(),
+                };
+                let saved = self
+                    .commit(exec_id, &outcome.trace.calls[committed..], doc.clone())
+                    .and_then(|()| Ok(ss.store.save_resume_point(exec_id, &point)?));
+                committed = outcome.trace.len();
+                failed = saved.err();
+            },
+        );
+        match run.map_err(PlatformError::from).and_then(|outcome| failed.map_or(Ok(outcome), Err)) {
+            Ok(outcome) => {
+                if durable.is_none() {
+                    self.commit(exec_id, &outcome.trace.calls, doc)?;
+                }
+                Ok(outcome)
+            }
             Err(e) => {
-                if let Some(state) = live.filter(|s| s.published().calls > prior.len()) {
-                    // The run folded calls the platform does not keep: publish
-                    // the graph of the kept document and trace at the next
-                    // epoch, rebuilt as a cold load rebuilds from its log.
-                    if let Some(kept) = self.repository.get(exec_id) {
-                        let graph = self.mapper.materialize(&kept, &prior, &rules())?;
+                let kept = self.traces.call_count(exec_id);
+                if let Some(state) = live.filter(|s| s.published().calls > kept) {
+                    // The run folded calls the platform does not keep:
+                    // publish the graph of the kept document and trace at
+                    // the next epoch, rebuilt as a cold load rebuilds from
+                    // its log.
+                    if let Some(kept_doc) = self.repository.get(exec_id) {
+                        let kept_trace = self.traces.get(exec_id).unwrap_or_default();
+                        let graph = self.mapper.materialize(&kept_doc, &kept_trace, &rules())?;
                         state.restore(EpochSnapshot {
                             epoch: state.published().epoch + 1,
-                            calls: prior.len(),
+                            calls: kept,
                             index: ReachabilityIndex::from_graph(&graph),
                             graph,
                         });
                     }
                 }
-                return Err(e.into());
+                Err(e)
             }
-        };
-        // persist: document into the repository, calls into the trace store
-        self.traces.put(exec_id, &outcome.trace);
+        }
+    }
+
+    /// Keep an execution's progress: its new calls into the trace store,
+    /// its document into the repository, then write it through the attached
+    /// store and evict past the residency bound.
+    fn commit(&self, exec_id: &str, calls: &[CallRecord], doc: Document) -> Result<(), PlatformError> {
+        for call in calls {
+            self.traces.record(exec_id, call.clone());
+        }
         self.repository.put(exec_id, doc);
-        self.persist_through(exec_id)?;
-        Ok(())
+        let saved = self.persist_through(exec_id);
+        match self.store_state() {
+            Some(ss) => self.evict_excess(&ss, exec_id).and(saved),
+            None => saved,
+        }
     }
 
     /// Incrementally recompute a prior execution under a changed input
-    /// document, registering the result as the new execution `new_id`.
-    ///
-    /// The dirty cone is taken from the prior execution's published
-    /// [`EpochSnapshot`] ([`dirty_cone`] over `changed_uris`, widened with
-    /// an inherit-mode inference so contained resources are covered); only calls
-    /// whose produced resources intersect it are re-executed, every other
-    /// fragment is spliced forward from the prior document (see
-    /// [`Orchestrator::replay`]). `changed` must be the prior execution's
-    /// *initial* document with the changed artifacts edited in place —
-    /// structure-preserving, same node arena shape.
-    ///
-    /// Only sequential traces can be replayed (parallel-channel traces
-    /// interleave call ranges, which the splice planner does not model).
-    /// The prior execution is left untouched; `new_id` must be fresh.
+    /// document ([`Platform::recompute`]) and keep the result as a run is
+    /// kept, as the new execution `new_id`, live if the prior one is. The
+    /// prior execution is left untouched; `new_id` must be fresh.
     pub fn replay_execution(
         &self,
         prior_id: &str,
@@ -488,10 +587,40 @@ impl Platform {
         mut changed: Document,
         changed_uris: &[String],
         proof: ProofMode,
-    ) -> Result<ReplayReport, PlatformError> {
+    ) -> Result<ReplayOutcome, PlatformError> {
         if new_id == prior_id || self.execution(new_id).exists() {
             return Err(PlatformError::ExecutionExists(new_id.to_string()));
         }
+        let replayed = self.recompute(prior_id, &mut changed, changed_uris, proof)?;
+        if self.live_enabled_impl(prior_id) {
+            self.enable_live_impl(new_id);
+        }
+        self.commit(new_id, &replayed.outcome.trace.calls, changed)?;
+        Ok(replayed)
+    }
+
+    /// The compute half of [`Platform::replay_execution`], which `weblab
+    /// replay --from` calls alone: replay the prior execution (cold-loaded
+    /// if evicted) under `changed`, in place, and register nothing.
+    ///
+    /// The dirty cone is [`dirty_cone`] over `changed_uris` in the prior
+    /// execution's published [`EpochSnapshot`], unioned with the one over
+    /// an inherit-mode inference of the prior execution, so contained
+    /// resources are covered; only calls whose produced resources
+    /// intersect it are re-executed, every other fragment is spliced
+    /// forward from the prior document (see [`Orchestrator::replay`]).
+    /// `changed` must be the prior execution's *initial* document with the
+    /// changed artifacts edited in place — structure-preserving, same node
+    /// arena shape. Only sequential traces can be replayed
+    /// (parallel-channel traces interleave call ranges, which the splice
+    /// planner does not model).
+    pub fn recompute(
+        &self,
+        prior_id: &str,
+        changed: &mut Document,
+        changed_uris: &[String],
+        proof: ProofMode,
+    ) -> Result<ReplayOutcome, PlatformError> {
         self.ensure_resident(prior_id)?;
         let prior_doc = self
             .repository
@@ -515,8 +644,7 @@ impl Platform {
         // The published snapshot's links may omit containment (inherited)
         // provenance — a fragment's non-anchor resources (a unit's
         // TextContent) would then have no link to the changed source and
-        // their consumers would be spliced stale. Union the snapshot cone
-        // with one over an inherit-mode inference of the prior execution.
+        // their consumers would be spliced stale.
         let rules = self.catalog.read().expect("lock poisoned").rule_set();
         let inherit_graph = weblab_prov::infer_provenance(
             &prior_doc,
@@ -527,40 +655,11 @@ impl Platform {
                 ..EngineOptions::default()
             },
         );
-        let inherit_index = weblab_prov::ReachabilityIndex::from_graph(&inherit_graph);
+        let inherit_index = ReachabilityIndex::from_graph(&inherit_graph);
         let mut dirty: HashSet<String> =
             dirty_cone(&snap.index, changed_uris).into_iter().collect();
         dirty.extend(dirty_cone(&inherit_index, changed_uris));
-        let replayed = Orchestrator::new().replay(
-            &workflow,
-            &mut changed,
-            &prior_doc,
-            &prior_trace,
-            &dirty,
-            proof,
-        )?;
-        // Register the result exactly as execute_spec persists a run:
-        // calls into the trace store, document into the repository, then
-        // write-through. Live mode is inherited from the prior execution;
-        // the first refresh folds the replayed calls in.
-        self.traces.put(new_id, &replayed.outcome.trace);
-        if self.live_enabled_impl(prior_id) {
-            self.enable_live_impl(new_id);
-        }
-        self.repository.put(new_id, changed);
-        if let Some(ss) = self.store_state() {
-            self.touch_lru(&ss, new_id);
-            self.persist_through(new_id)?;
-            self.evict_excess(&ss, new_id)?;
-        }
-        Ok(ReplayReport {
-            execution: new_id.to_string(),
-            cone_size: replayed.cone_size,
-            reused: replayed.reused,
-            recomputed: replayed.recomputed,
-            splices: replayed.splices,
-            grades: replayed.grades,
-        })
+        Ok(Orchestrator::new().replay(&workflow, changed, &prior_doc, &prior_trace, &dirty, proof)?)
     }
 
     fn build_workflow(&self, spec: &WorkflowSpec) -> Result<Workflow, PlatformError> {
@@ -680,11 +779,15 @@ impl Platform {
         let Some(ss) = self.store_state() else {
             return Ok(());
         };
-        let snap = self.snapshot_impl(exec_id)?;
+        self.ensure_resident(exec_id)?;
         let doc = self
             .repository
             .get(exec_id)
             .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
+        // Publish only what a live run's start would: with nothing to fold
+        // yet, the snapshot stays at epoch 0, so a store-backed execution
+        // numbers its epochs as a store-less one does.
+        let snap = self.refresh(exec_id, false)?;
         let trace = self.traces.get(exec_id).unwrap_or_default();
         let live = self.live_enabled_impl(exec_id);
         ss.store.save(exec_id, &doc, &trace, &snap.graph, snap.epoch, live)?;
@@ -889,7 +992,7 @@ impl ExecutionHandle<'_> {
         changed: Document,
         changed_uris: &[String],
         proof: ProofMode,
-    ) -> Result<ReplayReport, PlatformError> {
+    ) -> Result<ReplayOutcome, PlatformError> {
         self.platform
             .replay_execution(&self.id, new_id, changed, changed_uris, proof)
     }
@@ -1574,6 +1677,60 @@ mod tests {
         let clean = exec.snapshot().unwrap();
         assert_eq!(clean.calls, 1);
         assert_same_graph(&clean.graph, &oracle(&p, "e"));
+    }
+
+    #[test]
+    fn a_write_through_with_nothing_to_fold_publishes_no_epoch() {
+        let p = platform();
+        let dir = tmpstore("epoch0");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+        let exec = p.execution("e");
+        exec.ingest(weblab_xml::parse_document("<R><NativeContent id=\"n\">x</NativeContent></R>").unwrap());
+        // stored at epoch 0, as a store-less ingest publishes nothing
+        assert_eq!(p.index_state("e").published().epoch, 0);
+        assert!(exec.evict().unwrap());
+        // the cold load restores epoch 0, and a reader publishes epoch 1
+        let snap = exec.snapshot().unwrap();
+        assert_eq!((snap.epoch, snap.calls), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_durable_run_failing_at_its_third_step_keeps_two_steps_in_memory_and_on_disk() {
+        use weblab_workflow::services::Flaky;
+        let p = platform();
+        p.register_service(Arc::new(Flaky::failing(100)), &[]).unwrap();
+        let dir = tmpstore("durable");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        p.execution("e").enable_live();
+        let spec = WorkflowSpec::sequence(&["Normaliser", "LanguageExtractor", "Flaky", "Translator"]);
+        let wf = p.build_workflow(&spec).unwrap();
+        let input = generate_corpus(3, 1, 20);
+        assert!(p.execute_durable("e", &wf, Some(input)).is_err());
+
+        // resident: the two completed steps, committed
+        let doc = p.repository.get("e").unwrap();
+        let trace = p.traces.get("e").unwrap();
+        let snap = p.index_state("e").published();
+        assert_eq!((trace.len(), snap.calls), (2, 2));
+        assert_eq!(snap.epoch, 3, "the input's Source rows, then one epoch per call");
+        assert_same_graph(&snap.graph, &oracle(&p, "e"));
+        let point = p.store().unwrap().resume_point("e").unwrap().expect("unfinished");
+        assert_eq!((point.completed_steps, point.calls), (2, 2));
+
+        // cold-loaded by a fresh platform: the same document, trace and
+        // snapshot
+        let cold = platform();
+        cold.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let cold_snap = cold.execution("e").snapshot().unwrap();
+        assert_eq!(
+            weblab_xml::to_xml_string(&cold.repository.get("e").unwrap().view()),
+            weblab_xml::to_xml_string(&doc.view())
+        );
+        assert_eq!(cold.traces.get("e").unwrap().calls, trace.calls);
+        assert_eq!((cold_snap.epoch, cold_snap.calls), (snap.epoch, snap.calls));
+        assert_same_graph(&cold_snap.graph, &snap.graph);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -68,6 +68,10 @@ pub enum PersistError {
         /// Pid of the live owner found in the lock file.
         pid: u32,
     },
+    /// A resume point does not fit the stored execution: it was written
+    /// for another workflow, or the log ran ahead of it (a run stopped
+    /// between saving a step and recording it).
+    Resume(String),
 }
 
 impl fmt::Display for PersistError {
@@ -84,6 +88,7 @@ impl fmt::Display for PersistError {
             PersistError::StoreLocked { path, pid } => {
                 write!(f, "store directory {path} is locked by running process {pid}")
             }
+            PersistError::Resume(m) => write!(f, "{m}"),
         }
     }
 }

@@ -12,10 +12,18 @@
 //! exec: exec%2F1
 //! completed: 2
 //! next-time: 5
+//! calls: 3
 //! step: Normaliser
 //! step: [LanguageExtractor %7C Translator]
 //! # end steps=2
 //! ```
+//!
+//! `calls:` is a witness: the log's call count when the point was written.
+//! A run saves a step before it writes that step's point, so a crash
+//! between the two leaves the log ahead of the point; a resume checks the
+//! witness against the log and refuses such a point instead of re-running
+//! the step over its own output. A point without the witness is
+//! malformed.
 //!
 //! Step names are field-escaped: a parallel block renders as
 //! `[A | B]`, and a name holding a line break must not inject lines. The
@@ -35,6 +43,8 @@ pub struct ResumePoint {
     pub completed_steps: usize,
     /// The call instant the next step starts at.
     pub next_time: Timestamp,
+    /// Calls in the stored log when the point was written (the witness).
+    pub calls: usize,
     /// The workflow's step names.
     pub step_names: Vec<String>,
 }
@@ -45,6 +55,7 @@ pub fn encode(exec_id: &str, point: &ResumePoint) -> String {
     out.push_str(&format!("exec: {}\n", escape_field(exec_id)));
     out.push_str(&format!("completed: {}\n", point.completed_steps));
     out.push_str(&format!("next-time: {}\n", point.next_time));
+    out.push_str(&format!("calls: {}\n", point.calls));
     for s in &point.step_names {
         out.push_str(&format!("step: {}\n", escape_field(s)));
     }
@@ -56,8 +67,12 @@ pub fn encode(exec_id: &str, point: &ResumePoint) -> String {
 pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
     let mut completed = None;
     let mut next_time = None;
+    let mut calls = None;
     let mut steps = Vec::new();
     let mut footer = None;
+    fn count<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
+        v.trim().parse().map_err(|_| format!("invalid {what} {v:?}"))
+    }
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let raw = raw.trim();
@@ -67,17 +82,11 @@ pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
         } else if raw.is_empty() || raw.starts_with('#') || raw.starts_with("exec:") {
             continue;
         } else if let Some(v) = raw.strip_prefix("completed:") {
-            completed = Some(
-                v.trim()
-                    .parse::<usize>()
-                    .map_err(|_| err(format!("invalid step count {v:?}")))?,
-            );
+            completed = Some(count(v, "step count").map_err(err)?);
         } else if let Some(v) = raw.strip_prefix("next-time:") {
-            next_time = Some(
-                v.trim()
-                    .parse::<Timestamp>()
-                    .map_err(|_| err(format!("invalid call instant {v:?}")))?,
-            );
+            next_time = Some(count(v, "call instant").map_err(err)?);
+        } else if let Some(v) = raw.strip_prefix("calls:") {
+            calls = Some(count(v, "call count").map_err(err)?);
         } else if let Some(v) = raw.strip_prefix("step:") {
             steps.push(unescape_field(v.trim()).map_err(err)?);
         } else {
@@ -107,7 +116,9 @@ pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
             ),
         });
     }
-    Ok(ResumePoint { completed_steps, next_time, step_names: steps })
+    let message = "missing the 'calls:' witness".to_string();
+    let calls = calls.ok_or(PersistError::Format { line: 0, message })?;
+    Ok(ResumePoint { completed_steps, next_time, calls, step_names: steps })
 }
 
 /// Write a resume point to `path` atomically.

@@ -374,6 +374,7 @@ fn resume_points_round_trip_and_detect_truncation() {
     let point = ResumePoint {
         completed_steps: 2,
         next_time: 5,
+        calls: trace.len(),
         step_names: vec![
             "Normaliser".into(),
             "[LanguageExtractor | Translator]".into(),
@@ -422,7 +423,7 @@ fn inconsistent_resume_points_are_rejected() {
     store
         .save_resume_point(
             "e",
-            &ResumePoint { completed_steps: 0, next_time: 1, step_names: Vec::new() },
+            &ResumePoint { completed_steps: 0, next_time: 1, calls: 0, step_names: Vec::new() },
         )
         .unwrap();
     let path = store.resume_path("e");
@@ -433,6 +434,8 @@ fn inconsistent_resume_points_are_rejected() {
         "completed: 0\nnext-time: 1\nwat\n# end steps=0\n",
         // unparsable counter
         "completed: x\nnext-time: 1\n# end steps=0\n",
+        // no call-count witness
+        "completed: 0\nnext-time: 1\nstep: A\n# end steps=1\n",
     ] {
         std::fs::write(&path, text).unwrap();
         match store.resume_point("e") {

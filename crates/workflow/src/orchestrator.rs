@@ -264,29 +264,18 @@ impl Orchestrator {
         doc: &mut Document,
     ) -> Result<ExecutionOutcome, WorkflowError> {
         let start = next_time(doc);
-        self.execute_starting_at(workflow, doc, start)
-    }
-
-    /// Execute with an explicit first call instant (used by the platform
-    /// to keep instants strictly increasing across multiple `execute`
-    /// invocations on the same execution, even when earlier calls produced
-    /// no labelled resources).
-    pub fn execute_starting_at(
-        &self,
-        workflow: &Workflow,
-        doc: &mut Document,
-        start: Timestamp,
-    ) -> Result<ExecutionOutcome, WorkflowError> {
         self.execute_resumable(workflow, doc, start, 0, &mut |_, _, _, _| {})
     }
 
-    /// Execute with checkpoint/resume support: skip the first `completed`
-    /// top-level steps (they ran before a crash and their effects are
-    /// already in `doc`), and invoke `checkpoint` after every top-level
-    /// step that completes, with the number of steps now completed, the
-    /// document, the outcome so far, and the next call instant. `weblab
-    /// run --store` plugs in here to store each completed step with a
-    /// resume point a crashed execution can be reloaded from.
+    /// Execute from an explicit first call instant with checkpoint/resume
+    /// support: skip the first `completed` top-level steps (they ran
+    /// before a crash and their effects are already in `doc`), and invoke
+    /// `checkpoint` after every top-level step that completes, with the
+    /// number of steps now completed, the document, the outcome so far,
+    /// and the next call instant. The platform runs every pipeline here:
+    /// its instants continue past an execution's earlier calls, and a
+    /// durable run stores each completed step with a resume point a
+    /// crashed execution can be reloaded from.
     ///
     /// A parallel block counts as one step: it either completes as a whole
     /// or is re-run as a whole on resume.

@@ -771,4 +771,7 @@ print(f"ci: X17 snapshot ok ({snap['nodes']} nodes, top-{snap['limit']} "
       f"materialising {snap['full']['impacted']} impacted resources)")
 PY
 
+echo "==> non-test line counts (a report, not a gate)"
+bash scripts/loc.sh
+
 echo "ci: all gates passed"

@@ -3,46 +3,41 @@
 //! ```text
 //! weblab run <input.xml> <service,service,…> [-o out.xml] [--retries N]
 //!            [--on-failure abort|skip|retry] [--live] [--store DIR [--resume]]
-//!     Run built-in media-mining services over a WebLab document and write
-//!     the stamped result (wl:id / wl:s / wl:t metadata included).
+//!     Run built-in media-mining services over a WebLab document, through
+//!     the platform code the serve `ingest` op runs, and write the stamped
+//!     result (wl:id / wl:s / wl:t metadata included).
 //!     `--retries N` grants each step N extra attempts (failed attempts are
-//!     rolled back to the pre-call state; retries reuse the call instant).
-//!     `--on-failure` sets the disposition once attempts are exhausted:
-//!     abort the run (default), skip the step, or retry (implied by
-//!     `--retries`). The `flaky` / `flaky:N` pseudo-service fails its
-//!     first 2 / N calls and then succeeds — a fault-injection aid for
-//!     exercising the flags.
-//!     `--live` maintains the provenance graph *during* the run: every
-//!     committed call is folded into the run's epoch snapshot as it
-//!     completes (rolled-back attempts never reach it), so by the final
-//!     call the full graph exists without a batch inference pass. A
-//!     summary goes to stderr.
-//!     `--store DIR` (implies `--live`) writes the execution, named after
-//!     the input's file stem, into the provenance store at DIR after every
-//!     completed step: document, call log, links and that snapshot, the
-//!     format `weblab serve --store DIR` serves. Until the run
-//!     completes, a resume point records how far it got; `--resume`
-//!     restarts a crashed run from there instead of from <input.xml>. A
-//!     run without `--resume` on an execution the store already holds
+//!     rolled back; retries reuse the call instant); `--on-failure` sets
+//!     what happens once they are exhausted: abort the run (default), skip
+//!     the step, or retry (implied by `--retries`). The `flaky` / `flaky:N`
+//!     pseudo-service fails its first 2 / N calls, then succeeds.
+//!     `--live` folds every committed call into the execution's epoch
+//!     snapshot as it completes, as a live `ingest` does, so the full graph
+//!     exists without a batch inference pass; a summary goes to stderr.
+//!     `--store DIR` (implies `--live`) runs the execution, named after the
+//!     input's file stem, durably in the provenance store at DIR: after
+//!     every completed step it is written through and a resume point
+//!     records how far it got, and `--resume` continues a crashed run from
+//!     there. A run without `--resume` on an execution the store holds
 //!     fails before any service runs, and so does `--resume` on a finished
-//!     run. A directory a running daemon holds fails with `store-locked`.
+//!     run, or (code `store`) on a point the stored log ran ahead of. A
+//!     directory a running daemon holds fails with `store-locked`.
 //!
 //! weblab replay <changed.xml> --from DIR [--exec ID] --changed URI[,URI…]
 //!               [--proof trusted|exact|concordant] [--tolerance F]
 //!               [-o out.xml] [catalog.txt]
-//!     Provenance-guided incremental recomputation: re-run a prior
-//!     execution (stored by `weblab run --store DIR`) under a
-//!     changed copy of its *input* document, re-executing only the
-//!     services whose outputs fall inside the dirty cone of the
-//!     `--changed` URIs (the `impacted-by` closure in the prior run's
-//!     provenance graph) and splicing every other fragment forward from
-//!     the prior result. The output is provably identical to a full
-//!     re-run. `--proof exact` sandbox-re-executes every reused step and
-//!     demands byte identity (fails loudly on nondeterministic services);
-//!     `--proof concordant` grades similarity and accepts fragments at or
-//!     above `--tolerance` (default 0.9), reporting per-fragment grades.
-//!     `--exec ID` defaults to the changed file's stem, matching the id
-//!     `weblab run` derives from its input path.
+//!     Provenance-guided incremental recomputation, computed as the serve
+//!     `replay` op computes it: re-run a prior execution (stored by `weblab
+//!     run --store DIR`) under a changed copy of its *input* document,
+//!     re-executing only the services whose outputs fall inside the dirty
+//!     cone of the `--changed` URIs (their `impacted-by` closure in the
+//!     prior run's provenance) and splicing every other fragment forward.
+//!     The output is provably identical to a full re-run, and DIR is left
+//!     as it was. `--proof exact` sandbox-re-executes every reused step and
+//!     demands byte identity; `--proof concordant` grades similarity and
+//!     accepts fragments at or above `--tolerance` (default 0.9), reporting
+//!     per-fragment grades. `--exec ID` defaults to the changed file's
+//!     stem, the id `weblab run` derives from its input path.
 //!
 //! weblab infer <stamped.xml> [catalog.txt] [--inherit] [--format table|turtle|provxml|dot] [--jobs N|auto]
 //!     Reconstruct the execution trace from the document's labels, apply
@@ -124,17 +119,16 @@
 //! stable [`WebLabError::code`] string shared with the serve protocol.
 
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use weblab::error::WebLabError;
 use weblab::platform::{
-    Mapper, PersistError, Platform, PlatformError, ProvQuery, ProvStore, QueryAnswer, QueryOpts,
-    RankDirection, ResumePoint, ServiceCatalog,
+    Mapper, Platform, PlatformError, ProvQuery, ProvStore, QueryAnswer, QueryOpts, RankDirection,
+    ServiceCatalog,
 };
 use weblab::prov::{
-    dirty_cone, format_micro, infer_provenance, micro_from_f64, EngineOptions, EpochSnapshot,
-    ExecutionTrace, InheritMode, LiveDelta, LiveProvenance, Parallelism, ProvenanceGraph,
-    ReachabilityIndex, RuleSet,
+    format_micro, infer_provenance, micro_from_f64, EngineOptions, ExecutionTrace, InheritMode,
+    Parallelism, ProvenanceGraph, RuleSet,
 };
 use weblab::rdf::{export_prov, to_turtle};
 use weblab::serve::Server;
@@ -143,8 +137,7 @@ use weblab::workflow::services::{
     OcrExtractor, SentimentAnalyser, SpeechTranscriber, Summariser, Tokeniser, Translator,
 };
 use weblab::workflow::{
-    AttemptStatus, FailurePolicy, FaultPolicy, Orchestrator, ProofMode, RetryPolicy, Service,
-    Workflow,
+    AttemptStatus, FailurePolicy, FaultPolicy, ProofMode, RetryPolicy, Service, Workflow,
 };
 use weblab::xml::{parse_document, to_xml_string_pretty, Document};
 
@@ -287,6 +280,42 @@ fn rules_from(path: Option<&str>) -> Result<RuleSet, WebLabError> {
     }
 }
 
+/// A platform with the built-in services registered under `rules` — what
+/// `weblab run`, `weblab replay` and `weblab serve` drive.
+fn builtin_platform(rules: &RuleSet) -> Result<Platform, PlatformError> {
+    let platform = Platform::new(Mapper::native());
+    let builtins: [Arc<dyn Service>; 11] = [
+        Arc::new(Normaliser),
+        Arc::new(LanguageExtractor),
+        Arc::new(Translator::default()),
+        Arc::new(Tokeniser),
+        Arc::new(EntityExtractor),
+        Arc::new(SentimentAnalyser),
+        Arc::new(KeywordExtractor),
+        Arc::new(Summariser),
+        Arc::new(Indexer),
+        Arc::new(OcrExtractor),
+        Arc::new(SpeechTranscriber),
+    ];
+    for svc in builtins {
+        let texts: Vec<String> = rules.rules_for(svc.name()).iter().map(|r| r.to_string()).collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        platform.register_service(svc, &refs)?;
+    }
+    Ok(platform)
+}
+
+/// The next argument as the value of `flag`, parsed; `what` names the
+/// value expected.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, WebLabError> {
+    let v = it.next().ok_or_else(|| format!("missing value for {flag}"))?;
+    v.parse().map_err(|_| format!("{flag} expects {what}, got {v:?}").into())
+}
+
 /// Parse a `--jobs` value: a worker-thread count, or `auto` for all cores.
 fn parse_jobs(v: &str) -> Result<Parallelism, WebLabError> {
     if v.eq_ignore_ascii_case("auto") {
@@ -315,27 +344,20 @@ fn split_jobs(args: &[String]) -> Result<(Vec<String>, Parallelism), WebLabError
     Ok((pos, jobs))
 }
 
+/// Read a stamped document and infer its provenance graph under the rules
+/// of a catalog file (the built-in defaults without one).
 fn build_graph(
-    doc: &Document,
-    rules: &RuleSet,
+    input: &str,
+    catalog: Option<&str>,
     inherit: bool,
     jobs: Parallelism,
-) -> ProvenanceGraph {
-    let trace = ExecutionTrace::reconstruct_from(doc);
-    infer_provenance(
-        doc,
-        &trace,
-        rules,
-        &EngineOptions {
-            inherit: if inherit {
-                InheritMode::PatternRewrite
-            } else {
-                InheritMode::Off
-            },
-            parallelism: jobs,
-            ..Default::default()
-        },
-    )
+) -> Result<ProvenanceGraph, WebLabError> {
+    let doc = read_doc(input)?;
+    let rules = rules_from(catalog)?;
+    let trace = ExecutionTrace::reconstruct_from(&doc);
+    let inherit = if inherit { InheritMode::PatternRewrite } else { InheritMode::Off };
+    let opts = EngineOptions { inherit, parallelism: jobs, ..Default::default() };
+    Ok(infer_provenance(&doc, &trace, &rules, &opts))
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
@@ -354,13 +376,7 @@ fn cmd_run(args: &[String]) -> CliResult {
                 store_dir = Some(it.next().ok_or("missing value for --store")?.clone());
                 live = true;
             }
-            "--retries" => {
-                let v = it.next().ok_or("missing value for --retries")?;
-                retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("--retries expects a count, got {v:?}"))?,
-                );
-            }
+            "--retries" => retries = Some(flag_value(&mut it, "--retries", "a count")?),
             "--on-failure" => {
                 let v = it.next().ok_or("missing value for --on-failure")?;
                 on_failure = Some(FailurePolicy::parse(v).ok_or_else(|| {
@@ -388,7 +404,6 @@ fn cmd_run(args: &[String]) -> CliResult {
             service_by_name(name.trim()).ok_or_else(|| format!("unknown service {name:?}"))?;
         wf = wf.then_boxed(svc);
     }
-    let step_names = wf.step_names();
 
     // fault policy: --retries N grants N extra attempts per step and implies
     // the retry disposition unless --on-failure overrides it
@@ -400,121 +415,53 @@ fn cmd_run(args: &[String]) -> CliResult {
     if let Some(d) = on_failure {
         fault.on_failure = d;
     }
-    let mut orch = Orchestrator::new().with_fault(fault);
+    let platform = builtin_platform(&services::default_rules())?;
+    platform.set_fault_policy(fault);
 
     // the execution id is derived from the input path
     let exec_id = file_stem(&input);
-    let store = store_dir.as_deref().map(ProvStore::open).transpose()?;
-
-    // Start from the input, or from where an unfinished run stopped (with
-    // the snapshot it stored). A stored execution is only ever continued: a
-    // second run on its id would append its calls to the first run's log.
-    let (stored_snapshot, mut doc, prior, completed, start) = match &store {
-        Some(store) if store.contains(&exec_id) => {
-            let dir = store.root().display();
-            if !resume {
-                return Err(format!(
-                    "store {dir} already holds execution {exec_id:?}; pass --resume to \
-                     continue its unfinished run, or use a fresh --store directory"
-                )
-                .into());
-            }
-            let point = store.resume_point(&exec_id)?.ok_or_else(|| {
-                format!(
-                    "execution {exec_id:?} in {dir} has no resume point: its run \
-                     finished, so there is nothing to resume"
-                )
-            })?;
-            if point.step_names != step_names {
-                return Err(format!(
-                    "execution {exec_id:?} in {dir} was run by a different workflow \
-                     ({:?}, not {:?})",
-                    point.step_names, step_names
-                )
-                .into());
-            }
-            let mut stored = store
-                .load(&exec_id)?
-                .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
-            eprintln!(
-                "resuming after {} completed step(s) at t={}",
-                point.completed_steps, point.next_time
-            );
-            let snapshot = Some(stored.resume_snapshot());
-            (snapshot, stored.doc, stored.trace, point.completed_steps, point.next_time)
+    let exec = platform.execution(&exec_id);
+    if live {
+        exec.enable_live();
+    }
+    let outcome = match &store_dir {
+        None => {
+            exec.ingest(read_doc(&input)?);
+            platform.execute_workflow(&exec_id, &wf)?
         }
-        _ => {
-            if let Some(store) = store.as_ref().filter(|_| resume) {
+        Some(dir) => {
+            platform.attach_store(ProvStore::open(dir)?, 1)?;
+            // A stored execution is only ever continued: a second run on
+            // its id would append its calls to the first run's log.
+            let fresh = if exec.exists() {
+                if !resume {
+                    return Err(format!(
+                        "store {dir} already holds execution {exec_id:?}; pass --resume to \
+                         continue its unfinished run, or use a fresh --store directory"
+                    )
+                    .into());
+                }
+                let store = platform.store().expect("a store was just attached");
+                let point = store.resume_point(&exec_id)?.ok_or_else(|| {
+                    format!(
+                        "execution {exec_id:?} in {dir} has no resume point: its run \
+                         finished, so there is nothing to resume"
+                    )
+                })?;
                 eprintln!(
-                    "no run of {exec_id:?} in {}; starting fresh",
-                    store.root().display()
+                    "resuming after {} completed step(s) at t={}",
+                    point.completed_steps, point.next_time
                 );
-            }
-            let doc = read_doc(&input)?;
-            let start = weblab::workflow::next_time(&doc);
-            (None, doc, ExecutionTrace::default(), 0, start)
+                None
+            } else {
+                if resume {
+                    eprintln!("no run of {exec_id:?} in {dir}; starting fresh");
+                }
+                Some(read_doc(&input)?)
+            };
+            platform.execute_durable(&exec_id, &wf, fresh)?
         }
     };
-
-    // live mode: fold every committed call into the run's epoch snapshot,
-    // numbered as a live `ingest` numbers the daemon's: a fresh run's starts
-    // with the input's Source rows (epoch 1, unless there are none), a
-    // resumed run's is the stored one, and each call adds one epoch.
-    let snapshot = live.then(|| {
-        let mut snap = stored_snapshot.unwrap_or_else(EpochSnapshot::empty);
-        let sources = snap.missing_sources(&doc);
-        if !sources.is_empty() {
-            snap.fold(&LiveDelta { links: Vec::new(), sources }, snap.calls);
-        }
-        Arc::new(Mutex::new(snap))
-    });
-    if let Some(snap) = &snapshot {
-        let lp = LiveProvenance::new(services::default_rules(), EngineOptions::default());
-        let producer = Mutex::new(lp.starting_at(&doc, &prior));
-        let (snap, base) = (Arc::clone(snap), prior.len());
-        orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
-            let mut lp = producer.lock().expect("live producer lock poisoned");
-            let delta = lp.observe_call(doc, trace, idx);
-            snap.lock().expect("live snapshot lock poisoned").fold(&delta, base + lp.calls_seen());
-        }));
-    }
-
-    // after every completed top-level step, write the execution through
-    // the store — document, log tail and the live snapshot the daemon
-    // serves — then the resume point a crashed run restarts from
-    let save_error = std::cell::RefCell::new(None::<PersistError>);
-    let outcome_result = orch.execute_resumable(
-        &wf,
-        &mut doc,
-        start,
-        completed,
-        &mut |done, doc, outcome, next_time| {
-            let (Some(store), Some(snap)) = (&store, &snapshot) else {
-                return;
-            };
-            let mut trace = prior.clone();
-            trace.calls.extend(outcome.trace.calls.iter().cloned());
-            let point = ResumePoint {
-                completed_steps: done,
-                next_time,
-                step_names: step_names.clone(),
-            };
-            let snap = snap.lock().expect("live snapshot lock poisoned");
-            let saved = store
-                .save(&exec_id, doc, &trace, &snap.graph, snap.epoch, true)
-                .and_then(|()| store.save_resume_point(&exec_id, &point));
-            if let Err(e) = saved {
-                save_error.borrow_mut().get_or_insert(e);
-            }
-        },
-    );
-    let outcome = outcome_result?;
-    if let Some(e) = save_error.into_inner() {
-        return Err(e.into());
-    }
-    if let Some(store) = &store {
-        store.clear_resume_point(&exec_id)?;
-    }
 
     let (mut rolled_back, mut skipped) = (0usize, 0usize);
     for a in &outcome.attempts {
@@ -533,31 +480,40 @@ fn cmd_run(args: &[String]) -> CliResult {
             AttemptStatus::Succeeded => {}
         }
     }
+    let (nodes, resources, xml) = platform
+        .recorder()
+        .repository
+        .with(&exec_id, |doc| {
+            (doc.node_count(), doc.resource_nodes().len(), to_xml_string_pretty(&doc.view()))
+        })
+        .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
     eprintln!(
         "executed {} calls ({} attempt(s), {} rolled back, {} skipped); \
-         document has {} nodes, {} resources",
+         document has {nodes} nodes, {resources} resources",
         outcome.trace.len(),
         outcome.attempts.len(),
         rolled_back,
         skipped,
-        doc.node_count(),
-        doc.resource_nodes().len()
     );
-    if let Some(snap) = &snapshot {
-        let s = snap.lock().expect("live snapshot lock poisoned");
+    if live {
+        let s = exec.snapshot()?;
         let (calls, links, sources) = (s.calls, s.graph.links.len(), s.graph.sources.len());
         eprintln!("live provenance: {calls} call(s) folded, {links} link(s), {sources} source(s)");
     }
-    if let Some(store) = &store {
-        eprintln!("execution {exec_id:?} stored in {}", store.root().display());
+    if let Some(dir) = &store_dir {
+        eprintln!("execution {exec_id:?} stored in {dir}");
     }
-    let xml = to_xml_string_pretty(&doc.view());
+    write_doc(out, &xml)
+}
+
+/// Write a stamped document to `-o FILE`, or to stdout without one.
+fn write_doc(out: Option<String>, xml: &str) -> CliResult {
     match out {
-        Some(path) => std::fs::write(&path, xml)
-            .map_err(|e| WebLabError::io(format!("writing {path}"), e))?,
-        None => emit(&format!("{xml}\n"))?,
+        Some(path) => {
+            std::fs::write(&path, xml).map_err(|e| WebLabError::io(format!("writing {path}"), e))
+        }
+        None => emit(&format!("{xml}\n")),
     }
-    Ok(())
 }
 
 /// The execution id `weblab run` derives from an input path, and `weblab
@@ -593,10 +549,7 @@ fn cmd_replay(args: &[String]) -> CliResult {
             ),
             "--proof" => proof = it.next().ok_or("missing value for --proof")?.clone(),
             "--tolerance" => {
-                let v = it.next().ok_or("missing value for --tolerance")?;
-                tolerance = Some(v.parse().map_err(|_| {
-                    format!("--tolerance expects a number in [0, 1], got {v:?}")
-                })?);
+                tolerance = Some(flag_value(&mut it, "--tolerance", "a number in [0, 1]")?)
             }
             other if input.is_none() => input = Some(other.to_string()),
             other if catalog.is_none() => catalog = Some(other.to_string()),
@@ -627,45 +580,15 @@ fn cmd_replay(args: &[String]) -> CliResult {
     // the prior execution, as `weblab run --store DIR` stored it (ids
     // derive from the input file stem there, so the same derivation is the
     // default here). Opening a store creates its directory, which a read
-    // must not do.
+    // must not do. The replay registers nothing, so DIR is left as it was.
     let exec_id = exec.unwrap_or_else(|| file_stem(&input));
     std::fs::read_dir(&from).map_err(|e| WebLabError::io(format!("opening store {from}"), e))?;
-    let stored = ProvStore::open(&from)?
-        .load(&exec_id)?
-        .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
-    let (prior_doc, prior_trace) = (stored.doc, stored.trace);
-    if prior_trace.calls.is_empty() {
-        return Err(format!("execution {exec_id:?} in {from} has no recorded calls").into());
-    }
-    let mut wf = Workflow::new();
-    for c in &prior_trace.calls {
-        let svc = service_by_name(&c.service)
-            .ok_or_else(|| format!("prior trace names unknown service {:?}", c.service))?;
-        wf = wf.then_boxed(svc);
-    }
-
-    // dirty cone: impacted-by closure of the changed URIs in the prior
-    // run's provenance graph. Inherited provenance is ON here: the base
-    // rules only link a fragment's anchor resource, but the cone must
-    // cover contained resources (a unit's TextContent) too, or downstream
-    // consumers of those would be spliced stale.
-    let rules = rules_from(catalog.as_deref())?;
-    let graph = infer_provenance(
-        &prior_doc,
-        &prior_trace,
-        &rules,
-        &EngineOptions {
-            inherit: InheritMode::PatternRewrite,
-            ..Default::default()
-        },
-    );
-    let index = ReachabilityIndex::from_graph(&graph);
-    let dirty: std::collections::HashSet<String> =
-        dirty_cone(&index, &changed).into_iter().collect();
-
+    let platform = builtin_platform(&rules_from(catalog.as_deref())?)?;
+    // a prior run may have called the fault injector, as `flaky` resolves it
+    platform.register_service(Arc::new(Flaky::failing(2)), &[])?;
+    platform.attach_store(ProvStore::open(&from)?, 1)?;
     let mut doc = read_doc(&input)?;
-    let replayed =
-        Orchestrator::new().replay(&wf, &mut doc, &prior_doc, &prior_trace, &dirty, proof)?;
+    let replayed = platform.recompute(&exec_id, &mut doc, &changed, proof)?;
     eprintln!(
         "replayed {} call(s): cone {}, reused {}, recomputed {}, splice(s) {}",
         replayed.outcome.trace.len(),
@@ -683,13 +606,7 @@ fn cmd_replay(args: &[String]) -> CliResult {
             if g.identical { " (identical)" } else { "" }
         );
     }
-    let xml = to_xml_string_pretty(&doc.view());
-    match out {
-        Some(path) => std::fs::write(&path, xml)
-            .map_err(|e| WebLabError::io(format!("writing {path}"), e))?,
-        None => emit(&format!("{xml}\n"))?,
-    }
-    Ok(())
+    write_doc(out, &to_xml_string_pretty(&doc.view()))
 }
 
 fn cmd_infer(args: &[String]) -> CliResult {
@@ -712,9 +629,7 @@ fn cmd_infer(args: &[String]) -> CliResult {
         }
     }
     let input = input.ok_or("usage: weblab infer <stamped.xml> [catalog.txt] [--inherit] [--format table|turtle|provxml|dot] [--jobs N|auto]")?;
-    let doc = read_doc(&input)?;
-    let rules = rules_from(catalog.as_deref())?;
-    let graph = build_graph(&doc, &rules, inherit, jobs);
+    let graph = build_graph(&input, catalog.as_deref(), inherit, jobs)?;
     match format.as_str() {
         "table" => emit(&graph.to_string())?,
         "turtle" => emit(&format!("{}\n", to_turtle(&export_prov(&graph))))?,
@@ -741,9 +656,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         _ => {}
     }
     let sparql = pos.get(1).ok_or("missing SPARQL query")?;
-    let doc = read_doc(input)?;
-    let rules = rules_from(pos.get(2).map(String::as_str))?;
-    let graph = build_graph(&doc, &rules, false, jobs);
+    let graph = build_graph(input, pos.get(2).map(String::as_str), false, jobs)?;
     // the same query enum and answering match the serve protocol uses
     let query = ProvQuery::Sparql {
         query: sparql.clone(),
@@ -787,18 +700,8 @@ fn cmd_query_rank(input: &str, args: &[String], jobs: Parallelism) -> CliResult 
                     format!("--direction expects \"up\" or \"down\", got {v:?}")
                 })?;
             }
-            "--limit" => {
-                let v = it.next().ok_or("missing value for --limit")?;
-                opts.limit = v
-                    .parse()
-                    .map_err(|_| format!("--limit expects a count, got {v:?}"))?;
-            }
-            "--budget" => {
-                let v = it.next().ok_or("missing value for --budget")?;
-                opts.budget = v
-                    .parse()
-                    .map_err(|_| format!("--budget expects a count, got {v:?}"))?;
-            }
+            "--limit" => opts.limit = flag_value(&mut it, "--limit", "a count")?,
+            "--budget" => opts.budget = flag_value(&mut it, "--budget", "a count")?,
             "--decay" => {
                 let v = it.next().ok_or("missing value for --decay")?;
                 opts.decay_micro = micro_flag("--decay", v, 1.0)?;
@@ -817,9 +720,7 @@ fn cmd_query_rank(input: &str, args: &[String], jobs: Parallelism) -> CliResult 
     if uris.is_empty() {
         return Err("usage: weblab query <stamped.xml> rank <uri>… [--direction up|down] [--limit N] [--budget N] [--decay F] [--weight Service=F] [--catalog FILE] [--jobs N|auto]".into());
     }
-    let doc = read_doc(input)?;
-    let rules = rules_from(catalog.as_deref())?;
-    let graph = build_graph(&doc, &rules, false, jobs);
+    let graph = build_graph(input, catalog.as_deref(), false, jobs)?;
     let query = ProvQuery::Rank { uris, direction, opts, weights };
     let QueryAnswer::Ranked(entries) = query.answer_on_graph(&graph)? else {
         unreachable!("rank queries answer with ranked entries");
@@ -849,9 +750,7 @@ fn cmd_query_summary(input: &str, args: &[String], jobs: Parallelism) -> CliResu
             other => return Err(format!("unexpected argument {other:?}").into()),
         }
     }
-    let doc = read_doc(input)?;
-    let rules = rules_from(catalog.as_deref())?;
-    let graph = build_graph(&doc, &rules, false, jobs);
+    let graph = build_graph(input, catalog.as_deref(), false, jobs)?;
     let query = ProvQuery::Summary { uri };
     let QueryAnswer::Summary(s) = query.answer_on_graph(&graph)? else {
         unreachable!("summary queries answer with a graph summary");
@@ -883,9 +782,7 @@ fn cmd_why(args: &[String]) -> CliResult {
         .first()
         .ok_or("usage: weblab why <stamped.xml> <resource-uri> [catalog.txt] [--jobs N|auto]")?;
     let uri = pos.get(1).ok_or("missing resource uri")?;
-    let doc = read_doc(input)?;
-    let rules = rules_from(pos.get(2).map(String::as_str))?;
-    let graph = build_graph(&doc, &rules, true, jobs);
+    let graph = build_graph(input, pos.get(2).map(String::as_str), true, jobs)?;
     let query = ProvQuery::Why {
         uri: uri.to_string(),
     };
@@ -924,82 +821,25 @@ fn cmd_serve(args: &[String]) -> CliResult {
         match a.as_str() {
             "--store" => store_dir = Some(it.next().ok_or("missing value for --store")?.clone()),
             "--max-resident" => {
-                let v = it.next().ok_or("missing value for --max-resident")?;
-                max_resident = v
-                    .parse()
-                    .map_err(|_| format!("--max-resident expects an execution count, got {v:?}"))?;
+                max_resident = flag_value(&mut it, "--max-resident", "an execution count")?
             }
             "--compact-every" => {
-                let v = it.next().ok_or("missing value for --compact-every")?;
-                compact_every = v.parse().map_err(|_| {
-                    format!("--compact-every expects milliseconds (0 disables), got {v:?}")
-                })?;
+                compact_every = flag_value(&mut it, "--compact-every", "milliseconds (0 disables)")?
             }
-            "--port" => {
-                let v = it.next().ok_or("missing value for --port")?;
-                port = v
-                    .parse()
-                    .map_err(|_| format!("--port expects a port number, got {v:?}"))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or("missing value for --workers")?;
-                workers = v
-                    .parse()
-                    .map_err(|_| format!("--workers expects a thread count, got {v:?}"))?;
-            }
-            "--max-rows" => {
-                let v = it.next().ok_or("missing value for --max-rows")?;
-                max_rows = v
-                    .parse()
-                    .map_err(|_| format!("--max-rows expects a row count, got {v:?}"))?;
-            }
-            "--max-batch" => {
-                let v = it.next().ok_or("missing value for --max-batch")?;
-                max_batch = v
-                    .parse()
-                    .map_err(|_| format!("--max-batch expects a sub-request count, got {v:?}"))?;
-            }
-            "--max-conns" => {
-                let v = it.next().ok_or("missing value for --max-conns")?;
-                max_conns = v
-                    .parse()
-                    .map_err(|_| format!("--max-conns expects a connection count, got {v:?}"))?;
-            }
+            "--port" => port = flag_value(&mut it, "--port", "a port number")?,
+            "--workers" => workers = flag_value(&mut it, "--workers", "a thread count")?,
+            "--max-rows" => max_rows = flag_value(&mut it, "--max-rows", "a row count")?,
+            "--max-batch" => max_batch = flag_value(&mut it, "--max-batch", "a sub-request count")?,
+            "--max-conns" => max_conns = flag_value(&mut it, "--max-conns", "a connection count")?,
             "--idle-timeout" => {
-                let v = it.next().ok_or("missing value for --idle-timeout")?;
-                let millis: u64 = v.parse().map_err(|_| {
-                    format!("--idle-timeout expects milliseconds (0 disables), got {v:?}")
-                })?;
+                let millis: u64 = flag_value(&mut it, "--idle-timeout", "milliseconds (0 disables)")?;
                 idle_timeout = (millis > 0).then(|| std::time::Duration::from_millis(millis));
             }
             other if catalog.is_none() => catalog = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}").into()),
         }
     }
-    let rules = rules_from(catalog.as_deref())?;
-    let platform = Platform::new(Mapper::native());
-    let builtins: Vec<Box<dyn Service>> = vec![
-        Box::new(Normaliser),
-        Box::new(LanguageExtractor),
-        Box::new(Translator::default()),
-        Box::new(Tokeniser),
-        Box::new(EntityExtractor),
-        Box::new(SentimentAnalyser),
-        Box::new(KeywordExtractor),
-        Box::new(Summariser),
-        Box::new(Indexer),
-        Box::new(OcrExtractor),
-        Box::new(SpeechTranscriber),
-    ];
-    for svc in builtins {
-        let texts: Vec<String> = rules
-            .rules_for(svc.name())
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        platform.register_service(Arc::from(svc), &refs)?;
-    }
+    let platform = builtin_platform(&rules_from(catalog.as_deref())?)?;
     if let Some(dir) = &store_dir {
         let store = ProvStore::open(dir).map_err(WebLabError::from)?;
         platform.attach_store(store, max_resident.max(1))?;

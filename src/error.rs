@@ -67,6 +67,9 @@ pub enum WebLabError {
     Protocol(String),
     /// The command line was malformed.
     Usage(String),
+    /// A serve request's handler panicked; the daemon caught the panic and
+    /// answered this instead.
+    Internal(String),
 }
 
 impl WebLabError {
@@ -105,6 +108,7 @@ impl WebLabError {
             WebLabError::IdleTimeout { .. } => "idle-timeout",
             WebLabError::Protocol(_) => "protocol",
             WebLabError::Usage(_) => "usage",
+            WebLabError::Internal(_) => "internal",
         }
     }
 }
@@ -141,6 +145,7 @@ impl fmt::Display for WebLabError {
             ),
             WebLabError::Protocol(m) => write!(f, "{m}"),
             WebLabError::Usage(m) => write!(f, "{m}"),
+            WebLabError::Internal(m) => write!(f, "request handler panicked: {m}"),
         }
     }
 }
@@ -159,7 +164,8 @@ impl std::error::Error for WebLabError {
             | WebLabError::LineLimit { .. }
             | WebLabError::IdleTimeout { .. }
             | WebLabError::Protocol(_)
-            | WebLabError::Usage(_) => None,
+            | WebLabError::Usage(_)
+            | WebLabError::Internal(_) => None,
         }
     }
 }
@@ -245,6 +251,7 @@ mod tests {
             "idle-timeout"
         );
         assert_eq!(WebLabError::from("usage").code(), "usage");
+        assert_eq!(WebLabError::Internal("boom".into()).code(), "internal");
         let locked = PersistError::StoreLocked {
             path: "/tmp/store".into(),
             pid: 7,

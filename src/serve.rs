@@ -83,9 +83,12 @@
 //!
 //! Queries answer from the execution's published [`EpochSnapshot`]
 //! (immutable graph + index behind an `Arc` swap), so they run lock-free
-//! and concurrently with live ingestion. The serve counters
+//! and concurrently with live ingestion. A request whose handler panics
+//! is answered with the stable code `internal` (`serve.panics`); the
+//! worker survives, so the connection gets its one response and the load
+//! ticket is released. The serve counters
 //! (`serve.requests`, `serve.errors`, `serve.batch.{requests,subs}`,
-//! `serve.shed`, `serve.conn.{accepted,rejected}`, the
+//! `serve.shed`, `serve.panics`, `serve.conn.{accepted,rejected}`, the
 //! `serve.queue.depth` gauge and the `serve.request_ns` histogram) land
 //! in the same observability registry as the engine's, so
 //! `--metrics-out` reports cover the daemon too.
@@ -94,6 +97,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -129,6 +133,8 @@ static SERVE_CONN_ACCEPTED: Counter = Counter::new("serve.conn.accepted");
 static SERVE_CONN_REJECTED: Counter = Counter::new("serve.conn.rejected");
 /// Admitted requests currently queued or in flight.
 static SERVE_QUEUE_DEPTH: Gauge = Gauge::new("serve.queue.depth");
+/// Dispatches that panicked and were answered with the `internal` code.
+static SERVE_PANICS: Counter = Counter::new("serve.panics");
 
 /// Default cap on `sparql` result rows ([`Server::max_rows`]).
 pub const DEFAULT_MAX_ROWS: usize = 10_000;
@@ -728,7 +734,17 @@ pub fn handle_line_limits(
     let outcome = parsed
         .as_ref()
         .map_err(|e| WebLabError::Protocol(e.to_string()))
-        .and_then(|request| dispatch(platform, request, limits));
+        .and_then(|request| {
+            // a panicking handler is answered `internal`; the worker lives on
+            catch_unwind(AssertUnwindSafe(|| dispatch(platform, request, limits))).unwrap_or_else(
+                |panic| {
+                    SERVE_PANICS.inc();
+                    let message = panic.downcast_ref::<&str>().map(|m| m.to_string());
+                    let message = message.or_else(|| panic.downcast_ref::<String>().cloned());
+                    Err(WebLabError::Internal(message.unwrap_or_default()))
+                },
+            )
+        });
     let mut out = String::new();
     let stop = match outcome {
         Ok(d) => {
@@ -860,11 +876,11 @@ fn dispatch<'r>(
                     ])
                 })
                 .collect();
-            let snap = platform.execution(&report.execution).snapshot()?;
+            let snap = platform.execution(new_id).snapshot()?;
             Ok(Dispatched {
                 epoch: Some(snap.epoch),
                 result: Reply::Value(Json::obj(vec![
-                    ("execution", Json::str(report.execution.as_str())),
+                    ("execution", Json::str(new_id)),
                     ("cone", Json::num(report.cone_size as u64)),
                     ("reused", Json::num(report.reused as u64)),
                     ("recomputed", Json::num(report.recomputed as u64)),

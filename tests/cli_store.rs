@@ -1,20 +1,23 @@
 //! `weblab run --store DIR` writes executions in the one on-disk format
 //! the daemon serves. These tests drive the CLI binary against store
 //! directories: it refuses to mix two runs in one execution's log, a run
-//! aborted mid-pipeline resumes to the uninterrupted result, and a daemon
-//! attached to a CLI-written directory answers every query op with the
-//! same bytes as a daemon that ingested the same corpus and pipeline live,
-//! epoch included.
+//! aborted mid-pipeline resumes to the uninterrupted result, a resume
+//! point the log ran ahead of is refused, a daemon attached to a
+//! CLI-written directory answers every query op with the same bytes as a
+//! daemon that ingested the same corpus and pipeline live, epoch included,
+//! and `weblab replay --from DIR` recomputes what the daemon's `replay` op
+//! recomputes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use weblab::json::Json;
-use weblab::platform::ProvStore;
+use weblab::platform::{ProvStore, ResumePoint};
 use weblab::rdf::vocab::PROV_NS;
 use weblab::serve::handle_line;
 use weblab::workflow::generator::generate_corpus;
-use weblab::xml::to_xml_string;
+use weblab::workflow::next_time;
+use weblab::xml::{to_xml_string, to_xml_string_pretty};
 
 mod support;
 
@@ -246,5 +249,128 @@ fn serving_a_cli_written_store_answers_like_a_live_ingest() {
         assert_eq!(served, handle_line(&live, line).0, "request {line}");
     }
     assert!(stored.execution("corpus").live_enabled(), "the CLI stored a live run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_run_over_an_unlabelled_input_stores_the_epoch_of_its_one_call() {
+    let dir = tmpdir("unlabelled");
+    let input = dir.join("plain.xml");
+    std::fs::write(&input, "<R><NativeContent id=\"n\">x</NativeContent></R>").unwrap();
+    let store = dir.join("store");
+    let run = weblab(&["run", path(&input), "Normaliser", "--store", path(&store)]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    // no Source row to publish first: the one live call is epoch 1, as a
+    // store-less live ingest of the same input numbers it
+    let snapshots: Vec<String> = store_files(&store)
+        .into_iter()
+        .filter_map(|(p, _)| p.file_name()?.to_str().map(str::to_string))
+        .filter(|name| name.contains(".snap-"))
+        .collect();
+    assert_eq!(snapshots, vec!["plain.snap-1".to_string()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_point_the_stored_log_ran_ahead_of() {
+    let dir = tmpdir("witness");
+    let (corpus, _) = corpus_file(&dir);
+    let store = dir.join("store");
+    let pipeline = "Normaliser,flaky:3,LanguageExtractor";
+    let aborted = weblab(&["run", path(&corpus), pipeline, "--store", path(&store)]);
+    assert!(!aborted.status.success(), "the flaky step must abort the run");
+
+    // a run that stopped between saving its first step and recording it:
+    // the log holds that step's call, the point is still the one for zero
+    // completed steps
+    {
+        let st = ProvStore::open(&store).unwrap();
+        let point = st.resume_point("corpus").unwrap().expect("an aborted run keeps its point");
+        assert_eq!((point.completed_steps, point.calls), (1, 1));
+        let first = next_time(&generate_corpus(3, 2, 25));
+        let behind = ResumePoint { completed_steps: 0, next_time: first, calls: 0, ..point };
+        st.save_resume_point("corpus", &behind).unwrap();
+    }
+    let before = store_files(&store);
+
+    // resuming would re-run the first step over its own output: refused
+    // before any service runs, leaving every stored byte as it was
+    let resumed = weblab(&[
+        "run", path(&corpus), pipeline, "--store", path(&store), "--resume", "--retries", "3",
+    ]);
+    assert_refused(&resumed, "store", "witnesses 0 call(s) but its log holds 1");
+    assert_eq!(store_files(&store), before, "the refused resume changed the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Copy a directory tree.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_cli_replay_recomputes_what_a_daemon_replay_recomputes() {
+    let dir = tmpdir("replay");
+    let (corpus, xml) = corpus_file(&dir);
+    let store = dir.join("store");
+    let run = weblab(&["run", path(&corpus), &PIPELINE.join(","), "--store", path(&store)]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+
+    // one changed source: a word put before the text of weblab://src/0
+    let at = xml.find("weblab://src/0").expect("the corpus has a first source");
+    let text = at + xml[at..].find('>').unwrap() + 1;
+    let changed_xml = format!("{}altered {}", &xml[..text], &xml[text..]);
+    let changed = dir.join("changed.xml");
+    std::fs::write(&changed, &changed_xml).unwrap();
+
+    let before = store_files(&store);
+    let replayed_xml = dir.join("replayed.xml");
+    let replay = weblab(&[
+        "replay", path(&changed), "--from", path(&store), "--exec", "corpus",
+        "--changed", "weblab://src/0", "-o", path(&replayed_xml),
+    ]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert!(replay.status.success(), "{stderr}");
+    assert_eq!(store_files(&store), before, "the CLI replay changed the store");
+    // "replayed N call(s): cone C, reused R, recomputed X, splice(s) S"
+    let summary = stderr.lines().find(|l| l.starts_with("replayed ")).expect("a summary");
+    let counts: Vec<u64> = summary
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|n| !n.is_empty())
+        .map(|n| n.parse().unwrap())
+        .collect();
+
+    // the same replay through the serve op, on a copy of the store
+    let copy = dir.join("copy");
+    copy_tree(&store, &copy);
+    let daemon = support::serve_platform();
+    daemon.attach_store(ProvStore::open(&copy).unwrap(), 8).unwrap();
+    let line = Json::obj(vec![
+        ("op", Json::str("replay")),
+        ("exec", Json::str("corpus")),
+        ("as", Json::str("corpus-replayed")),
+        ("xml", Json::str(changed_xml.as_str())),
+        ("changed", Json::Arr(vec![Json::str("weblab://src/0")])),
+    ]);
+    let result = result_of(&handle_line(&daemon, &line.to_string()).0);
+    let field = |key: &str| result.get(key).and_then(Json::as_u64).expect("a count");
+    let served = [field("cone"), field("reused"), field("recomputed"), field("splices")];
+    assert_eq!(counts[1..], served, "CLI summary {summary:?} vs daemon {result}");
+    assert!(served[2] > 0, "the changed source dirties a call: {result}");
+
+    let daemon_xml = daemon
+        .recorder()
+        .repository
+        .with("corpus-replayed", |doc| to_xml_string_pretty(&doc.view()))
+        .expect("the daemon registered the replay");
+    assert_eq!(std::fs::read(&replayed_xml).unwrap(), daemon_xml.into_bytes());
     let _ = std::fs::remove_dir_all(&dir);
 }

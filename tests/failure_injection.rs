@@ -256,6 +256,7 @@ fn resume_after_crash_produces_the_same_inferred_links() {
                         &ResumePoint {
                             completed_steps: done,
                             next_time: t,
+                            calls: o.trace.len(),
                             step_names: step_names.clone(),
                         },
                     )

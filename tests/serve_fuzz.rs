@@ -18,6 +18,8 @@ use std::time::Duration;
 use weblab::json::Json;
 use weblab::platform::{Mapper, Platform};
 use weblab::serve::Server;
+use weblab::workflow::{CallContext, Service, WorkflowError};
+use weblab::xml::Document;
 
 /// A served bare platform (no services registered — `status`, `ingest`
 /// and error paths are all the fuzz cases need).
@@ -391,5 +393,44 @@ fn shedding_never_drops_or_duplicates_a_response() {
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(response.get("id").and_then(Json::as_str), Some("after"));
 
+    shutdown(&addr, server_thread);
+}
+
+/// A service whose every call panics.
+struct Panics;
+
+impl Service for Panics {
+    fn name(&self) -> &str {
+        "Panics"
+    }
+
+    fn call(&self, _: &mut Document, _: &mut CallContext) -> Result<(), WorkflowError> {
+        panic!("injected service panic")
+    }
+}
+
+#[test]
+fn a_panicking_request_is_answered_internal_and_its_worker_serves_on() {
+    let platform = bare_platform();
+    platform.register_service(Arc::new(Panics), &[]).unwrap();
+    let server = Server::bind(platform, "127.0.0.1:0").unwrap().idle_timeout(None);
+    // one worker: if the panic killed it, nothing would answer again
+    let (addr, server_thread) = spawn(server);
+    let (mut stream, mut reader) = connect(&addr);
+    // a request whose answer never comes fails the read instead of hanging
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+
+    send(
+        &mut stream,
+        r#"{"id":7,"op":"ingest","exec":"e","xml":"<Resource/>","pipeline":["Panics"]}"#,
+    );
+    let response = recv(&mut reader);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{response}");
+    assert_eq!(code_of(&response).as_deref(), Some("internal"), "{response}");
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(7), "{response}");
+
+    send(&mut stream, r#"{"op":"status"}"#);
+    let status = recv(&mut reader);
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true), "{status}");
     shutdown(&addr, server_thread);
 }

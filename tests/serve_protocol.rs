@@ -46,6 +46,11 @@ fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
 
 fn connect(addr: &std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).unwrap();
+    // `roundtrip` writes a line and its newline apart: with Nagle's
+    // algorithm on, the newline waits out the server's delayed ACK (about
+    // 40 ms), and a batch then spans dozens of live rounds, so only a batch
+    // sent as ingestion ends can be bracketed by snapshots
+    stream.set_nodelay(true).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
     (stream, reader)
 }
@@ -690,28 +695,35 @@ fn tmpstore(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn a_live_ingest_answers_at_the_same_epoch_with_a_store_as_without() {
-    let xml = to_xml_string(&generate_corpus(3, 2, 25).view());
-    let ingest = live_ingest("e", &xml, &PIPELINE[..3]);
-    let storeless = serve_platform();
-    let dir = tmpstore("epochs");
-    let stored = serve_platform();
-    stored.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
-    let (want, _) = handle_line(&storeless, &ingest);
-    assert_eq!(handle_line(&stored, &ingest).0, want, "ingest replies differ");
+    let corpus = to_xml_string(&generate_corpus(3, 2, 25).view());
+    // no labelled resource: no Source rows to publish before the first call
+    let unlabelled = "<R><NativeContent id=\"n\">x</NativeContent></R>";
+    // the input's Source rows (if any), then one epoch per live call
+    let cases = [
+        ("corpus", corpus.as_str(), &PIPELINE[..3], 4),
+        ("unlabelled", unlabelled, &PIPELINE[..1], 1),
+    ];
+    for (name, xml, pipeline, want_epoch) in cases {
+        let ingest = live_ingest("e", xml, pipeline);
+        let storeless = serve_platform();
+        let dir = tmpstore(&format!("epochs-{name}"));
+        let stored = serve_platform();
+        stored.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+        let (want, _) = handle_line(&storeless, &ingest);
+        assert_eq!(handle_line(&stored, &ingest).0, want, "{name}: ingest replies differ");
 
-    let snap = storeless.execution("e").snapshot().unwrap();
-    let why = query_request(
-        "e",
-        &ProvQuery::Why {
-            uri: snap.graph.links[0].from_uri.clone(),
-        },
-    );
-    let (served, _) = handle_line(&stored, &why);
-    assert_eq!(served, handle_line(&storeless, &why).0);
-    // the input's Source rows, then one epoch per live call
-    let epoch = Json::parse(&served).unwrap().get("epoch").and_then(Json::as_u64);
-    assert_eq!(epoch, Some(4));
-    let _ = std::fs::remove_dir_all(&dir);
+        let snap = storeless.execution("e").snapshot().unwrap();
+        let query = match snap.graph.links.first() {
+            Some(link) => ProvQuery::Why { uri: link.from_uri.clone() },
+            None => ProvQuery::Summary { uri: None },
+        };
+        let line = query_request("e", &query);
+        let (served, _) = handle_line(&stored, &line);
+        assert_eq!(served, handle_line(&storeless, &line).0, "{name}");
+        let epoch = Json::parse(&served).unwrap().get("epoch").and_then(Json::as_u64);
+        assert_eq!(epoch, Some(want_epoch), "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
