@@ -543,8 +543,7 @@ impl Platform {
                 if let Some(state) = live.filter(|s| s.published().calls > kept) {
                     // The run folded calls the platform does not keep:
                     // publish the graph of the kept document and trace at
-                    // the next epoch, rebuilt as a cold load rebuilds from
-                    // its log.
+                    // the next epoch, inferred afresh.
                     if let Some(kept_doc) = self.repository.get(exec_id) {
                         let kept_trace = self.traces.get(exec_id).unwrap_or_default();
                         let graph = self.mapper.materialize(&kept_doc, &kept_trace, &rules())?;
@@ -611,9 +610,11 @@ impl Platform {
     /// forward from the prior document (see [`Orchestrator::replay`]).
     /// `changed` must be the prior execution's *initial* document with the
     /// changed artifacts edited in place — structure-preserving, same node
-    /// arena shape. Only sequential traces can be replayed
-    /// (parallel-channel traces interleave call ranges, which the splice
-    /// planner does not model).
+    /// arena shape. Only sequential traces of at least one call can be
+    /// replayed (parallel-channel traces interleave call ranges, which the
+    /// splice planner does not model); either refusal has the `workflow`
+    /// error kind, and an id the platform does not hold is
+    /// [`PlatformError::UnknownExecution`].
     pub fn recompute(
         &self,
         prior_id: &str,
@@ -626,17 +627,19 @@ impl Platform {
             .repository
             .get(prior_id)
             .ok_or_else(|| PlatformError::UnknownExecution(prior_id.to_string()))?;
-        let prior_trace = self
-            .traces
-            .get(prior_id)
-            .filter(|t| !t.calls.is_empty())
-            .ok_or_else(|| PlatformError::UnknownExecution(prior_id.to_string()))?;
+        let prior_trace = self.traces.get(prior_id).unwrap_or_default();
+        let refuse = |message: String| {
+            PlatformError::Workflow(WorkflowError::Service { service: "replay".into(), message })
+        };
+        if prior_trace.calls.is_empty() {
+            return Err(refuse(format!(
+                "execution {prior_id:?} recorded no calls; there is nothing to replay"
+            )));
+        }
         if prior_trace.has_parallel_channels() {
-            return Err(PlatformError::Workflow(WorkflowError::Service {
-                service: "replay".into(),
-                message: "cannot replay a parallel-channel trace; re-execute the workflow instead"
-                    .into(),
-            }));
+            return Err(refuse(
+                "cannot replay a parallel-channel trace; re-execute the workflow instead".into(),
+            ));
         }
         let names: Vec<&str> = prior_trace.calls.iter().map(|c| c.service.as_str()).collect();
         let workflow = self.build_workflow(&WorkflowSpec::sequence(&names))?;
@@ -773,8 +776,8 @@ impl Platform {
         self.evict_excess(&ss, exec_id)
     }
 
-    /// Write one execution through to the attached store (document, trace
-    /// and link-log tail, current epoch snapshot). No-op without a store.
+    /// Write one execution through to the attached store (document, call
+    /// log tail, current epoch snapshot). No-op without a store.
     fn persist_through(&self, exec_id: &str) -> Result<(), PlatformError> {
         let Some(ss) = self.store_state() else {
             return Ok(());

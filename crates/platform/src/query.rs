@@ -63,7 +63,7 @@ pub enum ProvQuery {
         query: String,
     },
     /// Ranked relevance: spreading activation from the seed resources
-    /// (v2). See [`weblab_prov::rank`] for the scoring model.
+    /// (v2). See [`weblab_prov::rank`](mod@weblab_prov::rank) for the scoring model.
     Rank {
         /// Seed resource URIs (activation 1.0 at hop 0).
         uris: Vec<String>,

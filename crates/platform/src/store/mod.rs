@@ -19,24 +19,29 @@
 //!   store.lock             pid of the process holding the directory
 //!   shard-07/
 //!     exec%2F1.doc.xml     stamped WebLab document
-//!     exec%2F1.seg-1       sealed log segment (calls + links, URI dict)
+//!     exec%2F1.seg-1       sealed log segment (calls)
 //!     exec%2F1.seg-2
 //!     exec%2F1.delta       unsealed tail of the log
 //!     exec%2F1.snap-5      index snapshot published at epoch 5
 //!     exec%2F1.resume      resume point of an unfinished CLI run
 //! ```
 //!
-//! * **Segments** ([`segment`]) are the append-only trace/link log. Each
+//! * **Segments** ([`segment`]) are the append-only call log. Each
 //!   covers a contiguous call range declared by its `base:` header;
 //!   readers replay segments in base order and skip ranges already
 //!   covered, so the one benign duplication compaction can leave behind
 //!   (crash between writing a merged segment and unlinking its inputs) is
-//!   harmless. New calls and links go to the `.delta` file, which
+//!   harmless. New calls go to the `.delta` file, which
 //!   [`ProvStore::compact`] seals into a numbered segment; when sealed
 //!   segments pile up they are folded into one.
 //! * **Snapshots** ([`snapshot`]) serialise the published
 //!   [`EpochSnapshot`]'s graph together with its epoch and call count.
-//!   Only the newest snapshot is kept.
+//!   Only the newest snapshot is kept, and it is the one on-disk copy of
+//!   the execution's links. A snapshot that is missing or stale (a crash
+//!   between a save's log write and its snapshot write) is not rebuilt
+//!   here: [`StoredExecution::resume_snapshot`] hands the platform an
+//!   empty one, and its ordinary refresh re-infers the links from the
+//!   document and the log at epoch 1.
 //! * **Resume points** ([`resume`]) record how far an unfinished CLI run
 //!   got, which the log cannot say; the run removes its own when it
 //!   completes.
@@ -51,7 +56,7 @@ pub mod resume;
 pub mod segment;
 pub mod snapshot;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -61,9 +66,7 @@ pub use resume::ResumePoint;
 use segment::{SegmentCall, SegmentData};
 use snapshot::SnapshotData;
 use weblab_obs::Counter;
-use weblab_prov::{
-    CallRecord, EpochSnapshot, ExecutionTrace, ProvLink, ProvenanceGraph, ReachabilityIndex,
-};
+use weblab_prov::{CallRecord, EpochSnapshot, ExecutionTrace, ProvenanceGraph, ReachabilityIndex};
 use weblab_xml::{parse_document, to_xml_string, Document};
 
 static SEGMENTS: Counter = Counter::new("store.segments");
@@ -88,8 +91,6 @@ struct Mark {
     sealed_calls: usize,
     /// Calls in the unsealed delta.
     delta_calls: usize,
-    /// Links already in the log (segments + delta), by URI pair.
-    link_keys: HashSet<(String, String)>,
     /// Sealed segment numbers, ascending.
     segments: Vec<u64>,
     /// Epoch of the newest on-disk snapshot.
@@ -105,28 +106,26 @@ pub struct StoredExecution {
     pub doc: Document,
     /// The replayed trace (produced URIs resolved against `doc`).
     pub trace: ExecutionTrace,
-    /// All logged provenance links, resolved against `doc`.
-    pub links: Vec<ProvLink>,
     /// The newest snapshot, if it is fresh (covers the whole trace).
     pub snapshot: Option<SnapshotData>,
 }
 
 impl StoredExecution {
     /// The epoch snapshot the execution continues from: the stored one if
-    /// it is fresh, else the log replayed onto the document's Source table
-    /// at epoch 1 (epochs restart). What a cold load publishes and a
-    /// resumed `weblab run` folds its calls into.
+    /// it is fresh, else an empty one at epoch 0, which the platform's
+    /// next refresh fills from the document and trace at epoch 1 (epochs
+    /// restart). What a cold load publishes and a resumed `weblab run`
+    /// folds its calls into.
     pub fn resume_snapshot(&mut self) -> EpochSnapshot {
-        let (graph, epoch) = match self.snapshot.take() {
-            Some(snap) => (snap.graph, snap.epoch),
-            None => {
-                let mut graph = ProvenanceGraph::from_view(&self.doc.view());
-                graph.add_links(std::mem::take(&mut self.links));
-                (graph, 1)
-            }
-        };
-        let (calls, index) = (self.trace.len(), ReachabilityIndex::from_graph(&graph));
-        EpochSnapshot { epoch, calls, graph, index }
+        match self.snapshot.take() {
+            Some(snap) => EpochSnapshot {
+                epoch: snap.epoch,
+                calls: snap.calls,
+                index: ReachabilityIndex::from_graph(&snap.graph),
+                graph: snap.graph,
+            },
+            None => EpochSnapshot::empty(),
+        }
     }
 }
 
@@ -329,9 +328,7 @@ impl ProvStore {
         }
         let delta = if has_delta {
             let d = segment::read(&self.delta_path(exec_id))?;
-            if d.end() <= position && d.calls.is_empty() && d.links.is_empty() {
-                None
-            } else if d.base > position {
+            if d.base > position {
                 return Err(PersistError::Truncated {
                     file: self.delta_path(exec_id).display().to_string(),
                     message: format!(
@@ -365,31 +362,20 @@ impl ProvStore {
         }
         let (seg_nums, snaps, _) = self.scan_files(exec_id);
         let (segs, delta) = self.read_log(exec_id)?;
-        let mut rebuilt = Mark {
+        *mark = Mark {
+            sealed_calls: segs.iter().map(|s| s.calls.len()).sum(),
+            delta_calls: delta.map_or(0, |d| d.calls.len()),
             segments: seg_nums,
             snapshot_epoch: snaps.last().copied(),
             scanned: true,
-            ..Mark::default()
         };
-        for s in &segs {
-            rebuilt.sealed_calls += s.calls.len();
-            for (f, t) in &s.links {
-                rebuilt.link_keys.insert((f.clone(), t.clone()));
-            }
-        }
-        if let Some(d) = &delta {
-            rebuilt.delta_calls = d.calls.len();
-            for (f, t) in &d.links {
-                rebuilt.link_keys.insert((f.clone(), t.clone()));
-            }
-        }
-        *mark = rebuilt;
         Ok(())
     }
 
-    /// Write-through one execution: the document, any new tail of the
-    /// trace/link log (as a delta append), and the current epoch snapshot.
-    /// Idempotent — saving unchanged state writes only the document.
+    /// Write-through one execution: the document, any new tail of the call
+    /// log (as a delta append), and the current epoch snapshot, which
+    /// holds its links. Idempotent — saving unchanged state writes only the
+    /// document.
     pub fn save(
         &self,
         exec_id: &str,
@@ -411,14 +397,8 @@ impl ProvStore {
             .iter()
             .map(|c| segment_call(doc, c))
             .collect();
-        let new_links: Vec<(String, String)> = graph
-            .links
-            .iter()
-            .filter(|l| !mark.link_keys.contains(&(l.from_uri.clone(), l.to_uri.clone())))
-            .map(|l| (l.from_uri.clone(), l.to_uri.clone()))
-            .collect();
 
-        if !new_calls.is_empty() || !new_links.is_empty() {
+        if !new_calls.is_empty() {
             // Rebuild the delta file: previous unsealed tail + the news.
             // A delta whose base disagrees with the sealed call count is
             // stale (crash-interrupted compaction); start a fresh one.
@@ -432,13 +412,9 @@ impl ProvStore {
             } else {
                 SegmentData { base: mark.sealed_calls, ..SegmentData::default() }
             };
-            delta.calls.extend(new_calls.iter().cloned());
-            delta.links.extend(new_links.iter().cloned());
-            segment::write(&self.delta_path(exec_id), exec_id, &delta)?;
             mark.delta_calls += new_calls.len();
-            for (f, t) in &new_links {
-                mark.link_keys.insert((f.clone(), t.clone()));
-            }
+            delta.calls.extend(new_calls);
+            segment::write(&self.delta_path(exec_id), exec_id, &delta)?;
             DELTA_APPENDS.inc();
         }
 
@@ -468,9 +444,9 @@ impl ProvStore {
         Ok(())
     }
 
-    /// Cold-load an execution: document, replayed trace, logged links, and
-    /// the newest snapshot if it covers the whole trace. Returns
-    /// `Ok(None)` if the store has no such execution.
+    /// Cold-load an execution: document, replayed trace, and the newest
+    /// snapshot if it covers the whole trace. Returns `Ok(None)` if the
+    /// store has no such execution.
     pub fn load(&self, exec_id: &str) -> Result<Option<StoredExecution>, PersistError> {
         let doc_path = self.doc_path(exec_id);
         let xml = match std::fs::read_to_string(&doc_path) {
@@ -487,39 +463,26 @@ impl ProvStore {
         let (segs, delta) = self.read_log(exec_id)?;
 
         let mut trace = ExecutionTrace::default();
-        let mut links = Vec::new();
-        let mut push_part = |part: &SegmentData| -> Result<(), PersistError> {
-            for c in &part.calls {
-                trace.calls.push(call_record(&doc, c)?);
-            }
-            for (f, t) in &part.links {
-                links.push(resolve_link(&doc, f, t)?);
-            }
-            Ok(())
-        };
-        for s in &segs {
-            push_part(s)?;
-        }
-        if let Some(d) = &delta {
-            push_part(d)?;
+        for c in segs.iter().chain(&delta).flat_map(|part| &part.calls) {
+            trace.calls.push(call_record(&doc, c)?);
         }
 
         let snapshot = match marks.get(exec_id).and_then(|m| m.snapshot_epoch) {
             Some(epoch) => {
                 let snap = snapshot::read(&self.snapshot_path(exec_id, epoch))?;
                 // A stale snapshot (crash between delta write and snapshot
-                // write) is discarded; the caller rebuilds from the log.
+                // write) is discarded; the platform re-infers its links.
                 (snap.calls == trace.len()).then_some(snap)
             }
             None => None,
         };
         COLD_LOADS.inc();
-        Ok(Some(StoredExecution { doc, trace, links, snapshot }))
+        Ok(Some(StoredExecution { doc, trace, snapshot }))
     }
 
     /// Seal the delta into a fresh segment, then fold sealed segments into
-    /// one once more than [`MAX_SEGMENTS`] exist. Returns `true` if any
-    /// file changed.
+    /// one once more than `MAX_SEGMENTS` exist. Returns `true` if any file
+    /// changed.
     pub fn compact(&self, exec_id: &str) -> Result<bool, PersistError> {
         let mut marks = self.marks.lock().expect("store marks poisoned");
         self.ensure_mark(&mut marks, exec_id)?;
@@ -528,7 +491,7 @@ impl ProvStore {
 
         let (_, delta) = self.read_log(exec_id)?;
         if let Some(delta) = delta {
-            if !delta.calls.is_empty() || !delta.links.is_empty() {
+            if !delta.calls.is_empty() {
                 let next = mark.segments.last().copied().unwrap_or(0) + 1;
                 segment::write(&self.segment_path(exec_id, next), exec_id, &delta)?;
                 let _ = std::fs::remove_file(self.delta_path(exec_id));
@@ -543,11 +506,10 @@ impl ProvStore {
 
         if mark.segments.len() > MAX_SEGMENTS {
             let (segs, _) = self.read_log(exec_id)?;
-            let mut merged = SegmentData::default();
-            for s in segs {
-                merged.calls.extend(s.calls);
-                merged.links.extend(s.links);
-            }
+            let merged = SegmentData {
+                base: 0,
+                calls: segs.into_iter().flat_map(|s| s.calls).collect(),
+            };
             let next = mark.segments.last().copied().unwrap_or(0) + 1;
             segment::write(&self.segment_path(exec_id, next), exec_id, &merged)?;
             // Unlink the inputs only after the merged segment is durable;
@@ -657,21 +619,6 @@ fn call_record(doc: &Document, c: &SegmentCall) -> Result<CallRecord, PersistErr
         output: c.output_mark(),
         produced,
         channel: c.channel.clone(),
-    })
-}
-
-fn resolve_link(doc: &Document, from: &str, to: &str) -> Result<ProvLink, PersistError> {
-    let resolve = |uri: &str| {
-        doc.node_by_uri(uri).ok_or_else(|| PersistError::Format {
-            line: 0,
-            message: format!("link uri {uri:?} not in document"),
-        })
-    };
-    Ok(ProvLink {
-        from: resolve(from)?,
-        from_uri: from.to_string(),
-        to: resolve(to)?,
-        to_uri: to.to_string(),
     })
 }
 

@@ -1,6 +1,6 @@
 use super::*;
 use proptest::prelude::*;
-use weblab_prov::{infer_provenance, EngineOptions, ReachabilityIndex, SourceEntry};
+use weblab_prov::{infer_provenance, EngineOptions, ProvLink, ReachabilityIndex, SourceEntry};
 use weblab_workflow::generator::synthetic_workload;
 use weblab_workflow::Orchestrator;
 
@@ -32,14 +32,6 @@ fn save_load_round_trips_trace_links_and_snapshot() {
         assert_eq!(a.channel, b.channel);
         assert_eq!(a.produced.len(), b.produced.len());
     }
-    let pairs = |ls: &[ProvLink]| {
-        let mut v: Vec<(String, String)> =
-            ls.iter().map(|l| (l.from_uri.clone(), l.to_uri.clone())).collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    assert_eq!(pairs(&back.links), pairs(&graph.links));
 
     let snap = back.snapshot.expect("fresh snapshot");
     assert_eq!(snap.epoch, 3);
@@ -59,7 +51,7 @@ fn save_load_round_trips_trace_links_and_snapshot() {
 }
 
 #[test]
-fn the_live_header_reads_without_a_load_and_resume_snapshots_fall_back_to_the_log() {
+fn the_live_header_reads_without_a_load_and_resume_snapshots_without_one_are_empty() {
     let (doc, trace, graph) = executed(22);
     let store = ProvStore::open(tmpstore("live-header")).unwrap();
     assert!(!store.stored_live("live"), "no such execution");
@@ -74,15 +66,15 @@ fn the_live_header_reads_without_a_load_and_resume_snapshots_fall_back_to_the_lo
     assert_eq!((snap.epoch, snap.calls), (3, trace.len()));
     assert_eq!(snap.graph.links, graph.links);
     assert_eq!(snap.index.edge_count(), graph.links.len());
-    // without one, the log is replayed onto the document's Source table at
-    // epoch 1
+    // without one, the execution continues from an empty snapshot at
+    // epoch 0, which the platform's next refresh re-infers
     std::fs::remove_file(store.snapshot_path("live", 3)).unwrap();
-    let mut replayed = ProvStore::open(store.root()).unwrap().load("live").unwrap().unwrap();
-    assert!(replayed.snapshot.is_none());
-    let snap = replayed.resume_snapshot();
-    assert_eq!((snap.epoch, snap.calls), (1, trace.len()));
-    assert_eq!(snap.graph.links, graph.links);
-    assert_eq!(snap.graph.sources, ProvenanceGraph::from_view(&doc.view()).sources);
+    let mut reloaded = ProvStore::open(store.root()).unwrap().load("live").unwrap().unwrap();
+    assert!(reloaded.snapshot.is_none());
+    assert_eq!(reloaded.trace.len(), trace.len());
+    let snap = reloaded.resume_snapshot();
+    assert_eq!((snap.epoch, snap.calls), (0, 0));
+    assert!(snap.graph.links.is_empty() && snap.graph.sources.is_empty());
     let _ = std::fs::remove_dir_all(store.root());
 }
 
@@ -162,15 +154,7 @@ fn compaction_seals_deltas_and_folds_segments() {
         assert_eq!(a.service, b.service);
         assert_eq!(a.time, b.time);
     }
-    let mut logged: Vec<(String, String)> =
-        back.links.iter().map(|l| (l.from_uri.clone(), l.to_uri.clone())).collect();
-    logged.sort();
-    logged.dedup();
-    let mut expect: Vec<(String, String)> =
-        graph.links.iter().map(|l| (l.from_uri.clone(), l.to_uri.clone())).collect();
-    expect.sort();
-    expect.dedup();
-    assert_eq!(logged, expect);
+    assert_eq!(back.snapshot.expect("fresh snapshot").graph.links, graph.links);
 
     // compact_all over an already-compacted store changes nothing
     assert_eq!(store.compact_all().unwrap(), 0);
@@ -206,20 +190,12 @@ fn a_new_store_handle_reads_what_another_wrote() {
 fn truncated_segment_delta_and_snapshot_are_detected() {
     let (doc, trace, graph) = executed(13);
     let store = ProvStore::open(tmpstore("truncate")).unwrap();
-    store.save("e", &doc, &trace, &graph, 2, false).unwrap();
+    // seal every call but the last, then re-open a delta with that one
+    let mut head = trace.clone();
+    head.calls.pop().expect("the workload has calls");
+    store.save("e", &doc, &head, &graph, 2, false).unwrap();
     store.compact("e").unwrap();
-    // re-open a delta by saving one more "call-less" link-only state
-    let mut extended = graph.clone();
-    let extra = ProvLink {
-        from: graph.links[0].from,
-        from_uri: graph.links[0].from_uri.clone(),
-        to: graph.links[graph.links.len() - 1].to,
-        to_uri: graph.links[graph.links.len() - 1].to_uri.clone(),
-    };
-    if !extended.links.contains(&extra) {
-        extended.links.push(extra);
-    }
-    store.save("e", &doc, &trace, &extended, 3, false).unwrap();
+    store.save("e", &doc, &trace, &graph, 3, false).unwrap();
 
     let seg = store.segment_path("e", 1);
     let delta = store.delta_path("e");
@@ -298,7 +274,6 @@ fn hostile_ids_and_uris_round_trip_through_the_store() {
     assert_eq!(back.trace.calls[0].service, "S|1");
     assert_eq!(back.trace.calls[0].channel, "ch|an");
     assert_eq!(back.trace.calls[1].service, "S,2");
-    assert_eq!(back.links, graph.links);
     let snap = back.snapshot.unwrap();
     assert_eq!(snap.graph.links, graph.links);
     assert_eq!(snap.graph.sources[0].uri, "u,r|i %1");
@@ -318,13 +293,24 @@ fn segment_encode_decode_is_stable() {
             channel: "0.1".into(),
             produced: vec!["u1".into(), "u,2".into()],
         }],
-        links: vec![("u,2".into(), "u1".into())],
     };
+    // a call producing one empty URI, and one producing none
+    let mut calls = data.calls.clone();
+    for produced in [vec![String::new()], Vec::new()] {
+        calls.push(SegmentCall { produced, ..data.calls[0].clone() });
+    }
+    let data = SegmentData { calls, ..data };
     let text = segment::encode("e", &data);
     let back = segment::decode("mem", &text).unwrap();
     assert_eq!(back, data);
-    // dictionary actually deduplicates: each distinct uri appears once
-    assert_eq!(text.matches("uri: ").count(), 2);
+    // calls only, produced URIs inline and escaped
+    assert!(text.contains("call: A %7C B | 9 | 3,1 | 5,2 | 0.1 | u1,u%2C2,\n"), "{text}");
+    assert!(text.ends_with("# end calls=3\n"), "{text}");
+    // a log in the earlier format, with a URI dictionary and link rows, is
+    // refused rather than read
+    let earlier = "# weblab prov segment\nexec: e\nbase: 0\nuri: u1\n\
+                   call: A | 1 | 0,0 | 1,1 |  | 0\nlink: 0 0\n# end uris=1 calls=1 links=1\n";
+    assert!(segment::decode("mem", earlier).is_err());
 }
 
 #[test]
@@ -506,7 +492,6 @@ proptest! {
             prop_assert_eq!(orig.produced.len(), 1);
             prop_assert_eq!(uris_of(&doc, orig), uris_of(&back.doc, round));
         }
-        prop_assert_eq!(&back.links, &graph.links);
         let snap = back.snapshot.expect("fresh snapshot");
         prop_assert_eq!(&snap.graph.links, &graph.links);
         prop_assert_eq!(&snap.graph.sources, &graph.sources);

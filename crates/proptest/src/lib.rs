@@ -15,7 +15,7 @@
 //!   (a dot or a character class) that the suites use.
 //!
 //! Supported surface: the [`proptest!`] macro (with an optional
-//! `#![proptest_config(..)]` header), [`prelude`], [`Strategy`] for integer
+//! `#![proptest_config(..)]` header), [`prelude`], [`Strategy`](strategy::Strategy) for integer
 //! ranges, tuples, `&str` regexes and mapped/vector combinators,
 //! `any::<T>()`, `prop::collection::vec`, `prop::char::any()`,
 //! `prop::bool::ANY`, `prop_assert!` / `prop_assert_eq!` / `prop_assume!`.

@@ -21,7 +21,7 @@
 //!   encoding) answering why-provenance ([`WhyProvenance`]),
 //!   depth-limited lineage, impact analysis and common origins, and the
 //!   epoch snapshots the query service serves from;
-//! * [`rank`] — spreading-activation ranked analytics (bounded top-k
+//! * [`rank`](mod@rank) — spreading-activation ranked analytics (bounded top-k
 //!   relevance over the index) and traversal-free aggregate summaries;
 //! * [`live`] — per-run producers of per-call provenance deltas
 //!   ([`LiveProvenance`]), fed by the orchestrator's call-completion hook
@@ -74,7 +74,7 @@ pub use rank::{
     format_micro, micro_from_f64, rank, summary, BlastRadius, GraphSummary, OriginCluster,
     QueryOpts, RankDirection, RankedEntry, ServiceInfluence,
 };
-pub use replay::{dirty_cone, dirty_cone_closed, rebase_links};
+pub use replay::dirty_cone;
 pub use live::{LiveDelta, LiveProvenance};
 pub use graph::{ProvenanceGraph, SourceEntry};
 pub use rule::{MappingRule, RuleError};

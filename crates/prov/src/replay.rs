@@ -1,4 +1,4 @@
-//! Replay support: dirty-cone extraction and link rebasing.
+//! Replay support: dirty-cone extraction.
 //!
 //! The provenance links' killer application is *incremental
 //! recomputation*: when an input artifact changes, the set of resources
@@ -7,19 +7,11 @@
 //! `impacted_by` answers. [`dirty_cone`] materialises that set; the
 //! workflow engine then re-executes only the calls whose produced
 //! resources intersect it and splices every other fragment forward.
-//!
-//! Splicing shifts node ids (a recomputed call may change its fragment's
-//! size, displacing everything after it in the arena) but preserves URIs,
-//! so the prior execution's links for reused fragments stay *semantically*
-//! valid and only need their node endpoints remapped — [`rebase_links`].
-//! Re-deriving those links through rule evaluation would cost the full
-//! inference the cone was meant to avoid.
+//! Splicing shifts node ids but preserves URIs; the replayed execution's
+//! links are inferred afresh, by the first refresh of its snapshot.
 
 use std::collections::BTreeSet;
 
-use weblab_xml::NodeId;
-
-use crate::algebra::ProvLink;
 use crate::index::ReachabilityIndex;
 
 /// The dirty cone of a set of changed artifact URIs: the changed URIs
@@ -34,71 +26,12 @@ pub fn dirty_cone(index: &ReachabilityIndex, changed: &[String]) -> BTreeSet<Str
     cone
 }
 
-/// The call-granular closure of [`dirty_cone`]: once any produced
-/// resource of a call is dirty, *every* resource that call produced is
-/// treated as dirty too — their impacted sets join the cone, to a
-/// fixpoint. `calls` is each call's produced URIs.
-///
-/// This is a *coarse but link-free* safety net for graphs that omit
-/// containment (inherited) provenance: base rules link only a fragment's
-/// anchor resource, so a sibling (a unit's `TextContent`) has no link to
-/// the changed source and its consumers would be spliced stale. The
-/// preferred fix is to compute the cone over an inherit-mode inference
-/// (what the CLI and platform do); this closure over-approximates badly
-/// when one call serves many independent sources, but never splices
-/// stale.
-pub fn dirty_cone_closed(
-    index: &ReachabilityIndex,
-    calls: &[Vec<String>],
-    changed: &[String],
-) -> BTreeSet<String> {
-    let mut cone = dirty_cone(index, changed);
-    loop {
-        let mut grew = false;
-        for produced in calls {
-            if !produced.iter().any(|u| cone.contains(u)) {
-                continue;
-            }
-            for u in produced {
-                if cone.insert(u.clone()) {
-                    cone.extend(index.impacted_by(u));
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            return cone;
-        }
-    }
-}
-
-/// Rebase a slice of prior-execution links onto a replayed document: every
-/// node endpoint is remapped through `map` (prior node id → new node id)
-/// while the URIs — the stable identities — are kept verbatim. Returns
-/// `None` if any endpoint has no image (its fragment was reshaped by a
-/// recomputed call, so the link must be re-inferred instead).
-pub fn rebase_links<F>(links: &[ProvLink], mut map: F) -> Option<Vec<ProvLink>>
-where
-    F: FnMut(NodeId) -> Option<NodeId>,
-{
-    let mut out = Vec::with_capacity(links.len());
-    for l in links {
-        let from = map(l.from)?;
-        let to = map(l.to)?;
-        out.push(ProvLink {
-            from,
-            from_uri: l.from_uri.clone(),
-            to,
-            to_uri: l.to_uri.clone(),
-        });
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::ProvLink;
     use crate::graph::ProvenanceGraph;
+    use weblab_xml::NodeId;
 
     fn link(f: (usize, &str), t: (usize, &str)) -> ProvLink {
         ProvLink {
@@ -129,41 +62,5 @@ mod tests {
             cone.iter().map(String::as_str).collect::<Vec<_>>(),
             vec!["b", "c", "d"]
         );
-    }
-
-    #[test]
-    fn closed_cone_pulls_in_call_siblings_and_their_consumers() {
-        // a → b, and x → y; b and x are produced by the same call, so a
-        // change to `a` must also dirty x's consumer y via the closure.
-        let mut g = ProvenanceGraph::default();
-        g.add_links([link((2, "b"), (1, "a")), link((4, "y"), (3, "x"))]);
-        let idx = ReachabilityIndex::from_graph(&g);
-        let calls = vec![vec!["b".to_string(), "x".to_string()], vec!["y".to_string()]];
-        let plain = dirty_cone(&idx, &["a".to_string()]);
-        assert_eq!(
-            plain.iter().map(String::as_str).collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
-        let closed = dirty_cone_closed(&idx, &calls, &["a".to_string()]);
-        assert_eq!(
-            closed.iter().map(String::as_str).collect::<Vec<_>>(),
-            vec!["a", "b", "x", "y"]
-        );
-        // a clean chain stays out of the closed cone
-        let closed = dirty_cone_closed(&idx, &calls, &["q".to_string()]);
-        assert_eq!(closed.iter().map(String::as_str).collect::<Vec<_>>(), vec!["q"]);
-    }
-
-    #[test]
-    fn rebase_remaps_nodes_and_keeps_uris() {
-        let links = [link((4, "x"), (2, "y"))];
-        let rebased =
-            rebase_links(&links, |n| Some(NodeId::from_index(n.index() + 10))).unwrap();
-        assert_eq!(rebased[0].from.index(), 14);
-        assert_eq!(rebased[0].to.index(), 12);
-        assert_eq!(rebased[0].from_uri, "x");
-        assert_eq!(rebased[0].to_uri, "y");
-        // an unmapped endpoint fails the whole rebase
-        assert!(rebase_links(&links, |n| (n.index() != 2).then_some(n)).is_none());
     }
 }

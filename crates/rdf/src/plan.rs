@@ -561,7 +561,7 @@ pub(crate) fn execute(store: &TripleStore, plan: &Plan) -> Vec<Solution> {
     out
 }
 
-/// A shared [`TripleStore`] plus a query-text → [`Plan`] cache.
+/// A shared [`TripleStore`] plus a query-text → `Plan` cache.
 ///
 /// One engine serves one store epoch: plans embed dictionary ids, so the
 /// platform builds a fresh engine per published snapshot and the serve

@@ -13,6 +13,9 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> weblab --metrics smoke run (paper example pipeline)"
 metrics_dir="$(mktemp -d)"
 trap 'rm -rf "$metrics_dir"; [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -134,16 +137,13 @@ assert counters.get("live.links", 0) >= 1, "live run derived no links"
 assert counters.get("prov.trace.channel_map.builds", 0) == 0, \
     "live run rebuilt the channel map from the whole trace"
 
-# read the store back: the execution's link log (the run never compacts,
-# so it is all in the delta) and its snapshot are intact, footers agree
-# with their bodies, and both hold every link the live run derived
-def footer(path):
+# read the store back: the execution's call log (the run never compacts,
+# so it is all in the delta) holds the three calls and nothing else, and
+# its snapshot, the one copy of its links, holds every link the live run
+# derived under a footer that agrees with its body
+def lines_of(path):
     with open(path) as f:
-        lines = [l.rstrip("\n") for l in f]
-    fields = dict(kv.split("=") for kv in lines[-1].removeprefix("# end ").split())
-    n_links = sum(1 for l in lines if l.startswith("link:"))
-    assert int(fields["links"]) == n_links, f"{path}: footer {lines[-1]!r} vs {n_links} links"
-    return n_links
+        return [l.rstrip("\n") for l in f]
 
 shard = os.path.join(sys.argv[2], "shard-*", "sample_corpus")
 [delta] = glob.glob(shard + ".delta")
@@ -152,10 +152,17 @@ shard = os.path.join(sys.argv[2], "shard-*", "sample_corpus")
 # what a live ingest of the same three calls publishes
 assert snap.endswith(".snap-4"), f"stored snapshot {snap}, expected epoch 4"
 assert not glob.glob(shard + ".resume"), "a finished run left its resume point behind"
-n_links = footer(delta)
+log = lines_of(delta)
+assert log[-1] == "# end calls=3", f"{delta}: footer {log[-1]!r}"
+rows = [l for l in log[:-1] if not l.startswith(("#", "exec:", "base:"))]
+assert len(rows) == 3 and all(l.startswith("call:") for l in rows), \
+    f"{delta}: expected three call rows and no other, got {rows}"
+snapshot = lines_of(snap)
+fields = dict(kv.split("=") for kv in snapshot[-1].removeprefix("# end ").split())
+n_links = sum(1 for l in snapshot if l.startswith("link:"))
+assert int(fields["links"]) == n_links, f"{snap}: footer {snapshot[-1]!r} vs {n_links} links"
 assert n_links == counters["live.links"], \
-    "stored link count disagrees with the live.links counter"
-assert footer(snap) == n_links, "the snapshot and the log disagree"
+    "the snapshot's link count disagrees with the live.links counter"
 print(f"ci: live provenance ok (deltas={counters['live.deltas']}, links={n_links})")
 PY
 

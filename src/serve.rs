@@ -31,8 +31,7 @@
 //! ```
 //!
 //! Responses: `{"ok":true,"v":2,"epoch":N,"result":…}` on success
-//! (`"v"` is the protocol version —
-//! [`PROTOCOL_VERSION`](weblab_platform::PROTOCOL_VERSION), stamped on
+//! (`"v"` is the protocol version — [`PROTOCOL_VERSION`], stamped on
 //! every response so clients can detect the v2 answer shapes; `epoch` is
 //! the reachability-index epoch the answer was computed at — present for
 //! ops that touched a snapshot), `{"ok":false,"v":2,"code":"…","error":"…"}`

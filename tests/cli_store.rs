@@ -6,7 +6,7 @@
 //! CLI-written directory answers every query op with the same bytes as a
 //! daemon that ingested the same corpus and pipeline live, epoch included,
 //! and `weblab replay --from DIR` recomputes what the daemon's `replay` op
-//! recomputes.
+//! recomputes, refusing a stored execution that recorded no call.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -152,26 +152,17 @@ fn a_run_aborted_mid_pipeline_resumes_to_the_uninterrupted_result() {
     assert!(uninterrupted.status.success());
     assert_eq!(std::fs::read(&resumed_xml).unwrap(), std::fs::read(&clean_xml).unwrap());
 
-    // the stored link logs agree, and the finished run left no resume point
-    let pairs = |root: &Path| {
+    // the finished runs left no resume point, and the resumed run continued
+    // the stored snapshot: same epoch and graph
+    let snapshot = |root: &Path| {
         let store = ProvStore::open(root).unwrap();
         assert_eq!(store.resume_point("corpus").unwrap(), None);
         let stored = store.load("corpus").unwrap().expect("stored");
-        let mut pairs: Vec<(String, String)> =
-            stored.links.into_iter().map(|l| (l.from_uri, l.to_uri)).collect();
-        pairs.sort();
-        pairs
-    };
-    let resumed_links = pairs(&crashed);
-    assert!(!resumed_links.is_empty());
-    assert_eq!(resumed_links, pairs(&clean));
-    // the resumed run continued the stored snapshot: same epoch and graph
-    let snapshot = |root: &Path| {
-        let stored = ProvStore::open(root).unwrap().load("corpus").unwrap().expect("stored");
         let snap = stored.snapshot.expect("a fresh snapshot");
         (snap.epoch, snap.graph.sources, snap.graph.links)
     };
     let resumed_snapshot = snapshot(&crashed);
+    assert!(!resumed_snapshot.2.is_empty());
     assert_eq!(resumed_snapshot.0, 4, "the input's Source rows, then three calls");
     assert_eq!(resumed_snapshot, snapshot(&clean));
     let _ = std::fs::remove_dir_all(&dir);
@@ -372,5 +363,32 @@ fn a_cli_replay_recomputes_what_a_daemon_replay_recomputes() {
         .with("corpus-replayed", |doc| to_xml_string_pretty(&doc.view()))
         .expect("the daemon registered the replay");
     assert_eq!(std::fs::read(&replayed_xml).unwrap(), daemon_xml.into_bytes());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cli_replay_refuses_a_stored_execution_without_calls() {
+    let dir = tmpdir("replay-no-calls");
+    let (corpus, _) = corpus_file(&dir);
+    let store = dir.join("store");
+    // every attempt of the one step fails and is skipped: the stored
+    // execution holds its input document and no call
+    let run = weblab(&[
+        "run", path(&corpus), "flaky:9", "--store", path(&store), "--on-failure", "skip",
+    ]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let stored = ProvStore::open(&store).unwrap().load("corpus").unwrap().expect("stored");
+    assert_eq!(stored.trace.len(), 0);
+
+    let before = store_files(&store);
+    let replay = |exec: &str| {
+        weblab(&[
+            "replay", path(&corpus), "--from", path(&store), "--exec", exec,
+            "--changed", "weblab://src/0",
+        ])
+    };
+    assert_refused(&replay("corpus"), "workflow", "execution \"corpus\" recorded no calls");
+    assert_refused(&replay("nosuch"), "unknown-execution", "\"nosuch\"");
+    assert_eq!(store_files(&store), before, "a refused replay changed the store");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -222,7 +222,8 @@ fn link_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
 
 /// Crash after the first step, resume from the stored execution and its
 /// resume point: the inferred provenance links match a run that never
-/// crashed, and so do the links the store logs for the resumed run.
+/// crashed, and so do the links the store's snapshot holds for the resumed
+/// run.
 #[test]
 fn resume_after_crash_produces_the_same_inferred_links() {
     let dir = std::env::temp_dir().join(format!("weblab-resume-{}", std::process::id()));
@@ -292,13 +293,14 @@ fn resume_after_crash_produces_the_same_inferred_links() {
     assert_eq!(link_pairs(&g_clean), link_pairs(&g_resumed));
     assert!(!g_resumed.links.is_empty());
 
-    // the store appends only the resumed tail to the log
+    // the store appends only the resumed tail to the log, and its snapshot
+    // holds the clean run's links
     store.save("e", &resumed, &full_trace, &g_resumed, 2, true).unwrap();
     store.clear_resume_point("e").unwrap();
     let logged = store.load("e").unwrap().unwrap();
     assert_eq!(logged.trace.len(), 2);
-    let logged = ProvenanceGraph { sources: Vec::new(), links: logged.links };
-    assert_eq!(link_pairs(&logged), link_pairs(&g_clean));
+    let snapshot = logged.snapshot.expect("a fresh snapshot");
+    assert_eq!(link_pairs(&snapshot.graph), link_pairs(&g_clean));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,11 +2,12 @@
 //! must be *indistinguishable* from a full re-run on the changed input.
 //!
 //! For a prior execution, a structure-preserving change to some source
-//! artifacts, and the closed dirty cone ([`dirty_cone_closed`] over the
-//! inherit-mode provenance graph), `Orchestrator::replay` re-executes only
-//! the dirty steps and splices every other fragment forward. The
-//! differential law checked here, across every inference strategy and
-//! worker count and for both live and batch provenance:
+//! artifacts, and the dirty cone (`dirty_cone` over the reachability index
+//! of an inherit-mode inference: the `closed_cone` helper below),
+//! `Orchestrator::replay` re-executes only the dirty steps and splices
+//! every other fragment forward. The differential law checked here, across
+//! every inference strategy and worker count and for both live and batch
+//! provenance:
 //!
 //! * the replayed document serialises byte-identically to a full re-run;
 //! * the trace records (marks, produced ids, labels) are equal;

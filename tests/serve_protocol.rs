@@ -559,6 +559,43 @@ fn protocol_errors_carry_the_stable_codes() {
 }
 
 #[test]
+fn replay_refuses_an_execution_without_calls_and_names_it() {
+    let platform = serve_platform();
+    let xml = "<Resource wl:id=\"weblab://doc/a\">\
+               <NativeContent wl:id=\"weblab://src/0\" wl:s=\"Source\" wl:t=\"0\">\
+               the text is in the language for peace</NativeContent></Resource>";
+    let ingest = request(vec![
+        ("op", Json::str("ingest")),
+        ("exec", Json::str("idle")),
+        ("xml", Json::str(xml)),
+    ]);
+    let ingested = Json::parse(&handle_line(&platform, &ingest).0).unwrap();
+    assert_eq!(ingested.get("ok").and_then(Json::as_bool), Some(true));
+    let replay = |exec: &str| {
+        let line = request(vec![
+            ("op", Json::str("replay")),
+            ("exec", Json::str(exec)),
+            ("as", Json::str("replayed")),
+            ("xml", Json::str(xml)),
+            ("changed", Json::Arr(vec![Json::str("weblab://src/0")])),
+        ]);
+        Json::parse(&handle_line(&platform, &line).0).unwrap()
+    };
+    let field = |response: &Json, key: &str| {
+        response.get(key).and_then(Json::as_str).unwrap_or_default().to_string()
+    };
+
+    // an execution that was ingested but never executed exists: it is
+    // refused as a workflow that cannot be replayed, by name
+    let refused = replay("idle");
+    assert_eq!(field(&refused, "code"), "workflow", "{refused}");
+    assert!(field(&refused, "error").contains("\"idle\""), "{refused}");
+    assert!(!platform.execution("replayed").exists());
+    // an id the platform never held is still unknown
+    assert_eq!(field(&replay("nosuch"), "code"), "unknown-execution");
+}
+
+#[test]
 fn ingest_and_replay_refuse_an_execution_id_already_held() {
     let platform = serve_platform();
     let ingest = |exec: &str, xml: &str, pipeline: &[&str]| {

@@ -8,7 +8,10 @@
 //!
 //! A second group kills the integrity footer of each on-disk file kind
 //! (segment, delta, snapshot) and asserts the corruption is *detected* —
-//! a `store` error response — never silently served.
+//! a `store` error response — never silently served. A third puts back
+//! the state a crash between a save's log write and its snapshot write
+//! leaves (the log one run ahead of the newest snapshot) and holds the
+//! served answers to a fresh inference over the stored document and trace.
 
 mod support;
 
@@ -18,9 +21,9 @@ use std::sync::Arc;
 use support::edgewalk;
 use weblab::json::Json;
 use weblab::platform::{Mapper, Platform, ProvQuery, ProvStore, QueryOpts, RankDirection};
-use weblab::prov::Parallelism;
+use weblab::prov::{infer_provenance, EngineOptions, EpochSnapshot, Parallelism, ReachabilityIndex};
 use weblab::rdf::vocab::PROV_NS;
-use weblab::serve::handle_line;
+use weblab::serve::{handle_line, reference_response};
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{
     self, EntityExtractor, KeywordExtractor, LanguageExtractor, Normaliser, Summariser, Tokeniser,
@@ -337,6 +340,61 @@ fn killed_footers_are_detected_not_served() {
             Some("store"),
             "{kind}: truncation must surface as a store error, got {response}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_snapshot_left_stale_by_a_crash_answers_like_a_fresh_inference() {
+    for live in [false, true] {
+        let dir = tmpstore(&format!("stale-{live}"));
+        let platform = store_platform(Parallelism::Threads(1));
+        platform.attach_store(ProvStore::open(&dir).unwrap(), 8).unwrap();
+        let store = platform.store().unwrap();
+        let exec = platform.execution("e");
+        exec.ingest(generate_corpus(3, 2, 25));
+        if live {
+            exec.enable_live();
+        }
+        let is_snapshot = |n: &str| n.contains(".snap-");
+        exec.execute(&PIPELINE[..3]).unwrap();
+        let [first] = files_matching(store.root(), is_snapshot).try_into().unwrap();
+        let kept = std::fs::read(&first).unwrap();
+        exec.execute(&PIPELINE[3..]).unwrap();
+        assert!(exec.evict().unwrap());
+
+        // the crash: the second run's log rows reached disk, its snapshot
+        // did not, and the first run's snapshot was never removed
+        for snap in files_matching(store.root(), is_snapshot) {
+            std::fs::remove_file(snap).unwrap();
+        }
+        std::fs::write(&first, kept).unwrap();
+
+        let stored = store.load("e").unwrap().expect("stored");
+        assert!(stored.snapshot.is_none(), "the kept snapshot covers only the first run");
+        let rules = services::default_rules();
+        let graph = infer_provenance(&stored.doc, &stored.trace, &rules, &EngineOptions::default());
+        let reference = EpochSnapshot {
+            epoch: 1,
+            calls: stored.trace.len(),
+            index: ReachabilityIndex::from_graph(&graph),
+            graph,
+        };
+        assert!(!reference.graph.links.is_empty());
+        for l in reference.graph.links.iter().take(8) {
+            for q in [
+                ProvQuery::Why { uri: l.from_uri.clone() },
+                ProvQuery::Lineage { uri: l.from_uri.clone(), depth: 3 },
+                ProvQuery::ImpactedBy { uri: l.to_uri.clone() },
+            ] {
+                let (served, _) = handle_line(&platform, &query_request("e", &q));
+                assert_eq!(
+                    served,
+                    reference_response(&reference, &q).unwrap(),
+                    "live {live}: {q:?}"
+                );
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
