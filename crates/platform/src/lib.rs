@@ -3,14 +3,17 @@
 //! Assembles the reproduction's components into the three-part architecture
 //! of the paper's Section 6:
 //!
-//! 1. **Recording** — [`Recorder`] captures every service call (in-process
-//!    or as a serialised document exchange, with XML-diff based fragment
-//!    identification), updates the [`ResourceRepository`] and writes the
-//!    execution metadata into the [`TraceStore`]. Each execution's PROV-O
-//!    export makes its trace SPARQL-queryable: it gives the activity,
-//!    agent and start time of every call that generated a resource. The
-//!    disk-backed [`ProvStore`] keeps executions across processes, for
-//!    the daemon and CLI runs alike.
+//! 1. **Recording** — the [`Platform`] keeps one record per execution:
+//!    its document (the Resource Repository) and its trace of calls (the
+//!    Execution Trace) under one lock, so no reader sees a document
+//!    without its calls. A run's calls and updated document are committed
+//!    together; an out-of-process (SOAP-style) service's serialised
+//!    response goes through the same commit after the Recorder's XML diff
+//!    merges its new fragments ([`ExecutionHandle::record_exchange`]).
+//!    Each execution's PROV-O export makes its trace SPARQL-queryable: it
+//!    gives the activity, agent and start time of every call that
+//!    generated a resource. The disk-backed [`ProvStore`] keeps executions
+//!    across processes, for the daemon and CLI runs alike.
 //! 2. **Graph construction** — the [`ServiceCatalog`] holds per-service
 //!    endpoints, signatures and mapping rules; the [`Mapper`] combines
 //!    catalog rules with the trace and the final document to materialise
@@ -52,9 +55,7 @@ mod mapper;
 mod platform;
 pub mod query;
 mod recorder;
-mod repository;
 pub mod store;
-mod trace_store;
 
 pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry};
 pub use mapper::{Mapper, MapperError, MapperStrategy};
@@ -62,7 +63,5 @@ pub use platform::{
     ExecutionHandle, Platform, PlatformError, SpecStep, WorkflowSpec,
 };
 pub use query::{ProvQuery, QueryAnswer, QueryOpts, RankDirection, PROTOCOL_VERSION};
-pub use recorder::{merge_exchange, Recorder, RecorderError};
-pub use repository::ResourceRepository;
+pub use recorder::{merge_exchange, RecorderError};
 pub use store::{PersistError, ProvStore, ResumePoint, StoredExecution};
-pub use trace_store::TraceStore;

@@ -1,16 +1,17 @@
 //! The assembled WebLab PROV platform (Figure 5) and its Request Manager.
 //!
-//! [`Platform`] wires the Recorder, Resource Repository, Execution Trace
-//! store, Service Catalog and Mapper together, with an optional disk-backed
-//! [`ProvStore`] behind them.
+//! [`Platform`] wires the Recorder, the Service Catalog and the Mapper
+//! together, with an optional disk-backed [`ProvStore`] behind them. It
+//! keeps one record per execution: Figure 5's Resource Repository entry
+//! (the document) and Execution Trace (its calls) under one lock, beside
+//! the execution's published [`EpochSnapshot`] (a graph +
+//! [`ReachabilityIndex`] pair, its one graph and link store, which every
+//! committed live delta and every refresh advances by one epoch).
 //! Per-execution behaviour is exposed through [`Platform::execution`],
 //! which returns an [`ExecutionHandle`] — the façade the CLI and the
-//! `weblab serve` query service are written against. The handle answers
-//! reachability queries from a published [`EpochSnapshot`] (a graph +
-//! [`ReachabilityIndex`] pair, the execution's one graph and link store,
-//! which every committed live delta and every refresh advances by one
-//! epoch), so readers never wait for inference and never re-walk the edge
-//! list; a snapshot a reader holds never changes under it.
+//! `weblab serve` query service are written against. Readers never wait
+//! for inference and never re-walk the edge list; a snapshot a reader
+//! holds never changes under it.
 //!
 //! The original per-execution method sprawl (`provenance_graph`,
 //! `dependencies_of`, …) is gone: the handle is the one query surface,
@@ -21,26 +22,25 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use weblab_obs::{Counter, Gauge};
 use weblab_prov::{
-    dirty_cone, CallRecord, EngineOptions, EpochSnapshot, GraphSummary, LiveDelta,
+    dirty_cone, CallRecord, EngineOptions, EpochSnapshot, ExecutionTrace, GraphSummary, LiveDelta,
     LiveProvenance, ProvenanceGraph, QueryOpts, RankDirection, RankedEntry, ReachabilityIndex,
+    RuleSet,
 };
 use weblab_rdf::{QueryEngine, Solution, SparqlError};
 use weblab_workflow::{
     next_time, ExecutionOutcome, FaultPolicy, Orchestrator, ProofMode, ReplayOutcome, Service,
     Workflow, WorkflowError,
 };
-use weblab_xml::Document;
+use weblab_xml::{Document, Timestamp};
 
 use crate::catalog::{CatalogError, ServiceCatalog};
 use crate::mapper::{Mapper, MapperError, MapperStrategy};
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
-use crate::recorder::{Recorder, RecorderError};
-use crate::repository::ResourceRepository;
+use crate::recorder::{self, RecorderError};
 use crate::store::{PersistError, ProvStore, ResumePoint};
-use crate::trace_store::TraceStore;
 
 /// Executions evicted from residency to the attached store.
 static EVICTIONS: Counter = Counter::new("store.evictions");
@@ -49,6 +49,10 @@ static RESIDENT: Gauge = Gauge::new("store.resident");
 /// Live deltas that copied their execution's snapshot before folding in,
 /// because a reader still held the epoch being advanced.
 static SNAPSHOT_COPIES: Counter = Counter::new("platform.snapshot.copies");
+/// Calls a commit appended to an execution's kept trace.
+static RECORDS_WRITTEN: Counter = Counter::new("platform.trace_store.records");
+/// Copies of an execution's kept trace (a run's or a replay's prior trace).
+static TRACE_READS: Counter = Counter::new("platform.trace_store.reads");
 
 /// Platform-level failure.
 #[derive(Debug)]
@@ -61,7 +65,7 @@ pub enum PlatformError {
     Catalog(CatalogError),
     /// A service call failed.
     Workflow(WorkflowError),
-    /// Recording failed.
+    /// Recording an exchanged response failed.
     Recorder(RecorderError),
     /// Provenance materialisation failed.
     Mapper(MapperError),
@@ -175,20 +179,20 @@ impl WorkflowSpec {
 
 /// The assembled platform.
 pub struct Platform {
-    repository: Arc<ResourceRepository>,
-    traces: Arc<TraceStore>,
-    recorder: Recorder,
     catalog: RwLock<ServiceCatalog>,
     services: RwLock<HashMap<String, Arc<dyn Service>>>,
     mapper: Mapper,
     fault: RwLock<FaultPolicy>,
     /// Executions in live mode: each of their runs folds one delta per
-    /// committed call into the published snapshot. A flag survives
-    /// eviction, and a cold load sets it from the stored snapshot.
+    /// committed call into the published snapshot. A flag outlives
+    /// residency: it survives eviction, `weblab run --live` and a live
+    /// serve ingest set it before the execution exists, and a cold load
+    /// sets it from the stored snapshot.
     live: RwLock<HashSet<String>>,
-    /// Per-execution reachability index state backing [`ExecutionHandle`]
-    /// queries and the `weblab serve` daemon.
-    index_states: RwLock<HashMap<String, Arc<IndexState>>>,
+    /// One record per resident execution (every execution, without a
+    /// store): presence here is residency. A new execution or a cold load
+    /// inserts a complete record, an eviction removes it.
+    executions: RwLock<HashMap<String, Arc<Execution>>>,
     /// The attached disk store and its residency bookkeeping, when the
     /// platform runs disk-backed (`weblab serve --store`).
     store: RwLock<Option<Arc<StoreState>>>,
@@ -207,16 +211,22 @@ struct StoreState {
     loading: Mutex<()>,
 }
 
-/// Per-execution epoch/snapshot machinery around the execution's one
+/// One execution's record: the document and trace the platform keeps,
+/// under one lock, beside the epoch/snapshot machinery around its one
 /// [`EpochSnapshot`], the only graph the platform caches. Readers clone an
-/// `Arc` of it and query that epoch for as long as they hold it. Every
-/// live delta and every refresh folds into the snapshot in place through
-/// [`Arc::make_mut`], under the write lock; only while a reader still
-/// holds the epoch being advanced does the fold copy it first (counted
-/// under `platform.snapshot.copies`). Lock order is *refresh, then
-/// snapshot*: a refresh computes its delta before taking the write lock. A
-/// run's producer sits behind a mutex only its call hook ever locks.
-struct IndexState {
+/// `Arc` of the snapshot and query that epoch for as long as they hold it.
+/// Every live delta and every refresh folds into the snapshot in place
+/// through [`Arc::make_mut`], under the write lock; only while a reader
+/// still holds the epoch being advanced does the fold copy it first
+/// (counted under `platform.snapshot.copies`). Lock order is *refresh, then
+/// kept, then snapshot*: a refresh computes its delta under a read of the
+/// kept state before taking the snapshot's write lock. A run's producer
+/// sits behind a mutex only its call hook ever locks.
+struct Execution {
+    /// A commit appends its calls and swaps the document under one write
+    /// lock, so no refresh or write-through pairs a document with another
+    /// state's calls.
+    kept: RwLock<Kept>,
     snapshot: RwLock<Arc<EpochSnapshot>>,
     /// Serialises refreshes of a stale snapshot, so readers racing on one
     /// publish a single epoch and run inference once between them.
@@ -227,15 +237,26 @@ struct IndexState {
     engine: Mutex<Option<(u64, Arc<QueryEngine>)>>,
 }
 
-impl IndexState {
-    fn new() -> Self {
-        IndexState {
-            snapshot: RwLock::new(Arc::new(EpochSnapshot {
-                // `new` counts under `prov.index.builds`: one build per
-                // execution index, maintained incrementally afterwards.
-                index: ReachabilityIndex::new(),
-                ..EpochSnapshot::empty()
-            })),
+/// What the platform keeps of an execution.
+struct Kept {
+    doc: Document,
+    trace: ExecutionTrace,
+    /// Set by the eviction that wrote this record to the store and removed
+    /// it: a commit still holding it keeps into the record the next cold
+    /// load makes instead.
+    evicted: bool,
+}
+
+/// Whether `snap` is published and covers `calls` kept calls.
+fn covers(snap: &EpochSnapshot, calls: usize) -> bool {
+    snap.epoch > 0 && snap.calls >= calls
+}
+
+impl Execution {
+    fn new(doc: Document, trace: ExecutionTrace, snapshot: EpochSnapshot) -> Self {
+        Execution {
+            kept: RwLock::new(Kept { doc, trace, evicted: false }),
+            snapshot: RwLock::new(Arc::new(snapshot)),
             refresh: Mutex::new(()),
             engine: Mutex::new(None),
         }
@@ -243,6 +264,25 @@ impl IndexState {
 
     fn published(&self) -> Arc<EpochSnapshot> {
         Arc::clone(&self.snapshot.read().expect("lock poisoned"))
+    }
+
+    fn kept(&self) -> RwLockReadGuard<'_, Kept> {
+        self.kept.read().expect("lock poisoned")
+    }
+
+    fn kept_mut(&self) -> RwLockWriteGuard<'_, Kept> {
+        self.kept.write().expect("lock poisoned")
+    }
+
+    fn calls(&self) -> usize {
+        self.kept().trace.len()
+    }
+
+    /// Copies of the kept document and trace, taken under one read lock.
+    fn copy(&self) -> (Document, ExecutionTrace) {
+        TRACE_READS.inc();
+        let kept = self.kept();
+        (kept.doc.clone(), kept.trace.clone())
     }
 
     /// Fold a delta into the snapshot as the next epoch
@@ -261,11 +301,8 @@ impl IndexState {
         Arc::clone(&slot)
     }
 
-    /// Publish a rebuilt snapshot: a cold load's, at its *exact* persisted
-    /// epoch (serve responses embed the epoch, so a cold-loaded execution
-    /// must answer with the epoch and graph row order it was saved at to
-    /// stay byte-identical with the resident path), or a failed live run's.
-    /// Skipped when the published one is as far along in epoch and calls.
+    /// Publish a failed live run's rebuilt snapshot, unless the published
+    /// one is as far along in epoch and calls.
     fn restore(&self, snap: EpochSnapshot) {
         let mut slot = self.snapshot.write().expect("lock poisoned");
         if slot.epoch >= snap.epoch && slot.calls >= snap.calls {
@@ -292,21 +329,13 @@ impl IndexState {
 impl Platform {
     /// Build a platform with the given Mapper configuration.
     pub fn new(mapper: Mapper) -> Self {
-        let repository = Arc::new(ResourceRepository::new());
-        let traces = Arc::new(TraceStore::new());
         Platform {
-            recorder: Recorder {
-                repository: Arc::clone(&repository),
-                traces: Arc::clone(&traces),
-            },
-            repository,
-            traces,
             catalog: RwLock::new(ServiceCatalog::new()),
             services: RwLock::new(HashMap::new()),
             mapper,
             fault: RwLock::new(FaultPolicy::default()),
             live: RwLock::new(HashSet::new()),
-            index_states: RwLock::new(HashMap::new()),
+            executions: RwLock::new(HashMap::new()),
             store: RwLock::new(None),
         }
     }
@@ -315,11 +344,6 @@ impl Platform {
     /// execution (default: abort on first failure, after rollback).
     pub fn set_fault_policy(&self, fault: FaultPolicy) {
         *self.fault.write().expect("lock poisoned") = fault;
-    }
-
-    /// Access the underlying Recorder (e.g. for out-of-process exchanges).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Access the catalog (read lock).
@@ -353,15 +377,15 @@ impl Platform {
     /// Known execution ids, sorted — the serve daemon's `status` listing.
     /// With a store attached, evicted (disk-only) executions are included.
     pub fn executions(&self) -> Vec<String> {
-        let mut ids = self.repository.execution_ids();
+        let mut ids = self.resident_ids();
         if let Some(ss) = self.store_state() {
             for id in ss.store.execution_ids() {
                 if !ids.contains(&id) {
                     ids.push(id);
                 }
             }
-            ids.sort();
         }
+        ids.sort();
         ids
     }
 
@@ -444,8 +468,7 @@ impl Platform {
                         point.step_names, step_names
                     )));
                 }
-                self.ensure_resident(exec_id)?;
-                let logged = self.traces.call_count(exec_id);
+                let logged = self.ensure_resident(exec_id)?.map_or(0, |rec| rec.calls());
                 if point.calls != logged {
                     return Err(refuse(format!(
                         "the resume point of {exec_id:?} witnesses {} call(s) but its log holds \
@@ -475,35 +498,31 @@ impl Platform {
         workflow: &Workflow,
         durable: Option<&ResumePoint>,
     ) -> Result<ExecutionOutcome, PlatformError> {
-        self.ensure_resident(exec_id)?;
-        let mut doc = self
-            .repository
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let prior = self.traces.get(exec_id).unwrap_or_default();
+        let rec = self.record(exec_id)?;
+        let (mut doc, prior) = rec.copy();
         let after = |start: u64| prior.calls.last().map_or(start, |last| start.max(last.time + 1));
         let (completed, start) = durable
             .map_or_else(|| (0, after(next_time(&doc))), |p| (p.completed_steps, p.next_time));
         let fault = self.fault.read().expect("lock poisoned").clone();
         let mut orch = Orchestrator::new().with_fault(fault);
-        let rules = || self.catalog.read().expect("lock poisoned").rule_set();
-        let live = self.live_enabled_impl(exec_id).then(|| self.index_state(exec_id));
-        if let Some(state) = &live {
+        let live = self.live_enabled_impl(exec_id).then_some(rec);
+        if let Some(rec) = &live {
             // Bring the snapshot up to the run's starting document and
             // prior trace (dropping the refresh's hold, so the run's deltas
             // fold in place), then fold one delta per committed call from a
             // producer positioned there, which the orchestrator owns.
-            drop(self.refresh(exec_id, false)?);
+            drop(self.refresh(rec, false)?);
             let opts = match &self.mapper.strategy {
                 MapperStrategy::Native(opts) => *opts,
                 MapperStrategy::XQuery(_) => EngineOptions::default(),
             };
-            let producer = Mutex::new(LiveProvenance::new(rules(), opts).starting_at(&doc, &prior));
-            let (state, base) = (Arc::clone(state), prior.len());
+            let producer = LiveProvenance::new(self.rules(), opts).starting_at(&doc, &prior);
+            let producer = Mutex::new(producer);
+            let (rec, base) = (Arc::clone(rec), prior.len());
             orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
                 let mut lp = producer.lock().expect("lock poisoned");
                 let delta = lp.observe_call(doc, trace, idx);
-                state.apply_delta(&delta, base + lp.calls_seen());
+                rec.apply_delta(&delta, base + lp.calls_seen());
             }));
         }
         // A failed checkpoint stops the checkpoints, not the run; the run
@@ -539,17 +558,16 @@ impl Platform {
                 Ok(outcome)
             }
             Err(e) => {
-                let kept = self.traces.call_count(exec_id);
-                if let Some(state) = live.filter(|s| s.published().calls > kept) {
-                    // The run folded calls the platform does not keep:
-                    // publish the graph of the kept document and trace at
-                    // the next epoch, inferred afresh.
-                    if let Some(kept_doc) = self.repository.get(exec_id) {
-                        let kept_trace = self.traces.get(exec_id).unwrap_or_default();
-                        let graph = self.mapper.materialize(&kept_doc, &kept_trace, &rules())?;
-                        state.restore(EpochSnapshot {
-                            epoch: state.published().epoch + 1,
-                            calls: kept,
+                if let Some(rec) = live {
+                    let kept = rec.kept();
+                    if rec.published().calls > kept.trace.len() {
+                        // The run folded calls the platform does not keep:
+                        // publish the graph of the kept document and trace
+                        // at the next epoch, inferred afresh.
+                        let graph = self.mapper.materialize(&kept.doc, &kept.trace, &self.rules())?;
+                        rec.restore(EpochSnapshot {
+                            epoch: rec.published().epoch + 1,
+                            calls: kept.trace.len(),
                             index: ReachabilityIndex::from_graph(&graph),
                             graph,
                         });
@@ -560,19 +578,52 @@ impl Platform {
         }
     }
 
-    /// Keep an execution's progress: its new calls into the trace store,
-    /// its document into the repository, then write it through the attached
-    /// store and evict past the residency bound.
-    fn commit(&self, exec_id: &str, calls: &[CallRecord], doc: Document) -> Result<(), PlatformError> {
-        for call in calls {
-            self.traces.record(exec_id, call.clone());
-        }
-        self.repository.put(exec_id, doc);
-        let saved = self.persist_through(exec_id);
-        match self.store_state() {
-            Some(ss) => self.evict_excess(&ss, exec_id).and(saved),
-            None => saved,
-        }
+    /// Keep an execution's progress, then write it through the attached
+    /// store and evict past the residency bound. The record is found
+    /// through [`Platform::ensure_resident`], and its new calls and
+    /// document go in under one write lock: a run whose execution was
+    /// evicted while it ran lands on top of the stored calls. A new
+    /// execution's record is inserted complete.
+    fn commit(
+        &self,
+        exec_id: &str,
+        calls: &[CallRecord],
+        doc: Document,
+    ) -> Result<(), PlatformError> {
+        let rec = loop {
+            let Some(rec) = self.ensure_resident(exec_id)? else {
+                let mut records = self.records();
+                if records.contains_key(exec_id) {
+                    continue; // a concurrent commit inserted it first
+                }
+                // `new` counts under `prov.index.builds`: one build per
+                // execution index, maintained incrementally afterwards.
+                let snapshot =
+                    EpochSnapshot { index: ReachabilityIndex::new(), ..EpochSnapshot::empty() };
+                let trace = ExecutionTrace { calls: calls.to_vec() };
+                let rec = Arc::new(Execution::new(doc, trace, snapshot));
+                records.insert(exec_id.to_string(), Arc::clone(&rec));
+                drop(records);
+                if let Some(ss) = self.store_state() {
+                    self.touch_lru(&ss, exec_id);
+                }
+                break rec;
+            };
+            let mut kept = rec.kept_mut();
+            if kept.evicted {
+                continue; // its cold-loaded successor holds the stored calls
+            }
+            kept.trace.calls.extend_from_slice(calls);
+            kept.doc = doc;
+            drop(kept);
+            break rec;
+        };
+        RECORDS_WRITTEN.add(calls.len() as u64);
+        let Some(ss) = self.store_state() else {
+            return Ok(());
+        };
+        let saved = self.write_through(&ss, exec_id, &rec);
+        self.evict_excess(&ss, exec_id).and(saved)
     }
 
     /// Incrementally recompute a prior execution under a changed input
@@ -622,12 +673,8 @@ impl Platform {
         changed_uris: &[String],
         proof: ProofMode,
     ) -> Result<ReplayOutcome, PlatformError> {
-        self.ensure_resident(prior_id)?;
-        let prior_doc = self
-            .repository
-            .get(prior_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(prior_id.to_string()))?;
-        let prior_trace = self.traces.get(prior_id).unwrap_or_default();
+        let rec = self.record(prior_id)?;
+        let (prior_doc, prior_trace) = rec.copy();
         let refuse = |message: String| {
             PlatformError::Workflow(WorkflowError::Service { service: "replay".into(), message })
         };
@@ -643,16 +690,15 @@ impl Platform {
         }
         let names: Vec<&str> = prior_trace.calls.iter().map(|c| c.service.as_str()).collect();
         let workflow = self.build_workflow(&WorkflowSpec::sequence(&names))?;
-        let snap = self.snapshot_impl(prior_id)?;
+        let snap = self.refresh(&rec, true)?;
         // The published snapshot's links may omit containment (inherited)
         // provenance — a fragment's non-anchor resources (a unit's
         // TextContent) would then have no link to the changed source and
         // their consumers would be spliced stale.
-        let rules = self.catalog.read().expect("lock poisoned").rule_set();
         let inherit_graph = weblab_prov::infer_provenance(
             &prior_doc,
             &prior_trace,
-            &rules,
+            &self.rules(),
             &EngineOptions {
                 inherit: weblab_prov::InheritMode::PatternRewrite,
                 ..EngineOptions::default()
@@ -687,18 +733,33 @@ impl Platform {
         Ok(wf)
     }
 
-    /// Get-or-create the index state of an execution.
-    fn index_state(&self, exec_id: &str) -> Arc<IndexState> {
-        if let Some(state) = self.index_states.read().expect("lock poisoned").get(exec_id) {
-            return Arc::clone(state);
-        }
-        Arc::clone(
-            self.index_states
-                .write()
-                .expect("lock poisoned")
-                .entry(exec_id.to_string())
-                .or_insert_with(|| Arc::new(IndexState::new())),
-        )
+    fn records(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<Execution>>> {
+        self.executions.write().expect("lock poisoned")
+    }
+
+    /// The resident record of an execution, without a cold load.
+    fn resident(&self, exec_id: &str) -> Option<Arc<Execution>> {
+        self.executions.read().expect("lock poisoned").get(exec_id).cloned()
+    }
+
+    /// Resident execution ids, sorted.
+    fn resident_ids(&self) -> Vec<String> {
+        let mut ids: Vec<String> =
+            self.executions.read().expect("lock poisoned").keys().cloned().collect();
+        ids.sort();
+        ids
+    }
+
+    /// The catalog's mapping rules, as the Mapper and the live producer
+    /// take them.
+    fn rules(&self) -> RuleSet {
+        self.catalog.read().expect("lock poisoned").rule_set()
+    }
+
+    /// The record of an execution, cold-loaded if it was evicted.
+    fn record(&self, exec_id: &str) -> Result<Arc<Execution>, PlatformError> {
+        self.ensure_resident(exec_id)?
+            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))
     }
 
     /// Attach a disk store: every execution is written through to it, and
@@ -712,7 +773,7 @@ impl Platform {
             lru: Mutex::new(Vec::new()),
             loading: Mutex::new(()),
         });
-        for id in self.repository.execution_ids() {
+        for id in self.resident_ids() {
             self.touch_lru(&ss, &id);
         }
         *self.store.write().expect("lock poisoned") = Some(Arc::clone(&ss));
@@ -742,38 +803,52 @@ impl Platform {
         }
     }
 
-    /// Make an execution resident, cold-loading it from the attached store
-    /// if it was evicted. A no-op without a store, or when the execution is
-    /// neither resident nor stored (callers then report UnknownExecution as
-    /// before).
-    fn ensure_resident(&self, exec_id: &str) -> Result<(), PlatformError> {
-        let Some(ss) = self.store_state() else {
-            return Ok(());
-        };
-        if self.repository.with(exec_id, |_| ()).is_some() {
-            self.touch_lru(&ss, exec_id);
-            return Ok(());
+    /// Stop tracking an execution in the resident set.
+    fn untrack_lru(&self, ss: &StoreState, exec_id: &str) {
+        let mut lru = ss.lru.lock().expect("lock poisoned");
+        if let Some(pos) = lru.iter().position(|id| id == exec_id) {
+            lru.remove(pos);
+            RESIDENT.dec();
         }
-        let _guard = ss.loading.lock().expect("lock poisoned");
-        // Double-check: a concurrent load may have won the lock first.
-        if self.repository.with(exec_id, |_| ()).is_some() {
+    }
+
+    /// The record of an execution, made resident: cold-loaded from the
+    /// attached store if it was evicted, as one complete record (document,
+    /// trace and stored snapshot). `None` when the execution is neither
+    /// resident nor stored.
+    fn ensure_resident(&self, exec_id: &str) -> Result<Option<Arc<Execution>>, PlatformError> {
+        let Some(ss) = self.store_state() else {
+            return Ok(self.resident(exec_id));
+        };
+        let touched = |rec: Arc<Execution>| {
             self.touch_lru(&ss, exec_id);
-            return Ok(());
+            Ok(Some(rec))
+        };
+        if let Some(rec) = self.resident(exec_id) {
+            return touched(rec);
+        }
+        let loading = ss.loading.lock().expect("lock poisoned");
+        // Double-check: a concurrent load may have won the lock first.
+        if let Some(rec) = self.resident(exec_id) {
+            return touched(rec);
         }
         let Some(mut stored) = ss.store.load(exec_id)? else {
-            return Ok(());
+            return Ok(None);
         };
-        // Rebuild in-memory state. The trace goes in first; the repository
-        // entry is the residency signal, so it is published last.
-        self.traces.put(exec_id, &stored.trace);
         if stored.snapshot.as_ref().is_some_and(|snap| snap.live) {
             self.enable_live_impl(exec_id);
         }
-        self.index_state(exec_id).restore(stored.resume_snapshot());
-        self.repository.put(exec_id, stored.doc);
+        // The stored snapshot keeps its *exact* epoch: serve responses
+        // embed the epoch, so a cold-loaded execution must answer with the
+        // epoch and graph row order it was saved at to stay byte-identical
+        // with the resident path.
+        let snapshot = stored.resume_snapshot();
+        let rec = Arc::new(Execution::new(stored.doc, stored.trace, snapshot));
+        self.records().insert(exec_id.to_string(), Arc::clone(&rec));
         self.touch_lru(&ss, exec_id);
-        drop(_guard);
-        self.evict_excess(&ss, exec_id)
+        drop(loading);
+        self.evict_excess(&ss, exec_id)?;
+        Ok(Some(rec))
     }
 
     /// Write one execution through to the attached store (document, call
@@ -782,18 +857,50 @@ impl Platform {
         let Some(ss) = self.store_state() else {
             return Ok(());
         };
-        self.ensure_resident(exec_id)?;
-        let doc = self
-            .repository
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        // Publish only what a live run's start would: with nothing to fold
-        // yet, the snapshot stays at epoch 0, so a store-backed execution
-        // numbers its epochs as a store-less one does.
-        let snap = self.refresh(exec_id, false)?;
-        let trace = self.traces.get(exec_id).unwrap_or_default();
+        let rec = self.record(exec_id)?;
+        self.write_through(&ss, exec_id, &rec)
+    }
+
+    /// Write a record through to the store, unless its eviction already
+    /// did.
+    fn write_through(
+        &self,
+        ss: &StoreState,
+        exec_id: &str,
+        rec: &Execution,
+    ) -> Result<(), PlatformError> {
+        let _refresh = rec.refresh.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = rec.kept();
+        if kept.evicted {
+            return Ok(());
+        }
+        self.save(ss, exec_id, rec, &kept)
+    }
+
+    /// Save a record's document and trace, read in place, with the
+    /// snapshot folded up to every kept call. The caller holds the
+    /// record's refresh mutex and its kept lock, so no commit lands
+    /// between the fold and the save. The fold publishes only what a live
+    /// run's start would: with nothing to fold yet, the snapshot stays at
+    /// epoch 0, so a store-backed execution numbers its epochs as a
+    /// store-less one does. A snapshot a live run in flight has folded
+    /// past the kept calls holds links of calls the store does not keep
+    /// (and may never, if the run fails): the kept state's graph, inferred
+    /// afresh, is saved in its place.
+    fn save(
+        &self,
+        ss: &StoreState,
+        exec_id: &str,
+        rec: &Execution,
+        kept: &Kept,
+    ) -> Result<(), PlatformError> {
+        let snap = self.fold_missing(rec, kept, false)?;
+        let ahead = (snap.calls > kept.trace.len())
+            .then(|| self.mapper.materialize(&kept.doc, &kept.trace, &self.rules()))
+            .transpose()?;
+        let graph = ahead.as_ref().unwrap_or(&snap.graph);
         let live = self.live_enabled_impl(exec_id);
-        ss.store.save(exec_id, &doc, &trace, &snap.graph, snap.epoch, live)?;
+        ss.store.save(exec_id, &kept.doc, &kept.trace, graph, snap.epoch, live)?;
         Ok(())
     }
 
@@ -815,26 +922,30 @@ impl Platform {
         }
     }
 
-    /// Persist an execution and drop its in-memory state. Returns whether
-    /// it was resident. The next query cold-loads it transparently.
+    /// Persist an execution and drop its record. Returns whether it was
+    /// resident. The next query cold-loads it transparently.
     fn evict_impl(&self, exec_id: &str) -> Result<bool, PlatformError> {
         let Some(ss) = self.store_state() else {
             return Ok(false);
         };
-        let was_resident = self.repository.with(exec_id, |_| ()).is_some();
-        if was_resident {
-            self.persist_through(exec_id)?;
-            self.repository.remove(exec_id);
-            self.traces.remove(exec_id);
-            self.index_states.write().expect("lock poisoned").remove(exec_id);
-            EVICTIONS.inc();
+        let Some(rec) = self.resident(exec_id) else {
+            self.untrack_lru(&ss, exec_id);
+            return Ok(false);
+        };
+        let _refresh = rec.refresh.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut kept = rec.kept_mut();
+        if kept.evicted {
+            return Ok(false); // a concurrent eviction took it
         }
-        let mut lru = ss.lru.lock().expect("lock poisoned");
-        if let Some(pos) = lru.iter().position(|id| id == exec_id) {
-            lru.remove(pos);
-            RESIDENT.dec();
-        }
-        Ok(was_resident)
+        self.save(&ss, exec_id, &rec, &kept)?;
+        kept.evicted = true;
+        // Under the cold-load mutex, so no load re-admits the execution
+        // between the two removals.
+        let _loading = ss.loading.lock().expect("lock poisoned");
+        self.records().remove(exec_id);
+        self.untrack_lru(&ss, exec_id);
+        EVICTIONS.inc();
+        Ok(true)
     }
 
     fn enable_live_impl(&self, exec_id: &str) {
@@ -846,73 +957,76 @@ impl Platform {
     /// cold load.
     fn live_enabled_impl(&self, exec_id: &str) -> bool {
         self.live.read().expect("lock poisoned").contains(exec_id)
-            || (self.repository.with(exec_id, |_| ()).is_none()
+            || (self.resident(exec_id).is_none()
                 && self.store_state().is_some_and(|ss| ss.store.stored_live(exec_id)))
     }
 
     /// A current [`EpochSnapshot`] of the execution — see
     /// [`Platform::refresh`].
     fn snapshot_impl(&self, exec_id: &str) -> Result<Arc<EpochSnapshot>, PlatformError> {
-        self.ensure_resident(exec_id)?;
-        if self.repository.with(exec_id, |_| ()).is_none() {
-            return Err(PlatformError::UnknownExecution(exec_id.to_string()));
-        }
-        self.refresh(exec_id, true)
+        let rec = self.record(exec_id)?;
+        self.refresh(&rec, true)
     }
 
-    /// The published snapshot if it already covers every recorded call,
-    /// else a refresh that folds in what it lacks as one delta. A snapshot
-    /// published mid-execution by the live hook runs *ahead* of the trace
-    /// store (calls reach it only after orchestration), which is why
-    /// freshness is `snapshot.calls >= trace len`, not equality. A reader's
-    /// refresh always publishes, so epoch 1 at least; a live run's start
-    /// publishes only a delta that adds something.
-    fn refresh(&self, exec_id: &str, reader: bool) -> Result<Arc<EpochSnapshot>, PlatformError> {
-        let state = self.index_state(exec_id);
-        let trace_len = self.traces.call_count(exec_id);
-        let fresh = |snap: &EpochSnapshot| snap.epoch > 0 && snap.calls >= trace_len;
-        let snap = state.published();
-        if fresh(&snap) {
+    /// The published snapshot if it already covers every kept call, else a
+    /// refresh that folds in what it lacks as one delta
+    /// ([`Platform::fold_missing`]). A snapshot published mid-execution by
+    /// the live hook runs *ahead* of the kept trace (calls reach it only
+    /// when the run commits), which is why freshness is `snapshot.calls >=
+    /// trace len`, not equality. A reader's refresh always publishes, so
+    /// epoch 1 at least; a live run's start publishes only a delta that
+    /// adds something.
+    fn refresh(&self, rec: &Execution, reader: bool) -> Result<Arc<EpochSnapshot>, PlatformError> {
+        let calls = rec.calls();
+        let snap = rec.published();
+        if covers(&snap, calls) {
             return Ok(snap);
         }
         drop(snap);
         // A reader that waited for another's refresh finds it published.
         // The mutex guards no data, so a panicked refresh leaves it usable.
-        let _refresh = state.refresh.lock().unwrap_or_else(PoisonError::into_inner);
-        let snap = state.published();
-        if fresh(&snap) {
+        let _refresh = rec.refresh.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = rec.kept();
+        self.fold_missing(rec, &kept, reader)
+    }
+
+    /// Fold into the published snapshot what it lacks of the kept state,
+    /// read in place under the caller's refresh mutex and kept lock: the
+    /// Mapper's links for the calls past the snapshot plus the Source rows
+    /// it does not hold yet.
+    fn fold_missing(
+        &self,
+        rec: &Execution,
+        kept: &Kept,
+        reader: bool,
+    ) -> Result<Arc<EpochSnapshot>, PlatformError> {
+        let calls = kept.trace.len();
+        let snap = rec.published();
+        if covers(&snap, calls) {
             return Ok(snap);
         }
-        let doc = self
-            .repository
-            .get(exec_id)
-            .ok_or_else(|| PlatformError::UnknownExecution(exec_id.to_string()))?;
-        let trace = self.traces.get(exec_id).unwrap_or_default();
-        // The delta holds only what the snapshot lacks: the Mapper's links
-        // for the calls past it plus the Source rows it does not hold yet.
-        let links = if trace.len() > snap.calls {
-            let rules = self.catalog.read().expect("lock poisoned").rule_set();
-            self.mapper.materialize_since(&doc, &trace, snap.calls, &rules)?
+        let links = if calls > snap.calls {
+            self.mapper.materialize_since(&kept.doc, &kept.trace, snap.calls, &self.rules())?
         } else {
             Vec::new()
         };
         let delta = LiveDelta {
             links,
-            sources: snap.missing_sources(&doc),
+            sources: snap.missing_sources(&kept.doc),
         };
-        if !reader && delta.is_empty() && trace.len() <= snap.calls {
+        if !reader && delta.is_empty() && calls <= snap.calls {
             return Ok(snap);
         }
         // Release this reader's hold, so the fold need not copy the epoch.
         drop(snap);
-        Ok(state.apply_delta(&delta, trace.len()))
+        Ok(rec.apply_delta(&delta, calls))
     }
 }
 
-/// The per-execution façade over [`Platform`]: ingestion, execution, live
-/// maintenance and — via published [`EpochSnapshot`]s — index-backed
-/// provenance queries. This is the only surface the `weblab serve` query
-/// service touches.
+/// The per-execution façade over [`Platform`]: ingestion, execution,
+/// exchange recording, live maintenance and — via published
+/// [`EpochSnapshot`]s — index-backed provenance queries. This is the only
+/// surface the `weblab serve` query service touches.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -945,7 +1059,7 @@ impl ExecutionHandle<'_> {
     /// Whether the execution has an ingested document — resident in
     /// memory, or evicted to the attached store.
     pub fn exists(&self) -> bool {
-        self.platform.repository.with(&self.id, |_| ()).is_some()
+        self.is_resident()
             || self
                 .platform
                 .store_state()
@@ -955,7 +1069,7 @@ impl ExecutionHandle<'_> {
     /// Whether the execution is resident in memory right now (always true
     /// without an attached store, for executions that exist).
     pub fn is_resident(&self) -> bool {
-        self.platform.repository.with(&self.id, |_| ()).is_some()
+        self.platform.resident(&self.id).is_some()
     }
 
     /// Write this execution through to the attached store without
@@ -984,6 +1098,37 @@ impl ExecutionHandle<'_> {
     /// Execute a [`WorkflowSpec`], possibly with parallel blocks.
     pub fn execute_spec(&self, spec: &WorkflowSpec) -> Result<(), PlatformError> {
         self.platform.execute_spec(&self.id, spec)
+    }
+
+    /// Record a call whose effect arrives as a complete response document
+    /// (serialised XML with `wl:id`/`wl:s`/`wl:t` metadata), as an
+    /// out-of-process service returns it: the response is diffed against
+    /// the kept document, its new fragments are merged into a copy of the
+    /// canonical arena ([`crate::merge_exchange`]), and the call is
+    /// committed like a run's — cold-loaded first if evicted, and written
+    /// through the attached store.
+    pub fn record_exchange(
+        &self,
+        service: &str,
+        time: Timestamp,
+        response_xml: &str,
+    ) -> Result<CallRecord, PlatformError> {
+        let (doc, call) =
+            self.with_kept(|kept, _| recorder::exchange(kept, service, time, response_xml))??;
+        self.platform.commit(&self.id, std::slice::from_ref(&call), doc)?;
+        Ok(call)
+    }
+
+    /// Read the kept document and trace in place, under one lock —
+    /// cold-loaded like every other handle method. `f` runs under the
+    /// lock, so it must not commit to this execution.
+    pub fn with_kept<R>(
+        &self,
+        f: impl FnOnce(&Document, &ExecutionTrace) -> R,
+    ) -> Result<R, PlatformError> {
+        let rec = self.platform.record(&self.id)?;
+        let kept = rec.kept();
+        Ok(f(&kept.doc, &kept.trace))
     }
 
     /// Incrementally recompute this execution under a changed input
@@ -1059,13 +1204,17 @@ impl ExecutionHandle<'_> {
     /// sub-request of a batch is answered on the same snapshot, so the
     /// whole batch shares one atomic epoch even while live ingestion keeps
     /// publishing newer ones. SPARQL sub-queries still go through the
-    /// per-epoch [`QueryEngine`] plan cache.
+    /// per-epoch [`QueryEngine`] plan cache, unless the execution was
+    /// evicted since the snapshot was pinned.
     pub fn query_on(
         &self,
         snap: &Arc<EpochSnapshot>,
         q: &ProvQuery,
     ) -> Result<QueryAnswer, PlatformError> {
-        let engine = || self.platform.index_state(&self.id).engine_for(snap);
+        let engine = || match self.platform.resident(&self.id) {
+            Some(rec) => rec.engine_for(snap),
+            None => Arc::new(QueryEngine::new(Arc::new(prov_store(&snap.graph)))),
+        };
         Ok(q.answer(|| &snap.index, engine)?)
     }
 
@@ -1113,7 +1262,9 @@ impl ExecutionHandle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use weblab_rdf::vocab::PROV_NS;
+    use weblab_workflow::CallContext;
     use weblab_workflow::generator::generate_corpus;
     use weblab_workflow::services::{LanguageExtractor, Normaliser, Translator};
 
@@ -1140,10 +1291,18 @@ mod tests {
     /// The from-scratch oracle: the Mapper's full materialisation of the
     /// execution's current document and trace.
     fn oracle(p: &Platform, id: &str) -> ProvenanceGraph {
-        let doc = p.repository.get(id).unwrap();
-        let trace = p.traces.get(id).unwrap_or_default();
-        let rules = p.catalog.read().unwrap().rule_set();
-        p.mapper.materialize(&doc, &trace, &rules).unwrap()
+        let graph = p.execution(id).with_kept(|doc, trace| p.mapper.materialize(doc, trace, &p.rules()));
+        graph.unwrap().unwrap()
+    }
+
+    /// The kept trace of an execution.
+    fn trace(p: &Platform, id: &str) -> ExecutionTrace {
+        p.execution(id).with_kept(|_, trace| trace.clone()).unwrap()
+    }
+
+    /// The snapshot a resident execution has published, without a refresh.
+    fn published(p: &Platform, id: &str) -> Arc<EpochSnapshot> {
+        p.resident(id).expect("resident").published()
     }
 
     fn assert_same_graph(got: &ProvenanceGraph, want: &ProvenanceGraph) {
@@ -1180,7 +1339,7 @@ mod tests {
         p.ingest("e", generate_corpus(5, 1, 20));
         p.execute("e", &["Normaliser"]).unwrap();
         let exec = p.execution("e");
-        let state = p.index_state("e");
+        let state = p.resident("e").unwrap();
         assert_eq!(
             state.published().epoch,
             0,
@@ -1205,7 +1364,7 @@ mod tests {
         assert_same_graph(&g1, &oracle(&p, "e"));
         p.execute("e", &["LanguageExtractor"]).unwrap();
         // stale: one call not folded into the published snapshot yet
-        assert_eq!(p.index_state("e").published().calls, 1);
+        assert_eq!(published(&p, "e").calls, 1);
         // the refresh folds in the one-call delta, equal to a from-scratch
         // derivation
         let g2 = exec.graph().unwrap();
@@ -1245,7 +1404,7 @@ mod tests {
                 WorkflowSpec::sequence(&["Translator"]),
             ]);
         p.execute_spec("e", &spec).unwrap();
-        let trace = p.traces.get("e").unwrap();
+        let trace = trace(&p, "e");
         let channels: Vec<&str> =
             trace.calls.iter().map(|c| c.channel.as_str()).collect();
         assert_eq!(channels, vec!["", "0", "1"]);
@@ -1284,11 +1443,11 @@ mod tests {
         p.execute("e", &["Normaliser", "Flaky"]).unwrap();
         // both steps made it into the trace exactly once: the two failed
         // attempts were rolled back before recording
-        let trace = p.traces.get("e").unwrap();
+        let trace = trace(&p, "e");
         let services: Vec<&str> = trace.calls.iter().map(|c| c.service.as_str()).collect();
         assert_eq!(services, vec!["Normaliser", "Flaky"]);
         // and the rolled-back attempts left no probes behind
-        let doc = p.repository.get("e").unwrap();
+        let doc = p.execution("e").with_kept(|doc, _| doc.clone()).unwrap();
         let v = doc.view();
         let probes = v
             .descendants(doc.root())
@@ -1311,7 +1470,7 @@ mod tests {
             ]);
         p.execute_spec("e", &spec).unwrap();
         // what the live deltas published, before any reader's refresh
-        let live = p.index_state("e").published();
+        let live = published(&p, "e");
         assert_eq!(live.calls, 3);
         assert_same_graph(&live.graph, &oracle(&p, "e"));
         assert_same_graph(&exec.graph().unwrap(), &live.graph);
@@ -1328,7 +1487,7 @@ mod tests {
         p.execute("e", &["Normaliser", "LanguageExtractor"]).unwrap();
         // the live deltas already published the whole graph: querying it
         // needs no refresh
-        let published = p.index_state("e").published();
+        let published = published(&p, "e");
         assert_eq!(published.calls, 2);
         let batch = oracle(&p, "e");
         for l in &batch.links {
@@ -1348,10 +1507,10 @@ mod tests {
         p.execute("e", &["Normaliser"]).unwrap();
         exec.enable_live(); // after one call already recorded
         p.execute("e", &["LanguageExtractor", "Translator"]).unwrap();
-        let live = p.index_state("e").published();
+        let live = published(&p, "e");
         assert_same_graph(&live.graph, &oracle(&p, "e"));
         assert_same_graph(&exec.graph().unwrap(), &live.graph);
-        let trace = p.traces.get("e").unwrap();
+        let trace = trace(&p, "e");
         assert_eq!(live.calls, trace.calls.len());
     }
 
@@ -1366,7 +1525,7 @@ mod tests {
         exec.ingest(generate_corpus(2, 1, 15));
         exec.enable_live();
         p.execute("e", &["Normaliser", "Flaky", "LanguageExtractor"]).unwrap();
-        let live = p.index_state("e").published();
+        let live = published(&p, "e");
         assert_same_graph(&live.graph, &oracle(&p, "e"));
         // only committed calls were folded in — one per workflow step
         assert_eq!(live.calls, 3);
@@ -1519,6 +1678,33 @@ mod tests {
     }
 
     #[test]
+    fn a_reader_racing_a_batch_commit_never_publishes_a_torn_snapshot() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let p = platform();
+        let ids: Vec<String> = (0..50).map(|i| format!("e{i}")).collect();
+        let (running, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            // reads whichever execution is running while it commits
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    let _ = p.execution(&ids[running.load(Ordering::Relaxed)]).snapshot();
+                }
+            });
+            for (i, id) in ids.iter().enumerate() {
+                p.ingest(id, generate_corpus(3, 2, 25));
+                running.store(i, Ordering::Relaxed);
+                p.execute(id, &["Normaliser", "LanguageExtractor", "Translator"]).unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        for id in &ids {
+            let snap = p.execution(id).snapshot().unwrap();
+            assert_eq!(snap.calls, trace(&p, id).len(), "{id}");
+            assert_same_graph(&snap.graph, &oracle(&p, id));
+        }
+    }
+
+    #[test]
     fn nothing_to_fold_publishes_epoch_1_on_a_refresh_but_not_on_a_live_catch_up() {
         let p = platform();
         let unlabelled = || {
@@ -1589,12 +1775,12 @@ mod tests {
             exec.execute(&["Normaliser"]).unwrap();
         }
         // only the most recent execution stayed resident
-        assert_eq!(p.repository.execution_ids(), vec!["c"]);
+        assert_eq!(p.resident_ids(), vec!["c"]);
         assert_eq!(p.executions(), vec!["a", "b", "c"]);
         // touching an evicted one swaps it in and the old resident out
         let g = p.execution("a").graph().unwrap();
         assert!(!g.links.is_empty());
-        assert_eq!(p.repository.execution_ids(), vec!["a"]);
+        assert_eq!(p.resident_ids(), vec!["a"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1613,7 +1799,7 @@ mod tests {
         // next run's producer starts where that snapshot stands.
         exec.execute(&["LanguageExtractor", "Translator"]).unwrap();
         assert!(exec.live_enabled(), "live mode survives eviction");
-        let live = p.index_state("e").published();
+        let live = published(&p, "e");
         assert_same_graph(&live.graph, &oracle(&p, "e"));
         assert_same_graph(&exec.graph().unwrap(), &live.graph);
         // The published Source table took no re-delivered row twice and
@@ -1690,7 +1876,7 @@ mod tests {
         let exec = p.execution("e");
         exec.ingest(weblab_xml::parse_document("<R><NativeContent id=\"n\">x</NativeContent></R>").unwrap());
         // stored at epoch 0, as a store-less ingest publishes nothing
-        assert_eq!(p.index_state("e").published().epoch, 0);
+        assert_eq!(published(&p, "e").epoch, 0);
         assert!(exec.evict().unwrap());
         // the cold load restores epoch 0, and a reader publishes epoch 1
         let snap = exec.snapshot().unwrap();
@@ -1712,9 +1898,12 @@ mod tests {
         assert!(p.execute_durable("e", &wf, Some(input)).is_err());
 
         // resident: the two completed steps, committed
-        let doc = p.repository.get("e").unwrap();
-        let trace = p.traces.get("e").unwrap();
-        let snap = p.index_state("e").published();
+        let xml = |p: &Platform| {
+            p.execution("e").with_kept(|doc, _| weblab_xml::to_xml_string(&doc.view())).unwrap()
+        };
+        let doc = xml(&p);
+        let trace = trace(&p, "e");
+        let snap = published(&p, "e");
         assert_eq!((trace.len(), snap.calls), (2, 2));
         assert_eq!(snap.epoch, 3, "the input's Source rows, then one epoch per call");
         assert_same_graph(&snap.graph, &oracle(&p, "e"));
@@ -1726,13 +1915,163 @@ mod tests {
         let cold = platform();
         cold.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
         let cold_snap = cold.execution("e").snapshot().unwrap();
-        assert_eq!(
-            weblab_xml::to_xml_string(&cold.repository.get("e").unwrap().view()),
-            weblab_xml::to_xml_string(&doc.view())
-        );
-        assert_eq!(cold.traces.get("e").unwrap().calls, trace.calls);
+        assert_eq!(xml(&cold), doc);
+        assert_eq!(self::trace(&cold, "e").calls, trace.calls);
         assert_eq!((cold_snap.epoch, cold_snap.calls), (snap.epoch, snap.calls));
         assert_same_graph(&cold_snap.graph, &snap.graph);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// LanguageExtractor behind a gate: a call announces itself on
+    /// `entered`, waits for `release`, then runs, or fails if `fail`.
+    struct Gated {
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+        fail: bool,
+    }
+
+    impl Service for Gated {
+        fn name(&self) -> &str {
+            "LanguageExtractor"
+        }
+
+        fn call(&self, doc: &mut Document, ctx: &mut CallContext) -> Result<(), WorkflowError> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            if self.fail {
+                let (service, message) = ("LanguageExtractor".into(), "gated failure".into());
+                return Err(WorkflowError::Service { service, message });
+            }
+            LanguageExtractor.call(doc, ctx)
+        }
+    }
+
+    /// Run `before`, then the gated LanguageExtractor, on execution `a` of
+    /// a platform that keeps one execution resident; while the gated call
+    /// waits, ingest `b`, which evicts `a`.
+    fn run_evicted_midway(
+        p: &Platform,
+        before: Workflow,
+        fail: bool,
+    ) -> Result<ExecutionOutcome, PlatformError> {
+        let (entered, on_entry) = mpsc::channel();
+        let (release, on_release) = mpsc::channel();
+        let gated = Gated { entered: Mutex::new(entered), release: Mutex::new(on_release), fail };
+        let workflow = before.then(gated);
+        std::thread::scope(|s| {
+            let run = s.spawn(|| p.execute_workflow("a", &workflow));
+            on_entry.recv().unwrap();
+            p.execution("b").ingest(generate_corpus(2, 1, 15));
+            assert!(!p.execution("a").is_resident(), "ingesting b evicts a mid-run");
+            release.send(()).unwrap();
+            run.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_run_whose_execution_is_evicted_midway_lands_on_the_stored_calls() {
+        let p = platform();
+        let dir = tmpstore("midrun");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let a = p.execution("a");
+        a.ingest(generate_corpus(3, 1, 20));
+        a.execute(&["Normaliser"]).unwrap();
+        run_evicted_midway(&p, Workflow::new(), false).unwrap();
+        let services = |p: &Platform| -> Vec<String> {
+            trace(p, "a").calls.into_iter().map(|c| c.service).collect()
+        };
+        assert_eq!(services(&p), ["Normaliser", "LanguageExtractor"]);
+        let snap = a.snapshot().unwrap();
+        assert_eq!(snap.calls, 2);
+        assert_same_graph(&snap.graph, &oracle(&p, "a"));
+
+        let cold = platform();
+        cold.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        assert_eq!(services(&cold), ["Normaliser", "LanguageExtractor"]);
+        let cold_snap = cold.execution("a").snapshot().unwrap();
+        assert_eq!(cold_snap.calls, 2);
+        assert_same_graph(&cold_snap.graph, &oracle(&cold, "a"));
+        assert_same_graph(&cold_snap.graph, &snap.graph);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_live_run_evicted_midway_stores_no_link_of_a_call_it_does_not_keep() {
+        let p = platform();
+        let dir = tmpstore("liveahead");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let a = p.execution("a");
+        a.enable_live();
+        a.ingest(generate_corpus(3, 1, 20));
+        // Normaliser's delta is folded before the eviction saves `a`; the
+        // run then fails, so the platform keeps neither call
+        assert!(run_evicted_midway(&p, Workflow::new().then(Normaliser), true).is_err());
+        let restarted = platform();
+        restarted.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        for p in [&p, &restarted] {
+            let snap = p.execution("a").snapshot().unwrap();
+            assert_eq!((snap.calls, trace(p, "a").len()), (0, 0));
+            assert_same_graph(&snap.graph, &oracle(p, "a"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commits_racing_evictions_lose_no_call() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let p = platform();
+        let dir = tmpstore("race");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+        p.execution("a").ingest(generate_corpus(2, 1, 15));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    p.execution("a").evict().unwrap();
+                }
+            });
+            for _ in 0..20 {
+                p.execute("a", &["Normaliser"]).unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(trace(&p, "a").len(), 20);
+        let restarted = platform();
+        restarted.attach_store(ProvStore::open(&dir).unwrap(), 4).unwrap();
+        assert_eq!(trace(&restarted, "a").len(), 20);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_exchange_cold_loads_an_evicted_execution_and_is_written_through() {
+        let p = platform();
+        let dir = tmpstore("exchange");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let input = generate_corpus(3, 1, 20);
+        p.execution("a").ingest(input.clone());
+        p.execution("b").ingest(generate_corpus(2, 1, 15));
+        let a = p.execution("a");
+        assert!(!a.is_resident());
+        // the remote side runs each service on its own copy and returns it
+        let mut remote = input;
+        let mut respond = |service: &dyn Service, time| {
+            service.call(&mut remote, &mut CallContext::new(service.name(), time)).unwrap();
+            weblab_xml::to_xml_string(&remote.view())
+        };
+        let call = a.record_exchange("Normaliser", 1, &respond(&Normaliser, 1)).unwrap();
+        assert!(a.is_resident() && !call.produced.is_empty());
+        a.record_exchange("LanguageExtractor", 2, &respond(&LanguageExtractor, 2)).unwrap();
+        let snap = a.snapshot().unwrap();
+        assert_eq!(snap.calls, 2);
+        assert!(!snap.graph.links.is_empty());
+        assert_same_graph(&snap.graph, &oracle(&p, "a"));
+
+        // a restart with no eviction in between serves both calls
+        let restarted = platform();
+        restarted.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let cold = restarted.execution("a").snapshot().unwrap();
+        assert_eq!((cold.calls, trace(&restarted, "a").len()), (2, 2));
+        assert_same_graph(&cold.graph, &snap.graph);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

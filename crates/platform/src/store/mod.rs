@@ -115,7 +115,7 @@ impl StoredExecution {
     /// it is fresh, else an empty one at epoch 0, which the platform's
     /// next refresh fills from the document and trace at epoch 1 (epochs
     /// restart). What a cold load publishes and a resumed `weblab run`
-    /// folds its calls into.
+    /// folds its calls into. Either way its index counts one build.
     pub fn resume_snapshot(&mut self) -> EpochSnapshot {
         match self.snapshot.take() {
             Some(snap) => EpochSnapshot {
@@ -124,7 +124,7 @@ impl StoredExecution {
                 index: ReachabilityIndex::from_graph(&snap.graph),
                 graph: snap.graph,
             },
-            None => EpochSnapshot::empty(),
+            None => EpochSnapshot { index: ReachabilityIndex::new(), ..EpochSnapshot::empty() },
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Out-of-process recording: services that communicate through serialised
-//! XML documents (the original platform's SOAP exchanges). The Recorder
-//! diffs each response against the stored state, merges the new fragments
-//! into the canonical arena, and provenance inference proceeds exactly as
-//! in the in-process case — the model is agnostic to how services run.
+//! XML documents (the original platform's SOAP exchanges). The execution's
+//! handle diffs each response against the kept state, merges the new
+//! fragments into the canonical arena and commits the call, and provenance
+//! inference proceeds exactly as in the in-process case — the model is
+//! agnostic to how services run.
 //!
 //! ```text
 //! cargo run --example soap_exchange
@@ -30,7 +31,7 @@ fn main() {
         )
         .unwrap();
 
-    // initial document, ingested into the repository
+    // initial document, ingested as a new execution
     let mut doc = Document::new("Resource");
     let root = doc.root();
     doc.register_resource(root, "weblab://doc/soap", None).unwrap();
@@ -55,32 +56,24 @@ fn main() {
         "response 1 ({} bytes) received from remote Normaliser",
         response1.len()
     );
-    platform
-        .recorder()
-        .record_exchange("soap-1", "Normaliser", 1, &response1)
-        .unwrap();
+    let exec = platform.execution("soap-1");
+    exec.record_exchange("Normaliser", 1, &response1).unwrap();
 
     let response2 = remote(&mut doc, &LanguageExtractor, 2);
     println!(
         "response 2 ({} bytes) received from remote LanguageExtractor",
         response2.len()
     );
-    platform
-        .recorder()
-        .record_exchange("soap-1", "LanguageExtractor", 2, &response2)
-        .unwrap();
+    exec.record_exchange("LanguageExtractor", 2, &response2).unwrap();
 
     // --- provenance over the merged canonical document ----------------
-    let graph = platform.execution("soap-1").graph().unwrap();
+    let graph = exec.graph().unwrap();
     println!("\n{graph}");
     assert!(!graph.links.is_empty());
 
     // and the append-only guarantee is enforced: a response that dropped
     // content is rejected
     let bad_response = r#"<Resource wl:id="weblab://doc/soap"/>"#;
-    let err = platform
-        .recorder()
-        .record_exchange("soap-1", "Rogue", 3, bad_response)
-        .unwrap_err();
+    let err = exec.record_exchange("Rogue", 3, bad_response).unwrap_err();
     println!("rogue service rejected: {err}");
 }

@@ -488,6 +488,9 @@ r = json.loads(send({"op": "ingest", "exec": "cold-live", "xml": xml, "live": Tr
 assert r.get("ok") and r["result"]["calls"] == 2, r
 r = json.loads(send({"op": "why", "exec": "cold-live", "uri": "weblab://src/0"}))
 assert r.get("ok") and r.get("epoch") == 3, r
+# a live ingest with no pipeline: its one write-through stores the flag
+r = json.loads(send({"op": "ingest", "exec": "cold-idle", "xml": xml, "live": True}))
+assert r.get("ok") and r["result"]["calls"] == 0, r
 
 # the exact query lines the restarted daemon will re-answer below
 derived = ("PREFIX prov: <http://www.w3.org/ns/prov#> "
@@ -581,6 +584,8 @@ r = json.loads(send({"op": "status"}))
 assert r.get("ok"), r
 execs = {e["id"]: e for e in r["result"]["executions"]}
 assert "cold" in execs and execs["cold"]["resident"], execs
+# never loaded since the restart: the stored snapshot's header says live
+assert execs["cold-idle"] == {"id": "cold-idle", "live": True, "resident": False}, execs
 r = json.loads(send({"op": "shutdown"}))
 assert r.get("ok") and r["result"]["stopping"], r
 sock.close()

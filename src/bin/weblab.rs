@@ -480,13 +480,9 @@ fn cmd_run(args: &[String]) -> CliResult {
             AttemptStatus::Succeeded => {}
         }
     }
-    let (nodes, resources, xml) = platform
-        .recorder()
-        .repository
-        .with(&exec_id, |doc| {
-            (doc.node_count(), doc.resource_nodes().len(), to_xml_string_pretty(&doc.view()))
-        })
-        .ok_or_else(|| PlatformError::UnknownExecution(exec_id.clone()))?;
+    let (nodes, resources, xml) = exec.with_kept(|doc, _| {
+        (doc.node_count(), doc.resource_nodes().len(), to_xml_string_pretty(&doc.view()))
+    })?;
     eprintln!(
         "executed {} calls ({} attempt(s), {} rolled back, {} skipped); \
          document has {nodes} nodes, {resources} resources",

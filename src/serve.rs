@@ -830,10 +830,11 @@ fn dispatch<'r>(
             if exec.exists() {
                 return Err(PlatformError::ExecutionExists(exec.id().to_string()).into());
             }
-            exec.ingest(doc);
+            // The flag goes first, so the ingest's write-through stores it.
             if request.get("live").and_then(Json::as_bool).unwrap_or(false) {
                 exec.enable_live();
             }
+            exec.ingest(doc);
             if let Some(pipeline) = request.get("pipeline") {
                 let steps = string_array(pipeline, "pipeline")?;
                 let refs: Vec<&str> = steps.iter().map(String::as_str).collect();

@@ -358,9 +358,8 @@ fn a_cli_replay_recomputes_what_a_daemon_replay_recomputes() {
     assert!(served[2] > 0, "the changed source dirties a call: {result}");
 
     let daemon_xml = daemon
-        .recorder()
-        .repository
-        .with("corpus-replayed", |doc| to_xml_string_pretty(&doc.view()))
+        .execution("corpus-replayed")
+        .with_kept(|doc, _| to_xml_string_pretty(&doc.view()))
         .expect("the daemon registered the replay");
     assert_eq!(std::fs::read(&replayed_xml).unwrap(), daemon_xml.into_bytes());
     let _ = std::fs::remove_dir_all(&dir);

@@ -71,22 +71,14 @@ fn platform_failure_leaves_stored_document_untouched() {
     p.register_service(Arc::new(Normaliser), &[]).unwrap();
     p.register_service(Arc::new(FailsMidway), &[]).unwrap();
     p.ingest("e", generate_corpus(2, 1, 20));
-    let before = p
-        .recorder()
-        .repository
-        .with("e", |d| d.node_count())
-        .unwrap();
+    let before = p.execution("e").with_kept(|d, _| d.node_count()).unwrap();
     let err = p.execute("e", &["Normaliser", "FailsMidway"]).unwrap_err();
     assert!(matches!(err, PlatformError::Workflow(_)));
-    // the repository still holds the pre-execution version (all-or-nothing)
-    let after = p
-        .recorder()
-        .repository
-        .with("e", |d| d.node_count())
-        .unwrap();
+    // the platform still keeps the pre-execution version (all-or-nothing)
+    let (after, calls) = p.execution("e").with_kept(|d, t| (d.node_count(), t.len())).unwrap();
     assert_eq!(before, after);
-    // no trace entries were persisted either
-    assert!(p.recorder().traces.get("e").is_none());
+    // no trace entries were kept either
+    assert_eq!(calls, 0);
 }
 
 #[test]
@@ -117,16 +109,15 @@ fn rules_over_missing_structure_yield_empty_graphs_not_errors() {
 fn recorder_rejects_malformed_and_regressive_responses() {
     let p = Platform::new(Mapper::native());
     p.ingest("e", generate_corpus(5, 1, 20));
+    let exec = p.execution("e");
+    let before = exec.with_kept(|d, _| d.node_count()).unwrap();
     // malformed XML
-    assert!(p.recorder().record_exchange("e", "S", 1, "<broken").is_err());
+    assert!(exec.record_exchange("S", 1, "<broken").is_err());
     // well-formed but missing previously stored content
-    assert!(p
-        .recorder()
-        .record_exchange("e", "S", 1, "<Resource/>")
-        .is_err());
-    // neither attempt corrupted the stored document
-    assert!(p.recorder().repository.get("e").is_some());
-    assert!(p.recorder().traces.get("e").is_none());
+    assert!(exec.record_exchange("S", 1, "<Resource/>").is_err());
+    // neither attempt corrupted the kept document or recorded a call
+    let (after, calls) = exec.with_kept(|d, t| (d.node_count(), t.len())).unwrap();
+    assert_eq!((after, calls), (before, 0));
 }
 
 /// The PR's acceptance scenario: a service that fails twice then succeeds

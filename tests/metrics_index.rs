@@ -297,4 +297,12 @@ fn reads_on_a_fresh_snapshot_never_copy_the_trace() {
     // the freshness check reads the trace's length, not a copy of it
     assert_eq!(snap.counter("platform.trace_store.reads"), 0);
     assert_eq!(snap.counter(HITS), 10);
+
+    // a run does copy the trace it continues, so the counter can tick
+    obs::reset();
+    obs::enable();
+    exec.execute(&["Tokeniser"]).unwrap();
+    let run = obs::snapshot();
+    obs::disable();
+    assert_eq!(run.counter("platform.trace_store.reads"), 1);
 }

@@ -109,7 +109,7 @@ fn xquery_mapper_agrees_with_native_on_the_pipeline() {
 #[test]
 fn exchange_based_recording_matches_in_process_execution() {
     // Run the pipeline in-process, then replay the same evolution through
-    // the Recorder's XML-exchange path and verify the traces agree.
+    // the handle's XML-exchange path and verify the traces agree.
     let p = full_platform(Mapper::native());
     p.ingest("in-process", generate_corpus(5, 1, 30));
     p.execute("in-process", &["Normaliser", "LanguageExtractor"])
@@ -117,7 +117,7 @@ fn exchange_based_recording_matches_in_process_execution() {
     let g_in = p.execution("in-process").graph().unwrap();
 
     // simulate the SOAP flow: serialise after each step and hand the full
-    // response to the recorder
+    // response to the execution's handle
     let q = full_platform(Mapper::native());
     let doc0 = generate_corpus(5, 1, 30);
     q.ingest("exchange", doc0.clone());
@@ -128,16 +128,16 @@ fn exchange_based_recording_matches_in_process_execution() {
     use weblab::workflow::Service as _;
     Normaliser.call(&mut side, &mut ctx).unwrap();
     let response1 = to_xml_string(&side.view());
-    q.recorder()
-        .record_exchange("exchange", "Normaliser", 1, &response1)
+    q.execution("exchange")
+        .record_exchange("Normaliser", 1, &response1)
         .unwrap();
 
     // step 2: LanguageExtractor on the updated copy
     let mut ctx = weblab::workflow::CallContext::new("LanguageExtractor", 2);
     LanguageExtractor.call(&mut side, &mut ctx).unwrap();
     let response2 = to_xml_string(&side.view());
-    q.recorder()
-        .record_exchange("exchange", "LanguageExtractor", 2, &response2)
+    q.execution("exchange")
+        .record_exchange("LanguageExtractor", 2, &response2)
         .unwrap();
 
     let g_ex = q.execution("exchange").graph().unwrap();

@@ -782,12 +782,28 @@ fn status_reports_an_evicted_live_execution_as_live() {
     let evicted = status(&platform);
     assert!(evicted.contains(r#"{"id":"a","live":true,"resident":false}"#), "{evicted}");
     assert!(evicted.contains(r#"{"id":"b","live":false,"resident":true}"#), "{evicted}");
+    // a live ingest with no pipeline stores its flag with its first
+    // write-through, for a labelled and an unlabelled input alike
+    let unlabelled = "<Resource><NativeContent id=\"n\">x</NativeContent></Resource>";
+    for (id, xml) in [("c", xml.as_str()), ("d", unlabelled)] {
+        let ingest = request(vec![
+            ("op", Json::str("ingest")),
+            ("exec", Json::str(id)),
+            ("xml", Json::str(xml)),
+            ("live", Json::Bool(true)),
+        ]);
+        assert!(handle_line(&platform, &ingest).0.contains("\"ok\":true"));
+    }
 
     // a daemon that never loaded it reads the stored snapshot's header
     let restarted = serve_platform();
     restarted.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
     let unloaded = status(&restarted);
     assert!(unloaded.contains(r#"{"id":"a","live":true,"resident":false}"#), "{unloaded}");
+    for id in ["c", "d"] {
+        let listed = format!(r#"{{"id":"{id}","live":true,"resident":false}}"#);
+        assert!(unloaded.contains(&listed), "{unloaded}");
+    }
 
     // a query cold-loads it, and it stays live
     let why = query_request("a", &ProvQuery::Why { uri: "weblab://src/0".into() });
