@@ -9,12 +9,14 @@
 //!
 //! * **resident** — every execution in memory; per-request latency lands
 //!   in the `x15.resident_ns` histogram;
-//! * **cold** — each execution is evicted (write-through + drop from the
-//!   repository) and re-queried; the first request after eviction pays
-//!   the cold load (segment/delta/snapshot read + index restore) and is
+//! * **cold** — each execution is evicted (written through unless the
+//!   store already holds its state, then dropped from the repository)
+//!   and re-queried; the first request after eviction pays
+//!   the cold load (one execution-file read + index restore) and is
 //!   recorded in `x15.cold_ns`;
 //! * **restart** — a fresh platform over the same store directory
-//!   replays the whole suite, timing the full cold working-set rebuild.
+//!   replays the whole suite, timing the full cold working-set rebuild
+//!   from the execution files.
 //!
 //! Every cold and restarted response is asserted **byte-identical** to
 //! its resident counterpart — same epoch, same rows, same order — which
@@ -214,12 +216,10 @@ fn bench_x15(_c: &mut Criterion) {
     }
     assert!(byte_identical, "cold-loaded responses diverged from resident bytes");
 
-    // seal the append-only deltas into segments before the restart replay
-    let sealed = platform.store().unwrap().compact_all().unwrap();
     drop(platform);
 
     // restart phase: a fresh platform over the same directory replays the
-    // whole suite — every execution cold-loads from segments + snapshots
+    // whole suite — every execution cold-loads from its execution file
     let restarted = store_platform(&dir, execs + 1);
     let t0 = Instant::now();
     let mut restart_queries = 0u64;
@@ -239,14 +239,12 @@ fn bench_x15(_c: &mut Criterion) {
     let delta = obs::snapshot().since(&before);
     let evictions = delta.counter("store.evictions");
     let cold_loads = delta.counter("store.cold_loads");
-    let segments = delta.counter("store.segments");
     let snapshots = delta.counter("store.snapshots");
     assert!(evictions >= (execs * rounds) as u64, "too few evictions recorded");
     assert!(
         cold_loads >= cold_loads_timed + execs as u64,
         "cold loads must cover every eviction plus the restart replay"
     );
-    assert!(segments >= 1, "compaction sealed no segments");
 
     let (resident_p50, resident_p99) = quantiles("x15.resident_ns");
     let (cold_p50, cold_p99) = quantiles("x15.cold_ns");
@@ -264,8 +262,8 @@ fn bench_x15(_c: &mut Criterion) {
         cold_p99 as f64 / 1e3,
     );
     println!(
-        "x15_store/evict: {evictions} write-through evictions ({evict_rate:.0}/s); \
-         restart replayed {restart_queries} queries in {:.1} ms over {sealed} compacted executions",
+        "x15_store/evict: {evictions} evictions ({evict_rate:.0}/s, {snapshots} execution files written); \
+         restart replayed {restart_queries} queries in {:.1} ms over {execs} executions",
         restart_ns as f64 / 1e6
     );
 
@@ -286,10 +284,9 @@ fn bench_x15(_c: &mut Criterion) {
            \"cold\": {{\"loads\": {cold_loads_timed}, \"p50_ns\": {cold_p50}, \"p99_ns\": {cold_p99}, \
            \"over_resident\": {ratio:.1}}},\n  \
            \"evict\": {{\"count\": {evictions}, \"wall_ns\": {evict_ns}, \"per_sec\": {evict_rate:.0}}},\n  \
-           \"restart\": {{\"queries\": {restart_queries}, \"wall_ns\": {restart_ns}, \
-           \"compacted\": {sealed}}},\n  \
+           \"restart\": {{\"queries\": {restart_queries}, \"wall_ns\": {restart_ns}}},\n  \
            \"counters\": {{\"cold_loads\": {cold_loads}, \"evictions\": {evictions}, \
-           \"segments\": {segments}, \"snapshots\": {snapshots}}}\n}}\n",
+           \"snapshots\": {snapshots}}}\n}}\n",
         (execs * rounds * 4)
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_X15_store.json");

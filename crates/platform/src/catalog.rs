@@ -59,6 +59,35 @@ impl From<RuleError> for CatalogError {
     }
 }
 
+/// The mapping rules a service is registered with: in concrete syntax,
+/// parsed on registration, or already parsed. Both convert from what
+/// callers hold: `&["rule", …]`, `&Vec<&str>` or `&[MappingRule]`.
+#[derive(Debug, Clone, Copy)]
+pub enum ServiceRules<'a> {
+    /// Rules in concrete syntax.
+    Text(&'a [&'a str]),
+    /// Parsed rules.
+    Parsed(&'a [MappingRule]),
+}
+
+impl<'a, const N: usize> From<&'a [&'a str; N]> for ServiceRules<'a> {
+    fn from(rules: &'a [&'a str; N]) -> Self {
+        ServiceRules::Text(rules)
+    }
+}
+
+impl<'a> From<&'a Vec<&'a str>> for ServiceRules<'a> {
+    fn from(rules: &'a Vec<&'a str>) -> Self {
+        ServiceRules::Text(rules)
+    }
+}
+
+impl<'a> From<&'a [MappingRule]> for ServiceRules<'a> {
+    fn from(rules: &'a [MappingRule]) -> Self {
+        ServiceRules::Parsed(rules)
+    }
+}
+
 /// The catalog: service entries keyed by name.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceCatalog {
@@ -76,20 +105,25 @@ impl ServiceCatalog {
         self.entries.insert(entry.name.clone(), entry);
     }
 
-    /// Convenience: register a service with rules given in concrete syntax.
-    pub fn register_simple(
+    /// Convenience: register a service with default endpoint and
+    /// signature, its rules in concrete syntax or already parsed.
+    pub fn register_simple<'a>(
         &mut self,
         name: impl Into<String>,
-        rules: &[&str],
+        rules: impl Into<ServiceRules<'a>>,
     ) -> Result<(), CatalogError> {
         let name = name.into();
-        let parsed: Result<Vec<MappingRule>, RuleError> =
-            rules.iter().map(|r| MappingRule::parse(r)).collect();
+        let rules = match rules.into() {
+            ServiceRules::Text(texts) => {
+                texts.iter().map(|r| MappingRule::parse(r)).collect::<Result<_, _>>()?
+            }
+            ServiceRules::Parsed(rules) => rules.to_vec(),
+        };
         self.register(ServiceEntry {
             endpoint: format!("local://{name}"),
             signature: format!("{name}(doc) -> doc"),
             name,
-            rules: parsed?,
+            rules,
         });
         Ok(())
     }

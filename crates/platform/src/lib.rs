@@ -57,7 +57,7 @@ pub mod query;
 mod recorder;
 pub mod store;
 
-pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry};
+pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry, ServiceRules};
 pub use mapper::{Mapper, MapperError, MapperStrategy};
 pub use platform::{
     ExecutionHandle, Platform, PlatformError, SpecStep, WorkflowSpec,

@@ -36,7 +36,7 @@ use weblab_workflow::{
 };
 use weblab_xml::{Document, Timestamp};
 
-use crate::catalog::{CatalogError, ServiceCatalog};
+use crate::catalog::{CatalogError, ServiceCatalog, ServiceRules};
 use crate::mapper::{Mapper, MapperError, MapperStrategy};
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{self, RecorderError};
@@ -235,6 +235,12 @@ struct Execution {
     /// built lazily on the first SPARQL query of an epoch and shared by
     /// the rest — carrying the epoch's plan cache with it.
     engine: Mutex<Option<(u64, Arc<QueryEngine>)>>,
+    /// The state the attached store holds of this record — its epoch,
+    /// call count and live flag, as last saved or cold-loaded — so a save
+    /// of the same state, such as evicting an execution that only served
+    /// reads since its cold load, writes nothing. A commit changes the
+    /// call count and every publish advances the epoch.
+    stored: Mutex<Option<(u64, usize, bool)>>,
 }
 
 /// What the platform keeps of an execution.
@@ -259,6 +265,7 @@ impl Execution {
             snapshot: RwLock::new(Arc::new(snapshot)),
             refresh: Mutex::new(()),
             engine: Mutex::new(None),
+            stored: Mutex::new(None),
         }
     }
 
@@ -352,11 +359,12 @@ impl Platform {
     }
 
     /// Register a service implementation together with its catalog entry
-    /// (endpoint/signature defaults plus its mapping rules `M(s)`).
-    pub fn register_service(
+    /// (endpoint/signature defaults plus its mapping rules `M(s)`, in
+    /// concrete syntax or already parsed).
+    pub fn register_service<'a>(
         &self,
         service: Arc<dyn Service>,
-        rules: &[&str],
+        rules: impl Into<ServiceRules<'a>>,
     ) -> Result<(), PlatformError> {
         let name = service.name().to_string();
         self.catalog.write().expect("lock poisoned").register_simple(&name, rules)?;
@@ -780,8 +788,7 @@ impl Platform {
         self.evict_excess(&ss, "")
     }
 
-    /// The attached disk store, if any — what the serve daemon's
-    /// background compactor folds segments through.
+    /// The attached disk store, if any.
     pub fn store(&self) -> Option<Arc<ProvStore>> {
         self.store_state().map(|ss| Arc::clone(&ss.store))
     }
@@ -835,7 +842,8 @@ impl Platform {
         let Some(mut stored) = ss.store.load(exec_id)? else {
             return Ok(None);
         };
-        if stored.snapshot.as_ref().is_some_and(|snap| snap.live) {
+        let live = stored.snapshot.as_ref().is_some_and(|snap| snap.live);
+        if live {
             self.enable_live_impl(exec_id);
         }
         // The stored snapshot keeps its *exact* epoch: serve responses
@@ -843,7 +851,9 @@ impl Platform {
         // epoch and graph row order it was saved at to stay byte-identical
         // with the resident path.
         let snapshot = stored.resume_snapshot();
+        let state = (snapshot.epoch, stored.trace.len(), live);
         let rec = Arc::new(Execution::new(stored.doc, stored.trace, snapshot));
+        *rec.stored.lock().expect("lock poisoned") = Some(state);
         self.records().insert(exec_id.to_string(), Arc::clone(&rec));
         self.touch_lru(&ss, exec_id);
         drop(loading);
@@ -851,8 +861,8 @@ impl Platform {
         Ok(Some(rec))
     }
 
-    /// Write one execution through to the attached store (document, call
-    /// log tail, current epoch snapshot). No-op without a store.
+    /// Write one execution through to the attached store (document,
+    /// calls, current epoch snapshot). No-op without a store.
     fn persist_through(&self, exec_id: &str) -> Result<(), PlatformError> {
         let Some(ss) = self.store_state() else {
             return Ok(());
@@ -886,7 +896,8 @@ impl Platform {
     /// store-less one does. A snapshot a live run in flight has folded
     /// past the kept calls holds links of calls the store does not keep
     /// (and may never, if the run fails): the kept state's graph, inferred
-    /// afresh, is saved in its place.
+    /// afresh, is saved in its place. A state the store already holds is
+    /// not written again.
     fn save(
         &self,
         ss: &StoreState,
@@ -895,12 +906,18 @@ impl Platform {
         kept: &Kept,
     ) -> Result<(), PlatformError> {
         let snap = self.fold_missing(rec, kept, false)?;
+        let live = self.live_enabled_impl(exec_id);
+        let state = Some((snap.epoch, kept.trace.len(), live));
+        let mut stored = rec.stored.lock().expect("lock poisoned");
+        if *stored == state {
+            return Ok(());
+        }
         let ahead = (snap.calls > kept.trace.len())
             .then(|| self.mapper.materialize(&kept.doc, &kept.trace, &self.rules()))
             .transpose()?;
         let graph = ahead.as_ref().unwrap_or(&snap.graph);
-        let live = self.live_enabled_impl(exec_id);
         ss.store.save(exec_id, &kept.doc, &kept.trace, graph, snap.epoch, live)?;
+        *stored = state;
         Ok(())
     }
 
@@ -953,7 +970,7 @@ impl Platform {
     }
 
     /// The live flag of a resident (or once resident) execution; for one
-    /// not resident, the stored snapshot's `live:` header, read without a
+    /// not resident, the execution file's `live:` header, read without a
     /// cold load.
     fn live_enabled_impl(&self, exec_id: &str) -> bool {
         self.live.read().expect("lock poisoned").contains(exec_id)
@@ -1919,6 +1936,68 @@ mod tests {
         assert_eq!(self::trace(&cold, "e").calls, trace.calls);
         assert_eq!((cold_snap.epoch, cold_snap.calls), (snap.epoch, snap.calls));
         assert_same_graph(&cold_snap.graph, &snap.graph);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_holds_one_file_per_execution_and_a_resume_point_while_a_run_is_unfinished() {
+        use std::os::unix::fs::MetadataExt;
+        use weblab_workflow::services::Flaky;
+        let dir = tmpstore("one-file");
+        let shard_files = || {
+            let shards = std::fs::read_dir(&dir).unwrap().flatten().filter(|e| e.path().is_dir());
+            shards.flat_map(|shard| std::fs::read_dir(shard.path()).unwrap().flatten())
+        };
+        let files = || -> Vec<String> {
+            let mut names: Vec<String> =
+                shard_files().map(|f| f.file_name().to_string_lossy().into_owned()).collect();
+            names.sort();
+            names
+        };
+        // each save replaces its file, so an unchanged inode means no save
+        let inodes = || -> Vec<u64> {
+            let mut inodes: Vec<(String, u64)> = shard_files()
+                .map(|f| (f.file_name().to_string_lossy().into_owned(), f.metadata().unwrap().ino()))
+                .collect();
+            inodes.sort();
+            inodes.into_iter().map(|(_, ino)| ino).collect()
+        };
+        let p = platform();
+        p.register_service(Arc::new(Flaky::failing(1)), &[]).unwrap();
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        // an ingest
+        p.execution("a").ingest(generate_corpus(2, 1, 20));
+        assert_eq!(files(), ["a.exec"]);
+        // a live run, whose ingest evicted "a"
+        let b = p.execution("b");
+        b.ingest(generate_corpus(2, 1, 20));
+        b.enable_live();
+        b.execute(&["Normaliser", "LanguageExtractor"]).unwrap();
+        assert!(!p.execution("a").is_resident());
+        assert_eq!(files(), ["a.exec", "b.exec"]);
+        // an eviction, which rewrites nothing the store already holds
+        let written = inodes();
+        assert!(b.evict().unwrap());
+        assert_eq!(files(), ["a.exec", "b.exec"]);
+        assert_eq!(inodes(), written);
+        // a durable run keeps its resume point only while it is unfinished
+        let spec = WorkflowSpec::sequence(&["Normaliser", "Flaky", "Translator"]);
+        let wf = p.build_workflow(&spec).unwrap();
+        assert!(p.execute_durable("c", &wf, Some(generate_corpus(2, 1, 20))).is_err());
+        assert_eq!(files(), ["a.exec", "b.exec", "c.exec", "c.resume"]);
+        p.execute_durable("c", &wf, None).unwrap();
+        assert_eq!(files(), ["a.exec", "b.exec", "c.exec"]);
+        drop(p);
+        // a restart serves every execution from its one file, and the
+        // reads' cold loads and evictions write none
+        let written = inodes();
+        let restarted = platform();
+        restarted.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        for id in ["a", "b", "c"] {
+            restarted.execution(id).snapshot().unwrap();
+        }
+        assert_eq!(files(), ["a.exec", "b.exec", "c.exec"]);
+        assert_eq!(inodes(), written);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,17 +22,18 @@
 //! containing `,` round-trips instead of splitting a line into extra
 //! fields on reload.
 //!
-//! ## Crash safety
+//! ## Crash safety and integrity
 //!
 //! Every file is written with [`write_atomic`]: the bytes go to a
 //! temporary file in the same directory, the file is fsynced, renamed over
 //! the target, and (on unix) the directory is fsynced — a crash mid-save
 //! leaves either the old version or the new one, never a torn file. Each
-//! format also ends in a `# end …` footer whose counters are checked on
-//! load, so a file damaged after it was written is detected as
-//! [`PersistError::Truncated`] instead of loading as a shorter execution.
+//! format also ends in a `# end …` footer ([`seal`]) whose last field is
+//! the 64-bit FNV-1a hash of every byte before it, checked on load
+//! ([`unseal`]), so a file cut short or with a flipped byte is detected as
+//! [`PersistError::Truncated`] instead of loading as another execution.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::path::Path;
 
@@ -69,8 +70,8 @@ pub enum PersistError {
         pid: u32,
     },
     /// A resume point does not fit the stored execution: it was written
-    /// for another workflow, or the log ran ahead of it (a run stopped
-    /// between saving a step and recording it).
+    /// for another workflow, or the stored calls ran ahead of it (a run
+    /// stopped between saving a step and recording it).
     Resume(String),
 }
 
@@ -99,6 +100,54 @@ impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
     }
+}
+
+/// 64-bit FNV-1a over `bytes`: stable across runs and platforms. It
+/// shards execution ids and hashes every file's contents.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// End `body` with its `# end` footer: `fields` (may be empty), then
+/// `fnv=`, the hash of every byte before the footer.
+pub(crate) fn seal(mut body: String, fields: &str) -> String {
+    let hash = fnv1a(body.as_bytes());
+    let sep = if fields.is_empty() { "" } else { " " };
+    let _ = writeln!(body, "# end {fields}{sep}fnv={hash:016x}");
+    body
+}
+
+/// Check the footer [`seal`] wrote and split it off: returns the text
+/// before it and the footer's fields before the hash. A file without the
+/// footer, or whose hash disagrees with its bytes, is
+/// [`PersistError::Truncated`].
+pub(crate) fn unseal<'a>(file: &str, bytes: &'a [u8]) -> Result<(&'a str, &'a str), PersistError> {
+    let truncated = |message: String| PersistError::Truncated { file: file.into(), message };
+    let start = bytes
+        .strip_suffix(b"\n")
+        .and_then(|b| b.iter().rposition(|&c| c == b'\n'))
+        .map_or(0, |i| i + 1);
+    let (body, footer) = bytes.split_at(start);
+    let footer = std::str::from_utf8(footer)
+        .ok()
+        .and_then(|f| f.trim_end().strip_prefix("# end "))
+        .ok_or_else(|| truncated("missing its '# end' footer (file truncated?)".into()))?;
+    let (fields, hash) = footer.rsplit_once(' ').unwrap_or(("", footer));
+    let stored = hash
+        .strip_prefix("fnv=")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| truncated(format!("footer {footer:?} carries no content hash")))?;
+    let actual = fnv1a(body);
+    if actual != stored {
+        return Err(truncated(format!(
+            "contents hash to {actual:016x}, the footer says {stored:016x}"
+        )));
+    }
+    let body = std::str::from_utf8(body)
+        .map_err(|_| PersistError::Format { line: 0, message: "not UTF-8 text".into() })?;
+    Ok((body, fields))
 }
 
 /// Escape a line-format field so it can never be confused with the

@@ -1,11 +1,11 @@
 //! Resume points: how far an unfinished `weblab run --store` got.
 //!
-//! The log says which calls a run recorded, but not where to resume it: a
-//! skipped step records no call and a parallel block records several, so
-//! the completed top-level step count, the next call instant and the
-//! workflow's step names (checked on resume, so a resume point cannot be
-//! replayed against a different workflow) are kept beside the log, in the
-//! execution's shard as `<id>.resume`:
+//! The execution file says which calls a run recorded, but not where to
+//! resume it: a skipped step records no call and a parallel block records
+//! several, so the completed top-level step count, the next call instant
+//! and the workflow's step names (checked on resume, so a resume point
+//! cannot be replayed against a different workflow) are kept beside it, in
+//! the execution's shard as `<id>.resume`:
 //!
 //! ```text
 //! # weblab prov resume point
@@ -15,15 +15,16 @@
 //! calls: 3
 //! step: Normaliser
 //! step: [LanguageExtractor %7C Translator]
-//! # end steps=2
+//! # end steps=2 fnv=f8ca2e834a825337
 //! ```
 //!
-//! `calls:` is a witness: the log's call count when the point was written.
-//! A run saves a step before it writes that step's point, so a crash
-//! between the two leaves the log ahead of the point; a resume checks the
-//! witness against the log and refuses such a point instead of re-running
-//! the step over its own output. A point without the witness is
-//! malformed.
+//! `calls:` is a witness: the stored call count when the point was
+//! written. A run saves a step before it writes that step's point, so a
+//! crash between the two leaves the execution file ahead of the point; a
+//! resume checks the witness against it and refuses such a point instead
+//! of re-running the step over its own output. A point without the
+//! witness is malformed. The footer counts the steps and hashes the rest
+//! of the file, as every store file's does.
 //!
 //! Step names are field-escaped: a parallel block renders as
 //! `[A | B]`, and a name holding a line break must not inject lines. The
@@ -32,18 +33,18 @@
 
 use std::path::Path;
 
-use super::file::{escape_field, unescape_field, write_atomic, PersistError};
+use super::file::{escape_field, seal, unescape_field, unseal, write_atomic, PersistError};
 use weblab_xml::Timestamp;
 
-/// How far a resumable run got: what the log cannot tell.
+/// How far a resumable run got: what the execution file cannot tell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResumePoint {
-    /// Top-level workflow steps fully completed (their calls are in the
-    /// stored log and their effects in the stored document).
+    /// Top-level workflow steps fully completed (their calls and their
+    /// effects on the document are in the execution file).
     pub completed_steps: usize,
     /// The call instant the next step starts at.
     pub next_time: Timestamp,
-    /// Calls in the stored log when the point was written (the witness).
+    /// Calls stored when the point was written (the witness).
     pub calls: usize,
     /// The workflow's step names.
     pub step_names: Vec<String>,
@@ -59,17 +60,16 @@ pub fn encode(exec_id: &str, point: &ResumePoint) -> String {
     for s in &point.step_names {
         out.push_str(&format!("step: {}\n", escape_field(s)));
     }
-    out.push_str(&format!("# end steps={}\n", point.step_names.len()));
-    out
+    seal(out, &format!("steps={}", point.step_names.len()))
 }
 
-/// Parse a resume point's text, verifying its integrity footer.
-pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
+/// Parse a resume point's bytes, verifying its integrity footer.
+pub fn decode(file: &str, bytes: &[u8]) -> Result<ResumePoint, PersistError> {
+    let (text, footer) = unseal(file, bytes)?;
     let mut completed = None;
     let mut next_time = None;
     let mut calls = None;
     let mut steps = Vec::new();
-    let mut footer = None;
     fn count<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
         v.trim().parse().map_err(|_| format!("invalid {what} {v:?}"))
     }
@@ -77,9 +77,7 @@ pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
         let line = i + 1;
         let raw = raw.trim();
         let err = |message: String| PersistError::Format { line, message };
-        if let Some(v) = raw.strip_prefix("# end steps=") {
-            footer = v.trim().parse::<usize>().ok();
-        } else if raw.is_empty() || raw.starts_with('#') || raw.starts_with("exec:") {
+        if raw.is_empty() || raw.starts_with('#') || raw.starts_with("exec:") {
             continue;
         } else if let Some(v) = raw.strip_prefix("completed:") {
             completed = Some(count(v, "step count").map_err(err)?);
@@ -94,8 +92,8 @@ pub fn decode(file: &str, text: &str) -> Result<ResumePoint, PersistError> {
         }
     }
     let truncated = |message: String| PersistError::Truncated { file: file.into(), message };
-    match footer {
-        None => return Err(truncated("missing '# end steps=N' footer (file truncated?)".into())),
+    match footer.strip_prefix("steps=").and_then(|n| n.parse::<usize>().ok()) {
+        None => return Err(truncated(format!("footer {footer:?} counts no steps"))),
         Some(n) if n != steps.len() => {
             return Err(truncated(format!(
                 "footer claims {n} steps but file holds {}",
@@ -129,8 +127,8 @@ pub fn write(path: &Path, exec_id: &str, point: &ResumePoint) -> Result<(), Pers
 /// Read the resume point at `path`, verifying its footer. `Ok(None)` if
 /// there is none.
 pub fn read(path: &Path) -> Result<Option<ResumePoint>, PersistError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => decode(&path.display().to_string(), &text).map(Some),
+    match std::fs::read(path) {
+        Ok(bytes) => decode(&path.display().to_string(), &bytes).map(Some),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
     }

@@ -1,6 +1,9 @@
 use super::*;
 use proptest::prelude::*;
-use weblab_prov::{infer_provenance, EngineOptions, ProvLink, ReachabilityIndex, SourceEntry};
+use weblab_prov::{
+    infer_provenance, CallRecord, EngineOptions, ProvLink, ReachabilityIndex, SourceEntry,
+};
+use weblab_xml::to_xml_string;
 use weblab_workflow::generator::synthetic_workload;
 use weblab_workflow::Orchestrator;
 
@@ -8,6 +11,13 @@ fn tmpstore(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("weblab-store-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// The names of the files in the shard directories of `root`.
+fn stored_files(store: &ProvStore) -> Vec<String> {
+    let mut names = store.shard_files();
+    names.sort();
+    names
 }
 
 fn executed(seed: u64) -> (Document, ExecutionTrace, ProvenanceGraph) {
@@ -51,7 +61,7 @@ fn save_load_round_trips_trace_links_and_snapshot() {
 }
 
 #[test]
-fn the_live_header_reads_without_a_load_and_resume_snapshots_without_one_are_empty() {
+fn the_live_header_reads_without_a_load_and_the_snapshot_resumes_at_its_epoch() {
     let (doc, trace, graph) = executed(22);
     let store = ProvStore::open(tmpstore("live-header")).unwrap();
     assert!(!store.stored_live("live"), "no such execution");
@@ -60,21 +70,13 @@ fn the_live_header_reads_without_a_load_and_resume_snapshots_without_one_are_emp
     assert!(store.stored_live("live"));
     assert!(!store.stored_live("batch"));
 
-    // a fresh stored snapshot is taken as it is, at its epoch
+    // the stored snapshot is taken as it is, at its epoch
     let mut stored = store.load("live").unwrap().expect("stored");
     let snap = stored.resume_snapshot();
     assert_eq!((snap.epoch, snap.calls), (3, trace.len()));
     assert_eq!(snap.graph.links, graph.links);
     assert_eq!(snap.index.edge_count(), graph.links.len());
-    // without one, the execution continues from an empty snapshot at
-    // epoch 0, which the platform's next refresh re-infers
-    std::fs::remove_file(store.snapshot_path("live", 3)).unwrap();
-    let mut reloaded = ProvStore::open(store.root()).unwrap().load("live").unwrap().unwrap();
-    assert!(reloaded.snapshot.is_none());
-    assert_eq!(reloaded.trace.len(), trace.len());
-    let snap = reloaded.resume_snapshot();
-    assert_eq!((snap.epoch, snap.calls), (0, 0));
-    assert!(snap.graph.links.is_empty() && snap.graph.sources.is_empty());
+    assert!(stored.snapshot.is_none(), "taken");
     let _ = std::fs::remove_dir_all(store.root());
 }
 
@@ -99,78 +101,42 @@ fn ids_shard_and_never_collide() {
 }
 
 #[test]
-fn incremental_saves_append_only_the_tail() {
+fn a_later_save_replaces_the_whole_execution_in_its_one_file() {
     let (doc, trace, graph) = executed(33);
     assert!(trace.len() >= 2, "workload too small for the test");
-    let store = ProvStore::open(tmpstore("incremental")).unwrap();
+    let store = ProvStore::open(tmpstore("replace")).unwrap();
 
     // Save a prefix first: pretend only the first call had happened.
     let mut prefix = ExecutionTrace::default();
     prefix.calls.push(trace.calls[0].clone());
-    let empty = ProvenanceGraph::default();
-    store.save("e", &doc, &prefix, &empty, 1, false).unwrap();
-    // Then the full trace: the second save must only append the tail.
+    store.save("e", &doc, &prefix, &ProvenanceGraph::default(), 1, false).unwrap();
     store.save("e", &doc, &trace, &graph, 2, false).unwrap();
+    assert_eq!(stored_files(&store), vec!["e.exec".to_string()]);
 
     let back = store.load("e").unwrap().unwrap();
     assert_eq!(back.trace.len(), trace.len());
-    assert_eq!(back.snapshot.unwrap().epoch, 2);
+    let snap = back.snapshot.unwrap();
+    assert_eq!((snap.epoch, snap.calls), (2, trace.len()));
+    assert_eq!(snap.graph.links, graph.links);
 
-    // Saving identical state again is a no-op for the log.
-    let before = std::fs::read_to_string(
-        store.delta_path("e"),
-    )
-    .unwrap();
+    // saving identical state again writes identical bytes, and compacting
+    // changes nothing: there is no log
+    let before = std::fs::read(store.exec_path("e")).unwrap();
     store.save("e", &doc, &trace, &graph, 2, false).unwrap();
-    let after = std::fs::read_to_string(store.delta_path("e")).unwrap();
-    assert_eq!(before, after);
-    let _ = std::fs::remove_dir_all(store.root());
-}
-
-#[test]
-fn compaction_seals_deltas_and_folds_segments() {
-    let (doc, trace, graph) = executed(8);
-    let store = ProvStore::open(tmpstore("compact")).unwrap();
-
-    // Build the log one call at a time, sealing after each save, to force
-    // many sealed segments.
-    let mut partial = ExecutionTrace::default();
-    for (i, c) in trace.calls.iter().enumerate() {
-        partial.calls.push(c.clone());
-        let g = if i + 1 == trace.len() { graph.clone() } else { ProvenanceGraph::default() };
-        store.save("e", &doc, &partial, &g, i as u64 + 1, false).unwrap();
-        assert!(store.compact("e").unwrap());
-    }
-    let (segs, _, has_delta) = store.scan_files("e");
-    assert!(!has_delta, "compaction must consume the delta");
-    assert!(
-        segs.len() <= MAX_SEGMENTS + 1,
-        "folding must bound the segment count, got {segs:?}"
-    );
-
-    let back = store.load("e").unwrap().unwrap();
-    assert_eq!(back.trace.len(), trace.len());
-    for (a, b) in trace.calls.iter().zip(&back.trace.calls) {
-        assert_eq!(a.service, b.service);
-        assert_eq!(a.time, b.time);
-    }
-    assert_eq!(back.snapshot.expect("fresh snapshot").graph.links, graph.links);
-
-    // compact_all over an already-compacted store changes nothing
     assert_eq!(store.compact_all().unwrap(), 0);
+    assert_eq!(std::fs::read(store.exec_path("e")).unwrap(), before);
     let _ = std::fs::remove_dir_all(store.root());
 }
 
 #[test]
 fn a_new_store_handle_reads_what_another_wrote() {
     // Simulates a process restart: a second ProvStore over the same root
-    // must see everything, including correct delta-append behaviour.
+    // must see everything.
     let (doc, trace, graph) = executed(55);
     let root = tmpstore("restart");
     {
         let store = ProvStore::open(&root).unwrap();
         store.save("e", &doc, &trace, &graph, 4, true).unwrap();
-        store.compact("e").unwrap();
     }
     let store = ProvStore::open(&root).unwrap();
     assert!(store.contains("e"));
@@ -180,51 +146,51 @@ fn a_new_store_handle_reads_what_another_wrote() {
     assert_eq!(snap.epoch, 4);
     assert!(snap.live);
     assert_eq!(snap.graph.links, graph.links);
-    // a further identical save through the new handle appends nothing
+    // a further identical save through the new handle rewrites the same file
     store.save("e", &doc, &trace, &graph, 4, true).unwrap();
-    assert!(!store.delta_path("e").exists());
+    assert_eq!(stored_files(&store), vec!["e.exec".to_string()]);
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The execution file of `e` with one byte of the first line starting with
+/// `prefix` changed, at `offset` bytes into that line.
+fn flipped(full: &[u8], prefix: &str, offset: usize) -> Vec<u8> {
+    let text = std::str::from_utf8(full).unwrap();
+    let at = text.find(&format!("\n{prefix}")).expect("the row is stored") + 1 + offset;
+    let mut bytes = full.to_vec();
+    bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
+    bytes
+}
+
 #[test]
-fn truncated_segment_delta_and_snapshot_are_detected() {
+fn a_cut_or_flipped_execution_file_is_detected() {
     let (doc, trace, graph) = executed(13);
-    let store = ProvStore::open(tmpstore("truncate")).unwrap();
-    // seal every call but the last, then re-open a delta with that one
-    let mut head = trace.clone();
-    head.calls.pop().expect("the workload has calls");
-    store.save("e", &doc, &head, &graph, 2, false).unwrap();
-    store.compact("e").unwrap();
+    let store = ProvStore::open(tmpstore("damage")).unwrap();
     store.save("e", &doc, &trace, &graph, 3, false).unwrap();
+    let path = store.exec_path("e");
+    let full = std::fs::read(&path).unwrap();
 
-    let seg = store.segment_path("e", 1);
-    let delta = store.delta_path("e");
-    let snap = store.snapshot_path("e", 3);
-    for path in [&seg, &delta, &snap] {
-        assert!(path.exists(), "expected {path:?} on disk");
-        let full = std::fs::read_to_string(path).unwrap();
-
-        // kill the footer: the file must be rejected as truncated
-        let lines: Vec<&str> = full.lines().collect();
-        std::fs::write(path, lines[..lines.len() - 1].join("\n") + "\n").unwrap();
+    let mut damaged: Vec<(String, Vec<u8>)> = vec![
+        ("a uri row".into(), flipped(&full, "uri: ", 8)),
+        ("a call row".into(), flipped(&full, "call: ", 6)),
+        ("the document".into(), flipped(&full, "<", 3)),
+    ];
+    // a cut at every line boundary, the footer's own line included
+    for (i, _) in full.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        if i + 1 < full.len() {
+            damaged.push((format!("a cut after byte {i}"), full[..=i].to_vec()));
+        }
+    }
+    damaged.push(("an unterminated footer".into(), full[..full.len() - 1].to_vec()));
+    for (what, bytes) in damaged {
+        std::fs::write(&path, &bytes).unwrap();
         match store.load("e") {
             Err(PersistError::Truncated { .. }) => {}
-            other => panic!("expected Truncated for {path:?}, got {other:?}"),
+            other => panic!("expected Truncated for {what}, got {other:?}"),
         }
-
-        // a lying footer (dropped body line, kept footer) is also caught
-        if lines.len() >= 3 {
-            let mut bad: Vec<&str> = lines[..lines.len() - 2].to_vec();
-            bad.push(lines[lines.len() - 1]);
-            std::fs::write(path, bad.join("\n") + "\n").unwrap();
-            match store.load("e") {
-                Err(PersistError::Truncated { .. }) | Err(PersistError::Format { .. }) => {}
-                other => panic!("expected rejection for {path:?}, got {other:?}"),
-            }
-        }
-        std::fs::write(path, &full).unwrap();
     }
     // intact again: loads fine
+    std::fs::write(&path, &full).unwrap();
     assert!(store.load("e").unwrap().is_some());
     let _ = std::fs::remove_dir_all(store.root());
 }
@@ -267,7 +233,6 @@ fn hostile_ids_and_uris_round_trip_through_the_store() {
     let store = ProvStore::open(tmpstore("hostile")).unwrap();
     let id = "exec id/with|hostile,chars%";
     store.save(id, &doc, &trace, &graph, 1, false).unwrap();
-    store.compact(id).unwrap();
     assert_eq!(store.execution_ids(), vec![id.to_string()]);
 
     let back = store.load(id).unwrap().unwrap();
@@ -282,35 +247,42 @@ fn hostile_ids_and_uris_round_trip_through_the_store() {
 }
 
 #[test]
-fn segment_encode_decode_is_stable() {
-    let data = SegmentData {
-        base: 7,
-        calls: vec![SegmentCall {
-            service: "A | B".into(),
-            time: 9,
-            input: (3, 1),
-            output: (5, 2),
-            channel: "0.1".into(),
-            produced: vec!["u1".into(), "u,2".into()],
-        }],
-    };
-    // a call producing one empty URI, and one producing none
-    let mut calls = data.calls.clone();
-    for produced in [vec![String::new()], Vec::new()] {
-        calls.push(SegmentCall { produced, ..data.calls[0].clone() });
+fn produced_resources_are_named_by_uri_table_id() {
+    let mut doc = Document::new("Resource");
+    let root = doc.root();
+    let d0 = doc.mark();
+    for (name, uri) in [("A", "u1"), ("B", "u,2")] {
+        let n = doc.append_element(root, name).unwrap();
+        doc.register_resource(n, uri, Some(weblab_xml::CallLabel::new("A | B", 9))).unwrap();
     }
-    let data = SegmentData { calls, ..data };
-    let text = segment::encode("e", &data);
-    let back = segment::decode("mem", &text).unwrap();
-    assert_eq!(back, data);
-    // calls only, produced URIs inline and escaped
-    assert!(text.contains("call: A %7C B | 9 | 3,1 | 5,2 | 0.1 | u1,u%2C2,\n"), "{text}");
-    assert!(text.ends_with("# end calls=3\n"), "{text}");
-    // a log in the earlier format, with a URI dictionary and link rows, is
-    // refused rather than read
-    let earlier = "# weblab prov segment\nexec: e\nbase: 0\nuri: u1\n\
-                   call: A | 1 | 0,0 | 1,1 |  | 0\nlink: 0 0\n# end uris=1 calls=1 links=1\n";
-    assert!(segment::decode("mem", earlier).is_err());
+    let d1 = doc.mark();
+    let mut trace = ExecutionTrace::default();
+    trace.record_call_on_channel(&doc, "A | B", 9, d0, d1, "0.1");
+    trace.record_call_on_channel(&doc, "C", 10, d1, d1, "");
+    let text = exec::encode("e", &doc, &trace, &ProvenanceGraph::default(), 2, false);
+    // each URI once in the table, the calls naming theirs by id, and a call
+    // producing nothing ending in an empty field
+    assert!(text.contains("\nuri: u1\nuri: u%2C2\ncall: A %7C B | 9 | 1,0 | 3,2 | 0.1 | 0 1\n"), "{text}");
+    assert!(text.contains("\ncall: C | 10 | 3,2 | 3,2 |  |\n"), "{text}");
+    let back = exec::decode("mem", text.as_bytes()).unwrap();
+    assert_eq!(back.trace.calls, trace.calls);
+    assert_eq!(to_xml_string(&back.doc.view()), to_xml_string(&doc.view()));
+}
+
+#[test]
+fn a_directory_of_the_earlier_layout_is_refused() {
+    for earlier in ["e.doc.xml", "e.delta", "e.seg-1", "e.snap-3"] {
+        let root = tmpstore("earlier");
+        std::fs::create_dir_all(root.join("shard-07")).unwrap();
+        std::fs::write(root.join("shard-07").join(earlier), "# weblab prov snapshot\n").unwrap();
+        match ProvStore::open(&root) {
+            Err(PersistError::Format { message, .. }) => assert!(message.contains(earlier)),
+            Err(other) => panic!("expected a format error for {earlier}, got {other}"),
+            Ok(_) => panic!("{earlier}: a directory of the earlier layout opened"),
+        }
+        assert!(!root.join("store.lock").exists(), "a refused open claims no lock");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]
@@ -370,9 +342,9 @@ fn resume_points_round_trip_and_detect_truncation() {
     store.save("e", &doc, &trace, &graph, 2, true).unwrap();
     store.save_resume_point("e", &point).unwrap();
     assert_eq!(store.resume_point("e").unwrap(), Some(point.clone()));
-    // the resume point is not part of the log: compaction and cold loads
+    // the resume point is not part of the execution file: cold loads
     // ignore it, and it lists no execution of its own
-    store.compact("e").unwrap();
+    assert_eq!(stored_files(&store), vec!["e.exec".to_string(), "e.resume".to_string()]);
     assert_eq!(store.load("e").unwrap().unwrap().trace.len(), trace.len());
     assert_eq!(store.execution_ids(), vec!["e".to_string()]);
     assert_eq!(store.resume_point("e").unwrap(), Some(point));
@@ -386,10 +358,16 @@ fn resume_points_round_trip_and_detect_truncation() {
         store.resume_point("e"),
         Err(PersistError::Truncated { .. })
     ));
-    // a footer that disagrees with the body is caught too
+    // a footer that disagrees with the body is caught too, and so is a
+    // changed byte
     let mut bad: Vec<&str> = lines[..lines.len() - 2].to_vec();
     bad.push(lines[lines.len() - 1]);
     std::fs::write(&path, bad.join("\n") + "\n").unwrap();
+    assert!(matches!(
+        store.resume_point("e"),
+        Err(PersistError::Truncated { .. })
+    ));
+    std::fs::write(&path, full.replace("completed: 2", "completed: 1")).unwrap();
     assert!(matches!(
         store.resume_point("e"),
         Err(PersistError::Truncated { .. })
@@ -413,24 +391,25 @@ fn inconsistent_resume_points_are_rejected() {
         )
         .unwrap();
     let path = store.resume_path("e");
-    for text in [
+    // each body under a footer whose hash agrees with it
+    for (text, steps) in [
         // completed beyond the step list
-        "completed: 9\nnext-time: 1\nstep: A\n# end steps=1\n",
+        ("completed: 9\nnext-time: 1\nstep: A\n", 1),
         // unknown line
-        "completed: 0\nnext-time: 1\nwat\n# end steps=0\n",
+        ("completed: 0\nnext-time: 1\nwat\n", 0),
         // unparsable counter
-        "completed: x\nnext-time: 1\n# end steps=0\n",
+        ("completed: x\nnext-time: 1\n", 0),
         // no call-count witness
-        "completed: 0\nnext-time: 1\nstep: A\n# end steps=1\n",
+        ("completed: 0\nnext-time: 1\nstep: A\n", 1),
     ] {
-        std::fs::write(&path, text).unwrap();
+        std::fs::write(&path, file::seal(text.into(), &format!("steps={steps}"))).unwrap();
         match store.resume_point("e") {
             Err(PersistError::Format { .. }) => {}
             other => panic!("expected a format error for {text:?}, got {other:?}"),
         }
     }
     // headers missing under an intact footer: the file lost its head
-    std::fs::write(&path, "step: A\n# end steps=1\n").unwrap();
+    std::fs::write(&path, file::seal("step: A\n".into(), "steps=1")).unwrap();
     assert!(matches!(
         store.resume_point("e"),
         Err(PersistError::Truncated { .. })

@@ -7,8 +7,7 @@
 //! answer from it. The index trades memory for query time:
 //!
 //! * **Interned adjacency** — URIs are interned once; the out/in neighbour
-//!   lists of every resource are index lookups (like
-//!   [`CompactGraph`](crate::storage::CompactGraph)), kept in *edge-list
+//!   lists of every resource are index lookups, kept in *edge-list
 //!   order*, so answers enumerate resources exactly as a walk over the
 //!   sorted edge list would.
 //! * **Ancestor-set encoding** — for every resource the full downward
@@ -48,8 +47,8 @@ static INDEX_BUILDS: Counter = Counter::new("prov.index.builds");
 /// Queries answered from an index (no edge-list walk).
 static INDEX_HITS: Counter = Counter::new("prov.index.hits");
 /// Full-graph edge-list scans: [`ProvenanceGraph::dependencies_of`] and
-/// [`ProvenanceGraph::dependents_of`], kept as the compact-storage
-/// baseline. No query path runs one.
+/// [`ProvenanceGraph::dependents_of`], kept as the index's baseline (X9).
+/// No query path runs one.
 static INDEX_TRAVERSALS: Counter = Counter::new("prov.index.traversals");
 /// Links merged into indexes incrementally (delta maintenance).
 static INDEX_LINKS: Counter = Counter::new("prov.index.links");

@@ -16,7 +16,6 @@
 //!   [`Strategy::GroupedSinglePass`]) plus inherited-provenance inference
 //!   ([`InheritMode`]);
 //! * [`skolem`] — the Section 5 aggregation mappings;
-//! * [`storage`] — compact (interned, grouped-adjacency) graph storage;
 //! * [`index`] — read-optimized reachability index (ancestor-set
 //!   encoding) answering why-provenance ([`WhyProvenance`]),
 //!   depth-limited lineage, impact analysis and common origins, and the
@@ -57,7 +56,6 @@ pub mod replay;
 mod rule;
 mod ruleset;
 pub mod skolem;
-pub mod storage;
 mod trace;
 pub mod views;
 

@@ -148,11 +148,11 @@ def main():
     x9_params = sorted({int(p) for (g, f, p) in data if g == "x9_storage"})
     sections.append(table(
         data, "x9_storage",
-        [("build_compact", "build compact"),
+        [("build_index", "build index"),
          ("deps_edge_list", "deps (edge list)"),
-         ("deps_compact", "deps (compact)")],
+         ("deps_index", "deps (index)")],
         x9_params,
-        "X9 — compact provenance storage (by link count)",
+        "X9 — provenance storage: reachability index vs edge list (by link count)",
         "links"))
 
     sections.append(table(

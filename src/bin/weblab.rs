@@ -82,7 +82,7 @@
 //!
 //! weblab serve [--port N] [--workers N] [--max-rows N] [--max-batch N]
 //!              [--max-conns N] [--idle-timeout MS]
-//!              [--store DIR [--max-resident N] [--compact-every MS]]
+//!              [--store DIR [--max-resident N]]
 //!              [catalog.txt]
 //!     Start the long-running provenance query service: a TCP daemon
 //!     speaking line-delimited JSON (`why`, `lineage`, `impacted-by`,
@@ -106,9 +106,7 @@
 //!     most `--max-resident N` executions (default 64) stay in memory,
 //!     and evicted executions cold-load transparently — answers are
 //!     byte-identical to the resident path, and a restarted daemon
-//!     serves the previous daemon's executions. A background compactor
-//!     seals delta files into segments every `--compact-every MS`
-//!     (default 5000; 0 disables).
+//!     serves the previous daemon's executions.
 //! ```
 //!
 //! Catalog files use the Service Catalog text format (see
@@ -298,9 +296,8 @@ fn builtin_platform(rules: &RuleSet) -> Result<Platform, PlatformError> {
         Arc::new(SpeechTranscriber),
     ];
     for svc in builtins {
-        let texts: Vec<String> = rules.rules_for(svc.name()).iter().map(|r| r.to_string()).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        platform.register_service(svc, &refs)?;
+        let parsed = rules.rules_for(svc.name());
+        platform.register_service(svc, parsed)?;
     }
     Ok(platform)
 }
@@ -810,7 +807,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let mut idle_timeout = Some(weblab::serve::DEFAULT_IDLE_TIMEOUT);
     let mut store_dir: Option<String> = None;
     let mut max_resident: usize = 64;
-    let mut compact_every: u64 = 5000;
     let mut catalog = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -818,9 +814,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--store" => store_dir = Some(it.next().ok_or("missing value for --store")?.clone()),
             "--max-resident" => {
                 max_resident = flag_value(&mut it, "--max-resident", "an execution count")?
-            }
-            "--compact-every" => {
-                compact_every = flag_value(&mut it, "--compact-every", "milliseconds (0 disables)")?
             }
             "--port" => port = flag_value(&mut it, "--port", "a port number")?,
             "--workers" => workers = flag_value(&mut it, "--workers", "a thread count")?,
@@ -837,27 +830,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     let platform = builtin_platform(&rules_from(catalog.as_deref())?)?;
     if let Some(dir) = &store_dir {
-        let store = ProvStore::open(dir).map_err(WebLabError::from)?;
+        let store = ProvStore::open(dir)?;
         platform.attach_store(store, max_resident.max(1))?;
         eprintln!("store attached at {dir} (max {max_resident} resident)");
     }
-    let platform = Arc::new(platform);
-    if store_dir.is_some() && compact_every > 0 {
-        // Background compactor: periodically seal delta files into
-        // segments and fold old segments together. Detached — it dies
-        // with the process after the serve loop returns.
-        let compactor = Arc::clone(&platform);
-        let every = std::time::Duration::from_millis(compact_every);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(every);
-            if let Some(store) = compactor.store() {
-                if let Err(e) = store.compact_all() {
-                    eprintln!("store compaction failed: {e}");
-                }
-            }
-        });
-    }
-    let server = Server::bind(platform, &format!("127.0.0.1:{port}"))
+    let server = Server::bind(Arc::new(platform), &format!("127.0.0.1:{port}"))
         .map_err(|e| WebLabError::io(format!("binding 127.0.0.1:{port}"), e))?
         .max_rows(max_rows)
         .max_batch(max_batch)

@@ -16,11 +16,9 @@ use weblab_rdf::SparqlError;
 /// request).
 #[derive(Debug)]
 pub enum WebLabError {
-    /// A platform operation failed (execution, materialisation, catalog…).
+    /// A platform operation failed (execution, materialisation, catalog,
+    /// store…).
     Platform(PlatformError),
-    /// A CLI command's own store directory failed to open, read or write
-    /// (`weblab run --store`, `weblab replay --from`).
-    Persist(PersistError),
     /// An XML document failed to parse.
     Xml(weblab_xml::Error),
     /// A SPARQL query failed to parse.
@@ -93,12 +91,10 @@ impl WebLabError {
             WebLabError::Platform(PlatformError::Recorder(_)) => "recorder",
             WebLabError::Platform(PlatformError::Mapper(_)) => "mapper",
             WebLabError::Platform(PlatformError::Sparql(_)) | WebLabError::Sparql(_) => "sparql",
-            WebLabError::Persist(PersistError::StoreLocked { .. })
-            | WebLabError::Platform(PlatformError::Store(PersistError::StoreLocked {
-                ..
-            })) => "store-locked",
+            WebLabError::Platform(PlatformError::Store(PersistError::StoreLocked { .. })) => {
+                "store-locked"
+            }
             WebLabError::Platform(PlatformError::Store(_)) => "store",
-            WebLabError::Persist(_) => "persist",
             WebLabError::Xml(_) => "xml",
             WebLabError::Io { .. } => "io",
             WebLabError::ResultLimit { .. } => "result-limit",
@@ -117,7 +113,6 @@ impl fmt::Display for WebLabError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WebLabError::Platform(e) => write!(f, "{e}"),
-            WebLabError::Persist(e) => write!(f, "{e}"),
             WebLabError::Xml(e) => write!(f, "{e}"),
             WebLabError::Sparql(e) => write!(f, "{e}"),
             WebLabError::Io { context, source } => write!(f, "{context}: {source}"),
@@ -154,7 +149,6 @@ impl std::error::Error for WebLabError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WebLabError::Platform(e) => Some(e),
-            WebLabError::Persist(e) => Some(e),
             WebLabError::Xml(e) => Some(e),
             WebLabError::Sparql(e) => Some(e),
             WebLabError::Io { source, .. } => Some(source),
@@ -176,9 +170,11 @@ impl From<PlatformError> for WebLabError {
     }
 }
 
+/// A CLI command's own store directory (`weblab run --store`, `weblab
+/// replay --from`, `weblab serve --store`) fails like a platform's store.
 impl From<PersistError> for WebLabError {
     fn from(e: PersistError) -> Self {
-        WebLabError::Persist(e)
+        WebLabError::Platform(PlatformError::Store(e))
     }
 }
 

@@ -1,8 +1,9 @@
 //! `weblab run --store DIR` writes executions in the one on-disk format
 //! the daemon serves. These tests drive the CLI binary against store
-//! directories: it refuses to mix two runs in one execution's log, a run
-//! aborted mid-pipeline resumes to the uninterrupted result, a resume
-//! point the log ran ahead of is refused, a daemon attached to a
+//! directories: it refuses a directory of the earlier layout and to mix
+//! two runs in one stored execution, a run aborted mid-pipeline resumes to
+//! the uninterrupted result, a resume point the stored calls ran ahead of
+//! is refused, a daemon attached to a
 //! CLI-written directory answers every query op with the same bytes as a
 //! daemon that ingested the same corpus and pipeline live, epoch included,
 //! and `weblab replay --from DIR` recomputes what the daemon's `replay` op
@@ -83,6 +84,32 @@ fn assert_refused(out: &Output, code: &str, message: &str) {
         "expected error[{code}] mentioning {message:?}, got: {stderr}"
     );
     assert!(!stderr.contains("executed "), "a service ran: {stderr}");
+}
+
+#[test]
+fn a_store_of_the_earlier_layout_is_refused_with_the_store_code() {
+    let dir = tmpdir("earlier");
+    let (corpus, _) = corpus_file(&dir);
+    let store = dir.join("store");
+    let shard = store.join("shard-03");
+    std::fs::create_dir_all(&shard).unwrap();
+    // a document, a call log and a snapshot file per execution
+    for (name, text) in [
+        ("old.doc.xml", "<Resource/>\n"),
+        ("old.delta", "# weblab prov segment\nexec: old\nbase: 0\n# end calls=0\n"),
+        ("old.snap-1", "# weblab prov snapshot\nepoch: 1\ncalls: 0\n# end uris=0 sources=0 links=0\n"),
+    ] {
+        std::fs::write(shard.join(name), text).unwrap();
+    }
+    let before = store_files(&store);
+    for args in [
+        vec!["run", path(&corpus), "Normaliser", "--store", path(&store)],
+        vec!["serve", "--port", "0", "--store", path(&store)],
+    ] {
+        assert_refused(&weblab(&args), "store", "earlier store layout");
+    }
+    assert_eq!(store_files(&store), before, "a refused directory is left as it was");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -253,12 +280,8 @@ fn a_run_over_an_unlabelled_input_stores_the_epoch_of_its_one_call() {
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
     // no Source row to publish first: the one live call is epoch 1, as a
     // store-less live ingest of the same input numbers it
-    let snapshots: Vec<String> = store_files(&store)
-        .into_iter()
-        .filter_map(|(p, _)| p.file_name()?.to_str().map(str::to_string))
-        .filter(|name| name.contains(".snap-"))
-        .collect();
-    assert_eq!(snapshots, vec!["plain.snap-1".to_string()]);
+    let stored = ProvStore::open(&store).unwrap().load("plain").unwrap().expect("stored");
+    assert_eq!(stored.snapshot.expect("the stored snapshot").epoch, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -272,8 +295,8 @@ fn resume_refuses_a_point_the_stored_log_ran_ahead_of() {
     assert!(!aborted.status.success(), "the flaky step must abort the run");
 
     // a run that stopped between saving its first step and recording it:
-    // the log holds that step's call, the point is still the one for zero
-    // completed steps
+    // the store holds that step's call, the point is still the one for
+    // zero completed steps
     {
         let st = ProvStore::open(&store).unwrap();
         let point = st.resume_point("corpus").unwrap().expect("an aborted run keeps its point");

@@ -284,8 +284,8 @@ fn resume_after_crash_produces_the_same_inferred_links() {
     assert_eq!(link_pairs(&g_clean), link_pairs(&g_resumed));
     assert!(!g_resumed.links.is_empty());
 
-    // the store appends only the resumed tail to the log, and its snapshot
-    // holds the clean run's links
+    // the stored execution holds both runs' calls, and its snapshot holds
+    // the clean run's links
     store.save("e", &resumed, &full_trace, &g_resumed, 2, true).unwrap();
     store.clear_resume_point("e").unwrap();
     let logged = store.load("e").unwrap().unwrap();

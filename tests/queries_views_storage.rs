@@ -1,10 +1,9 @@
-//! Integration of the provenance analysis layers — why-provenance, views
-//! and compact storage — over a realistically sized pipeline run.
+//! Integration of the provenance analysis layers — why-provenance, impact
+//! and views — over a realistically sized pipeline run.
 
 mod support;
 
 use support::edgewalk;
-use weblab::prov::storage::{storage_stats, CompactGraph};
 use weblab::prov::views::{apply_view, ViewNode, ViewSpec};
 use weblab::prov::{infer_provenance, EngineOptions, InheritMode, ReachabilityIndex};
 use weblab::workflow::generator::generate_mixed_corpus;
@@ -100,14 +99,4 @@ fn module_view_over_the_full_pipeline() {
         .any(|(_, t)| matches!(t, ViewNode::Resource(r) if r.starts_with("weblab://src/"))));
     // the view is never larger than the base graph
     assert!(view.edges.len() <= graph.links.len());
-}
-
-#[test]
-fn compact_storage_round_trips_the_pipeline_graph() {
-    let (_, graph) = executed();
-    let compact = CompactGraph::from_graph(&graph);
-    assert_eq!(compact.expand(), graph.links);
-    let stats = storage_stats(&graph);
-    assert_eq!(stats.edges, graph.links.len());
-    assert!(stats.resources <= 2 * stats.edges + 1);
 }

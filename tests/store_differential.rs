@@ -6,12 +6,10 @@
 //! Protocol lines go through `serve::handle_line`, the exact dispatch the
 //! daemon's workers run, so the comparison covers the full render path.
 //!
-//! A second group kills the integrity footer of each on-disk file kind
-//! (segment, delta, snapshot) and asserts the corruption is *detected* —
-//! a `store` error response — never silently served. A third puts back
-//! the state a crash between a save's log write and its snapshot write
-//! leaves (the log one run ahead of the newest snapshot) and holds the
-//! served answers to a fresh inference over the stored document and trace.
+//! A second group damages the one execution file — a killed footer, a
+//! flipped byte in a `uri:` row, a call row or the document, a cut at any
+//! line — and asserts the damage is *detected* (a `store` error
+//! response), never silently served.
 
 mod support;
 
@@ -21,9 +19,9 @@ use std::sync::Arc;
 use support::edgewalk;
 use weblab::json::Json;
 use weblab::platform::{Mapper, Platform, ProvQuery, ProvStore, QueryOpts, RankDirection};
-use weblab::prov::{infer_provenance, EngineOptions, EpochSnapshot, Parallelism, ReachabilityIndex};
+use weblab::prov::Parallelism;
 use weblab::rdf::vocab::PROV_NS;
-use weblab::serve::{handle_line, reference_response};
+use weblab::serve::handle_line;
 use weblab::workflow::generator::generate_corpus;
 use weblab::workflow::services::{
     self, EntityExtractor, KeywordExtractor, LanguageExtractor, Normaliser, Summariser, Tokeniser,
@@ -279,17 +277,15 @@ fn eviction_pressure_keeps_every_execution_answerable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Store files of one kind under a store root (by suffix discipline:
-/// `.seg-N`, `.delta`, `.snap-N`).
-fn files_matching(root: &Path, pred: impl Fn(&str) -> bool) -> Vec<PathBuf> {
+/// The execution files under a store root.
+fn exec_files(root: &Path) -> Vec<PathBuf> {
     let mut found = Vec::new();
     for shard in std::fs::read_dir(root).unwrap().flatten() {
         if !shard.path().is_dir() {
             continue;
         }
         for f in std::fs::read_dir(shard.path()).unwrap().flatten() {
-            let name = f.file_name().to_string_lossy().into_owned();
-            if pred(&name) {
+            if f.file_name().to_string_lossy().ends_with(".exec") {
                 found.push(f.path());
             }
         }
@@ -297,104 +293,66 @@ fn files_matching(root: &Path, pred: impl Fn(&str) -> bool) -> Vec<PathBuf> {
     found
 }
 
-/// Kill a file's integrity footer — the simulated torn write.
-fn truncate_tail(path: &Path) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let cut = text.rfind("# end").expect("file has an integrity footer");
-    std::fs::write(path, &text[..cut]).unwrap();
+/// A platform whose one execution `e` ran `steps` and was evicted, with
+/// the path of its execution file.
+fn evicted(name: &str, steps: &[&str]) -> (Platform, PathBuf, PathBuf) {
+    let dir = tmpstore(name);
+    let platform = store_platform(Parallelism::Threads(1));
+    platform.attach_store(ProvStore::open(&dir).unwrap(), 8).unwrap();
+    let exec = platform.execution("e");
+    exec.ingest(generate_corpus(2, 1, 20));
+    exec.execute(steps).unwrap();
+    assert!(exec.evict().unwrap());
+    let [file] = exec_files(&dir).try_into().expect("one execution file");
+    (platform, dir, file)
+}
+
+/// The answer to a `why` on `e` must be the `store` error.
+fn assert_store_error(platform: &Platform, what: &str) {
+    let why = ProvQuery::Why { uri: "r0".into() };
+    let (response, _) = handle_line(platform, &query_request("e", &why));
+    let parsed = Json::parse(&response).unwrap();
+    assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false), "{what}: {response}");
+    assert_eq!(
+        parsed.get("code").and_then(Json::as_str),
+        Some("store"),
+        "{what}: damage must surface as a store error, got {response}"
+    );
+    assert!(!platform.execution("e").is_resident(), "{what}: loaded from a damaged file");
 }
 
 #[test]
 fn killed_footers_are_detected_not_served() {
-    // one scenario per on-disk file kind with a footer
-    type KindPred = fn(&str) -> bool;
-    let kinds: [(&str, KindPred); 3] = [
-        ("delta", |n| n.ends_with(".delta")),
-        ("segment", |n| n.contains(".seg-")),
-        ("snapshot", |n| n.contains(".snap-")),
-    ];
-    for (kind, pred) in kinds {
-        let dir = tmpstore(&format!("trunc-{kind}"));
-        let platform = store_platform(Parallelism::Threads(1));
-        platform.attach_store(ProvStore::open(&dir).unwrap(), 8).unwrap();
-        let exec = platform.execution("e");
-        exec.ingest(generate_corpus(2, 1, 20));
-        exec.execute(&["Normaliser"]).unwrap();
-        if kind == "segment" {
-            // segments only exist after compaction seals the delta
-            platform.store().unwrap().compact("e").unwrap();
-        }
-        assert!(exec.evict().unwrap());
-
-        let store_root = platform.store().unwrap().root().to_path_buf();
-        let files = files_matching(&store_root, pred);
-        assert!(!files.is_empty(), "no {kind} file produced");
-        truncate_tail(&files[0]);
-
-        let why = ProvQuery::Why { uri: "r0".into() };
-        let (response, _) = handle_line(&platform, &query_request("e", &why));
-        let parsed = Json::parse(&response).unwrap();
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            parsed.get("code").and_then(Json::as_str),
-            Some("store"),
-            "{kind}: truncation must surface as a store error, got {response}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let (platform, dir, file) = evicted("trunc", &["Normaliser"]);
+    let text = std::fs::read_to_string(&file).unwrap();
+    let cut = text.rfind("# end").expect("file has an integrity footer");
+    std::fs::write(&file, &text[..cut]).unwrap();
+    assert_store_error(&platform, "killed footer");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn a_snapshot_left_stale_by_a_crash_answers_like_a_fresh_inference() {
-    for live in [false, true] {
-        let dir = tmpstore(&format!("stale-{live}"));
-        let platform = store_platform(Parallelism::Threads(1));
-        platform.attach_store(ProvStore::open(&dir).unwrap(), 8).unwrap();
-        let store = platform.store().unwrap();
-        let exec = platform.execution("e");
-        exec.ingest(generate_corpus(3, 2, 25));
-        if live {
-            exec.enable_live();
-        }
-        let is_snapshot = |n: &str| n.contains(".snap-");
-        exec.execute(&PIPELINE[..3]).unwrap();
-        let [first] = files_matching(store.root(), is_snapshot).try_into().unwrap();
-        let kept = std::fs::read(&first).unwrap();
-        exec.execute(&PIPELINE[3..]).unwrap();
-        assert!(exec.evict().unwrap());
-
-        // the crash: the second run's log rows reached disk, its snapshot
-        // did not, and the first run's snapshot was never removed
-        for snap in files_matching(store.root(), is_snapshot) {
-            std::fs::remove_file(snap).unwrap();
-        }
-        std::fs::write(&first, kept).unwrap();
-
-        let stored = store.load("e").unwrap().expect("stored");
-        assert!(stored.snapshot.is_none(), "the kept snapshot covers only the first run");
-        let rules = services::default_rules();
-        let graph = infer_provenance(&stored.doc, &stored.trace, &rules, &EngineOptions::default());
-        let reference = EpochSnapshot {
-            epoch: 1,
-            calls: stored.trace.len(),
-            index: ReachabilityIndex::from_graph(&graph),
-            graph,
-        };
-        assert!(!reference.graph.links.is_empty());
-        for l in reference.graph.links.iter().take(8) {
-            for q in [
-                ProvQuery::Why { uri: l.from_uri.clone() },
-                ProvQuery::Lineage { uri: l.from_uri.clone(), depth: 3 },
-                ProvQuery::ImpactedBy { uri: l.to_uri.clone() },
-            ] {
-                let (served, _) = handle_line(&platform, &query_request("e", &q));
-                assert_eq!(
-                    served,
-                    reference_response(&reference, &q).unwrap(),
-                    "live {live}: {q:?}"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+fn flipped_bytes_and_cuts_at_any_line_are_detected_not_served() {
+    let (platform, dir, file) = evicted("damage", &PIPELINE[..2]);
+    let full = std::fs::read(&file).unwrap();
+    let text = String::from_utf8(full.clone()).unwrap();
+    // one byte changed, same length, in a uri: row, a call row and the
+    // document text
+    for (what, row) in [("uri row", "\nuri: "), ("call row", "\ncall: "), ("document", "\n<")] {
+        let at = text.find(row).unwrap_or_else(|| panic!("no {what}")) + row.len() + 2;
+        let mut bytes = full.clone();
+        bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
+        std::fs::write(&file, bytes).unwrap();
+        assert_store_error(&platform, what);
     }
+    let boundaries = full.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1);
+    for end in boundaries.filter(|&end| end < full.len()) {
+        std::fs::write(&file, &full[..end]).unwrap();
+        assert_store_error(&platform, &format!("cut at byte {end}"));
+    }
+    std::fs::write(&file, &full).unwrap();
+    let why = ProvQuery::Why { uri: "r0".into() };
+    let (response, _) = handle_line(&platform, &query_request("e", &why));
+    assert!(platform.execution("e").is_resident(), "the intact file loads: {response}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
