@@ -596,8 +596,11 @@ impl Platform {
         &self,
         exec_id: &str,
         calls: &[CallRecord],
-        doc: Document,
+        mut doc: Document,
     ) -> Result<(), PlatformError> {
+        // A kept document is read and copied, never grown in place (a run
+        // grows a copy), so it keeps no spare capacity.
+        doc.shrink_to_fit();
         let rec = loop {
             let Some(rec) = self.ensure_resident(exec_id)? else {
                 let mut records = self.records();
@@ -2197,5 +2200,30 @@ mod tests {
                 other => panic!("unexpected answer {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_kept_stamped_document_holds_at_most_100_bytes_per_node() {
+        // a 40-native corpus, as perfbench's serve-resident writes ingest,
+        // stamped by the five-service media pipeline
+        use weblab_workflow::services::{EntityExtractor, Tokeniser};
+        let p = platform();
+        p.register_service(Arc::new(Tokeniser), &[]).unwrap();
+        p.register_service(Arc::new(EntityExtractor), &[]).unwrap();
+        p.ingest("e", generate_corpus(7, 40, 40));
+        let pipeline = [
+            "Normaliser",
+            "LanguageExtractor",
+            "Translator",
+            "Tokeniser",
+            "EntityExtractor",
+        ];
+        p.execute("e", &pipeline).unwrap();
+        let (bytes, nodes) = p
+            .execution("e")
+            .with_kept(|doc, _| (doc.heap_bytes(), doc.node_count()))
+            .unwrap();
+        assert!(nodes > 900, "the pipeline stamped {nodes} nodes");
+        assert!(bytes <= 100 * nodes, "{bytes} B for {nodes} nodes: {} B/node", bytes / nodes);
     }
 }

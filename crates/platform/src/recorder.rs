@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use weblab_prov::{CallRecord, ExecutionTrace};
-use weblab_xml::{containment_witness, parse_document, Document, NodeId, NodeKind, Timestamp};
+use weblab_xml::{containment_witness, parse_document, Document, NodeId, Timestamp};
 
 /// Recorder failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +88,7 @@ pub fn merge_exchange(stored: &mut Document, response: &Document) -> Result<(), 
     for (old_node, new_node) in &witness.mapping {
         if stored.resource(*old_node).is_none() {
             if let Some(meta) = response.view().resource(*new_node) {
-                stored.register_resource(*old_node, meta.uri.clone(), meta.label.clone())?;
+                stored.register_resource(*old_node, meta.uri, meta.label.cloned())?;
             }
         }
     }
@@ -108,21 +108,11 @@ pub fn merge_exchange(stored: &mut Document, response: &Document) -> Result<(), 
             .copied()
             .or_else(|| grafted.get(&parent).copied())
             .expect("parent is matched or already grafted");
-        let copy = match rv.node(node).map(|n| n.kind().clone()) {
-            Some(NodeKind::Element { name }) => {
-                let id = stored.append_element(stored_parent, name)?;
-                if let Some(n) = rv.node(node) {
-                    for (k, v) in n.attrs() {
-                        stored.set_attr(id, k.clone(), v.clone())?;
-                    }
-                }
-                id
-            }
-            Some(NodeKind::Text { value }) => stored.append_text(stored_parent, value)?,
-            None => continue,
-        };
+        let Some(n) = rv.node(node) else { continue };
+        let copy = stored.create_copy(n);
+        stored.attach(stored_parent, copy)?;
         if let Some(meta) = rv.resource(node) {
-            stored.register_resource(copy, meta.uri.clone(), meta.label.clone())?;
+            stored.register_resource(copy, meta.uri, meta.label.cloned())?;
         }
         grafted.insert(node, copy);
     }

@@ -98,7 +98,7 @@ pub fn encode(
             escape_field(&c.channel),
         );
         for meta in c.produced.iter().filter_map(|&n| doc.resource(n)) {
-            let _ = write!(rows, " {}", table.id(&meta.uri));
+            let _ = write!(rows, " {}", table.id(meta.uri));
         }
         rows.push('\n');
     }
@@ -173,10 +173,8 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
         } else if let Some(v) = raw.strip_prefix("uri:") {
             uris.push(unescape_field(v.trim()).map_err(err)?);
         } else if let Some(rest) = raw.strip_prefix("call:") {
-            let parts: Vec<&str> = rest.split('|').map(str::trim).collect();
-            let [service, time, input, output, channel, produced] = parts[..] else {
-                return Err(err(format!("expected 6 call fields, found {}", parts.len())));
-            };
+            let [service, time, input, output, channel, produced] =
+                fields(rest.split('|').map(str::trim), "call").map_err(err)?;
             let mark = |s: &str| -> Result<StateMark, PersistError> {
                 let (n, r) = s
                     .split_once(',')
@@ -194,20 +192,16 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
             let ids = produced.split_whitespace().map(num).collect::<Result<_, _>>()?;
             calls.push((record, ids));
         } else if let Some(rest) = raw.strip_prefix("source:") {
-            let parts: Vec<&str> = rest.split('|').map(str::trim).collect();
-            let [node, id, service, time] = parts[..] else {
-                return Err(err(format!("expected 4 source fields, found {}", parts.len())));
-            };
+            let [node, id, service, time] =
+                fields(rest.split('|').map(str::trim), "source").map_err(err)?;
             graph.sources.push(SourceEntry {
                 node: NodeId::from_index(num(node)?),
                 uri: uri(id)?,
                 label: CallLabel::new(unescape_field(service).map_err(err)?, number(time, line)?),
             });
         } else if let Some(rest) = raw.strip_prefix("link:") {
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            let [from, from_uri, to, to_uri] = fields[..] else {
-                return Err(err(format!("expected 4 link fields, found {}", fields.len())));
-            };
+            let [from, from_uri, to, to_uri] =
+                fields(rest.split_whitespace(), "link").map_err(err)?;
             graph.links.push(ProvLink {
                 from: NodeId::from_index(num(from)?),
                 from_uri: uri(from_uri)?,
@@ -236,6 +230,26 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
     }
     let snapshot = SnapshotData { epoch, calls: trace.len(), live, graph };
     Ok(StoredExecution { doc, trace, snapshot: Some(snapshot) })
+}
+
+/// The `N` fields of a `what` row, or how many it has instead.
+fn fields<'a, const N: usize>(
+    row: impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<[&'a str; N], String> {
+    let mut out = [""; N];
+    let mut found = 0;
+    for field in row {
+        if let Some(slot) = out.get_mut(found) {
+            *slot = field;
+        }
+        found += 1;
+    }
+    if found == N {
+        Ok(out)
+    } else {
+        Err(format!("expected {N} {what} fields, found {found}"))
+    }
 }
 
 fn number<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, PersistError> {

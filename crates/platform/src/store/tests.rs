@@ -270,6 +270,31 @@ fn produced_resources_are_named_by_uri_table_id() {
 }
 
 #[test]
+fn a_row_with_the_wrong_field_count_names_both_counts() {
+    let (doc, trace, graph) = executed(13);
+    let text = exec::encode("e", &doc, &trace, &graph, 3, false);
+    let (body, _) = super::file::unseal("mem", text.as_bytes()).unwrap();
+    for (prefix, extra, message) in [
+        ("call: ", " | x", "expected 6 call fields, found 7"),
+        ("source: ", " | x", "expected 4 source fields, found 5"),
+        ("link: ", " x", "expected 4 link fields, found 5"),
+    ] {
+        // one field too many on the first row of the kind, then resealed
+        // so that the footer check passes and the row parser is reached
+        let start = body.find(&format!("\n{prefix}")).expect("the row is stored") + 1;
+        let end = start + body[start..].find('\n').unwrap();
+        let damaged = format!("{}{extra}{}", &body[..end], &body[end..]);
+        let line = body[..start].lines().count() + 1;
+        match exec::decode("mem", super::file::seal(damaged, "").as_bytes()) {
+            Err(PersistError::Format { line: at, message: m }) => {
+                assert_eq!((at, m.as_str()), (line, message));
+            }
+            other => panic!("expected a format error for {prefix:?}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn a_directory_of_the_earlier_layout_is_refused() {
     for earlier in ["e.doc.xml", "e.delta", "e.seg-1", "e.snap-3"] {
         let root = tmpstore("earlier");
@@ -463,7 +488,7 @@ proptest! {
         let back = store.load("h").unwrap().unwrap();
         prop_assert_eq!(back.trace.len(), trace.len());
         let uris_of = |d: &Document, c: &CallRecord| -> Vec<String> {
-            c.produced.iter().map(|&n| d.resource(n).unwrap().uri.clone()).collect()
+            c.produced.iter().map(|&n| d.resource(n).unwrap().uri.to_string()).collect()
         };
         for (orig, round) in trace.calls.iter().zip(&back.trace.calls) {
             prop_assert_eq!(&orig.service, &round.service);

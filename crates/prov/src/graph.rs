@@ -41,10 +41,10 @@ impl ProvenanceGraph {
         let mut sources = Vec::new();
         for &node in view.resource_nodes() {
             if let Some(meta) = view.resource(node) {
-                if let Some(label) = &meta.label {
+                if let Some(label) = meta.label {
                     sources.push(SourceEntry {
                         node,
-                        uri: meta.uri.clone(),
+                        uri: meta.uri.to_string(),
                         label: label.clone(),
                     });
                 }

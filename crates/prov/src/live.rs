@@ -198,10 +198,10 @@ impl LiveProvenance {
         let mut fresh = Vec::new();
         for &node in &nodes[self.resources_seen.min(nodes.len())..] {
             if let Some(meta) = doc.resource(node) {
-                if let Some(label) = &meta.label {
+                if let Some(label) = meta.label {
                     fresh.push(SourceEntry {
                         node,
-                        uri: meta.uri.clone(),
+                        uri: meta.uri.to_string(),
                         label: label.clone(),
                     });
                 }

@@ -98,7 +98,7 @@ impl ExecutionTrace {
             .into_iter()
             .filter(|n| {
                 doc.resource(*n)
-                    .and_then(|m| m.label.as_ref())
+                    .and_then(|m| m.label)
                     .map(|l| l.service == service && l.time == time)
                     .unwrap_or(false)
             })
@@ -153,7 +153,7 @@ impl ExecutionTrace {
         let mut by_call: std::collections::BTreeMap<(Timestamp, String), Vec<NodeId>> =
             std::collections::BTreeMap::new();
         for &n in doc.resource_nodes() {
-            let Some(label) = doc.resource(n).and_then(|m| m.label.clone()) else {
+            let Some(label) = doc.resource(n).and_then(|m| m.label.cloned()) else {
                 continue;
             };
             if label.time == 0 {

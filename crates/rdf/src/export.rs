@@ -298,11 +298,10 @@ mod tests {
         let v = doc.view();
         let used_by: Vec<&str> = v
             .children(doc.root())
-            .iter()
-            .filter(|&&n| v.name(n) == Some("prov:used"))
-            .flat_map(|&n| v.children(n).iter())
-            .filter(|&&c| v.name(c) == Some("prov:activity"))
-            .filter_map(|&c| v.attr(c, "prov:ref"))
+            .filter(|&n| v.name(n) == Some("prov:used"))
+            .flat_map(|n| v.children(n))
+            .filter(|&c| v.name(c) == Some("prov:activity"))
+            .filter_map(|c| v.attr(c, "prov:ref"))
             .collect();
         assert_eq!(used_by, [activity_iri("First", 1)]);
     }

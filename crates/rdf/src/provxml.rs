@@ -120,7 +120,7 @@ pub fn derivations_from_prov_xml(doc: &Document) -> Vec<(String, String)> {
         }
         let mut generated = None;
         let mut used = None;
-        for &c in v.children(n) {
+        for c in v.children(n) {
             match v.name(c) {
                 Some("prov:generatedEntity") => {
                     generated = v.attr(c, "prov:ref").map(String::from)
@@ -156,8 +156,7 @@ mod tests {
         // nested inside relation elements
         let count = |name: &str| {
             v.children(doc.root())
-                .iter()
-                .filter(|&&n| v.name(n) == Some(name))
+                .filter(|&n| v.name(n) == Some(name))
                 .count()
         };
         assert_eq!(count("prov:entity"), g.sources.len());

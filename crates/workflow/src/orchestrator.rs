@@ -548,15 +548,7 @@ fn merge_branch(
         for idx in call.input.node_count()..call.output.node_count() {
             let id = NodeId::from_index(idx);
             let node = fork.node(id).expect("fork node exists");
-            let copy = match node.kind() {
-                weblab_xml::NodeKind::Element { name } => main.create_element(name.clone()),
-                weblab_xml::NodeKind::Text { value } => main.create_text(value.clone()),
-            };
-            for (k, v) in node.attrs() {
-                if node.name().is_some() {
-                    main.set_attr(copy, k.clone(), v.clone())?;
-                }
-            }
+            let copy = main.create_copy(node);
             if let Some(parent) = node.parent() {
                 main.attach(map_id(&idmap, parent), copy)?;
             }
@@ -566,7 +558,7 @@ fn merge_branch(
         // of pre-fork nodes)
         for &n in &fork_resources[call.input.resource_count()..call.output.resource_count()] {
             let meta = fork.resource(n).expect("registered");
-            main.register_resource(map_id(&idmap, n), meta.uri.clone(), meta.label.clone())?;
+            main.register_resource(map_id(&idmap, n), meta.uri, meta.label.cloned())?;
         }
         let main_output = main.mark();
         let mut record = call.clone();
@@ -587,7 +579,7 @@ fn merge_branch(
 pub fn next_time(doc: &Document) -> Timestamp {
     doc.resource_nodes()
         .iter()
-        .filter_map(|&n| doc.resource(n).and_then(|m| m.label.as_ref()))
+        .filter_map(|&n| doc.resource(n).and_then(|m| m.label))
         .map(|l| l.time)
         .max()
         .map(|t| t + 1)
@@ -724,7 +716,7 @@ mod tests {
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         let mut seen = std::collections::HashSet::new();
         for &n in doc.resource_nodes() {
-            if let Some(label) = doc.resource(n).and_then(|m| m.label.as_ref()) {
+            if let Some(label) = doc.resource(n).and_then(|m| m.label) {
                 assert!(
                     seen.insert((label.service.clone(), label.time)),
                     "duplicate label {label} minted across parallel branches"

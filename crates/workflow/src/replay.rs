@@ -155,7 +155,7 @@ fn assign_owners(prior_doc: &Document, calls: &[CallRecord]) -> Vec<usize> {
         let id = NodeId::from_index(idx);
         let own = prior_doc
             .resource(id)
-            .and_then(|m| m.label.as_ref())
+            .and_then(|m| m.label)
             .and_then(|l| call_of.get(&(l.service.as_str(), l.time)).copied());
         owner[idx] = match own {
             Some(k) => k,
@@ -199,11 +199,7 @@ fn fragment_signature(doc: &Document, input: StateMark, output: StateMark) -> Ve
         let id = NodeId::from_index(idx);
         let node = doc.node(id).expect("fragment node exists");
         let parent = node.parent().map(enc).unwrap_or_else(|| "-".into());
-        let attrs: Vec<String> = node
-            .attrs()
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
+        let attrs: Vec<String> = node.attrs().map(|(k, v)| format!("{k}={v}")).collect();
         let line = match node.kind() {
             weblab_xml::NodeKind::Element { name } => {
                 format!("e {name} p{parent} [{}]", attrs.join(","))
@@ -217,7 +213,6 @@ fn fragment_signature(doc: &Document, input: StateMark, output: StateMark) -> Ve
         let meta = doc.resource(n).expect("registered");
         let label = meta
             .label
-            .as_ref()
             .map(|l| format!("{}@{}", l.service, l.time))
             .unwrap_or_else(|| "-".into());
         lines.push(format!("r {} {} @{}", meta.uri, label, enc(n)));
@@ -352,7 +347,7 @@ impl Orchestrator {
                 c.produced.iter().any(|&pn| {
                     prior_doc
                         .resource(pn)
-                        .map(|m| dirty.contains(&m.uri))
+                        .map(|m| dirty.contains(m.uri))
                         .unwrap_or(false)
                 })
             });
@@ -518,15 +513,7 @@ fn splice_call(
     let new_input = doc.mark();
     for &id in nodes {
         let node = prior_doc.node(id).expect("prior fragment node exists");
-        let copy = match node.kind() {
-            weblab_xml::NodeKind::Element { name } => doc.create_element(name.clone()),
-            weblab_xml::NodeKind::Text { value } => doc.create_text(value.clone()),
-        };
-        for (k, v) in node.attrs() {
-            if node.name().is_some() {
-                doc.set_attr(copy, k.clone(), v.clone())?;
-            }
-        }
+        let copy = doc.create_copy(node);
         if let Some(parent) = node.parent() {
             let p = map_id(idmap, parent)?;
             doc.attach(p, copy)?;
@@ -541,7 +528,7 @@ fn splice_call(
     for &n in &call.produced {
         let meta = prior_doc.resource(n).expect("produced node is registered");
         let target = map_id(idmap, n)?;
-        doc.register_resource(target, meta.uri.clone(), meta.label.clone())?;
+        doc.register_resource(target, meta.uri, meta.label.cloned())?;
     }
     let new_output = doc.mark();
     let mut record = call.clone();

@@ -106,18 +106,16 @@ fn text_media_units(doc: &Document) -> Vec<NodeId> {
 fn unit_text(doc: &Document, unit: NodeId) -> Option<(NodeId, String)> {
     let v = doc.view();
     v.children(unit)
-        .iter()
-        .find(|&&c| v.name(c) == Some("TextContent"))
-        .map(|&c| (c, v.text_content(c)))
+        .find(|&c| v.name(c) == Some("TextContent"))
+        .map(|c| (c, v.text_content(c)))
 }
 
 /// Whether `unit` already has an `Annotation` containing a `kind` child.
 fn has_annotation(doc: &Document, unit: NodeId, kind: &str) -> bool {
     let v = doc.view();
     v.children(unit)
-        .iter()
-        .filter(|&&c| v.name(c) == Some("Annotation"))
-        .any(|&a| v.children(a).iter().any(|&k| v.name(k) == Some(kind)))
+        .filter(|&c| v.name(c) == Some("Annotation"))
+        .any(|a| v.children(a).any(|k| v.name(k) == Some(kind)))
 }
 
 /// Shared worker: wrap each unprocessed `NativeContent` whose `@mime`
@@ -281,9 +279,8 @@ impl Service for Translator {
             // language from the annotation, if present
             let lang = v
                 .children(unit)
-                .iter()
-                .find(|&&c| v.name(c) == Some("Annotation"))
-                .and_then(|&a| v.attr(a, "lang"))
+                .find(|&c| v.name(c) == Some("Annotation"))
+                .and_then(|a| v.attr(a, "lang"))
                 .unwrap_or("en");
             if lang == self.target {
                 continue;

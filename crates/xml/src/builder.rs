@@ -66,9 +66,9 @@ impl ElementBuilder {
 
     /// Materialise the subtree under `parent`, returning the new root node.
     pub fn build(&self, doc: &mut Document, parent: NodeId) -> Result<NodeId> {
-        let node = doc.append_element(parent, self.name.clone())?;
+        let node = doc.append_element(parent, &self.name)?;
         for (k, v) in &self.attrs {
-            doc.set_attr(node, k.clone(), v.clone())?;
+            doc.set_attr(node, k, v)?;
         }
         for part in &self.children {
             match part {
@@ -76,7 +76,7 @@ impl ElementBuilder {
                     b.build(doc, node)?;
                 }
                 Part::Text(t) => {
-                    doc.append_text(node, t.clone())?;
+                    doc.append_text(node, t)?;
                 }
             }
         }

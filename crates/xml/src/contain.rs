@@ -61,8 +61,9 @@ fn labels_match(small: &DocView<'_>, s: NodeId, big: &DocView<'_>, b: NodeId) ->
         return false;
     }
     // Explicit attributes of the small node must be preserved verbatim.
+    // Names are compared as strings: symbols belong to one document.
     for (k, v) in sn.attrs() {
-        if bn.attr(k) != Some(v.as_str()) {
+        if bn.attr(k) != Some(v) {
             return false;
         }
     }
@@ -86,17 +87,13 @@ fn embed(
     if !labels_match(small, s, big, b) {
         return false;
     }
-    let s_children = small.children(s);
-    let b_children = big.children(b);
-    let mut bi = 0usize;
-    let mut local: Vec<(NodeId, NodeId)> = Vec::with_capacity(s_children.len());
-    'outer: for &sc in s_children {
+    let mut b_children = big.children(b);
+    let mut local: Vec<(NodeId, NodeId)> = Vec::new();
+    'outer: for sc in small.children(s) {
         // If the small child carries a URI, anchor the match on it: greedy
         // label matching could otherwise bind to a look-alike sibling.
         let anchor = small.uri(sc);
-        while bi < b_children.len() {
-            let bc = b_children[bi];
-            bi += 1;
+        for bc in b_children.by_ref() {
             let candidate_ok = match anchor {
                 Some(uri) => big.uri(bc) == Some(uri),
                 None => true,

@@ -5,13 +5,25 @@
 //! executions (Definition 2): every [`StateMark`] captures one document state
 //! `d_i`, and [`DocView`] exposes a read-only view of that state without
 //! copying the tree.
+//!
+//! A document is a compact arena. Nodes are fixed-size records linked by
+//! parent, first-child, last-child and next-sibling ids. Element and
+//! attribute names are symbols of one per-document name table, call labels
+//! are entries of a per-document label table, and text, attribute values
+//! and URIs are ranges of one pooled buffer. A node's resource metadata is
+//! its registration position, which indexes a dense slot holding the URI's
+//! range and the label's id; a URI index maps each URI to its position
+//! without a second copy of the string.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::error::{Error, Result};
-use crate::iter::{Ancestors, Descendants};
-use crate::tree::{Arena, Node, NodeId, NodeKind};
+use crate::escape::unescape_into;
+use crate::iter::{Ancestors, Children, Descendants};
+use crate::table::IdIndex;
+use crate::tree::{AttrRec, Attrs, Node, NodeId, NodeKind, NodeRec, Span, Symbol, NONE, TEXT};
 
 /// Logical timestamps `t ∈ T` of the paper's infinite ordered domain.
 ///
@@ -44,18 +56,18 @@ impl fmt::Display for CallLabel {
     }
 }
 
-/// Resource metadata attached to an identified node: its URI and, if known,
-/// the service call that produced it.
+/// Resource metadata of an identified node: its URI and, if known, the
+/// service call that produced it, borrowed from the document.
 ///
 /// The paper encodes these as virtual attributes `@id`, `@s` and `@t` on
 /// resource nodes; the XPath evaluator resolves those names against this
 /// struct.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResourceMeta {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResourceMeta<'d> {
     /// Unique resource URI assigned by the `uri` function of Definition 1.
-    pub uri: String,
+    pub uri: &'d str,
     /// Producing service call, if the node is labelled (`λ` of Definition 3).
-    pub label: Option<CallLabel>,
+    pub label: Option<&'d CallLabel>,
 }
 
 /// A high-water mark identifying one document state `d_i`.
@@ -111,6 +123,14 @@ impl StateMark {
     }
 }
 
+/// One resource registration: the URI's range of the pool and the label's
+/// id in the label table ([`NONE`] when unlabelled).
+#[derive(Debug, Clone, Copy)]
+struct ResourceSlot {
+    uri: Span,
+    label: u32,
+}
+
 /// A WebLab document `d = (τ, uri)` together with its full evolution history.
 ///
 /// One `Document` value stores the *final* state of a workflow execution and
@@ -119,55 +139,306 @@ impl StateMark {
 /// deleted, mirroring the platform's append semantics.
 #[derive(Debug, Clone)]
 pub struct Document {
-    arena: Arena,
-    root: NodeId,
+    /// The arena; the root is node 0.
+    nodes: Vec<NodeRec>,
+    /// Explicit attributes, one contiguous run per element.
+    attrs: Vec<AttrRec>,
+    /// Text, attribute values and URIs, addressed by [`Span`]s.
+    pool: String,
+    /// Element and attribute names, by symbol.
+    names: Vec<Box<str>>,
+    name_index: IdIndex,
+    /// Distinct call labels, by first use.
+    labels: Vec<CallLabel>,
+    label_index: IdIndex,
     /// Append-only log of resource registrations, in registration order.
     resource_log: Vec<NodeId>,
-    /// Metadata per registered node, paired with its registration position
-    /// in the log (so state views can test visibility in O(1)).
-    resources: HashMap<NodeId, (u32, ResourceMeta)>,
-    /// Reverse map uri → node for uniqueness checks and lookups.
-    uri_index: HashMap<String, NodeId>,
+    /// Metadata per registration, parallel to `resource_log`.
+    slots: Vec<ResourceSlot>,
+    /// URI → registration position.
+    uri_index: IdIndex,
+    /// Keys of the three indexes' hash.
+    hasher: RandomState,
+}
+
+/// `n` as an arena offset; the arena, the pool and the tables are
+/// addressed by `u32`.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a document holds fewer than 2^32 nodes and pool bytes")
 }
 
 impl Document {
     /// Create a document with a fresh root element named `root_name`.
-    pub fn new(root_name: impl Into<String>) -> Self {
-        let mut arena = Arena::default();
-        let root = arena.alloc(NodeKind::Element {
-            name: root_name.into(),
-        });
+    pub fn new(root_name: impl AsRef<str>) -> Self {
+        let mut doc = Document::empty();
+        doc.create_element(root_name);
+        doc
+    }
+
+    /// A document without nodes.
+    fn empty() -> Self {
         Document {
-            arena,
-            root,
+            nodes: Vec::new(),
+            attrs: Vec::new(),
+            pool: String::new(),
+            names: Vec::new(),
+            name_index: IdIndex::default(),
+            labels: Vec::new(),
+            label_index: IdIndex::default(),
             resource_log: Vec::new(),
-            resources: HashMap::new(),
-            uri_index: HashMap::new(),
+            slots: Vec::new(),
+            uri_index: IdIndex::default(),
+            hasher: RandomState::new(),
         }
     }
 
     /// The root node (always id `#0`).
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Total number of nodes in the (final) document.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.arena.len()
+        self.nodes.len()
     }
 
     /// Access a node, failing if the id is foreign.
     #[inline]
-    pub fn node(&self, id: NodeId) -> Result<&Node> {
-        self.arena.get(id).ok_or(Error::UnknownNode(id))
+    pub fn node(&self, id: NodeId) -> Result<Node<'_>> {
+        if id.index() < self.nodes.len() {
+            Ok(Node { doc: self, id })
+        } else {
+            Err(Error::UnknownNode(id))
+        }
     }
 
-    /// Access a node, panicking on a foreign id. Internal fast path.
+    /// Bytes of heap the document holds: the capacities of its arena,
+    /// attribute runs, pool, tables and indexes.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<NodeRec>()
+            + self.attrs.capacity() * size_of::<AttrRec>()
+            + self.pool.capacity()
+            + self.names.capacity() * size_of::<Box<str>>()
+            + self.names.iter().map(|n| n.len()).sum::<usize>()
+            + self.name_index.heap_bytes()
+            + self.labels.capacity() * size_of::<CallLabel>()
+            + self
+                .labels
+                .iter()
+                .map(|l| l.service.capacity())
+                .sum::<usize>()
+            + self.label_index.heap_bytes()
+            + self.resource_log.capacity() * size_of::<NodeId>()
+            + self.slots.capacity() * size_of::<ResourceSlot>()
+            + self.uri_index.heap_bytes()
+    }
+
+    /// Release the spare capacity that appends leave in the arena, the
+    /// pool and the tables, for a document that is kept rather than grown
+    /// (a parsed document, a committed execution's state).
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.attrs.shrink_to_fit();
+        self.pool.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.labels.shrink_to_fit();
+        self.resource_log.shrink_to_fit();
+        self.slots.shrink_to_fit();
+    }
+
+    /// The symbol of `name`, if some element or attribute of this document
+    /// carries it.
+    pub fn symbol(&self, name: &str) -> Option<Symbol> {
+        let hash = self.hasher.hash_one(name);
+        self.name_index
+            .find(hash, |s| &*self.names[s as usize] == name)
+            .map(Symbol)
+    }
+
+    // ------------------------------------------------------------------
+    // Arena internals
+    // ------------------------------------------------------------------
+
     #[inline]
-    pub(crate) fn node_unchecked(&self, id: NodeId) -> &Node {
-        &self.arena.nodes[id.index()]
+    pub(crate) fn rec(&self, id: NodeId) -> &NodeRec {
+        &self.nodes[id.index()]
+    }
+
+    #[inline]
+    pub(crate) fn name_str(&self, sym: u32) -> &str {
+        &self.names[sym as usize]
+    }
+
+    #[inline]
+    pub(crate) fn pooled(&self, span: Span) -> &str {
+        &self.pool[span.range()]
+    }
+
+    pub(crate) fn kind_of(&self, id: NodeId) -> NodeKind<'_> {
+        let r = self.rec(id);
+        if r.is_element() {
+            NodeKind::Element {
+                name: self.name_str(r.name),
+            }
+        } else {
+            NodeKind::Text {
+                value: self.pooled(r.span),
+            }
+        }
+    }
+
+    pub(crate) fn attrs_of(&self, id: NodeId) -> Attrs<'_> {
+        let r = self.rec(id);
+        let run = if r.is_element() {
+            &self.attrs[r.span.range()]
+        } else {
+            &[]
+        };
+        Attrs {
+            doc: self,
+            run: run.iter(),
+        }
+    }
+
+    fn meta(&self, pos: u32) -> ResourceMeta<'_> {
+        let slot = self.slots[pos as usize];
+        ResourceMeta {
+            uri: self.pooled(slot.uri),
+            label: (slot.label != NONE).then(|| &self.labels[slot.label as usize]),
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        let hash = self.hasher.hash_one(name);
+        let names = &self.names;
+        if let Some(sym) = self.name_index.find(hash, |s| &*names[s as usize] == name) {
+            return sym;
+        }
+        let sym = offset(self.names.len());
+        self.names.push(name.into());
+        let (names, hasher) = (&self.names, &self.hasher);
+        self.name_index
+            .insert(hash, sym, |s| hasher.hash_one(&*names[s as usize]));
+        sym
+    }
+
+    fn intern_label(&mut self, label: CallLabel) -> u32 {
+        let hash = self.hasher.hash_one((label.service.as_str(), label.time));
+        let labels = &self.labels;
+        if let Some(id) = self.label_index.find(hash, |i| labels[i as usize] == label) {
+            return id;
+        }
+        let id = offset(self.labels.len());
+        self.labels.push(label);
+        let (labels, hasher) = (&self.labels, &self.hasher);
+        self.label_index.insert(hash, id, |i| {
+            let l = &labels[i as usize];
+            hasher.hash_one((l.service.as_str(), l.time))
+        });
+        id
+    }
+
+    fn position_of_uri(&self, hash: u64, uri: &str) -> Option<u32> {
+        self.uri_index.find(hash, |pos| {
+            &self.pool[self.slots[pos as usize].uri.range()] == uri
+        })
+    }
+
+    fn push_pool(&mut self, s: &str) -> Span {
+        let start = offset(self.pool.len());
+        self.pool.push_str(s);
+        Span {
+            start,
+            len: offset(self.pool.len()) - start,
+        }
+    }
+
+    fn alloc(&mut self, rec: NodeRec) -> NodeId {
+        let id = NodeId(offset(self.nodes.len()));
+        self.nodes.push(rec);
+        id
+    }
+
+    /// Append `attr` to `node`'s run, moving the run to the end of the
+    /// attribute table first if another element's run follows it.
+    fn push_attr(&mut self, node: NodeId, attr: AttrRec) {
+        let run = self.nodes[node.index()].span;
+        let start = if run.len == 0 {
+            self.attrs.len()
+        } else if run.end() as usize == self.attrs.len() {
+            run.start as usize
+        } else {
+            let start = self.attrs.len();
+            self.attrs.extend_from_within(run.range());
+            start
+        };
+        self.attrs.push(attr);
+        self.nodes[node.index()].span = Span {
+            start: offset(start),
+            len: run.len + 1,
+        };
+    }
+
+    // ------------------------------------------------------------------
+    // Parser entry points: text and attribute values unescaped straight
+    // into the pool
+    // ------------------------------------------------------------------
+
+    /// Where the next pooled text starts.
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Append `s` to the pool (raw character data).
+    pub(crate) fn pool_push(&mut self, s: &str) {
+        self.pool.push_str(s);
+    }
+
+    /// Append `raw` to the pool with its entity references resolved;
+    /// `false` (and nothing appended) on a malformed reference.
+    pub(crate) fn pool_push_escaped(&mut self, raw: &str) -> bool {
+        let start = self.pool.len();
+        if unescape_into(raw, &mut self.pool) {
+            true
+        } else {
+            self.pool.truncate(start);
+            false
+        }
+    }
+
+    /// Turn the pool's bytes from `start` on into a text child of
+    /// `parent`, or drop them if they are whitespace only.
+    pub(crate) fn finish_text(&mut self, parent: NodeId, start: usize) -> Result<()> {
+        if self.pool[start..].trim().is_empty() {
+            self.pool.truncate(start);
+            return Ok(());
+        }
+        let span = Span {
+            start: offset(start),
+            len: offset(self.pool.len() - start),
+        };
+        let id = self.alloc(NodeRec::new(TEXT, span));
+        self.attach(parent, id)
+    }
+
+    /// Add the attribute `name` to the element `node` with the escaped
+    /// value `raw`. The caller has checked that `node` lacks `name`;
+    /// `false` (and nothing added) on a malformed reference.
+    pub(crate) fn push_attr_escaped(&mut self, node: NodeId, name: &str, raw: &str) -> bool {
+        let start = self.pool.len();
+        if !self.pool_push_escaped(raw) {
+            return false;
+        }
+        let name = self.intern(name);
+        let value = Span {
+            start: offset(start),
+            len: offset(self.pool.len() - start),
+        };
+        self.push_attr(node, AttrRec { name, value });
+        true
     }
 
     // ------------------------------------------------------------------
@@ -175,53 +446,81 @@ impl Document {
     // ------------------------------------------------------------------
 
     /// Allocate a detached element node.
-    pub fn create_element(&mut self, name: impl Into<String>) -> NodeId {
-        self.arena.alloc(NodeKind::Element { name: name.into() })
+    pub fn create_element(&mut self, name: impl AsRef<str>) -> NodeId {
+        let name = self.intern(name.as_ref());
+        self.alloc(NodeRec::new(name, Span { start: 0, len: 0 }))
     }
 
     /// Allocate a detached text node.
-    pub fn create_text(&mut self, value: impl Into<String>) -> NodeId {
-        self.arena.alloc(NodeKind::Text {
-            value: value.into(),
-        })
+    pub fn create_text(&mut self, value: impl AsRef<str>) -> NodeId {
+        let span = self.push_pool(value.as_ref());
+        self.alloc(NodeRec::new(TEXT, span))
+    }
+
+    /// Allocate a detached copy of `node`, a node of another document: the
+    /// same element name and attributes, or the same text. Names are
+    /// copied as strings, since symbols belong to one document.
+    pub fn create_copy(&mut self, node: Node<'_>) -> NodeId {
+        let id = match node.kind() {
+            NodeKind::Element { name } => self.create_element(name),
+            NodeKind::Text { value } => self.create_text(value),
+        };
+        for (k, v) in node.attrs() {
+            let name = self.intern(k);
+            let value = self.push_pool(v);
+            self.push_attr(id, AttrRec { name, value });
+        }
+        id
     }
 
     /// Append a previously created, still-detached node as the last child of
     /// `parent`.
+    ///
+    /// Attach siblings in id order (create a node, then attach it, as every
+    /// builder in the system does): a state's view walks a sibling chain
+    /// only up to its mark.
     pub fn attach(&mut self, parent: NodeId, child: NodeId) -> Result<()> {
-        if self.arena.get(child).is_none() {
+        let Some(c) = self.nodes.get(child.index()) else {
             return Err(Error::UnknownNode(child));
-        }
-        let p = self.arena.get(parent).ok_or(Error::UnknownNode(parent))?;
+        };
+        let Some(p) = self.nodes.get(parent.index()) else {
+            return Err(Error::UnknownNode(parent));
+        };
         if !p.is_element() {
             return Err(Error::NotAnElement(parent));
         }
-        if self.arena.get(child).unwrap().parent.is_some() {
+        if c.parent != NONE {
             return Err(Error::AlreadyAttached(child));
         }
         // Reject cycles: parent must not be a descendant of child (nor child
         // itself). Ancestor chains are short; walk up from `parent`.
-        let mut cur = Some(parent);
-        while let Some(n) = cur {
-            if n == child {
+        let mut cur = parent.0;
+        while cur != NONE {
+            if cur == child.0 {
                 return Err(Error::WouldCycle(child));
             }
-            cur = self.arena.get(n).unwrap().parent;
+            cur = self.nodes[cur as usize].parent;
         }
-        self.arena.get_mut(child).unwrap().parent = Some(parent);
-        self.arena.get_mut(parent).unwrap().children.push(child);
+        self.nodes[child.index()].parent = parent.0;
+        let last = self.nodes[parent.index()].last_child;
+        if last == NONE {
+            self.nodes[parent.index()].first_child = child.0;
+        } else {
+            self.nodes[last as usize].next_sibling = child.0;
+        }
+        self.nodes[parent.index()].last_child = child.0;
         Ok(())
     }
 
     /// Create an element and append it to `parent` in one step.
-    pub fn append_element(&mut self, parent: NodeId, name: impl Into<String>) -> Result<NodeId> {
+    pub fn append_element(&mut self, parent: NodeId, name: impl AsRef<str>) -> Result<NodeId> {
         let id = self.create_element(name);
         self.attach(parent, id)?;
         Ok(id)
     }
 
     /// Create a text node and append it to `parent` in one step.
-    pub fn append_text(&mut self, parent: NodeId, value: impl Into<String>) -> Result<NodeId> {
+    pub fn append_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> Result<NodeId> {
         let id = self.create_text(value);
         self.attach(parent, id)?;
         Ok(id)
@@ -236,19 +535,23 @@ impl Document {
     pub fn set_attr(
         &mut self,
         node: NodeId,
-        name: impl Into<String>,
-        value: impl Into<String>,
+        name: impl AsRef<str>,
+        value: impl AsRef<str>,
     ) -> Result<()> {
-        let n = self.arena.get_mut(node).ok_or(Error::UnknownNode(node))?;
+        let n = self
+            .nodes
+            .get(node.index())
+            .ok_or(Error::UnknownNode(node))?;
         if !n.is_element() {
             return Err(Error::NotAnElement(node));
         }
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = n.attrs.iter_mut().find(|(k, _)| *k == name) {
-            slot.1 = value;
+        let run = n.span;
+        let name = self.intern(name.as_ref());
+        let value = self.push_pool(value.as_ref());
+        if let Some(slot) = self.attrs[run.range()].iter_mut().find(|a| a.name == name) {
+            slot.value = value;
         } else {
-            n.attrs.push((name, value));
+            self.push_attr(node, AttrRec { name, value });
         }
         Ok(())
     }
@@ -267,36 +570,45 @@ impl Document {
     pub fn register_resource(
         &mut self,
         node: NodeId,
-        uri: impl Into<String>,
+        uri: impl AsRef<str>,
         label: Option<CallLabel>,
     ) -> Result<()> {
-        if self.arena.get(node).is_none() {
+        let Some(n) = self.nodes.get(node.index()) else {
             return Err(Error::UnknownNode(node));
-        }
-        if self.resources.contains_key(&node) {
+        };
+        if n.resource != NONE {
             return Err(Error::AlreadyResource(node));
         }
-        let uri = uri.into();
-        if self.uri_index.contains_key(&uri) {
-            return Err(Error::DuplicateUri(uri));
+        let uri = uri.as_ref();
+        let hash = self.hasher.hash_one(uri);
+        if self.position_of_uri(hash, uri).is_some() {
+            return Err(Error::DuplicateUri(uri.to_string()));
         }
-        self.uri_index.insert(uri.clone(), node);
-        let pos = self.resource_log.len() as u32;
-        self.resources.insert(node, (pos, ResourceMeta { uri, label }));
+        let uri = self.push_pool(uri);
+        let label = label.map_or(NONE, |l| self.intern_label(l));
+        let pos = offset(self.resource_log.len());
+        self.slots.push(ResourceSlot { uri, label });
         self.resource_log.push(node);
+        self.nodes[node.index()].resource = pos;
+        let (slots, pool, hasher) = (&self.slots, &self.pool, &self.hasher);
+        self.uri_index.insert(hash, pos, |p| {
+            hasher.hash_one(&pool[slots[p as usize].uri.range()])
+        });
         Ok(())
     }
 
     /// Resource metadata of `node` in the final state, if registered.
     #[inline]
-    pub fn resource(&self, node: NodeId) -> Option<&ResourceMeta> {
-        self.resources.get(&node).map(|(_, m)| m)
+    pub fn resource(&self, node: NodeId) -> Option<ResourceMeta<'_>> {
+        let pos = self.nodes.get(node.index())?.resource;
+        (pos != NONE).then(|| self.meta(pos))
     }
 
     /// Node identified by `uri`, if any.
     #[inline]
     pub fn node_by_uri(&self, uri: &str) -> Option<NodeId> {
-        self.uri_index.get(uri).copied()
+        let pos = self.position_of_uri(self.hasher.hash_one(uri), uri)?;
+        Some(self.resource_log[pos as usize])
     }
 
     /// All registered resource nodes in registration order.
@@ -311,7 +623,7 @@ impl Document {
     /// Capture the current state as a mark `d_i`.
     pub fn mark(&self) -> StateMark {
         StateMark {
-            nodes: self.arena.len() as u32,
+            nodes: self.nodes.len() as u32,
             resources: self.resource_log.len() as u32,
         }
     }
@@ -345,17 +657,14 @@ impl Document {
     /// A node is a fragment root iff it is new (`id ≥ mark`) and attached to
     /// an old parent (or detached).
     pub fn new_fragments_since(&self, mark: StateMark) -> Vec<NodeId> {
-        let mut roots = Vec::new();
-        for idx in mark.nodes as usize..self.arena.len() {
-            let id = NodeId(idx as u32);
-            let n = self.node_unchecked(id);
-            match n.parent {
-                Some(p) if p.0 < mark.nodes => roots.push(id),
-                None => roots.push(id),
-                _ => {}
-            }
-        }
-        roots
+        let from = (mark.nodes as usize).min(self.nodes.len());
+        (from..self.nodes.len())
+            .filter(|&i| {
+                let p = self.nodes[i].parent;
+                p == NONE || p < mark.nodes
+            })
+            .map(|i| NodeId(i as u32))
+            .collect()
     }
 
     /// Resource nodes registered since `mark`, in registration order.
@@ -374,10 +683,12 @@ impl Document {
     ///
     /// Because the arena and the resource log are strictly append-only, the
     /// state at `mark` is exactly "the first `nodes` nodes and the first
-    /// `resources` registrations": truncating both (and detaching truncated
-    /// children from surviving parents) restores it. Marks previously taken
-    /// at or below `mark` remain valid afterwards; later marks become
-    /// foreign.
+    /// `resources` registrations": truncating both (and unlinking truncated
+    /// children from surviving parents) restores it. The pool bytes and
+    /// attribute runs that only discarded nodes and registrations used are
+    /// released too; interned names and labels stay (a retry interns the
+    /// same ones). Marks previously taken at or below `mark` remain valid
+    /// afterwards; later marks become foreign.
     ///
     /// One caveat mirrors [`StateMark`]'s definition of a state: attribute
     /// values of *pre-existing* elements are not versioned, so a service
@@ -388,23 +699,79 @@ impl Document {
     pub fn truncate_to_mark(&mut self, mark: StateMark) -> Result<()> {
         let nodes = mark.nodes as usize;
         let resources = mark.resources as usize;
-        if nodes > self.arena.len() || resources > self.resource_log.len() {
-            return Err(Error::MarkAhead {
-                nodes,
-                resources,
-            });
+        if nodes > self.nodes.len() || resources > self.resource_log.len() {
+            return Err(Error::MarkAhead { nodes, resources });
         }
         for &n in &self.resource_log[resources..] {
-            if let Some((_, meta)) = self.resources.remove(&n) {
-                self.uri_index.remove(&meta.uri);
+            if n.index() < nodes {
+                self.nodes[n.index()].resource = NONE;
             }
         }
         self.resource_log.truncate(resources);
-        for node in &mut self.arena.nodes[..nodes] {
-            node.children.retain(|c| (c.0 as usize) < nodes);
+        self.slots.truncate(resources);
+        // Siblings are in id order, so each surviving parent keeps a prefix
+        // of its children: cut its chain at the first discarded child.
+        for i in nodes..self.nodes.len() {
+            let p = self.nodes[i].parent;
+            if p != NONE && (p as usize) < nodes && self.nodes[p as usize].last_child >= mark.nodes
+            {
+                self.cut_children(p as usize, mark.nodes);
+            }
         }
-        self.arena.nodes.truncate(nodes);
+        self.nodes.truncate(nodes);
+        self.release_unused();
         Ok(())
+    }
+
+    /// Unlink `parent`'s children with ids at or above `cut`.
+    fn cut_children(&mut self, parent: usize, cut: u32) {
+        let first = self.nodes[parent].first_child;
+        if first >= cut {
+            self.nodes[parent].first_child = NONE;
+            self.nodes[parent].last_child = NONE;
+            return;
+        }
+        let mut c = first;
+        loop {
+            let next = self.nodes[c as usize].next_sibling;
+            if next == NONE || next >= cut {
+                self.nodes[c as usize].next_sibling = NONE;
+                self.nodes[parent].last_child = c;
+                return;
+            }
+            c = next;
+        }
+    }
+
+    /// After a truncation: shorten the pool and the attribute table to
+    /// what surviving nodes and registrations use, and re-index the
+    /// surviving URIs.
+    fn release_unused(&mut self) {
+        let (mut pool_end, mut attrs_end) = (0, 0);
+        for r in &self.nodes {
+            if !r.is_element() {
+                pool_end = pool_end.max(r.span.end());
+            } else if r.span.len > 0 {
+                attrs_end = attrs_end.max(r.span.end());
+                for a in &self.attrs[r.span.range()] {
+                    pool_end = pool_end.max(a.value.end());
+                }
+            }
+        }
+        for s in &self.slots {
+            pool_end = pool_end.max(s.uri.end());
+        }
+        self.pool.truncate(pool_end as usize);
+        self.attrs.truncate(attrs_end as usize);
+        self.uri_index.clear();
+        for pos in 0..offset(self.slots.len()) {
+            let hash_of = |p: u32| {
+                self.hasher
+                    .hash_one(&self.pool[self.slots[p as usize].uri.range()])
+            };
+            let hash = hash_of(pos);
+            self.uri_index.insert(hash, pos, hash_of);
+        }
     }
 
     /// Deep-copy the state at `mark` into a standalone document.
@@ -415,41 +782,30 @@ impl Document {
     /// also inefficient solution" performs; the replay strategy benchmarks
     /// use it, everything else uses zero-copy [`Document::view_at`].
     pub fn materialize_state(&self, mark: StateMark) -> Document {
-        let nodes = mark.nodes as usize;
-        let mut arena = Arena::default();
-        arena.nodes.reserve(nodes);
-        for node in &self.arena.nodes[..nodes] {
-            let mut copy = node.clone();
-            copy.children.retain(|c| (c.0 as usize) < nodes);
-            if let Some(p) = copy.parent {
-                if p.0 >= mark.nodes {
-                    copy.parent = None;
-                }
+        let view = self.view_at(mark);
+        let mut doc = Document::empty();
+        for i in 0..mark.nodes {
+            doc.create_copy(Node {
+                doc: self,
+                id: NodeId(i),
+            });
+        }
+        for i in 0..mark.nodes {
+            for child in view.children(NodeId(i)) {
+                doc.attach(NodeId(i), child)
+                    .expect("a state's tree attaches as it was built");
             }
-            arena.nodes.push(copy);
         }
         // Registrations visible at the mark whose node exists structurally
         // (a hybrid mark may expose registrations of not-yet-created nodes;
         // those are dropped).
-        let resource_log: Vec<NodeId> = self.resource_log[..mark.resources as usize]
-            .iter()
-            .copied()
-            .filter(|n| n.0 < mark.nodes)
-            .collect();
-        let mut resources = HashMap::with_capacity(resource_log.len());
-        let mut uri_index = HashMap::with_capacity(resource_log.len());
-        for (pos, &n) in resource_log.iter().enumerate() {
-            let meta = self.resources[&n].1.clone();
-            uri_index.insert(meta.uri.clone(), n);
-            resources.insert(n, (pos as u32, meta));
+        for &n in view.resource_nodes() {
+            if let Some(meta) = view.resource(n) {
+                doc.register_resource(n, meta.uri, meta.label.cloned())
+                    .expect("a state's URIs are unique");
+            }
         }
-        Document {
-            arena,
-            root: self.root,
-            resource_log,
-            resources,
-            uri_index,
-        }
+        doc
     }
 }
 
@@ -489,41 +845,49 @@ impl<'d> DocView<'d> {
     /// with their root).
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.doc.root
+        self.doc.root()
     }
 
     /// The node's label/attrs, if it exists at this state.
-    pub fn node(&self, id: NodeId) -> Option<&'d Node> {
-        if self.contains(id) {
-            self.doc.arena.get(id)
-        } else {
-            None
-        }
+    pub fn node(&self, id: NodeId) -> Option<Node<'d>> {
+        self.contains(id).then_some(Node { doc: self.doc, id })
     }
 
     /// Children of `node` visible at this state (ids below the mark).
     ///
     /// Children are appended in id order, so the visible children form a
-    /// prefix of the final child list.
-    pub fn children(&self, node: NodeId) -> &'d [NodeId] {
-        let Some(n) = self.node(node) else {
-            return &[];
-        };
-        // Children ids are strictly increasing; binary search for the mark.
-        let cut = n
-            .children
-            .partition_point(|c| c.0 < self.mark.nodes);
-        &n.children[..cut]
+    /// prefix of the final sibling chain; the iterator stops at the mark.
+    pub fn children(&self, node: NodeId) -> Children<'d> {
+        Children::new(*self, node)
     }
 
     /// Parent of `node` at this state.
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.node(node).and_then(|n| n.parent)
+        if !self.contains(node) {
+            return None;
+        }
+        let p = self.doc.rec(node).parent;
+        (p != NONE).then_some(NodeId(p))
     }
 
     /// Element name of `node`, if it is an element visible here.
+    #[inline]
     pub fn name(&self, node: NodeId) -> Option<&'d str> {
-        self.node(node).and_then(|n| n.name())
+        if !self.contains(node) {
+            return None;
+        }
+        let r = self.doc.rec(node);
+        r.is_element().then(|| self.doc.name_str(r.name))
+    }
+
+    /// Symbol of `node`'s element name, if it is an element visible here.
+    #[inline]
+    pub fn symbol(&self, node: NodeId) -> Option<Symbol> {
+        if !self.contains(node) {
+            return None;
+        }
+        let r = self.doc.rec(node);
+        r.is_element().then_some(Symbol(r.name))
     }
 
     /// Explicit attribute value.
@@ -536,26 +900,22 @@ impl<'d> DocView<'d> {
     /// A registration is visible iff its log position is below the state's
     /// resource mark — this is how node 3 of the paper is a plain node in
     /// `d₀` and the resource `r3` from `d₁` onwards.
-    pub fn resource(&self, node: NodeId) -> Option<&'d ResourceMeta> {
+    pub fn resource(&self, node: NodeId) -> Option<ResourceMeta<'d>> {
         if !self.contains(node) {
             return None;
         }
-        let (pos, meta) = self.doc.resources.get(&node)?;
-        if *pos < self.mark.resources {
-            Some(meta)
-        } else {
-            None
-        }
+        let pos = self.doc.rec(node).resource;
+        (pos < self.mark.resources).then(|| self.doc.meta(pos))
     }
 
     /// URI of `node` at this state (the paper's virtual `@id`).
     pub fn uri(&self, node: NodeId) -> Option<&'d str> {
-        self.resource(node).map(|m| m.uri.as_str())
+        self.resource(node).map(|m| m.uri)
     }
 
     /// Producing service-call label of `node` at this state.
     pub fn label(&self, node: NodeId) -> Option<&'d CallLabel> {
-        self.resource(node).and_then(|m| m.label.as_ref())
+        self.resource(node).and_then(|m| m.label)
     }
 
     /// Resource nodes registered at this state, in registration order.
@@ -566,18 +926,12 @@ impl<'d> DocView<'d> {
     /// Concatenated text content of the subtree rooted at `node`.
     pub fn text_content(&self, node: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(node, &mut out);
+        for n in self.descendants(node) {
+            if let NodeKind::Text { value } = self.doc.kind_of(n) {
+                out.push_str(value);
+            }
+        }
         out
-    }
-
-    fn collect_text(&self, node: NodeId, out: &mut String) {
-        let Some(n) = self.node(node) else { return };
-        if let Some(t) = n.kind().text_value() {
-            out.push_str(t);
-        }
-        for &c in self.children(node) {
-            self.collect_text(c, out);
-        }
     }
 
     /// Depth-first pre-order iterator over the subtree rooted at `node`,
@@ -696,7 +1050,7 @@ mod tests {
         let (mut d, _m, n, d0) = sample();
         let a = d.append_element(n, "A").unwrap();
         let v0 = d.view_at(d0);
-        assert_eq!(v0.node(a), None);
+        assert!(v0.node(a).is_none());
         assert_eq!(v0.children(n).len(), 1); // only the text node
         assert_eq!(v0.parent(a), None);
     }
@@ -801,5 +1155,55 @@ mod tests {
         d.set_attr(root, "k", "1").unwrap();
         d.set_attr(root, "k", "2").unwrap();
         assert_eq!(d.view().attr(root, "k"), Some("2"));
+    }
+
+    #[test]
+    fn truncate_releases_the_pool_bytes_of_a_rolled_back_attempt() {
+        let (mut d, _m, n, d0) = sample();
+        let (pool, attrs) = (d.pool_len(), d.attrs.len());
+        let xml = crate::to_xml_string(&d.view());
+        // a failed attempt: text, attributes, a promotion and a new resource
+        let t = d.append_element(d.root(), "T").unwrap();
+        d.set_attr(t, "k", "v").unwrap();
+        d.append_text(t, "discarded text").unwrap();
+        d.register_resource(n, "r-promo", Some(CallLabel::new("S", 2)))
+            .unwrap();
+        d.register_resource(t, "r-new", None).unwrap();
+        d.truncate_to_mark(d0).unwrap();
+        assert_eq!((d.pool_len(), d.attrs.len()), (pool, attrs));
+        assert_eq!(crate::to_xml_string(&d.view()), xml);
+        assert_eq!(d.node_by_uri("r1"), Some(d.root()));
+    }
+
+    #[test]
+    fn an_attribute_run_moves_when_another_element_follows_it() {
+        let mut d = Document::new("R");
+        let a = d.append_element(d.root(), "A").unwrap();
+        d.set_attr(a, "x", "1").unwrap();
+        let b = d.append_element(d.root(), "B").unwrap();
+        d.set_attr(b, "y", "2").unwrap();
+        d.set_attr(a, "z", "3").unwrap();
+        d.set_attr(a, "x", "4").unwrap();
+        let attrs = |n| d.node(n).unwrap().attrs().collect::<Vec<_>>();
+        assert_eq!(attrs(a), vec![("x", "4"), ("z", "3")]);
+        assert_eq!(attrs(b), vec![("y", "2")]);
+        assert_eq!(
+            crate::to_xml_string(&d.view()),
+            r#"<R><A x="4" z="3"/><B y="2"/></R>"#
+        );
+    }
+
+    #[test]
+    fn materialized_states_hold_only_their_own_bytes() {
+        let (mut d, _m, n, d0) = sample();
+        d.append_text(n, "a later text node").unwrap();
+        let copy = d.materialize_state(d0);
+        assert_eq!(crate::to_xml_string(&copy.view()), {
+            let v = d.view_at(d0);
+            crate::write_with(&v, v.root(), &crate::XmlWriteOptions::default())
+        });
+        assert!(copy.pool_len() < d.pool_len());
+        assert_eq!(copy.node_by_uri("r1"), Some(copy.root()));
+        assert!(copy.heap_bytes() < d.heap_bytes());
     }
 }

@@ -7,6 +7,8 @@
 //! `\r` as `&#13;` so carriage returns survive a re-parse instead of being
 //! line-end-normalised away.
 
+use std::borrow::Cow;
+
 /// Is `c` in the XML 1.0 `Char` production? Everything else may not appear
 /// in a document, even via a character reference.
 fn is_xml_char(c: char) -> bool {
@@ -44,42 +46,53 @@ pub(crate) fn escape_attr(s: &str, out: &mut String) {
     }
 }
 
-/// Resolve the predefined entities and decimal/hex character references.
-/// Returns `None` on a malformed reference or a reference to a code point
-/// outside the XML 1.0 `Char` production.
-pub(crate) fn unescape(s: &str) -> Option<String> {
+/// Resolve the predefined entities and decimal/hex character references,
+/// borrowing `s` when it has none. Returns `None` on a malformed reference
+/// or a reference to a code point outside the XML 1.0 `Char` production.
+pub(crate) fn unescape(s: &str) -> Option<Cow<'_, str>> {
     if !s.contains('&') {
-        return Some(s.to_string());
+        return Some(Cow::Borrowed(s));
     }
     let mut out = String::with_capacity(s.len());
+    unescape_into(s, &mut out).then_some(Cow::Owned(out))
+}
+
+/// Append `s` to `out` with its references resolved, as [`unescape`]
+/// does; `false` on a malformed reference (`out` then holds a prefix).
+pub(crate) fn unescape_into(s: &str, out: &mut String) -> bool {
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);
         rest = &rest[pos + 1..];
-        let end = rest.find(';')?;
+        let Some(end) = rest.find(';') else {
+            return false;
+        };
         let name = &rest[..end];
-        match name {
-            "amp" => out.push('&'),
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let code = u32::from_str_radix(&name[2..], 16).ok()?;
-                let c = char::from_u32(code).filter(|&c| is_xml_char(c))?;
-                out.push(c);
+        let c = match name {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            _ => {
+                let code = if let Some(hex) = name.strip_prefix("#x").or(name.strip_prefix("#X")) {
+                    u32::from_str_radix(hex, 16).ok()
+                } else if let Some(dec) = name.strip_prefix('#') {
+                    dec.parse().ok()
+                } else {
+                    None
+                };
+                match code.and_then(char::from_u32).filter(|&c| is_xml_char(c)) {
+                    Some(c) => c,
+                    None => return false,
+                }
             }
-            _ if name.starts_with('#') => {
-                let code: u32 = name[1..].parse().ok()?;
-                let c = char::from_u32(code).filter(|&c| is_xml_char(c))?;
-                out.push(c);
-            }
-            _ => return None,
-        }
+        };
+        out.push(c);
         rest = &rest[end + 1..];
     }
     out.push_str(rest);
-    Some(out)
+    true
 }
 
 #[cfg(test)]

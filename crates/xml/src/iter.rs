@@ -1,23 +1,91 @@
 //! Navigation iterators over document-state views.
+//!
+//! All three walk the arena's links (first child, next sibling, parent)
+//! and allocate nothing. Siblings are in id order, so a state's children
+//! of a node are a prefix of its sibling chain: the walks stop at the
+//! view's mark.
 
 use crate::document::DocView;
-use crate::tree::NodeId;
+use crate::tree::{NodeId, NONE};
+
+/// The children of one node visible at a state, in document order.
+#[derive(Debug, Clone)]
+pub struct Children<'d> {
+    view: DocView<'d>,
+    next: u32,
+}
+
+impl<'d> Children<'d> {
+    pub(crate) fn new(view: DocView<'d>, node: NodeId) -> Self {
+        let next = if view.contains(node) {
+            view.doc.rec(node).first_child
+        } else {
+            NONE
+        };
+        Children { view, next }
+    }
+
+    /// Number of children left to visit (walks the sibling chain).
+    pub fn len(&self) -> usize {
+        self.clone().count()
+    }
+
+    /// Whether no child is left to visit.
+    pub fn is_empty(&self) -> bool {
+        self.next >= self.view.mark.nodes
+    }
+}
+
+impl<'d> Iterator for Children<'d> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        if self.is_empty() {
+            return None;
+        }
+        let id = NodeId(self.next);
+        self.next = self.view.doc.rec(id).next_sibling;
+        Some(id)
+    }
+}
 
 /// Depth-first pre-order traversal of a subtree, restricted to one state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Descendants<'d> {
     view: DocView<'d>,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    next: Option<NodeId>,
 }
 
 impl<'d> Descendants<'d> {
     pub(crate) fn new(view: DocView<'d>, root: NodeId) -> Self {
-        let stack = if view.contains(root) {
-            vec![root]
-        } else {
-            Vec::new()
-        };
-        Descendants { view, stack }
+        let next = view.contains(root).then_some(root);
+        Descendants { view, root, next }
+    }
+
+    /// The node after `cur` in pre-order: its first visible child, else
+    /// the next visible sibling of it or of its nearest ancestor below the
+    /// traversal's root.
+    fn successor(&self, cur: NodeId) -> Option<NodeId> {
+        let doc = self.view.doc;
+        let mark = self.view.mark.nodes;
+        let first = doc.rec(cur).first_child;
+        if first < mark {
+            return Some(NodeId(first));
+        }
+        let mut n = cur;
+        while n != self.root {
+            let r = doc.rec(n);
+            if r.next_sibling < mark {
+                return Some(NodeId(r.next_sibling));
+            }
+            if r.parent == NONE {
+                return None;
+            }
+            n = NodeId(r.parent);
+        }
+        None
     }
 }
 
@@ -25,11 +93,9 @@ impl<'d> Iterator for Descendants<'d> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let next = self.stack.pop()?;
-        let children = self.view.children(next);
-        // Push in reverse so the leftmost child is visited first.
-        self.stack.extend(children.iter().rev().copied());
-        Some(next)
+        let cur = self.next?;
+        self.next = self.successor(cur);
+        Some(cur)
     }
 }
 

@@ -69,6 +69,7 @@ mod escape;
 mod iter;
 mod parse;
 mod serialize;
+mod table;
 mod tree;
 
 pub use builder::ElementBuilder;
@@ -76,7 +77,7 @@ pub use contain::{containment_witness, is_contained, ContainmentWitness};
 pub use diff::{diff_documents, DiffResult};
 pub use document::{CallLabel, DocView, Document, ResourceMeta, StateMark, Timestamp};
 pub use error::{Error, Result};
-pub use iter::{Ancestors, Descendants};
+pub use iter::{Ancestors, Children, Descendants};
 pub use parse::{parse_document, parse_fragment_into};
 pub use serialize::{to_xml_string, to_xml_string_pretty, write_with, XmlWriteOptions};
-pub use tree::{Node, NodeId, NodeKind};
+pub use tree::{Attrs, Node, NodeId, NodeKind, Symbol};

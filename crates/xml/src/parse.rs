@@ -6,11 +6,20 @@
 //! Doctypes and namespaces-as-semantics are out of scope; namespace
 //! prefixes are kept verbatim in names.
 //!
+//! The parser writes straight into the document's arena: names are
+//! interned from slices of the input, and text and attribute values are
+//! unescaped into the pool, with no per-tag or per-text allocation.
+//!
 //! Resource metadata round-trips through three reserved attributes:
 //! `wl:id` (URI), `wl:s` (producing service) and `wl:t` (timestamp).
 //! On parse they are consumed into [`crate::ResourceMeta`]; the serialiser
 //! re-emits them. This mirrors the paper's assumption that "each resource
 //! node has two attributes `@t` and `@s` defining its service call label".
+//! A label is both halves on an identified node: `wl:s` without `wl:t`
+//! (or the reverse), or either without `wl:id`, is a parse error, as is an
+//! attribute given twice (XML 1.0's Unique Att Spec).
+
+use std::borrow::Cow;
 
 use crate::document::{CallLabel, Document};
 use crate::error::{Error, Result};
@@ -28,17 +37,17 @@ pub(crate) const ATTR_TIME: &str = "wl:t";
 pub fn parse_document(input: &str) -> Result<Document> {
     let mut p = Parser::new(input);
     p.skip_prolog();
-    let (name, attrs, self_closing) = p.parse_open_tag()?;
+    let name = p.open_tag_name()?;
     let mut doc = Document::new(name);
     let root = doc.root();
-    apply_attrs(&mut doc, root, attrs)?;
-    if !self_closing {
+    if !p.parse_attrs(&mut doc, root)? {
         p.parse_children(&mut doc, root)?;
     }
     p.skip_misc();
     if !p.at_end() {
         return Err(p.err("trailing content after document element"));
     }
+    doc.shrink_to_fit();
     Ok(doc)
 }
 
@@ -47,10 +56,9 @@ pub fn parse_document(input: &str) -> Result<Document> {
 pub fn parse_fragment_into(doc: &mut Document, parent: NodeId, input: &str) -> Result<NodeId> {
     let mut p = Parser::new(input);
     p.skip_misc();
-    let (name, attrs, self_closing) = p.parse_open_tag()?;
+    let name = p.open_tag_name()?;
     let node = doc.append_element(parent, name)?;
-    apply_attrs(doc, node, attrs)?;
-    if !self_closing {
+    if !p.parse_attrs(doc, node)? {
         p.parse_children(doc, node)?;
     }
     p.skip_misc();
@@ -60,32 +68,8 @@ pub fn parse_fragment_into(doc: &mut Document, parent: NodeId, input: &str) -> R
     Ok(node)
 }
 
-fn apply_attrs(doc: &mut Document, node: NodeId, attrs: Vec<(String, String)>) -> Result<()> {
-    let mut uri: Option<String> = None;
-    let mut service: Option<String> = None;
-    let mut time: Option<u64> = None;
-    for (k, v) in attrs {
-        match k.as_str() {
-            ATTR_URI => uri = Some(v),
-            ATTR_SERVICE => service = Some(v),
-            ATTR_TIME => {
-                time = Some(v.parse().map_err(|_| Error::Parse {
-                    offset: 0,
-                    message: format!("invalid {ATTR_TIME} value {v:?}"),
-                })?)
-            }
-            _ => doc.set_attr(node, k, v)?,
-        }
-    }
-    if let Some(uri) = uri {
-        let label = match (service, time) {
-            (Some(s), Some(t)) => Some(CallLabel::new(s, t)),
-            _ => None,
-        };
-        doc.register_resource(node, uri, label)?;
-    }
-    Ok(())
-}
+/// A reserved attribute's value and the offset of its name.
+type Reserved<T> = Option<(T, usize)>;
 
 struct Parser<'a> {
     input: &'a str,
@@ -106,10 +90,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, message: impl Into<String>) -> Error {
-        Error::Parse {
-            offset: self.pos,
-            message: message.into(),
-        }
+        err_at(self.pos, message)
     }
 
     fn skip_ws(&mut self) {
@@ -177,7 +158,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String> {
+    fn parse_name(&mut self) -> Result<&'a str> {
         let rest = self.rest();
         let end = rest
             .find(|c: char| !is_name_char(c))
@@ -185,28 +166,35 @@ impl<'a> Parser<'a> {
         if end == 0 {
             return Err(self.err("expected a name"));
         }
-        let name = &rest[..end];
         self.pos += end;
-        Ok(name.to_string())
+        Ok(&rest[..end])
     }
 
-    /// Parse `<name attr="v" …>` or `<name …/>`. Assumes the cursor is on `<`.
-    #[allow(clippy::type_complexity)]
-    fn parse_open_tag(&mut self) -> Result<(String, Vec<(String, String)>, bool)> {
+    /// Read `<name` of an open tag. Assumes the cursor is on `<`.
+    fn open_tag_name(&mut self) -> Result<&'a str> {
         if !self.eat("<") {
             return Err(self.err("expected '<'"));
         }
-        let name = self.parse_name()?;
-        let mut attrs = Vec::new();
-        loop {
+        self.parse_name()
+    }
+
+    /// Read the attributes of the open tag whose name was just read into
+    /// the element `node`, through its closing `>` or `/>`; `true` if the
+    /// tag closes itself.
+    fn parse_attrs(&mut self, doc: &mut Document, node: NodeId) -> Result<bool> {
+        let mut uri: Reserved<Cow<'a, str>> = None;
+        let mut service: Reserved<Cow<'a, str>> = None;
+        let mut time: Reserved<u64> = None;
+        let self_closing = loop {
             self.skip_ws();
             if self.eat("/>") {
-                return Ok((name, attrs, true));
+                break true;
             }
             if self.eat(">") {
-                return Ok((name, attrs, false));
+                break false;
             }
-            let aname = self.parse_name()?;
+            let at = self.pos;
+            let name = self.parse_name()?;
             self.skip_ws();
             if !self.eat("=") {
                 return Err(self.err("expected '=' in attribute"));
@@ -225,28 +213,74 @@ impl<'a> Parser<'a> {
                 .ok_or_else(|| self.err("unterminated attribute value"))?;
             let raw = &rest[..end];
             self.pos += end + 1;
-            let value =
-                unescape(raw).ok_or_else(|| self.err("malformed entity in attribute"))?;
-            attrs.push((aname, value));
+            let duplicate = match name {
+                ATTR_URI => uri.is_some(),
+                ATTR_SERVICE => service.is_some(),
+                ATTR_TIME => time.is_some(),
+                _ => doc.view().attr(node, name).is_some(),
+            };
+            if duplicate {
+                return Err(err_at(at, format!("duplicate attribute {name:?}")));
+            }
+            let malformed = || self.err("malformed entity in attribute");
+            match name {
+                ATTR_URI => uri = Some((unescape(raw).ok_or_else(malformed)?, at)),
+                ATTR_SERVICE => service = Some((unescape(raw).ok_or_else(malformed)?, at)),
+                ATTR_TIME => {
+                    let v = unescape(raw).ok_or_else(malformed)?;
+                    let t = v
+                        .parse()
+                        .map_err(|_| err_at(at, format!("invalid {ATTR_TIME} value {:?}", &*v)))?;
+                    time = Some((t, at));
+                }
+                _ => {
+                    if !doc.push_attr_escaped(node, name, raw) {
+                        return Err(malformed());
+                    }
+                }
+            }
+        };
+        let label = match (service, time) {
+            (Some((s, s_at)), Some((t, t_at))) => Some((CallLabel::new(s, t), s_at.min(t_at))),
+            (Some((_, at)), None) => {
+                return Err(err_at(at, format!("{ATTR_SERVICE} without {ATTR_TIME}")))
+            }
+            (None, Some((_, at))) => {
+                return Err(err_at(at, format!("{ATTR_TIME} without {ATTR_SERVICE}")))
+            }
+            (None, None) => None,
+        };
+        match (uri, label) {
+            (Some((uri, _)), label) => doc.register_resource(node, uri, label.map(|(l, _)| l))?,
+            (None, Some((_, at))) => {
+                return Err(err_at(
+                    at,
+                    format!("call label ({ATTR_SERVICE}, {ATTR_TIME}) without {ATTR_URI}"),
+                ))
+            }
+            (None, None) => {}
         }
+        Ok(self_closing)
     }
 
     /// Parse the children of an element until its matching close tag.
+    /// Character data goes straight into the pool; a run of it becomes one
+    /// text node when the next tag starts, unless it is whitespace only.
     fn parse_children(&mut self, doc: &mut Document, parent: NodeId) -> Result<()> {
-        let mut text = String::new();
+        let mut text = doc.pool_len();
         loop {
             if self.at_end() {
                 return Err(self.err("unexpected end of input inside element"));
             }
             if self.rest().starts_with("</") {
-                flush_text(doc, parent, &mut text)?;
+                doc.finish_text(parent, text)?;
                 self.pos += 2;
                 let name = self.parse_name()?;
                 self.skip_ws();
                 if !self.eat(">") {
                     return Err(self.err("expected '>' in close tag"));
                 }
-                let expected = doc.node(parent)?.name().unwrap_or_default().to_string();
+                let expected = doc.view().name(parent).unwrap_or_default();
                 if name != expected {
                     return Err(self.err(format!(
                         "mismatched close tag: expected </{expected}>, found </{name}>"
@@ -264,7 +298,7 @@ impl<'a> Parser<'a> {
                 let end = rest
                     .find("]]>")
                     .ok_or_else(|| self.err("unterminated CDATA"))?;
-                text.push_str(&rest[..end]);
+                doc.pool_push(&rest[..end]);
                 self.pos += end + 3;
                 continue;
             }
@@ -273,13 +307,13 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.rest().starts_with('<') {
-                flush_text(doc, parent, &mut text)?;
-                let (name, attrs, self_closing) = self.parse_open_tag()?;
+                doc.finish_text(parent, text)?;
+                let name = self.open_tag_name()?;
                 let node = doc.append_element(parent, name)?;
-                apply_attrs(doc, node, attrs)?;
-                if !self_closing {
+                if !self.parse_attrs(doc, node)? {
                     self.parse_children(doc, node)?;
                 }
+                text = doc.pool_len();
                 continue;
             }
             // character data
@@ -287,20 +321,18 @@ impl<'a> Parser<'a> {
             let end = rest.find('<').unwrap_or(rest.len());
             let raw = &rest[..end];
             self.pos += end;
-            let decoded =
-                unescape(raw).ok_or_else(|| self.err("malformed entity in character data"))?;
-            text.push_str(&decoded);
+            if !doc.pool_push_escaped(raw) {
+                return Err(self.err("malformed entity in character data"));
+            }
         }
     }
 }
 
-fn flush_text(doc: &mut Document, parent: NodeId, text: &mut String) -> Result<()> {
-    if !text.trim().is_empty() {
-        doc.append_text(parent, std::mem::take(text))?;
-    } else {
-        text.clear();
+fn err_at(offset: usize, message: impl Into<String>) -> Error {
+    Error::Parse {
+        offset,
+        message: message.into(),
     }
-    Ok(())
 }
 
 fn is_name_char(c: char) -> bool {
@@ -321,7 +353,7 @@ mod tests {
         let v = doc.view();
         let root = doc.root();
         assert_eq!(v.name(root), Some("Resource"));
-        let kids = v.children(root);
+        let kids: Vec<_> = v.children(root).collect();
         assert_eq!(kids.len(), 2);
         assert_eq!(v.attr(kids[0], "k"), Some("v"));
         assert_eq!(v.text_content(kids[1]), "hello & bye");
@@ -337,7 +369,7 @@ mod tests {
         let root = doc.root();
         assert_eq!(v.uri(root), Some("r1"));
         assert_eq!(v.label(root), None);
-        let tmu = v.children(root)[0];
+        let tmu = v.children(root).next().unwrap();
         assert_eq!(v.uri(tmu), Some("r4"));
         assert_eq!(v.label(tmu), Some(&CallLabel::new("Normaliser", 1)));
     }

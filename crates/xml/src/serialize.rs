@@ -91,9 +91,9 @@ fn write_node(
                     out.push(' ');
                     out.push_str(ATTR_URI);
                     out.push_str("=\"");
-                    escape_attr(&meta.uri, out);
+                    escape_attr(meta.uri, out);
                     out.push('"');
-                    if let Some(label) = &meta.label {
+                    if let Some(label) = meta.label {
                         out.push(' ');
                         out.push_str(ATTR_SERVICE);
                         out.push_str("=\"");
@@ -107,8 +107,8 @@ fn write_node(
                     }
                 }
             }
-            let children = view.children(node);
-            if children.is_empty() {
+            let mut children = view.children(node).peekable();
+            if children.peek().is_none() {
                 out.push_str("/>");
                 if opts.indent.is_some() {
                     out.push('\n');
@@ -118,7 +118,7 @@ fn write_node(
                 if opts.indent.is_some() {
                     out.push('\n');
                 }
-                for &c in children {
+                for c in children {
                     write_node(view, c, opts, depth + 1, out);
                 }
                 pad(out, depth);
@@ -163,7 +163,7 @@ mod tests {
         let back = parse_document(&xml).unwrap();
         let v = back.view();
         assert_eq!(v.uri(back.root()), Some("r1"));
-        let tmu = v.children(back.root())[0];
+        let tmu = v.children(back.root()).next().unwrap();
         assert_eq!(v.label(tmu), Some(&CallLabel::new("Normaliser", 1)));
     }
 

@@ -303,7 +303,7 @@ fn for_each_candidate(
             // every node of the state, in document order
             (None, _) => view.descendants(view.root()).for_each(f),
         },
-        (Some(n), Axis::Child) => view.children(n).iter().copied().for_each(f),
+        (Some(n), Axis::Child) => view.children(n).for_each(f),
         (Some(n), Axis::Descendant) => view.descendants(n).skip(1).for_each(f),
         (Some(n), Axis::DescendantOrSelf) => view.descendants(n).for_each(f),
     }
@@ -361,7 +361,7 @@ fn position_of(view: &DocView<'_>, node: NodeId, ctx: &StepCtx<'_>, env: &Frame)
         return 1;
     };
     let mut pos = 0;
-    for &sib in view.children(parent) {
+    for sib in view.children(parent) {
         let name_ok = view
             .name(sib)
             .map(|n| ctx.test.matches(n))
@@ -471,7 +471,7 @@ fn rel_path_nodes(path: &RelPath, view: &DocView<'_>, node: NodeId) -> Vec<NodeI
                     }
                 }
             } else {
-                for &c in view.children(ctx) {
+                for c in view.children(ctx) {
                     if view.name(c).map(|n| test.matches(n)).unwrap_or(false) {
                         next.push(c);
                     }

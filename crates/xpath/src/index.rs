@@ -7,8 +7,6 @@
 //! remark made concrete. The provenance engine builds one index per final
 //! document and reuses it across every rule and call of an inference run.
 
-use std::collections::HashMap;
-
 use weblab_obs::Counter;
 use weblab_xml::{DocView, NodeId, StateMark};
 
@@ -18,21 +16,29 @@ static INDEX_BUILDS: Counter = Counter::new("xpath.index.builds");
 static INDEX_LOOKUPS: Counter = Counter::new("xpath.index.lookups");
 
 /// Name → nodes (document order) index over one document state.
+///
+/// Lists are keyed by the document's name symbols, so building the index
+/// allocates one list per distinct name and none per element. Symbols
+/// belong to one document: look names up in views of the document the
+/// index was built on.
 #[derive(Debug, Clone)]
 pub struct ElementIndex {
     mark: StateMark,
-    by_name: HashMap<String, Vec<NodeId>>,
+    by_name: Vec<Vec<NodeId>>,
     all: Vec<NodeId>,
 }
 
 impl ElementIndex {
     /// Build the index by one pre-order scan of `view`.
     pub fn build(view: &DocView<'_>) -> Self {
-        let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
+        let mut by_name: Vec<Vec<NodeId>> = Vec::new();
         let mut all = Vec::new();
         for node in view.descendants(view.root()) {
-            if let Some(name) = view.name(node) {
-                by_name.entry(name.to_string()).or_default().push(node);
+            if let Some(sym) = view.symbol(node) {
+                if by_name.len() <= sym.index() {
+                    by_name.resize_with(sym.index() + 1, Vec::new);
+                }
+                by_name[sym.index()].push(node);
                 all.push(node);
             }
         }
@@ -54,7 +60,12 @@ impl ElementIndex {
     /// the same document — ids below the view's mark are still exact).
     pub fn nodes_named(&self, name: &str, view: &DocView<'_>) -> Vec<NodeId> {
         INDEX_LOOKUPS.inc();
-        let source = self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[]);
+        let source = view
+            .document()
+            .symbol(name)
+            .and_then(|sym| self.by_name.get(sym.index()))
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
         Self::restrict(source, view)
     }
 
@@ -74,7 +85,10 @@ impl ElementIndex {
 
     /// Number of distinct element names.
     pub fn name_count(&self) -> usize {
-        self.by_name.len()
+        self.by_name
+            .iter()
+            .filter(|nodes| !nodes.is_empty())
+            .count()
     }
 }
 

@@ -305,7 +305,7 @@ fn expand(view: &DocView<'_>, frontier: &[NodeId], desc: bool, test: &NodeTest) 
                 }
             }
         } else {
-            for &c in view.children(ctx) {
+            for c in view.children(ctx) {
                 if view.name(c).map(|nm| test.matches(nm)).unwrap_or(false) {
                     next.push(c);
                 }

@@ -60,6 +60,10 @@ golden() {
         || { echo "ci: weblab $* no longer matches tests/golden/$name" >&2; exit 1; }
 }
 stamped="$metrics_dir/stamped.xml"
+# the stamped document itself is pinned too: parser and serialiser
+# changes must not move a byte of what `weblab run -o` writes
+cmp "$stamped" tests/golden/run.stamped.xml \
+    || { echo "ci: weblab run -o no longer matches tests/golden/run.stamped.xml" >&2; exit 1; }
 golden infer.table.txt infer "$stamped" --format table
 golden infer.turtle.ttl infer "$stamped" --format turtle
 golden infer.inherit.turtle.ttl infer "$stamped" --inherit --format turtle
@@ -123,6 +127,10 @@ live_store="$metrics_dir/live-store"
 ./target/release/weblab --metrics --metrics-out "$metrics_dir/live.json" \
     run data/sample_corpus.xml Normaliser,LanguageExtractor,Translator \
     --store "$live_store" -o "$metrics_dir/live.xml"
+# the execution file it writes is pinned byte for byte (calls, links and
+# the serialised document)
+cmp "$live_store"/shard-*/sample_corpus.exec tests/golden/run.store.exec \
+    || { echo "ci: weblab run --store no longer writes tests/golden/run.store.exec" >&2; exit 1; }
 python3 - "$metrics_dir/live.json" "$live_store" <<'PY'
 import glob, json, os, sys
 

@@ -455,7 +455,7 @@ proptest! {
             .iter()
             .filter(|c| {
                 c.produced.iter().any(|&n| {
-                    prior_doc.resource(n).is_some_and(|m| dirty.contains(&m.uri))
+                    prior_doc.resource(n).is_some_and(|m| dirty.contains(m.uri))
                 })
             })
             .map(|c| (c.service.clone(), c.time))

@@ -2,7 +2,7 @@
 //! content, metadata suppression, and state-view corner cases.
 
 use weblab::xml::{
-    parse_document, to_xml_string, write_with, CallLabel, Document, XmlWriteOptions,
+    parse_document, to_xml_string, write_with, CallLabel, Document, Error, XmlWriteOptions,
 };
 
 #[test]
@@ -126,4 +126,73 @@ fn materialized_state_is_self_consistent() {
         to_xml_string(&snap.view()),
         write_with(&doc.view_at(half), root, &XmlWriteOptions::default())
     );
+}
+
+/// The byte offset `parse_document` reports `input` malformed at.
+fn parse_error_offset(input: &str) -> usize {
+    match parse_document(input) {
+        Err(Error::Parse { offset, .. }) => offset,
+        other => panic!("{input}: expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn duplicate_attributes_are_rejected_at_the_duplicate() {
+    // XML 1.0 Unique Att Spec: no attribute name twice in one tag, the
+    // reserved metadata attributes included
+    for (input, duplicate) in [
+        (r#"<a k="1" k="2"/>"#, r#"k="2""#),
+        (r#"<a wl:id="r1" wl:id="r2"/>"#, r#"wl:id="r2""#),
+        (
+            r#"<a wl:id="r" wl:s="S" wl:t="1" wl:s="T"/>"#,
+            r#"wl:s="T""#,
+        ),
+        (
+            r#"<a wl:id="r" wl:s="S" wl:t="1" wl:t="2"/>"#,
+            r#"wl:t="2""#,
+        ),
+        (r#"<a><b x='1' y='2' x='3'></b></a>"#, "x='3'"),
+    ] {
+        assert_eq!(
+            parse_error_offset(input),
+            input.find(duplicate).unwrap(),
+            "{input}"
+        );
+    }
+    // the same name on two elements is fine
+    let doc = parse_document(r#"<a k="1"><b k="2"/></a>"#).unwrap();
+    assert_eq!(doc.view().attr(doc.root(), "k"), Some("1"));
+}
+
+#[test]
+fn half_labels_and_labels_without_a_uri_are_rejected() {
+    for (input, at) in [
+        // half a label on an identified node
+        (r#"<a wl:id="r1" wl:s="S"/>"#, "wl:s"),
+        (r#"<a wl:id="r1" wl:t="3"/>"#, "wl:t"),
+        // a label without a URI, reported at its first half
+        (r#"<a wl:s="S" wl:t="3"/>"#, "wl:s"),
+        (r#"<a><b wl:t="3" wl:s="S">x</b></a>"#, "wl:t"),
+        (r#"<a><b wl:s="S"/></a>"#, "wl:s"),
+    ] {
+        assert_eq!(
+            parse_error_offset(input),
+            input.find(at).unwrap(),
+            "{input}"
+        );
+    }
+    // a whole label parses in any attribute order and re-serialises
+    // canonically
+    let doc = parse_document(r#"<a wl:t="2" wl:s="S" wl:id="r"/>"#).unwrap();
+    assert_eq!(doc.view().label(doc.root()), Some(&CallLabel::new("S", 2)));
+    assert_eq!(
+        to_xml_string(&doc.view()),
+        r#"<a wl:id="r" wl:s="S" wl:t="2"/>"#
+    );
+}
+
+#[test]
+fn an_invalid_time_is_reported_at_its_attribute() {
+    let input = r#"<a><b wl:id="r1" wl:s="S" wl:t="notanumber"/></a>"#;
+    assert_eq!(parse_error_offset(input), input.find("wl:t").unwrap());
 }
