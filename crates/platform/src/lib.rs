@@ -20,8 +20,8 @@
 //!    the provenance graph, through either the native engine or compiled
 //!    XQuery.
 //! 3. **Request management** — one code path runs every pipeline, the
-//!    daemon's and the CLI's ([`Platform::execute_durable`] adds per-step
-//!    resume points), and one function computes every replay
+//!    daemon's and the CLI's ([`Platform::execute_durable`] saves each
+//!    step with its resume point), and one function computes every replay
 //!    ([`Platform::recompute`]). Each execution, behind the
 //!    [`ExecutionHandle`] façade, caches one graph, its published epoch
 //!    snapshot and reachability index, which is also its only link store:

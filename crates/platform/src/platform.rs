@@ -40,7 +40,7 @@ use crate::catalog::{CatalogError, ServiceCatalog, ServiceRules};
 use crate::mapper::{Mapper, MapperError, MapperStrategy};
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{self, RecorderError};
-use crate::store::{PersistError, ProvStore, ResumePoint};
+use crate::store::{Header, PersistError, ProvStore, ResumePoint};
 
 /// Executions evicted from residency to the attached store.
 static EVICTIONS: Counter = Counter::new("store.evictions");
@@ -235,22 +235,34 @@ struct Execution {
     /// built lazily on the first SPARQL query of an epoch and shared by
     /// the rest — carrying the epoch's plan cache with it.
     engine: Mutex<Option<(u64, Arc<QueryEngine>)>>,
-    /// The state the attached store holds of this record — its epoch,
-    /// call count and live flag, as last saved or cold-loaded — so a save
-    /// of the same state, such as evicting an execution that only served
-    /// reads since its cold load, writes nothing. A commit changes the
-    /// call count and every publish advances the epoch.
-    stored: Mutex<Option<(u64, usize, bool)>>,
+    /// The state the attached store holds of this record — its call count
+    /// and header (epoch, live flag and resume point), as last saved or
+    /// cold-loaded — so a save of the same state, such as evicting an
+    /// execution that only served reads since its cold load, writes
+    /// nothing. A commit changes the call count or the resume point (a
+    /// durable step skipped under `FailurePolicy::Skip` records no call),
+    /// and every publish advances the epoch.
+    stored: Mutex<Option<(usize, Header)>>,
 }
 
 /// What the platform keeps of an execution.
 struct Kept {
     doc: Document,
     trace: ExecutionTrace,
+    /// Where an unfinished durable run resumes: set by each of its
+    /// checkpoints, cleared by every other commit and by its last step,
+    /// and saved with the calls it follows.
+    checkpoint: Option<ResumePoint>,
     /// Set by the eviction that wrote this record to the store and removed
     /// it: a commit still holding it keeps into the record the next cold
     /// load makes instead.
     evicted: bool,
+}
+
+/// The resume point a durable step commits: `point`, unless it completes
+/// every step.
+fn unfinished(point: ResumePoint) -> Option<ResumePoint> {
+    (point.completed_steps < point.step_names.len()).then_some(point)
 }
 
 /// Whether `snap` is published and covers `calls` kept calls.
@@ -259,9 +271,14 @@ fn covers(snap: &EpochSnapshot, calls: usize) -> bool {
 }
 
 impl Execution {
-    fn new(doc: Document, trace: ExecutionTrace, snapshot: EpochSnapshot) -> Self {
+    fn new(
+        doc: Document,
+        trace: ExecutionTrace,
+        checkpoint: Option<ResumePoint>,
+        snapshot: EpochSnapshot,
+    ) -> Self {
         Execution {
-            kept: RwLock::new(Kept { doc, trace, evicted: false }),
+            kept: RwLock::new(Kept { doc, trace, checkpoint, evicted: false }),
             snapshot: RwLock::new(Arc::new(snapshot)),
             refresh: Mutex::new(()),
             engine: Mutex::new(None),
@@ -401,7 +418,7 @@ impl Platform {
     /// attached the document is persisted best-effort right away (the
     /// write-through on the next execution repeats it durably).
     pub fn ingest(&self, exec_id: &str, doc: Document) {
-        let _ = self.commit(exec_id, &[], doc);
+        let _ = self.commit(exec_id, &[], doc, None);
     }
 
     /// Execute a sequential workflow (a sequence of registered service
@@ -431,15 +448,17 @@ impl Platform {
     }
 
     /// Execute a built [`Workflow`] durably in the attached store, step by
-    /// step (`weblab run --store`): after each completed top-level step the
-    /// run so far is committed, written through and recorded as the resume
-    /// point, which is cleared when the run completes. A failed run stays
-    /// at its last durable state, in memory and on disk alike.
+    /// step (`weblab run --store`): each completed top-level step commits
+    /// the run so far with the point to resume it from, and writes both
+    /// through in one save. The last step's commit stores no point, so a
+    /// completed run leaves none. A failed run stays at its last durable
+    /// state, in memory and on disk alike.
     ///
-    /// `input` starts a new execution from that document, writing the
-    /// point for zero steps before the ingest's first save. `None` resumes
-    /// the stored execution from its point, which must name this
-    /// workflow's steps and witness the stored log's call count.
+    /// `input` starts a new execution from that document, committed with
+    /// the point for zero steps. `None` resumes the execution from its
+    /// kept point, which must name this workflow's steps; an execution
+    /// without one (its run finished, or a later commit of another run
+    /// cleared it) is refused before any service runs.
     pub fn execute_durable(
         &self,
         exec_id: &str,
@@ -447,28 +466,27 @@ impl Platform {
         input: Option<Document>,
     ) -> Result<ExecutionOutcome, PlatformError> {
         let refuse = |message: String| PlatformError::Store(PersistError::Resume(message));
-        let ss = self
-            .store_state()
-            .ok_or_else(|| refuse("a durable run needs an attached store".into()))?;
+        if self.store_state().is_none() {
+            return Err(refuse("a durable run needs an attached store".into()));
+        }
         let step_names = workflow.step_names();
         let point = match input {
             Some(doc) => {
                 if self.execution(exec_id).exists() {
                     return Err(PlatformError::ExecutionExists(exec_id.to_string()));
                 }
-                let point = ResumePoint {
-                    completed_steps: 0,
-                    next_time: next_time(&doc),
-                    calls: 0,
-                    step_names,
-                };
-                ss.store.save_resume_point(exec_id, &point)?;
-                self.commit(exec_id, &[], doc)?;
+                let next_time = next_time(&doc);
+                let point = ResumePoint { completed_steps: 0, next_time, step_names };
+                self.commit(exec_id, &[], doc, unfinished(point.clone()))?;
                 point
             }
             None => {
-                let point = ss.store.resume_point(exec_id)?.ok_or_else(|| {
-                    refuse(format!("execution {exec_id:?} has no resume point: its run finished"))
+                let kept = self.record(exec_id)?.kept().checkpoint.clone();
+                let point = kept.ok_or_else(|| {
+                    refuse(format!(
+                        "execution {exec_id:?} has no resume point: no durable run of it is \
+                         unfinished"
+                    ))
                 })?;
                 if point.step_names != step_names {
                     return Err(refuse(format!(
@@ -476,29 +494,19 @@ impl Platform {
                         point.step_names, step_names
                     )));
                 }
-                let logged = self.ensure_resident(exec_id)?.map_or(0, |rec| rec.calls());
-                if point.calls != logged {
-                    return Err(refuse(format!(
-                        "the resume point of {exec_id:?} witnesses {} call(s) but its log holds \
-                         {logged}: resuming would re-run a stored step over its own output",
-                        point.calls
-                    )));
-                }
                 point
             }
         };
-        let outcome = self.drive(exec_id, workflow, Some(&point))?;
-        ss.store.clear_resume_point(exec_id)?;
-        Ok(outcome)
+        self.drive(exec_id, workflow, Some(&point))
     }
 
     /// The one code path that runs a pipeline and maintains its provenance:
     /// it runs `workflow` over the kept document, folds each committed call
     /// of a live execution into the published snapshot, and commits the
     /// run. `durable` is the checkpoint: the resume point to start from,
-    /// after which every completed top-level step is committed and recorded
-    /// as the next point. Without it the run starts after the kept trace
-    /// and commits once, when it completes. A failed live run whose deltas
+    /// after which every completed top-level step is committed with the
+    /// next point. Without it the run starts after the kept trace and
+    /// commits once, when it completes. A failed live run whose deltas
     /// folded calls it does not keep publishes the kept state's graph.
     fn drive(
         &self,
@@ -535,25 +543,23 @@ impl Platform {
         }
         // A failed checkpoint stops the checkpoints, not the run; the run
         // then fails with it.
-        let (store, mut committed, mut failed) = (durable.and(self.store_state()), 0, None);
+        let (mut committed, mut failed) = (0, None);
         let run = orch.execute_resumable(
             workflow,
             &mut doc,
             start,
             completed,
             &mut |done, doc, outcome, next_time| {
-                let (Some(point), Some(ss), None) = (durable, &store, &failed) else {
+                let (Some(point), None) = (durable, &failed) else {
                     return;
                 };
                 let point = ResumePoint {
                     completed_steps: done,
                     next_time,
-                    calls: prior.len() + outcome.trace.len(),
                     step_names: point.step_names.clone(),
                 };
-                let saved = self
-                    .commit(exec_id, &outcome.trace.calls[committed..], doc.clone())
-                    .and_then(|()| Ok(ss.store.save_resume_point(exec_id, &point)?));
+                let calls = &outcome.trace.calls[committed..];
+                let saved = self.commit(exec_id, calls, doc.clone(), unfinished(point));
                 committed = outcome.trace.len();
                 failed = saved.err();
             },
@@ -561,7 +567,7 @@ impl Platform {
         match run.map_err(PlatformError::from).and_then(|outcome| failed.map_or(Ok(outcome), Err)) {
             Ok(outcome) => {
                 if durable.is_none() {
-                    self.commit(exec_id, &outcome.trace.calls, doc)?;
+                    self.commit(exec_id, &outcome.trace.calls, doc, None)?;
                 }
                 Ok(outcome)
             }
@@ -588,15 +594,18 @@ impl Platform {
 
     /// Keep an execution's progress, then write it through the attached
     /// store and evict past the residency bound. The record is found
-    /// through [`Platform::ensure_resident`], and its new calls and
-    /// document go in under one write lock: a run whose execution was
-    /// evicted while it ran lands on top of the stored calls. A new
-    /// execution's record is inserted complete.
+    /// through [`Platform::ensure_resident`], and its new calls, document
+    /// and resume point go in under one write lock: a run whose execution
+    /// was evicted while it ran lands on top of the stored calls. A new
+    /// execution's record is inserted complete. `checkpoint` is set by a
+    /// durable run's steps; every other commit passes `None`, so no later
+    /// resume re-runs a step over calls it did not make.
     fn commit(
         &self,
         exec_id: &str,
         calls: &[CallRecord],
         mut doc: Document,
+        checkpoint: Option<ResumePoint>,
     ) -> Result<(), PlatformError> {
         // A kept document is read and copied, never grown in place (a run
         // grows a copy), so it keeps no spare capacity.
@@ -612,7 +621,7 @@ impl Platform {
                 let snapshot =
                     EpochSnapshot { index: ReachabilityIndex::new(), ..EpochSnapshot::empty() };
                 let trace = ExecutionTrace { calls: calls.to_vec() };
-                let rec = Arc::new(Execution::new(doc, trace, snapshot));
+                let rec = Arc::new(Execution::new(doc, trace, checkpoint, snapshot));
                 records.insert(exec_id.to_string(), Arc::clone(&rec));
                 drop(records);
                 if let Some(ss) = self.store_state() {
@@ -626,6 +635,7 @@ impl Platform {
             }
             kept.trace.calls.extend_from_slice(calls);
             kept.doc = doc;
+            kept.checkpoint = checkpoint;
             drop(kept);
             break rec;
         };
@@ -656,7 +666,7 @@ impl Platform {
         if self.live_enabled_impl(prior_id) {
             self.enable_live_impl(new_id);
         }
-        self.commit(new_id, &replayed.outcome.trace.calls, changed)?;
+        self.commit(new_id, &replayed.outcome.trace.calls, changed, None)?;
         Ok(replayed)
     }
 
@@ -854,8 +864,9 @@ impl Platform {
         // epoch and graph row order it was saved at to stay byte-identical
         // with the resident path.
         let snapshot = stored.resume_snapshot();
-        let state = (snapshot.epoch, stored.trace.len(), live);
-        let rec = Arc::new(Execution::new(stored.doc, stored.trace, snapshot));
+        let checkpoint = stored.checkpoint.clone();
+        let state = (stored.trace.len(), Header { epoch: snapshot.epoch, live, checkpoint });
+        let rec = Arc::new(Execution::new(stored.doc, stored.trace, stored.checkpoint, snapshot));
         *rec.stored.lock().expect("lock poisoned") = Some(state);
         self.records().insert(exec_id.to_string(), Arc::clone(&rec));
         self.touch_lru(&ss, exec_id);
@@ -899,8 +910,9 @@ impl Platform {
     /// store-less one does. A snapshot a live run in flight has folded
     /// past the kept calls holds links of calls the store does not keep
     /// (and may never, if the run fails): the kept state's graph, inferred
-    /// afresh, is saved in its place. A state the store already holds is
-    /// not written again.
+    /// afresh, is saved in its place. The kept resume point is saved with
+    /// the calls it follows. A state the store already holds is not
+    /// written again.
     fn save(
         &self,
         ss: &StoreState,
@@ -910,17 +922,18 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         let snap = self.fold_missing(rec, kept, false)?;
         let live = self.live_enabled_impl(exec_id);
-        let state = Some((snap.epoch, kept.trace.len(), live));
+        let checkpoint = kept.checkpoint.clone();
+        let state = (kept.trace.len(), Header { epoch: snap.epoch, live, checkpoint });
         let mut stored = rec.stored.lock().expect("lock poisoned");
-        if *stored == state {
+        if stored.as_ref() == Some(&state) {
             return Ok(());
         }
         let ahead = (snap.calls > kept.trace.len())
             .then(|| self.mapper.materialize(&kept.doc, &kept.trace, &self.rules()))
             .transpose()?;
         let graph = ahead.as_ref().unwrap_or(&snap.graph);
-        ss.store.save(exec_id, &kept.doc, &kept.trace, graph, snap.epoch, live)?;
-        *stored = state;
+        ss.store.save_with(exec_id, &kept.doc, &kept.trace, graph, &state.1)?;
+        *stored = Some(state);
         Ok(())
     }
 
@@ -1135,7 +1148,7 @@ impl ExecutionHandle<'_> {
     ) -> Result<CallRecord, PlatformError> {
         let (doc, call) =
             self.with_kept(|kept, _| recorder::exchange(kept, service, time, response_xml))??;
-        self.platform.commit(&self.id, std::slice::from_ref(&call), doc)?;
+        self.platform.commit(&self.id, std::slice::from_ref(&call), doc, None)?;
         Ok(call)
     }
 
@@ -1743,6 +1756,12 @@ mod tests {
         assert_eq!((snap.epoch, snap.calls), (1, 1));
     }
 
+    /// The resume point the attached store holds for `id`, read from its
+    /// execution file's header.
+    fn checkpoint(p: &Platform, id: &str) -> Option<ResumePoint> {
+        p.store().unwrap().header(id).unwrap().expect("stored").checkpoint
+    }
+
     fn tmpstore(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir()
             .join(format!("weblab-platform-store-{name}-{}", std::process::id()));
@@ -1927,8 +1946,8 @@ mod tests {
         assert_eq!((trace.len(), snap.calls), (2, 2));
         assert_eq!(snap.epoch, 3, "the input's Source rows, then one epoch per call");
         assert_same_graph(&snap.graph, &oracle(&p, "e"));
-        let point = p.store().unwrap().resume_point("e").unwrap().expect("unfinished");
-        assert_eq!((point.completed_steps, point.calls), (2, 2));
+        let point = checkpoint(&p, "e").expect("unfinished");
+        assert_eq!((point.completed_steps, point.next_time), (2, 3));
 
         // cold-loaded by a fresh platform: the same document, trace and
         // snapshot
@@ -1943,7 +1962,7 @@ mod tests {
     }
 
     #[test]
-    fn a_store_holds_one_file_per_execution_and_a_resume_point_while_a_run_is_unfinished() {
+    fn a_store_holds_one_file_per_execution_and_a_resume_point_only_while_a_run_is_unfinished() {
         use std::os::unix::fs::MetadataExt;
         use weblab_workflow::services::Flaky;
         let dir = tmpstore("one-file");
@@ -1983,13 +2002,16 @@ mod tests {
         assert!(b.evict().unwrap());
         assert_eq!(files(), ["a.exec", "b.exec"]);
         assert_eq!(inodes(), written);
-        // a durable run keeps its resume point only while it is unfinished
+        // a durable run keeps its resume point in its one file only while
+        // it is unfinished
         let spec = WorkflowSpec::sequence(&["Normaliser", "Flaky", "Translator"]);
         let wf = p.build_workflow(&spec).unwrap();
         assert!(p.execute_durable("c", &wf, Some(generate_corpus(2, 1, 20))).is_err());
-        assert_eq!(files(), ["a.exec", "b.exec", "c.exec", "c.resume"]);
+        assert_eq!(files(), ["a.exec", "b.exec", "c.exec"]);
+        assert_eq!(checkpoint(&p, "c").map(|point| point.completed_steps), Some(1));
         p.execute_durable("c", &wf, None).unwrap();
         assert_eq!(files(), ["a.exec", "b.exec", "c.exec"]);
+        assert_eq!(checkpoint(&p, "c"), None);
         drop(p);
         // a restart serves every execution from its one file, and the
         // reads' cold loads and evictions write none
@@ -2001,6 +2023,147 @@ mod tests {
         }
         assert_eq!(files(), ["a.exec", "b.exec", "c.exec"]);
         assert_eq!(inodes(), written);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A service that adds nothing and records the completed step count
+    /// the attached store holds for `e` when it is called.
+    struct Probe {
+        store: Arc<ProvStore>,
+        seen: Mutex<Vec<Option<usize>>>,
+    }
+
+    impl Service for Probe {
+        fn name(&self) -> &str {
+            "Probe"
+        }
+
+        fn call(&self, _: &mut Document, _: &mut CallContext) -> Result<(), WorkflowError> {
+            let header = self.store.header("e").unwrap().expect("stored");
+            self.seen.lock().unwrap().push(header.checkpoint.map(|point| point.completed_steps));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_skipped_durable_step_stores_its_resume_point_before_the_next_step_runs() {
+        use weblab_workflow::services::Flaky;
+        let p = platform();
+        let dir = tmpstore("skipped");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let probe = Arc::new(Probe { store: p.store().unwrap(), seen: Mutex::new(Vec::new()) });
+        p.register_service(Arc::new(Flaky::failing(100)), &[]).unwrap();
+        p.register_service(Arc::clone(&probe) as Arc<dyn Service>, &[]).unwrap();
+        p.set_fault_policy(FaultPolicy::skipping());
+        p.execution("e").enable_live();
+        let spec = WorkflowSpec::sequence(&["Normaliser", "Flaky", "Probe"]);
+        let wf = p.build_workflow(&spec).unwrap();
+        let outcome = p.execute_durable("e", &wf, Some(generate_corpus(3, 1, 20))).unwrap();
+        let skipped = |a: &weblab_workflow::AttemptRecord| {
+            a.status == weblab_workflow::AttemptStatus::Skipped
+        };
+        assert_eq!(outcome.attempts.iter().filter(|a| skipped(a)).count(), 1);
+        // the skipped step recorded no call and published no epoch, yet its
+        // point reached the file before the third step ran
+        assert_eq!(*probe.seen.lock().unwrap(), [Some(2)]);
+        assert_eq!(checkpoint(&p, "e"), None, "the completed run stores no point");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_daemon_that_cold_loads_an_unfinished_run_keeps_it_resumable() {
+        use weblab_workflow::services::Flaky;
+        let spec =
+            WorkflowSpec::sequence(&["Flaky", "Normaliser", "LanguageExtractor", "Translator"]);
+        // registered resources, none of them labelled: no Source row
+        let input = || {
+            weblab_xml::parse_document(
+                "<Resource wl:id=\"weblab://doc/0\"><NativeContent wl:id=\"weblab://src/0\" \
+                 id=\"n\">the text is in the language of peace</NativeContent></Resource>",
+            )
+            .unwrap()
+        };
+        // `fails` is how many calls the Flaky step fails before it succeeds
+        let run = |dir: &std::path::Path, fails: u32| {
+            let p = platform();
+            p.register_service(Arc::new(Flaky::failing(fails)), &[]).unwrap();
+            p.attach_store(ProvStore::open(dir).unwrap(), 1).unwrap();
+            p.execution("e").enable_live();
+            let wf = p.build_workflow(&spec).unwrap();
+            (p.execute_durable("e", &wf, Some(input())).map(drop), p)
+        };
+        let stored = |p: &Platform| p.store().unwrap().load("e").unwrap().expect("stored");
+
+        // the first step of an unlabelled input aborts: stored at epoch 0,
+        // with the point for zero completed steps
+        let dir = tmpstore("unfinished");
+        let (aborted, p) = run(&dir, 1);
+        assert!(aborted.is_err());
+        let before = stored(&p);
+        assert_eq!(before.snapshot.as_ref().map(|snap| snap.epoch), Some(0));
+        assert_eq!(before.checkpoint.as_ref().map(|point| point.completed_steps), Some(0));
+        drop(p);
+
+        // a daemon cold-loads it, publishes epoch 1 for a read, and saves
+        // that epoch as it evicts it, with the point beside it
+        let daemon = platform();
+        daemon.register_service(Arc::new(Flaky::failing(0)), &[]).unwrap();
+        daemon.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        assert_eq!(daemon.execution("e").snapshot().unwrap().epoch, 1);
+        assert!(daemon.execution("e").evict().unwrap());
+        let after = stored(&daemon);
+        assert_eq!(after.snapshot.as_ref().map(|snap| snap.epoch), Some(1));
+        assert_eq!(after.checkpoint, before.checkpoint);
+
+        // so the run resumes, to the calls, links and document of a run
+        // that never failed
+        let wf = daemon.build_workflow(&spec).unwrap();
+        daemon.execute_durable("e", &wf, None).unwrap();
+        assert_eq!(checkpoint(&daemon, "e"), None);
+        let clean_dir = tmpstore("uninterrupted");
+        let (clean, clean_platform) = run(&clean_dir, 0);
+        clean.unwrap();
+        let (resumed, clean) = (stored(&daemon), stored(&clean_platform));
+        assert_eq!(resumed.trace.calls, clean.trace.calls);
+        let xml = |s: &crate::StoredExecution| weblab_xml::to_xml_string(&s.doc.view());
+        assert_eq!(xml(&resumed), xml(&clean));
+        let graph = |s: crate::StoredExecution| s.snapshot.expect("a snapshot").graph;
+        let (resumed, clean) = (graph(resumed), graph(clean));
+        assert!(!resumed.links.is_empty());
+        assert_same_graph(&resumed, &clean);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&clean_dir);
+    }
+
+    #[test]
+    fn another_runs_commit_drops_the_resume_point_and_a_resume_is_refused() {
+        use weblab_workflow::services::Flaky;
+        let p = platform();
+        p.register_service(Arc::new(Flaky::failing(100)), &[]).unwrap();
+        let dir = tmpstore("dropped");
+        p.attach_store(ProvStore::open(&dir).unwrap(), 1).unwrap();
+        let wf = p.build_workflow(&WorkflowSpec::sequence(&["Normaliser", "Flaky"])).unwrap();
+        assert!(p.execute_durable("e", &wf, Some(generate_corpus(2, 1, 20))).is_err());
+        assert!(checkpoint(&p, "e").is_some());
+
+        // a plain run stores its call and drops the point in one save
+        p.execute("e", &["LanguageExtractor"]).unwrap();
+        assert_eq!(checkpoint(&p, "e"), None);
+        let path = std::fs::read_dir(&dir).unwrap().flatten().filter(|e| e.path().is_dir());
+        let file = path.flat_map(|shard| std::fs::read_dir(shard.path()).unwrap().flatten());
+        let file = file.map(|f| f.path()).next().expect("the execution file");
+        let bytes = std::fs::read(&file).unwrap();
+
+        // a resume then has no point to continue from: refused before any
+        // service runs, leaving the file as it was
+        match p.execute_durable("e", &wf, None) {
+            Err(PlatformError::Store(PersistError::Resume(m))) => {
+                assert!(m.contains("has no resume point"), "{m}");
+            }
+            other => panic!("expected the store refusal, got {other:?}"),
+        }
+        assert_eq!(trace(&p, "e").len(), 2);
+        assert_eq!(std::fs::read(&file).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,6 +6,10 @@
 //! exec: exec%2F1
 //! epoch: 3
 //! live: 1
+//! completed: 1
+//! next-time: 2
+//! step: Normaliser
+//! step: [LanguageExtractor %7C Translator]
 //! uri: weblab://src/0
 //! uri: weblab://res/Normaliser-t1-1
 //! call: Normaliser | 1 | 2,1 | 5,2 |  | 1
@@ -18,11 +22,15 @@
 //! ```
 //!
 //! The header names the epoch the execution's snapshot was published at
-//! and whether it runs live. The `uri:` table lists each URI once, escaped
-//! like every field (`escape_field`); call, Source and link rows name URIs
-//! by their table id. A call row ends in the ids of the resources the call
-//! produced, space separated. The document follows as its byte length and
-//! its XML, and the footer hashes every byte before it.
+//! and whether it runs live. An unfinished durable run adds its
+//! [`ResumePoint`] straight after `live:`: the completed top-level step
+//! count, the next call instant and one `step:` row per workflow step. A
+//! finished run's file has none of these rows. The `uri:` table lists
+//! each URI once, escaped like every field (`escape_field`); call, Source
+//! and link rows name URIs by their table id. A call row ends in the ids
+//! of the resources the call produced, space separated. The document
+//! follows as its byte length and its XML, and the footer hashes every
+//! byte before it. [`read_header`] reads the header rows alone.
 //!
 //! Node ids in Source and link rows are the *original* arena indices
 //! rather than ids re-resolved against the reloaded document: XML
@@ -42,7 +50,95 @@ use std::path::Path;
 use super::file::{escape_field, seal, unescape_field, unseal, PersistError};
 use super::StoredExecution;
 use weblab_prov::{CallRecord, ExecutionTrace, ProvLink, ProvenanceGraph, SourceEntry};
-use weblab_xml::{parse_document, to_xml_string, CallLabel, Document, NodeId, StateMark};
+use weblab_xml::{
+    parse_document, to_xml_string, CallLabel, Document, NodeId, StateMark, Timestamp,
+};
+
+/// How far an unfinished durable run got, which its calls cannot say: a
+/// skipped step records no call and a parallel block records several.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Top-level workflow steps fully completed (their calls and their
+    /// effects on the document are stored beside the point).
+    pub completed_steps: usize,
+    /// The call instant the next step starts at.
+    pub next_time: Timestamp,
+    /// The workflow's step names, checked on resume, so a point is never
+    /// continued by a different workflow.
+    pub step_names: Vec<String>,
+}
+
+/// The execution file's header rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Header {
+    /// Epoch the execution's snapshot was published at.
+    pub epoch: u64,
+    /// Whether the execution runs live.
+    pub live: bool,
+    /// Where an unfinished durable run resumes; `None` once it finished,
+    /// and for every execution no durable run wrote.
+    pub checkpoint: Option<ResumePoint>,
+}
+
+/// Header rows as they are read: each row is parsed alone, and
+/// [`HeaderRows::finish`] checks them together.
+#[derive(Default)]
+struct HeaderRows {
+    epoch: Option<u64>,
+    live: bool,
+    completed: Option<usize>,
+    next_time: Option<Timestamp>,
+    steps: Vec<String>,
+}
+
+impl HeaderRows {
+    /// Take the trimmed row `raw` at `line` if it belongs to the header;
+    /// `Ok(false)` at the first row that does not.
+    fn take(&mut self, raw: &str, line: usize) -> Result<bool, PersistError> {
+        if raw.starts_with('#') || raw.starts_with("exec:") {
+            // the file's location already determines the id
+        } else if let Some(v) = raw.strip_prefix("epoch:") {
+            self.epoch = Some(number(v, line)?);
+        } else if let Some(v) = raw.strip_prefix("live:") {
+            self.live = v.trim() == "1";
+        } else if let Some(v) = raw.strip_prefix("completed:") {
+            self.completed = Some(number(v, line)?);
+        } else if let Some(v) = raw.strip_prefix("next-time:") {
+            self.next_time = Some(number(v, line)?);
+        } else if let Some(v) = raw.strip_prefix("step:") {
+            let step = unescape_field(v.trim());
+            self.steps.push(step.map_err(|message| PersistError::Format { line, message })?);
+        } else {
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// The header, if its rows agree: an epoch, and either no resume point
+    /// or a whole one that leaves a step to run.
+    fn finish(self) -> Result<Header, PersistError> {
+        let malformed = |message: String| PersistError::Format { line: 0, message };
+        let epoch = self.epoch.ok_or_else(|| malformed("no 'epoch:' header".into()))?;
+        let steps = self.steps.len();
+        let checkpoint = match (self.completed, self.next_time) {
+            (None, None) if steps == 0 => None,
+            (Some(completed_steps), Some(next_time)) if completed_steps < steps => {
+                Some(ResumePoint { completed_steps, next_time, step_names: self.steps })
+            }
+            (Some(completed), Some(_)) => {
+                return Err(malformed(format!(
+                    "completed {completed} leaves none of the {steps} workflow steps to run"
+                )))
+            }
+            _ => {
+                return Err(malformed(
+                    "a resume point needs one 'completed:' and one 'next-time:' row".into(),
+                ))
+            }
+        };
+        Ok(Header { epoch, live: self.live, checkpoint })
+    }
+}
 
 /// An execution's epoch snapshot as stored: the provenance graph, row
 /// orders preserved verbatim, and the epoch it was published at.
@@ -80,8 +176,7 @@ pub fn encode(
     doc: &Document,
     trace: &ExecutionTrace,
     graph: &ProvenanceGraph,
-    epoch: u64,
-    live: bool,
+    header: &Header,
 ) -> String {
     let mut table = UriTable::default();
     let mut rows = String::new();
@@ -126,10 +221,18 @@ pub fn encode(
     let mut out = String::with_capacity(rows.len() + xml.len() + 64 * table.order.len() + 128);
     let _ = write!(
         out,
-        "# weblab prov execution\nexec: {}\nepoch: {epoch}\nlive: {}\n",
+        "# weblab prov execution\nexec: {}\nepoch: {}\nlive: {}\n",
         escape_field(exec_id),
-        u8::from(live)
+        header.epoch,
+        u8::from(header.live)
     );
+    if let Some(point) = &header.checkpoint {
+        let (completed, next_time) = (point.completed_steps, point.next_time);
+        let _ = write!(out, "completed: {completed}\nnext-time: {next_time}\n");
+        for step in &point.step_names {
+            let _ = writeln!(out, "step: {}", escape_field(step));
+        }
+    }
     for uri in &table.order {
         let _ = writeln!(out, "uri: {}", escape_field(uri));
     }
@@ -137,18 +240,26 @@ pub fn encode(
     let _ = writeln!(out, "doc: {}", xml.len());
     out.push_str(&xml);
     out.push('\n');
-    seal(out, "")
+    seal(out)
 }
 
 /// Parse an execution file's bytes, verifying its integrity footer, and
 /// rehydrate the calls against the stored document.
 pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError> {
-    let (mut rest, _) = unseal(file, bytes)?;
+    let mut rest = unseal(file, bytes)?;
+    let (mut rows, mut line) = (HeaderRows::default(), 0);
+    while let Some((raw, tail)) = rest.split_once('\n') {
+        if !rows.take(raw.trim(), line + 1)? {
+            break;
+        }
+        line += 1;
+        rest = tail;
+    }
+    let header = rows.finish()?;
     let mut uris: Vec<String> = Vec::new();
-    let (mut epoch, mut live, mut xml) = (None, false, None);
+    let mut xml = None;
     let mut calls: Vec<(CallRecord, Vec<usize>)> = Vec::new();
     let mut graph = ProvenanceGraph::default();
-    let mut line = 0;
     while let Some((raw, tail)) = rest.split_once('\n') {
         line += 1;
         rest = tail;
@@ -164,12 +275,6 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
             let text = rest.get(..len).filter(|_| &rest[len..] == "\n");
             xml = Some(text.ok_or_else(|| err(format!("the document is not {len} bytes")))?);
             break;
-        } else if raw.starts_with('#') || raw.starts_with("exec:") {
-            // the file's location already determines the id
-        } else if let Some(v) = raw.strip_prefix("epoch:") {
-            epoch = Some(number(v, line)?);
-        } else if let Some(v) = raw.strip_prefix("live:") {
-            live = v.trim() == "1";
         } else if let Some(v) = raw.strip_prefix("uri:") {
             uris.push(unescape_field(v.trim()).map_err(err)?);
         } else if let Some(rest) = raw.strip_prefix("call:") {
@@ -214,7 +319,6 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
     }
     let malformed = |message: &str| PersistError::Format { line: 0, message: message.into() };
     let xml = xml.ok_or_else(|| malformed("no 'doc:' section"))?;
-    let epoch = epoch.ok_or_else(|| malformed("no 'epoch:' header"))?;
     let doc = parse_document(xml).map_err(|e| PersistError::Xml(e.to_string()))?;
     let mut trace = ExecutionTrace::default();
     for (mut record, ids) in calls {
@@ -228,8 +332,9 @@ pub fn decode(file: &str, bytes: &[u8]) -> Result<StoredExecution, PersistError>
         }
         trace.calls.push(record);
     }
+    let Header { epoch, live, checkpoint } = header;
     let snapshot = SnapshotData { epoch, calls: trace.len(), live, graph };
-    Ok(StoredExecution { doc, trace, snapshot: Some(snapshot) })
+    Ok(StoredExecution { doc, trace, snapshot: Some(snapshot), checkpoint })
 }
 
 /// The `N` fields of a `what` row, or how many it has instead.
@@ -257,11 +362,20 @@ fn number<T: std::str::FromStr>(s: &str, line: usize) -> Result<T, PersistError>
     s.trim().parse().map_err(|_| PersistError::Format { line, message: message() })
 }
 
-/// The `live:` header of the execution file at `path` (its fourth line),
-/// read without the body; `false` when the file cannot be read.
-pub fn read_live(path: &Path) -> bool {
-    std::fs::File::open(path).is_ok_and(|file| {
-        let mut header = BufReader::new(file).lines().take(4).map_while(Result::ok);
-        header.any(|line| line.trim() == "live: 1")
-    })
+/// The header of the execution file at `path`, read without the body
+/// (and so without the footer's check); `Ok(None)` if there is no such
+/// file.
+pub fn read_header(path: &Path) -> Result<Option<Header>, PersistError> {
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let mut rows = HeaderRows::default();
+    for (i, raw) in BufReader::new(file).lines().enumerate() {
+        if !rows.take(raw?.trim(), i + 1)? {
+            break;
+        }
+    }
+    rows.finish().map(Some)
 }

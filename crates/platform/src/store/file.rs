@@ -27,9 +27,9 @@
 //! Every file is written with [`write_atomic`]: the bytes go to a
 //! temporary file in the same directory, the file is fsynced, renamed over
 //! the target, and (on unix) the directory is fsynced — a crash mid-save
-//! leaves either the old version or the new one, never a torn file. Each
-//! format also ends in a `# end …` footer ([`seal`]) whose last field is
-//! the 64-bit FNV-1a hash of every byte before it, checked on load
+//! leaves either the old version or the new one, never a torn file. An
+//! execution file also ends in a `# end fnv=…` footer ([`seal`]), the
+//! 64-bit FNV-1a hash of every byte before it, checked on load
 //! ([`unseal`]), so a file cut short or with a flipped byte is detected as
 //! [`PersistError::Truncated`] instead of loading as another execution.
 
@@ -69,9 +69,9 @@ pub enum PersistError {
         /// Pid of the live owner found in the lock file.
         pid: u32,
     },
-    /// A resume point does not fit the stored execution: it was written
-    /// for another workflow, or the stored calls ran ahead of it (a run
-    /// stopped between saving a step and recording it).
+    /// A durable run cannot continue the stored execution: no store is
+    /// attached, the execution holds no resume point (no durable run of
+    /// it is unfinished), or its point was written for another workflow.
     Resume(String),
 }
 
@@ -110,20 +110,18 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// End `body` with its `# end` footer: `fields` (may be empty), then
-/// `fnv=`, the hash of every byte before the footer.
-pub(crate) fn seal(mut body: String, fields: &str) -> String {
+/// End `body` with its `# end fnv=…` footer, the hash of every byte
+/// before it.
+pub(crate) fn seal(mut body: String) -> String {
     let hash = fnv1a(body.as_bytes());
-    let sep = if fields.is_empty() { "" } else { " " };
-    let _ = writeln!(body, "# end {fields}{sep}fnv={hash:016x}");
+    let _ = writeln!(body, "# end fnv={hash:016x}");
     body
 }
 
-/// Check the footer [`seal`] wrote and split it off: returns the text
-/// before it and the footer's fields before the hash. A file without the
-/// footer, or whose hash disagrees with its bytes, is
-/// [`PersistError::Truncated`].
-pub(crate) fn unseal<'a>(file: &str, bytes: &'a [u8]) -> Result<(&'a str, &'a str), PersistError> {
+/// Check the footer [`seal`] wrote and split it off, returning the text
+/// before it. A file without the footer, or whose hash disagrees with its
+/// bytes, is [`PersistError::Truncated`].
+pub(crate) fn unseal<'a>(file: &str, bytes: &'a [u8]) -> Result<&'a str, PersistError> {
     let truncated = |message: String| PersistError::Truncated { file: file.into(), message };
     let start = bytes
         .strip_suffix(b"\n")
@@ -134,8 +132,7 @@ pub(crate) fn unseal<'a>(file: &str, bytes: &'a [u8]) -> Result<(&'a str, &'a st
         .ok()
         .and_then(|f| f.trim_end().strip_prefix("# end "))
         .ok_or_else(|| truncated("missing its '# end' footer (file truncated?)".into()))?;
-    let (fields, hash) = footer.rsplit_once(' ').unwrap_or(("", footer));
-    let stored = hash
+    let stored = footer
         .strip_prefix("fnv=")
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or_else(|| truncated(format!("footer {footer:?} carries no content hash")))?;
@@ -145,9 +142,8 @@ pub(crate) fn unseal<'a>(file: &str, bytes: &'a [u8]) -> Result<(&'a str, &'a st
             "contents hash to {actual:016x}, the footer says {stored:016x}"
         )));
     }
-    let body = std::str::from_utf8(body)
-        .map_err(|_| PersistError::Format { line: 0, message: "not UTF-8 text".into() })?;
-    Ok((body, fields))
+    std::str::from_utf8(body)
+        .map_err(|_| PersistError::Format { line: 0, message: "not UTF-8 text".into() })
 }
 
 /// Escape a line-format field so it can never be confused with the

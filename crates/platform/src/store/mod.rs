@@ -12,45 +12,39 @@
 //! The store root holds 16 shard directories, an execution landing in the
 //! shard named by an FNV-1a hash of its id. Inside a shard, each execution
 //! is one file named by its injectively escaped id (`exec/1` becomes
-//! `exec%2F1`, never colliding with `exec_1`), beside the resume point of
-//! a CLI run that has not finished:
+//! `exec%2F1`, never colliding with `exec_1`):
 //!
 //! ```text
 //! store/
 //!   store.lock             pid of the process holding the directory
 //!   shard-07/
 //!     exec%2F1.exec        the execution: calls, links and document
-//!     exec%2F1.resume      resume point of an unfinished CLI run
 //! ```
 //!
-//! * **Execution files** ([`exec`]) hold the execution's header (epoch,
-//!   live flag), its calls, the Source rows and links of its published
-//!   [`EpochSnapshot`] (their one on-disk copy), and its stamped document.
-//!   [`ProvStore::save`] rewrites the whole file in one atomic write, so
-//!   calls, links and document reach disk together or not at all: a crash
-//!   leaves the previous save or the new one.
-//! * **Resume points** ([`resume`]) record how far an unfinished CLI run
-//!   got, which the execution file cannot say; the run removes its own
-//!   when it completes.
-//!
-//! Every file is written atomically (temporary file, fsync, rename,
-//! directory fsync) and ends in an `# end` footer holding the FNV-1a hash
-//! of its contents, so a file cut short or damaged after it was written
-//! surfaces as [`PersistError::Truncated`] instead of a silently different
-//! execution. A directory holding files of the earlier layout (a document,
-//! a call log and a snapshot file per execution) is refused on open; there
-//! is no importer.
+//! Each execution file ([`exec`]) holds the execution's header (epoch,
+//! live flag, and the [`ResumePoint`] of a durable run that has not
+//! finished), its calls, the Source rows and links of its published
+//! [`EpochSnapshot`] (their one on-disk copy), and its stamped document.
+//! [`ProvStore::save`] rewrites the whole file in one atomic write
+//! (temporary file, fsync, rename, directory fsync), so calls, links,
+//! document and resume point reach disk together or not at all: a crash
+//! leaves the previous save or the new one. The file ends in an `# end`
+//! footer holding the FNV-1a hash of its contents, so a file cut short or
+//! damaged after it was written surfaces as [`PersistError::Truncated`]
+//! instead of a silently different execution. A directory holding files
+//! of the earlier layout (a document, a call log and a snapshot file per
+//! execution, or a separate `.resume` file) is refused on open; there is
+//! no importer.
 
 pub mod exec;
 mod file;
-pub mod resume;
 
 use std::path::{Path, PathBuf};
 
 use exec::SnapshotData;
+pub use exec::{Header, ResumePoint};
 use file::{fnv1a, sanitise, unsanitise, write_atomic};
 pub use file::PersistError;
-pub use resume::ResumePoint;
 use weblab_obs::Counter;
 use weblab_prov::{EpochSnapshot, ExecutionTrace, ProvenanceGraph, ReachabilityIndex};
 use weblab_xml::Document;
@@ -73,6 +67,8 @@ pub struct StoredExecution {
     /// since the execution file holds it beside the calls it covers;
     /// [`StoredExecution::resume_snapshot`] takes it.
     pub snapshot: Option<SnapshotData>,
+    /// Where the unfinished durable run of this execution resumes, if any.
+    pub checkpoint: Option<ResumePoint>,
 }
 
 impl StoredExecution {
@@ -117,10 +113,12 @@ fn process_alive(pid: u32) -> bool {
 }
 
 /// Is `name` a file of the earlier layout: a document, a call log segment
-/// or delta, or an index snapshot?
+/// or delta, an index snapshot, or a resume point?
 fn earlier_layout(name: &str) -> bool {
     let kind = name.split_once('.').map_or("", |(_, kind)| kind);
-    matches!(kind, "doc.xml" | "delta") || kind.starts_with("seg-") || kind.starts_with("snap-")
+    matches!(kind, "doc.xml" | "delta" | "resume")
+        || kind.starts_with("seg-")
+        || kind.starts_with("snap-")
 }
 
 impl ProvStore {
@@ -182,10 +180,6 @@ impl ProvStore {
         self.shard_dir(exec_id).join(format!("{}.exec", sanitise(exec_id)))
     }
 
-    fn resume_path(&self, exec_id: &str) -> PathBuf {
-        self.shard_dir(exec_id).join(format!("{}.resume", sanitise(exec_id)))
-    }
-
     /// The names of the files in every shard directory.
     fn shard_files(&self) -> Vec<String> {
         let Ok(shards) = std::fs::read_dir(&self.root) else {
@@ -204,10 +198,17 @@ impl ProvStore {
         self.exec_path(exec_id).exists()
     }
 
+    /// The header of `exec_id`'s execution file (epoch, live flag and
+    /// resume point), read without loading the execution; `Ok(None)` if
+    /// the store has no such execution.
+    pub fn header(&self, exec_id: &str) -> Result<Option<Header>, PersistError> {
+        exec::read_header(&self.exec_path(exec_id))
+    }
+
     /// Whether `exec_id` was stored in live mode: its `live:` header, read
-    /// without loading the execution.
+    /// without loading the execution; `false` when it cannot be read.
     pub fn stored_live(&self, exec_id: &str) -> bool {
-        exec::read_live(&self.exec_path(exec_id))
+        self.header(exec_id).ok().flatten().is_some_and(|header| header.live)
     }
 
     /// All execution ids present in the store, sorted.
@@ -222,7 +223,8 @@ impl ProvStore {
     }
 
     /// Write-through one execution: its document, calls, and the epoch
-    /// snapshot holding its links, as one file in one atomic write.
+    /// snapshot holding its links, as one file in one atomic write. The
+    /// file holds no resume point: see [`save_with`](Self::save_with).
     pub fn save(
         &self,
         exec_id: &str,
@@ -232,8 +234,21 @@ impl ProvStore {
         epoch: u64,
         live: bool,
     ) -> Result<(), PersistError> {
+        self.save_with(exec_id, doc, trace, graph, &Header { epoch, live, checkpoint: None })
+    }
+
+    /// [`save`](Self::save) under a whole header: a durable run's resume
+    /// point is written by the same atomic write as the calls it follows.
+    pub fn save_with(
+        &self,
+        exec_id: &str,
+        doc: &Document,
+        trace: &ExecutionTrace,
+        graph: &ProvenanceGraph,
+        header: &Header,
+    ) -> Result<(), PersistError> {
         std::fs::create_dir_all(self.shard_dir(exec_id))?;
-        let text = exec::encode(exec_id, doc, trace, graph, epoch, live);
+        let text = exec::encode(exec_id, doc, trace, graph, header);
         write_atomic(&self.exec_path(exec_id), &text)?;
         SNAPSHOTS.inc();
         Ok(())
@@ -252,32 +267,6 @@ impl ProvStore {
         let stored = exec::decode(&path.display().to_string(), &bytes)?;
         COLD_LOADS.inc();
         Ok(Some(stored))
-    }
-
-    /// Record how far an unfinished run of `exec_id` got. Written after
-    /// each [`save`](Self::save) of a completed step.
-    pub fn save_resume_point(
-        &self,
-        exec_id: &str,
-        point: &ResumePoint,
-    ) -> Result<(), PersistError> {
-        std::fs::create_dir_all(self.shard_dir(exec_id))?;
-        resume::write(&self.resume_path(exec_id), exec_id, point)
-    }
-
-    /// The resume point of `exec_id`, or `None` if no run of it is
-    /// unfinished.
-    pub fn resume_point(&self, exec_id: &str) -> Result<Option<ResumePoint>, PersistError> {
-        resume::read(&self.resume_path(exec_id))
-    }
-
-    /// Remove the resume point of `exec_id` once its run completed, so the
-    /// stored execution reads as finished. Removing none is fine.
-    pub fn clear_resume_point(&self, exec_id: &str) -> Result<(), PersistError> {
-        match std::fs::remove_file(self.resume_path(exec_id)) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
-            _ => Ok(()),
-        }
     }
 
     /// Compact every stored execution: a no-op that returns 0. Each save

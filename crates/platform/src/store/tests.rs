@@ -20,6 +20,23 @@ fn stored_files(store: &ProvStore) -> Vec<String> {
     names
 }
 
+/// The header of an execution no durable run left unfinished.
+fn finished(epoch: u64, live: bool) -> Header {
+    Header { epoch, live, checkpoint: None }
+}
+
+/// The header of an unfinished durable run, its step names soaked in the
+/// field separators.
+fn unfinished(epoch: u64) -> Header {
+    let step_names = vec![
+        "Normaliser".to_string(),
+        "[LanguageExtractor | Translator]".into(),
+        "line\nbreak, %20".into(),
+    ];
+    let checkpoint = Some(ResumePoint { completed_steps: 2, next_time: 5, step_names });
+    Header { epoch, live: true, checkpoint }
+}
+
 fn executed(seed: u64) -> (Document, ExecutionTrace, ProvenanceGraph) {
     let (mut doc, wf, rules) = synthetic_workload(seed, 4, 3, 4);
     let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
@@ -57,6 +74,23 @@ fn save_load_round_trips_trace_links_and_snapshot() {
         assert_eq!(a.lineage(&s.uri, 8), b.lineage(&s.uri, 8));
         assert_eq!(a.impacted_by(&s.uri), b.impacted_by(&s.uri));
     }
+    assert_eq!(back.checkpoint, None, "a plain save stores no resume point");
+    assert_eq!(store.header("exec/1").unwrap(), Some(finished(3, true)));
+
+    // a resume point rides in the same file, read back by a load and by
+    // the header read alike, and the next plain save drops it
+    let header = unfinished(4);
+    store.save_with("exec/1", &doc, &trace, &graph, &header).unwrap();
+    assert_eq!(stored_files(&store), ["exec%2F1.exec"]);
+    assert_eq!(store.header("exec/1").unwrap(), Some(header.clone()));
+    let back = store.load("exec/1").unwrap().expect("stored");
+    assert_eq!(back.checkpoint, header.checkpoint);
+    assert_eq!(back.trace.len(), trace.len());
+    assert_eq!(back.snapshot.expect("a snapshot").graph.links, graph.links);
+    store.save("exec/1", &doc, &trace, &graph, 5, true).unwrap();
+    assert_eq!(store.load("exec/1").unwrap().expect("stored").checkpoint, None);
+    assert_eq!(store.header("exec/1").unwrap(), Some(finished(5, true)));
+    assert_eq!(store.header("nosuch").unwrap(), None);
     let _ = std::fs::remove_dir_all(store.root());
 }
 
@@ -166,11 +200,14 @@ fn flipped(full: &[u8], prefix: &str, offset: usize) -> Vec<u8> {
 fn a_cut_or_flipped_execution_file_is_detected() {
     let (doc, trace, graph) = executed(13);
     let store = ProvStore::open(tmpstore("damage")).unwrap();
-    store.save("e", &doc, &trace, &graph, 3, false).unwrap();
+    // with a resume point, so its rows are cut and flipped too
+    store.save_with("e", &doc, &trace, &graph, &unfinished(3)).unwrap();
     let path = store.exec_path("e");
     let full = std::fs::read(&path).unwrap();
 
     let mut damaged: Vec<(String, Vec<u8>)> = vec![
+        ("the completed row".into(), flipped(&full, "completed: ", 11)),
+        ("a step row".into(), flipped(&full, "step: ", 7)),
         ("a uri row".into(), flipped(&full, "uri: ", 8)),
         ("a call row".into(), flipped(&full, "call: ", 6)),
         ("the document".into(), flipped(&full, "<", 3)),
@@ -259,7 +296,7 @@ fn produced_resources_are_named_by_uri_table_id() {
     let mut trace = ExecutionTrace::default();
     trace.record_call_on_channel(&doc, "A | B", 9, d0, d1, "0.1");
     trace.record_call_on_channel(&doc, "C", 10, d1, d1, "");
-    let text = exec::encode("e", &doc, &trace, &ProvenanceGraph::default(), 2, false);
+    let text = exec::encode("e", &doc, &trace, &ProvenanceGraph::default(), &finished(2, false));
     // each URI once in the table, the calls naming theirs by id, and a call
     // producing nothing ending in an empty field
     assert!(text.contains("\nuri: u1\nuri: u%2C2\ncall: A %7C B | 9 | 1,0 | 3,2 | 0.1 | 0 1\n"), "{text}");
@@ -272,8 +309,8 @@ fn produced_resources_are_named_by_uri_table_id() {
 #[test]
 fn a_row_with_the_wrong_field_count_names_both_counts() {
     let (doc, trace, graph) = executed(13);
-    let text = exec::encode("e", &doc, &trace, &graph, 3, false);
-    let (body, _) = super::file::unseal("mem", text.as_bytes()).unwrap();
+    let text = exec::encode("e", &doc, &trace, &graph, &finished(3, false));
+    let body = super::file::unseal("mem", text.as_bytes()).unwrap();
     for (prefix, extra, message) in [
         ("call: ", " | x", "expected 6 call fields, found 7"),
         ("source: ", " | x", "expected 4 source fields, found 5"),
@@ -285,7 +322,7 @@ fn a_row_with_the_wrong_field_count_names_both_counts() {
         let end = start + body[start..].find('\n').unwrap();
         let damaged = format!("{}{extra}{}", &body[..end], &body[end..]);
         let line = body[..start].lines().count() + 1;
-        match exec::decode("mem", super::file::seal(damaged, "").as_bytes()) {
+        match exec::decode("mem", super::file::seal(damaged).as_bytes()) {
             Err(PersistError::Format { line: at, message: m }) => {
                 assert_eq!((at, m.as_str()), (line, message));
             }
@@ -295,8 +332,35 @@ fn a_row_with_the_wrong_field_count_names_both_counts() {
 }
 
 #[test]
+fn a_resume_point_beyond_its_steps_or_without_its_instant_is_refused() {
+    let (doc, trace, graph) = executed(13);
+    let text = exec::encode("e", &doc, &trace, &graph, &unfinished(3));
+    let body = super::file::unseal("mem", text.as_bytes()).unwrap();
+    let path = tmpstore("bad-point");
+    for (from, to, message) in [
+        ("completed: 2\n", "completed: 3\n", "completed 3 leaves none of the 3 workflow steps"),
+        ("completed: 2\n", "completed: 9\n", "completed 9 leaves none of the 3 workflow steps"),
+        ("next-time: 5\n", "", "needs one 'completed:' and one 'next-time:' row"),
+    ] {
+        // resealed, so that the footer check passes and the rows are read,
+        // by a load and by the header read alike
+        let damaged = super::file::seal(body.replacen(from, to, 1));
+        std::fs::write(&path, &damaged).unwrap();
+        let loaded = exec::decode("mem", damaged.as_bytes()).map(|stored| stored.checkpoint);
+        let header = exec::read_header(&path).map(|h| h.and_then(|h| h.checkpoint));
+        for read in [loaded, header] {
+            match read {
+                Err(PersistError::Format { message: m, .. }) => assert!(m.contains(message), "{m}"),
+                other => panic!("expected a format error for {to:?}, got {other:?}"),
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn a_directory_of_the_earlier_layout_is_refused() {
-    for earlier in ["e.doc.xml", "e.delta", "e.seg-1", "e.snap-3"] {
+    for earlier in ["e.doc.xml", "e.delta", "e.seg-1", "e.snap-3", "e.resume"] {
         let root = tmpstore("earlier");
         std::fs::create_dir_all(root.join("shard-07")).unwrap();
         std::fs::write(root.join("shard-07").join(earlier), "# weblab prov snapshot\n").unwrap();
@@ -347,99 +411,6 @@ fn lock_file_guards_against_a_second_live_owner() {
     let store = ProvStore::open(&root).unwrap();
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn resume_points_round_trip_and_detect_truncation() {
-    let (doc, trace, graph) = executed(29);
-    let store = ProvStore::open(tmpstore("resume")).unwrap();
-    assert_eq!(store.resume_point("e").unwrap(), None);
-    let point = ResumePoint {
-        completed_steps: 2,
-        next_time: 5,
-        calls: trace.len(),
-        step_names: vec![
-            "Normaliser".into(),
-            "[LanguageExtractor | Translator]".into(),
-            "line\nbreak".into(),
-        ],
-    };
-    store.save("e", &doc, &trace, &graph, 2, true).unwrap();
-    store.save_resume_point("e", &point).unwrap();
-    assert_eq!(store.resume_point("e").unwrap(), Some(point.clone()));
-    // the resume point is not part of the execution file: cold loads
-    // ignore it, and it lists no execution of its own
-    assert_eq!(stored_files(&store), vec!["e.exec".to_string(), "e.resume".to_string()]);
-    assert_eq!(store.load("e").unwrap().unwrap().trace.len(), trace.len());
-    assert_eq!(store.execution_ids(), vec!["e".to_string()]);
-    assert_eq!(store.resume_point("e").unwrap(), Some(point));
-
-    // kill the footer: detected, never read as a shorter step list
-    let path = store.resume_path("e");
-    let full = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = full.lines().collect();
-    std::fs::write(&path, lines[..lines.len() - 1].join("\n") + "\n").unwrap();
-    assert!(matches!(
-        store.resume_point("e"),
-        Err(PersistError::Truncated { .. })
-    ));
-    // a footer that disagrees with the body is caught too, and so is a
-    // changed byte
-    let mut bad: Vec<&str> = lines[..lines.len() - 2].to_vec();
-    bad.push(lines[lines.len() - 1]);
-    std::fs::write(&path, bad.join("\n") + "\n").unwrap();
-    assert!(matches!(
-        store.resume_point("e"),
-        Err(PersistError::Truncated { .. })
-    ));
-    std::fs::write(&path, full.replace("completed: 2", "completed: 1")).unwrap();
-    assert!(matches!(
-        store.resume_point("e"),
-        Err(PersistError::Truncated { .. })
-    ));
-
-    // clearing removes it; clearing twice is fine
-    std::fs::write(&path, full).unwrap();
-    store.clear_resume_point("e").unwrap();
-    assert_eq!(store.resume_point("e").unwrap(), None);
-    store.clear_resume_point("e").unwrap();
-    let _ = std::fs::remove_dir_all(store.root());
-}
-
-#[test]
-fn inconsistent_resume_points_are_rejected() {
-    let store = ProvStore::open(tmpstore("badresume")).unwrap();
-    store
-        .save_resume_point(
-            "e",
-            &ResumePoint { completed_steps: 0, next_time: 1, calls: 0, step_names: Vec::new() },
-        )
-        .unwrap();
-    let path = store.resume_path("e");
-    // each body under a footer whose hash agrees with it
-    for (text, steps) in [
-        // completed beyond the step list
-        ("completed: 9\nnext-time: 1\nstep: A\n", 1),
-        // unknown line
-        ("completed: 0\nnext-time: 1\nwat\n", 0),
-        // unparsable counter
-        ("completed: x\nnext-time: 1\n", 0),
-        // no call-count witness
-        ("completed: 0\nnext-time: 1\nstep: A\n", 1),
-    ] {
-        std::fs::write(&path, file::seal(text.into(), &format!("steps={steps}"))).unwrap();
-        match store.resume_point("e") {
-            Err(PersistError::Format { .. }) => {}
-            other => panic!("expected a format error for {text:?}, got {other:?}"),
-        }
-    }
-    // headers missing under an intact footer: the file lost its head
-    std::fs::write(&path, file::seal("step: A\n".into(), "steps=1")).unwrap();
-    assert!(matches!(
-        store.resume_point("e"),
-        Err(PersistError::Truncated { .. })
-    ));
-    let _ = std::fs::remove_dir_all(store.root());
 }
 
 // Service names, channels, produced URIs and link URIs soaked in the line

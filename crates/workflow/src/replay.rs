@@ -351,12 +351,6 @@ impl Orchestrator {
                         .unwrap_or(false)
                 })
             });
-            if std::env::var("WEBLAB_REPLAY_DEBUG").is_ok() {
-                eprintln!(
-                    "[replay-debug] step calls {:?} dirty={step_dirty}",
-                    range.iter().map(|c| (&c.service, c.time)).collect::<Vec<_>>()
-                );
-            }
             if step_dirty {
                 // Re-execute at the original instants (like a retry), so
                 // labels and generated URIs coincide with a full re-run.

@@ -216,6 +216,43 @@ PY
 wait "$serve_pid" || { echo "ci: serve over the CLI store did not shut down cleanly" >&2; exit 1; }
 serve_pid=""
 
+echo "==> durable run smoke (a --store run aborted at its flaky step, then --resume)"
+# each checkpoint is one write of the execution's one file: its header
+# carries the resume point while the run is unfinished, and the finished
+# run's last save drops it
+durable="$metrics_dir/durable-store"
+durable_check() {
+    python3 - "$durable" "$1" <<'PY'
+import glob, os, sys
+
+root, want = sys.argv[1], sys.argv[2]
+files = [p for p in glob.glob(os.path.join(root, "**"), recursive=True) if os.path.isfile(p)]
+execs = [p for p in files if p.endswith(".exec")]
+others = [p for p in files if p not in execs and os.path.basename(p) != "store.lock"]
+assert len(execs) == 1 and not others, f"{root}: expected one execution file, found {files}"
+header = []
+with open(execs[0], encoding="utf-8") as f:
+    for line in f:
+        if line.startswith(("uri:", "call:", "source:", "link:", "doc:")):
+            break
+        header.append(line.rstrip("\n"))
+completed = [l for l in header if l.startswith("completed:")]
+expected = [] if want == "none" else [f"completed: {want}"]
+assert completed == expected, f"{execs[0]}: expected {expected} in {header}"
+print(f"ci: durable store ok ({os.path.basename(execs[0])}, {completed or 'no resume point'})")
+PY
+}
+if ./target/release/weblab run data/sample_corpus.xml Normaliser,flaky:3,LanguageExtractor \
+    --store "$durable" > /dev/null 2> "$metrics_dir/durable.err"; then
+    echo "ci: the flaky:3 step must abort the durable run" >&2; exit 1
+fi
+durable_check 1
+./target/release/weblab run data/sample_corpus.xml Normaliser,flaky:3,LanguageExtractor \
+    --store "$durable" --resume --retries 3 > /dev/null 2> "$metrics_dir/resumed.err" \
+    || { echo "ci: --resume --retries 3 must complete the run" >&2;
+         cat "$metrics_dir/resumed.err" >&2; exit 1; }
+durable_check none
+
 echo "==> serve smoke (line-delimited JSON protocol on an ephemeral port)"
 ./target/release/weblab --metrics-out "$metrics_dir/serve.json" \
     serve --port 0 --workers 2 --max-rows 5 --max-batch 16 \

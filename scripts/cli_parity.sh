@@ -9,9 +9,8 @@
 # execution the store holds, a finished run), a `flaky:3` abort followed by
 # `--resume --retries 3`, `--store` on an input with no labelled resource,
 # the replay smoke of scripts/ci.sh, and a replay of a run that called the
-# `flaky` fault injector. `store.lock` files are left out,
-# and so are `calls:` lines in `.resume` files, which only one side may
-# write. Prints the differences, if any, and exits non-zero on them.
+# `flaky` fault injector. `store.lock` files are left out. Prints the
+# differences, if any, and exits non-zero on them.
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 old="$(realpath "$1")"
@@ -51,7 +50,6 @@ scenario() {
     step flaky-replay replay changed.xml --from fl --exec corpus --changed weblab://src/1 \
         -o flaky-replayed.xml
     find . -name store.lock -delete
-    find . -name '*.resume' -exec sed -i '/^calls: /d' {} +
 }
 
 for side in old new; do

@@ -15,13 +15,13 @@
 //!     snapshot as it completes, as a live `ingest` does, so the full graph
 //!     exists without a batch inference pass; a summary goes to stderr.
 //!     `--store DIR` (implies `--live`) runs the execution, named after the
-//!     input's file stem, durably in the provenance store at DIR: after
-//!     every completed step it is written through and a resume point
-//!     records how far it got, and `--resume` continues a crashed run from
-//!     there. A run without `--resume` on an execution the store holds
-//!     fails before any service runs, and so does `--resume` on a finished
-//!     run, or (code `store`) on a point the stored log ran ahead of. A
-//!     directory a running daemon holds fails with `store-locked`.
+//!     input's file stem, durably in the provenance store at DIR: every
+//!     completed step is written through in one write of the execution's
+//!     file, with the point to resume from until the run completes, and
+//!     `--resume` continues a crashed run from there. A run without
+//!     `--resume` on an execution the store holds fails before any service
+//!     runs, and so does `--resume` on a finished run. A directory a
+//!     running daemon holds fails with `store-locked`.
 //!
 //! weblab replay <changed.xml> --from DIR [--exec ID] --changed URI[,URI…]
 //!               [--proof trusted|exact|concordant] [--tolerance F]
@@ -427,35 +427,38 @@ fn cmd_run(args: &[String]) -> CliResult {
             platform.execute_workflow(&exec_id, &wf)?
         }
         Some(dir) => {
-            platform.attach_store(ProvStore::open(dir)?, 1)?;
+            let store = ProvStore::open(dir)?;
             // A stored execution is only ever continued: a second run on
-            // its id would append its calls to the first run's log.
-            let fresh = if exec.exists() {
-                if !resume {
+            // its id would append its calls to the first run's.
+            let fresh = match store.header(&exec_id)? {
+                Some(_) if !resume => {
                     return Err(format!(
                         "store {dir} already holds execution {exec_id:?}; pass --resume to \
                          continue its unfinished run, or use a fresh --store directory"
                     )
                     .into());
                 }
-                let store = platform.store().expect("a store was just attached");
-                let point = store.resume_point(&exec_id)?.ok_or_else(|| {
-                    format!(
-                        "execution {exec_id:?} in {dir} has no resume point: its run \
-                         finished, so there is nothing to resume"
-                    )
-                })?;
-                eprintln!(
-                    "resuming after {} completed step(s) at t={}",
-                    point.completed_steps, point.next_time
-                );
-                None
-            } else {
-                if resume {
-                    eprintln!("no run of {exec_id:?} in {dir}; starting fresh");
+                Some(header) => {
+                    let point = header.checkpoint.ok_or_else(|| {
+                        format!(
+                            "execution {exec_id:?} in {dir} has no resume point: its run \
+                             finished, so there is nothing to resume"
+                        )
+                    })?;
+                    eprintln!(
+                        "resuming after {} completed step(s) at t={}",
+                        point.completed_steps, point.next_time
+                    );
+                    None
                 }
-                Some(read_doc(&input)?)
+                None => {
+                    if resume {
+                        eprintln!("no run of {exec_id:?} in {dir}; starting fresh");
+                    }
+                    Some(read_doc(&input)?)
+                }
             };
+            platform.attach_store(store, 1)?;
             platform.execute_durable(&exec_id, &wf, fresh)?
         }
     };

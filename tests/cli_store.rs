@@ -2,8 +2,7 @@
 //! the daemon serves. These tests drive the CLI binary against store
 //! directories: it refuses a directory of the earlier layout and to mix
 //! two runs in one stored execution, a run aborted mid-pipeline resumes to
-//! the uninterrupted result, a resume point the stored calls ran ahead of
-//! is refused, a daemon attached to a
+//! the uninterrupted result, a daemon attached to a
 //! CLI-written directory answers every query op with the same bytes as a
 //! daemon that ingested the same corpus and pipeline live, epoch included,
 //! and `weblab replay --from DIR` recomputes what the daemon's `replay` op
@@ -13,11 +12,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use weblab::json::Json;
-use weblab::platform::{ProvStore, ResumePoint};
+use weblab::platform::ProvStore;
 use weblab::rdf::vocab::PROV_NS;
 use weblab::serve::handle_line;
 use weblab::workflow::generator::generate_corpus;
-use weblab::workflow::next_time;
 use weblab::xml::{to_xml_string, to_xml_string_pretty};
 
 mod support;
@@ -93,22 +91,27 @@ fn a_store_of_the_earlier_layout_is_refused_with_the_store_code() {
     let store = dir.join("store");
     let shard = store.join("shard-03");
     std::fs::create_dir_all(&shard).unwrap();
-    // a document, a call log and a snapshot file per execution
-    for (name, text) in [
+    // a document, a call log and a snapshot file per execution, and a
+    // resume point beside an execution file
+    let earlier = [
         ("old.doc.xml", "<Resource/>\n"),
         ("old.delta", "# weblab prov segment\nexec: old\nbase: 0\n# end calls=0\n"),
         ("old.snap-1", "# weblab prov snapshot\nepoch: 1\ncalls: 0\n# end uris=0 sources=0 links=0\n"),
-    ] {
+        ("old.resume", "# weblab prov resume point\nexec: old\ncompleted: 1\n# end steps=0\n"),
+    ];
+    for (name, text) in earlier {
+        let _ = std::fs::remove_dir_all(&store);
+        std::fs::create_dir_all(&shard).unwrap();
         std::fs::write(shard.join(name), text).unwrap();
+        let before = store_files(&store);
+        for args in [
+            vec!["run", path(&corpus), "Normaliser", "--store", path(&store)],
+            vec!["serve", "--port", "0", "--store", path(&store)],
+        ] {
+            assert_refused(&weblab(&args), "store", &format!("{name}, a file of the earlier"));
+        }
+        assert_eq!(store_files(&store), before, "a refused directory is left as it was");
     }
-    let before = store_files(&store);
-    for args in [
-        vec!["run", path(&corpus), "Normaliser", "--store", path(&store)],
-        vec!["serve", "--port", "0", "--store", path(&store)],
-    ] {
-        assert_refused(&weblab(&args), "store", "earlier store layout");
-    }
-    assert_eq!(store_files(&store), before, "a refused directory is left as it was");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -141,7 +144,7 @@ fn resume_refuses_a_finished_run() {
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
     let before = store_files(&store);
 
-    // a completed run removed its resume point: there is nothing to resume
+    // a completed run stored no resume point: there is nothing to resume
     let again = weblab(&["run", path(&corpus), &pipeline, "--store", path(&store), "--resume"]);
     assert_refused(&again, "usage", "has no resume point");
     assert_eq!(store_files(&store), before, "the refused resume changed the store");
@@ -159,7 +162,8 @@ fn a_run_aborted_mid_pipeline_resumes_to_the_uninterrupted_result() {
     let pipeline = "Normaliser,flaky:3,LanguageExtractor";
     let aborted = weblab(&["run", path(&corpus), pipeline, "--store", path(&crashed)]);
     assert!(!aborted.status.success(), "the flaky step must abort the run");
-    let point = ProvStore::open(&crashed).unwrap().resume_point("corpus").unwrap();
+    let header = ProvStore::open(&crashed).unwrap().header("corpus").unwrap();
+    let point = header.expect("stored").checkpoint;
     assert_eq!(point.map(|p| p.completed_steps), Some(1));
 
     // a fresh process resumes it; the flaky step now gets enough retries
@@ -183,8 +187,8 @@ fn a_run_aborted_mid_pipeline_resumes_to_the_uninterrupted_result() {
     // the stored snapshot: same epoch and graph
     let snapshot = |root: &Path| {
         let store = ProvStore::open(root).unwrap();
-        assert_eq!(store.resume_point("corpus").unwrap(), None);
         let stored = store.load("corpus").unwrap().expect("stored");
+        assert_eq!(stored.checkpoint, None);
         let snap = stored.snapshot.expect("a fresh snapshot");
         (snap.epoch, snap.graph.sources, snap.graph.links)
     };
@@ -282,38 +286,6 @@ fn a_run_over_an_unlabelled_input_stores_the_epoch_of_its_one_call() {
     // store-less live ingest of the same input numbers it
     let stored = ProvStore::open(&store).unwrap().load("plain").unwrap().expect("stored");
     assert_eq!(stored.snapshot.expect("the stored snapshot").epoch, 1);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn resume_refuses_a_point_the_stored_log_ran_ahead_of() {
-    let dir = tmpdir("witness");
-    let (corpus, _) = corpus_file(&dir);
-    let store = dir.join("store");
-    let pipeline = "Normaliser,flaky:3,LanguageExtractor";
-    let aborted = weblab(&["run", path(&corpus), pipeline, "--store", path(&store)]);
-    assert!(!aborted.status.success(), "the flaky step must abort the run");
-
-    // a run that stopped between saving its first step and recording it:
-    // the store holds that step's call, the point is still the one for
-    // zero completed steps
-    {
-        let st = ProvStore::open(&store).unwrap();
-        let point = st.resume_point("corpus").unwrap().expect("an aborted run keeps its point");
-        assert_eq!((point.completed_steps, point.calls), (1, 1));
-        let first = next_time(&generate_corpus(3, 2, 25));
-        let behind = ResumePoint { completed_steps: 0, next_time: first, calls: 0, ..point };
-        st.save_resume_point("corpus", &behind).unwrap();
-    }
-    let before = store_files(&store);
-
-    // resuming would re-run the first step over its own output: refused
-    // before any service runs, leaving every stored byte as it was
-    let resumed = weblab(&[
-        "run", path(&corpus), pipeline, "--store", path(&store), "--resume", "--retries", "3",
-    ]);
-    assert_refused(&resumed, "store", "witnesses 0 call(s) but its log holds 1");
-    assert_eq!(store_files(&store), before, "the refused resume changed the store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

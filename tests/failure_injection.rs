@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use weblab::platform::store::Header;
 use weblab::platform::{Mapper, Platform, PlatformError, ProvStore, ResumePoint};
 use weblab::prov::{infer_provenance, EngineOptions, ProvenanceGraph, RuleSet};
 use weblab::workflow::generator::generate_corpus;
@@ -211,10 +212,10 @@ fn link_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
     pairs
 }
 
-/// Crash after the first step, resume from the stored execution and its
-/// resume point: the inferred provenance links match a run that never
-/// crashed, and so do the links the store's snapshot holds for the resumed
-/// run.
+/// Crash after the first step, resume from the stored execution and the
+/// resume point its file holds: the inferred provenance links match a run
+/// that never crashed, and so do the links the store's snapshot holds for
+/// the resumed run.
 #[test]
 fn resume_after_crash_produces_the_same_inferred_links() {
     let dir = std::env::temp_dir().join(format!("weblab-resume-{}", std::process::id()));
@@ -227,7 +228,7 @@ fn resume_after_crash_produces_the_same_inferred_links() {
     let clean_outcome = Orchestrator::new().execute(&full_wf(), &mut clean).unwrap();
 
     // first process: run only the first step, storing it with its resume
-    // point, then "crash"
+    // point in one write, then "crash"
     let orch = Orchestrator::new();
     let step_names = full_wf().step_names();
     let mut doc = generate_corpus(9, 1, 20);
@@ -241,18 +242,10 @@ fn resume_after_crash_produces_the_same_inferred_links() {
             0,
             &mut |done, d, o, t| {
                 let graph = infer_provenance(d, &o.trace, &rules, &opts);
-                store.save("e", d, &o.trace, &graph, done as u64, true).unwrap();
-                store
-                    .save_resume_point(
-                        "e",
-                        &ResumePoint {
-                            completed_steps: done,
-                            next_time: t,
-                            calls: o.trace.len(),
-                            step_names: step_names.clone(),
-                        },
-                    )
-                    .unwrap();
+                let step_names = step_names.clone();
+                let point = ResumePoint { completed_steps: done, next_time: t, step_names };
+                let header = Header { epoch: done as u64, live: true, checkpoint: Some(point) };
+                store.save_with("e", d, &o.trace, &graph, &header).unwrap();
             },
         )
         .unwrap();
@@ -261,10 +254,10 @@ fn resume_after_crash_produces_the_same_inferred_links() {
 
     // second process: reload and resume from the resume point
     let store = ProvStore::open(&dir).unwrap();
-    let point = store.resume_point("e").unwrap().unwrap();
+    let stored = store.load("e").unwrap().unwrap();
+    let point = stored.checkpoint.expect("an unfinished run's point");
     assert_eq!(point.completed_steps, 1);
     assert_eq!(point.step_names, step_names);
-    let stored = store.load("e").unwrap().unwrap();
     let mut resumed = stored.doc;
     let outcome = orch
         .execute_resumable(
@@ -285,11 +278,11 @@ fn resume_after_crash_produces_the_same_inferred_links() {
     assert!(!g_resumed.links.is_empty());
 
     // the stored execution holds both runs' calls, and its snapshot holds
-    // the clean run's links
+    // the clean run's links; the finished run's save carries no point
     store.save("e", &resumed, &full_trace, &g_resumed, 2, true).unwrap();
-    store.clear_resume_point("e").unwrap();
     let logged = store.load("e").unwrap().unwrap();
     assert_eq!(logged.trace.len(), 2);
+    assert_eq!(logged.checkpoint, None);
     let snapshot = logged.snapshot.expect("a fresh snapshot");
     assert_eq!(link_pairs(&snapshot.graph), link_pairs(&g_clean));
     let _ = std::fs::remove_dir_all(&dir);
