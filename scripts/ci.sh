@@ -504,7 +504,7 @@ for _ in $(seq 1 100); do
 done
 addr="$(sed -n 's/^listening on //p' "$metrics_dir/store1.out")"
 [ -n "$addr" ] || { echo "ci: store smoke serve never printed its address" >&2; exit 1; }
-python3 - "$addr" "$metrics_dir/store_replies.txt" <<'PY'
+python3 - "$addr" "$metrics_dir/store_queries.jsonl" "$metrics_dir/store_replies.jsonl" <<'PY'
 import json, socket, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
@@ -532,6 +532,12 @@ assert r.get("ok") and r.get("epoch") == 3, r
 # a live ingest with no pipeline: its one write-through stores the flag
 r = json.loads(send({"op": "ingest", "exec": "cold-idle", "xml": xml, "live": True}))
 assert r.get("ok") and r["result"]["calls"] == 0, r
+# the sample corpus through the five-service pipeline, folded live
+with open("data/sample_corpus.xml") as sample:
+    r = json.loads(send({"op": "ingest", "exec": "sample", "xml": sample.read(), "live": True,
+                         "pipeline": ["Normaliser", "LanguageExtractor", "Translator",
+                                      "Tokeniser", "EntityExtractor"]}))
+assert r.get("ok") and r["result"]["calls"] == 5, r
 
 # the exact query lines the restarted daemon will re-answer below
 derived = ("PREFIX prov: <http://www.w3.org/ns/prov#> "
@@ -544,6 +550,23 @@ queries = [
     {"op": "batch", "exec": "cold", "requests": [
         {"op": "why", "uri": "weblab://src/0"},
         {"op": "sparql", "query": derived}]},
+    {"op": "common-origins", "exec": "cold", "a": "weblab://res/Normaliser-t1-1",
+     "b": "weblab://src/0"},
+    {"op": "rank", "exec": "cold", "uris": ["weblab://src/0"], "direction": "up"},
+    {"op": "summary", "exec": "cold", "uri": "weblab://src/0"},
+    {"op": "why", "exec": "sample", "uri": "weblab://res/Translator-t3-1"},
+    {"op": "lineage", "exec": "sample", "uri": "weblab://res/EntityExtractor-t5-3", "depth": 2},
+    {"op": "impacted-by", "exec": "sample", "uri": "weblab://res/Normaliser-t1-2"},
+    {"op": "common-origins", "exec": "sample", "a": "weblab://res/EntityExtractor-t5-3",
+     "b": "weblab://res/Tokeniser-t4-3"},
+    {"op": "common-origins", "exec": "sample", "a": "weblab://res/Translator-t3-1",
+     "b": "weblab://res/Normaliser-t1-1"},
+    {"op": "rank", "exec": "sample", "uris": ["weblab://src/0", "weblab://res/Normaliser-t1-2"],
+     "direction": "up", "limit": 8, "weights": {"Translator": 0.25}},
+    {"op": "rank", "exec": "sample", "uris": ["weblab://res/EntityExtractor-t5-3"],
+     "direction": "down", "budget": 3, "decay": 0.7},
+    {"op": "summary", "exec": "sample"},
+    {"op": "summary", "exec": "sample", "uri": "weblab://src/1"},
 ]
 replies = []
 for q in queries:
@@ -551,6 +574,8 @@ for q in queries:
     assert json.loads(line).get("ok"), line
     replies.append(line)
 with open(sys.argv[2], "w") as out:
+    out.writelines(json.dumps(q) + "\n" for q in queries)
+with open(sys.argv[3], "w") as out:
     out.writelines(replies)
 
 r = json.loads(send({"op": "shutdown"}))
@@ -560,6 +585,9 @@ print(f"ci: store smoke run 1 ok ({len(replies)} reply lines saved)")
 PY
 wait "$serve_pid" || { echo "ci: store smoke serve did not shut down cleanly" >&2; exit 1; }
 serve_pid=""
+# the served bytes are pinned across commits, not only across a restart
+cmp "$metrics_dir/store_replies.jsonl" tests/golden/serve.replies.jsonl \
+    || { echo "ci: served replies no longer match tests/golden/serve.replies.jsonl" >&2; exit 1; }
 python3 - "$metrics_dir/store1.json" <<'PY'
 import json, sys
 
@@ -582,7 +610,7 @@ for _ in $(seq 1 100); do
 done
 addr="$(sed -n 's/^listening on //p' "$metrics_dir/store2.out")"
 [ -n "$addr" ] || { echo "ci: restarted serve never printed its address" >&2; exit 1; }
-python3 - "$addr" "$metrics_dir/store_replies.txt" <<'PY'
+python3 - "$addr" "$metrics_dir/store_queries.jsonl" "$metrics_dir/store_replies.jsonl" <<'PY'
 import json, socket, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
@@ -594,18 +622,9 @@ def send(req):
     f.flush()
     return f.readline()
 
-derived = ("PREFIX prov: <http://www.w3.org/ns/prov#> "
-           "SELECT ?d ?s WHERE { ?d prov:wasDerivedFrom ?s . }")
-queries = [
-    {"op": "why", "exec": "cold", "uri": "weblab://src/0"},
-    {"op": "lineage", "exec": "cold", "uri": "weblab://src/0", "depth": 3},
-    {"op": "impacted-by", "exec": "cold", "uri": "weblab://src/0"},
-    {"op": "sparql", "exec": "cold", "query": derived},
-    {"op": "batch", "exec": "cold", "requests": [
-        {"op": "why", "uri": "weblab://src/0"},
-        {"op": "sparql", "query": derived}]},
-]
 with open(sys.argv[2]) as saved:
+    queries = [json.loads(line) for line in saved]
+with open(sys.argv[3]) as saved:
     expected = saved.readlines()
 assert len(expected) == len(queries)
 for q, want in zip(queries, expected):

@@ -10,7 +10,8 @@
 //!   common origins) on the paper example and on a cycle, each answer
 //!   asserted equal in both implementations;
 //! * random graphs with cycles, a URI registered twice under different
-//!   calls, and link endpoints no Source row labels;
+//!   calls, and link endpoints no Source row labels, where `summary`'s
+//!   closure sizes are checked as well;
 //! * the `cli-oneshot` read graph (`run_cli_read_pipeline(7, 300, 40)`),
 //!   with and without inherited links;
 //! * the `ExecutionHandle` and snapshot paths on platform executions.
@@ -371,9 +372,14 @@ proptest! {
         let pairs = uris.iter().flat_map(|a| {
             uris.iter().map(|b| ProvQuery::CommonOrigins { a: a.clone(), b: b.clone() })
         });
+        let summaries = uris
+            .iter()
+            .map(|u| Some(u.clone()))
+            .chain([None])
+            .map(|uri| ProvQuery::Summary { uri });
         assert_agrees(
             &g,
-            per_uri_queries(&uris).into_iter().chain(pairs),
+            per_uri_queries(&uris).into_iter().chain(pairs).chain(summaries),
             |q| q.answer_on_graph(&g).unwrap(),
         );
     }

@@ -7,13 +7,14 @@
 //! store suites compare served bytes with [`response`].
 //!
 //! [`answer`] is the dispatch `ProvQuery::answer_on_graph` ran over them:
-//! the walks for the four reachability queries, `rdf::select` over a fresh
-//! PROV-O store for SPARQL, and a fresh index for the ranked queries, which
-//! have no second implementation.
+//! the walks for the four reachability queries and for [`summary`]'s
+//! closure sizes, `rdf::select` over a fresh PROV-O store for SPARQL, and a
+//! fresh index for `rank`, which has no second implementation.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use weblab::platform::{ProvQuery, QueryAnswer};
+use weblab::prov::rank::{BlastRadius, GraphSummary, OriginCluster, ServiceInfluence};
 use weblab::prov::{rank, EpochSnapshot, ProvenanceGraph, ReachabilityIndex, WhyProvenance};
 use weblab::rdf::{export_prov_into, parse_select, select, SparqlError, TripleStore};
 use weblab::serve::render_response;
@@ -120,6 +121,76 @@ pub fn common_origins(graph: &ProvenanceGraph, a: &str, b: &str) -> Vec<String> 
         .collect()
 }
 
+/// Every resource reachable from `uri` in one or more steps, along links
+/// (`forward`, toward dependencies) or against them: an edge-list scan per
+/// reached resource. A resource on a cycle reaches itself.
+fn reach<'g>(graph: &'g ProvenanceGraph, uri: &str, forward: bool) -> HashSet<&'g str> {
+    let mut reached: HashSet<&str> = HashSet::new();
+    let mut stack = vec![uri];
+    while let Some(u) = stack.pop() {
+        for l in &graph.links {
+            let (at, next) = if forward {
+                (&l.from_uri, &l.to_uri)
+            } else {
+                (&l.to_uri, &l.from_uri)
+            };
+            if at == u && reached.insert(next) {
+                stack.push(next);
+            }
+        }
+    }
+    reached
+}
+
+/// The aggregate view `rank::summary` computes from the index's closure
+/// sizes, recomputed from edge-list walks: distinct URIs and URI pairs,
+/// per-service sums of upward and downward reach over the labelled
+/// resources (the first Source row of a URI wins), one origin cluster per
+/// resource without dependencies, and the queried resource's blast radius.
+pub fn summary(graph: &ProvenanceGraph, uri: Option<&str>) -> GraphSummary {
+    let labels = graph.label_map();
+    let mut resources: BTreeSet<&str> = graph.sources.iter().map(|s| s.uri.as_str()).collect();
+    let mut edges: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for l in &graph.links {
+        resources.insert(&l.from_uri);
+        resources.insert(&l.to_uri);
+        edges.insert((&l.from_uri, &l.to_uri));
+    }
+    let mut per_service: BTreeMap<&str, ServiceInfluence> = BTreeMap::new();
+    let mut clusters = Vec::new();
+    for &r in &resources {
+        let up = reach(graph, r, false).len() as u64;
+        if let Some(label) = labels.get(r) {
+            let entry = per_service.entry(&label.service).or_insert_with(|| ServiceInfluence {
+                service: label.service.clone(),
+                resources: 0,
+                influence: 0,
+                origins: 0,
+            });
+            entry.resources += 1;
+            entry.influence += up;
+            entry.origins += reach(graph, r, true).len() as u64;
+        }
+        if !graph.links.iter().any(|l| l.from_uri == r) {
+            clusters.push(OriginCluster { root: r.to_string(), size: 1 + up });
+        }
+    }
+    let mut services: Vec<ServiceInfluence> = per_service.into_values().collect();
+    services.sort_by(|a, b| b.influence.cmp(&a.influence).then_with(|| a.service.cmp(&b.service)));
+    clusters.sort_by(|a, b| b.size.cmp(&a.size).then_with(|| a.root.cmp(&b.root)));
+    GraphSummary {
+        resources: resources.len() as u64,
+        edges: edges.len() as u64,
+        services,
+        clusters,
+        blast: uri.map(|u| BlastRadius {
+            uri: u.to_string(),
+            impacted: reach(graph, u, false).len() as u64,
+            origins: reach(graph, u, true).len() as u64,
+        }),
+    }
+}
+
 /// The oracle's answer to any [`ProvQuery`] on `graph`.
 pub fn answer(q: &ProvQuery, graph: &ProvenanceGraph) -> Result<QueryAnswer, SparqlError> {
     Ok(match q {
@@ -141,10 +212,7 @@ pub fn answer(q: &ProvQuery, graph: &ProvenanceGraph) -> Result<QueryAnswer, Spa
             let index = ReachabilityIndex::from_graph(graph);
             QueryAnswer::Ranked(rank::rank(&index, uris, *direction, opts, weights))
         }
-        ProvQuery::Summary { uri } => {
-            let index = ReachabilityIndex::from_graph(graph);
-            QueryAnswer::Summary(rank::summary(&index, uri.as_deref()))
-        }
+        ProvQuery::Summary { uri } => QueryAnswer::Summary(summary(graph, uri.as_deref())),
     })
 }
 
