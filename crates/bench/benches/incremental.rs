@@ -47,7 +47,8 @@ fn bench_incremental(c: &mut Criterion) {
 /// X9 — provenance storage (Section 8's future-work item): building the
 /// reachability index every snapshot serves from, and its dependency
 /// lookup against the plain edge list's scan. Also prints the bytes per
-/// link of the execution file the store writes for the same execution.
+/// link of the execution file the store writes for the same execution,
+/// and the index's heap bytes per resource and per link.
 fn bench_storage(c: &mut Criterion) {
     use weblab_platform::ProvStore;
     use weblab_prov::{infer_provenance, ReachabilityIndex};
@@ -89,6 +90,13 @@ fn bench_storage(c: &mut Criterion) {
         println!(
             "x9_storage/exec_file/{links}: {bytes} B, {:.1} B per link",
             bytes as f64 / links as f64
+        );
+        let (index_bytes, resources) = (index.heap_bytes(), index.resource_count());
+        println!(
+            "x9_storage/index/{links}: {index_bytes} B, {:.1} B per resource ({resources}), \
+             {:.1} B per link",
+            index_bytes as f64 / resources as f64,
+            index_bytes as f64 / links as f64
         );
     }
     group.finish();

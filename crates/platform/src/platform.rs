@@ -312,8 +312,10 @@ impl Execution {
     /// Fold a delta into the snapshot as the next epoch
     /// ([`EpochSnapshot::fold`]), bringing it to `calls` folded calls, and
     /// return the result. Once epoch 1 is published, an empty delta that
-    /// advances no call is a no-op; the first fold always publishes.
-    fn apply_delta(&self, delta: &LiveDelta, calls: usize) -> Arc<EpochSnapshot> {
+    /// advances no call is a no-op; the first fold always publishes. A
+    /// `settled` fold is the last one for a while (a refresh's), so it also
+    /// releases the spare capacity the folds left.
+    fn apply_delta(&self, delta: &LiveDelta, calls: usize, settled: bool) -> Arc<EpochSnapshot> {
         let mut slot = self.snapshot.write().expect("lock poisoned");
         if slot.epoch > 0 && delta.is_empty() && calls <= slot.calls {
             return Arc::clone(&slot);
@@ -321,8 +323,22 @@ impl Execution {
         if Arc::get_mut(&mut slot).is_none() {
             SNAPSHOT_COPIES.inc();
         }
-        Arc::make_mut(&mut slot).fold(delta, calls);
+        let snap = Arc::make_mut(&mut slot);
+        snap.fold(delta, calls);
+        if settled {
+            snap.shrink_to_fit();
+        }
         Arc::clone(&slot)
+    }
+
+    /// Release the spare capacity a run's folds left in the published
+    /// snapshot, in place. An epoch a reader still holds is left as it is:
+    /// it is never copied for this.
+    fn settle(&self) {
+        let mut slot = self.snapshot.write().expect("lock poisoned");
+        if let Some(snap) = Arc::get_mut(&mut slot) {
+            snap.shrink_to_fit();
+        }
     }
 
     /// Publish a failed live run's rebuilt snapshot, unless the published
@@ -538,7 +554,7 @@ impl Platform {
             orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
                 let mut lp = producer.lock().expect("lock poisoned");
                 let delta = lp.observe_call(doc, trace, idx);
-                rec.apply_delta(&delta, base + lp.calls_seen());
+                rec.apply_delta(&delta, base + lp.calls_seen(), false);
             }));
         }
         // A failed checkpoint stops the checkpoints, not the run; the run
@@ -568,6 +584,9 @@ impl Platform {
             Ok(outcome) => {
                 if durable.is_none() {
                     self.commit(exec_id, &outcome.trace.calls, doc, None)?;
+                }
+                if let Some(rec) = live {
+                    rec.settle();
                 }
                 Ok(outcome)
             }
@@ -1052,7 +1071,7 @@ impl Platform {
         }
         // Release this reader's hold, so the fold need not copy the epoch.
         drop(snap);
-        Ok(rec.apply_delta(&delta, calls))
+        Ok(rec.apply_delta(&delta, calls, true))
     }
 }
 
@@ -2365,15 +2384,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_kept_stamped_document_holds_at_most_100_bytes_per_node() {
-        // a 40-native corpus, as perfbench's serve-resident writes ingest,
-        // stamped by the five-service media pipeline
+    /// A 40-native corpus, as perfbench's serve-resident writes ingest,
+    /// stamped by the five-service media pipeline as execution `e`, run
+    /// live or not.
+    fn media_run(live: bool) -> Platform {
         use weblab_workflow::services::{EntityExtractor, Tokeniser};
         let p = platform();
         p.register_service(Arc::new(Tokeniser), &[]).unwrap();
         p.register_service(Arc::new(EntityExtractor), &[]).unwrap();
         p.ingest("e", generate_corpus(7, 40, 40));
+        if live {
+            p.execution("e").enable_live();
+        }
         let pipeline = [
             "Normaliser",
             "LanguageExtractor",
@@ -2382,11 +2404,37 @@ mod tests {
             "EntityExtractor",
         ];
         p.execute("e", &pipeline).unwrap();
-        let (bytes, nodes) = p
+        p
+    }
+
+    #[test]
+    fn a_kept_stamped_document_holds_at_most_100_bytes_per_node() {
+        let (bytes, nodes) = media_run(false)
             .execution("e")
             .with_kept(|doc, _| (doc.heap_bytes(), doc.node_count()))
             .unwrap();
         assert!(nodes > 900, "the pipeline stamped {nodes} nodes");
         assert!(bytes <= 100 * nodes, "{bytes} B for {nodes} nodes: {} B/node", bytes / nodes);
+    }
+
+    #[test]
+    fn a_run_leaves_an_index_of_at_most_128_bytes_per_resource_and_no_spare_capacity() {
+        for live in [false, true] {
+            // a live run's folds are settled when it commits, a batch run's
+            // one fold by the refresh that publishes it
+            let snap = media_run(live).execution("e").snapshot().unwrap();
+            let (bytes, resources) = (snap.index.heap_bytes(), snap.index.resource_count());
+            assert!(resources > 300, "the pipeline registered {resources} resources");
+            assert!(
+                bytes <= 128 * resources,
+                "{bytes} B for {resources} resources: {} B/resource (live {live})",
+                bytes / resources
+            );
+            assert_eq!(
+                snap.heap_bytes(),
+                EpochSnapshot::clone(&snap).heap_bytes(),
+                "the folds left spare capacity (live {live})"
+            );
+        }
     }
 }

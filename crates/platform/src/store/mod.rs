@@ -74,19 +74,22 @@ pub struct StoredExecution {
 impl StoredExecution {
     /// The epoch snapshot the execution continues from, at its stored
     /// epoch: what a cold load publishes and a resumed `weblab run` folds
-    /// its calls into. Its index counts one build.
+    /// its calls into. Its index counts one build. The decoded rows keep
+    /// no spare capacity.
     ///
     /// # Panics
     ///
     /// If the snapshot was already taken.
     pub fn resume_snapshot(&mut self) -> EpochSnapshot {
         let snap = self.snapshot.take().expect("the stored snapshot is taken once");
-        EpochSnapshot {
+        let mut resumed = EpochSnapshot {
             epoch: snap.epoch,
             calls: snap.calls,
             index: ReachabilityIndex::from_graph(&snap.graph),
             graph: snap.graph,
-        }
+        };
+        resumed.shrink_to_fit();
+        resumed
     }
 }
 

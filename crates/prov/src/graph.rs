@@ -56,6 +56,24 @@ impl ProvenanceGraph {
         }
     }
 
+    /// Bytes of heap the graph holds: the capacities of its two tables and
+    /// of the URIs and service names their rows own.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sources.capacity() * size_of::<SourceEntry>()
+            + self
+                .sources
+                .iter()
+                .map(|s| s.uri.capacity() + s.label.service.capacity())
+                .sum::<usize>()
+            + self.links.capacity() * size_of::<ProvLink>()
+            + self
+                .links
+                .iter()
+                .map(|l| l.from_uri.capacity() + l.to_uri.capacity())
+                .sum::<usize>()
+    }
+
     /// Add dependency edges, keeping the edge set sorted and duplicate-free.
     pub fn add_links(&mut self, links: impl IntoIterator<Item = ProvLink>) {
         self.links.extend(links);

@@ -18,6 +18,19 @@
 //!   both encodings in time proportional to the affected closure rows, so a
 //!   live run's per-call deltas never force a rebuild.
 //!
+//! The layout is compact: each URI is held once, in one pooled string,
+//! and found through an [`IdIndex`] that compares keys through the pool;
+//! labels are ids into a per-index table of distinct [`CallLabel`]s; and a
+//! resource's two adjacency lists and two closures are sorted `u32` runs
+//! in one vector per resource, with the run lengths stored inline. A
+//! resource on no link allocates nothing.
+//!
+//! Resources are interned in first-seen order: Source rows in registration
+//! order, then link endpoints in link order. That order decides which node
+//! a URI carries when a hand-built edge set pairs it with two, and which
+//! label wins, so a live and a batch index built from the same rows give
+//! the same answers. Ranked answers never consult interned ids.
+//!
 //! The index is pinned by the `prov.index.{builds,hits,traversals}`
 //! counter family: `builds` counts full index constructions, `hits` counts
 //! queries answered from the index, and `traversals` counts full-graph
@@ -33,10 +46,13 @@
 //! through [`EpochSnapshot::fold`], and readers query whichever snapshot
 //! they hold without blocking ingestion.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::hash::BuildHasher;
+use std::ops::Range;
 
 use weblab_obs::Counter;
-use weblab_xml::{CallLabel, Document, NodeId};
+use weblab_xml::{CallLabel, Document, IdIndex, NodeId};
 
 use crate::algebra::ProvLink;
 use crate::graph::{ProvenanceGraph, SourceEntry};
@@ -74,6 +90,136 @@ pub struct WhyProvenance {
     pub calls: Vec<CallLabel>,
 }
 
+/// No label: the label id of a resource no Source row registered.
+const NONE: u32 = u32::MAX;
+
+/// The runs of [`Lists`]: outgoing and incoming adjacency in edge-list
+/// order, then the downward and upward closures in id order.
+const DEPS: usize = 0;
+const RDEPS: usize = 1;
+const DOWN: usize = 2;
+const UP: usize = 3;
+/// Inline run lengths ahead of the runs: `DEPS`, `RDEPS` and `DOWN` (the
+/// `UP` run takes the rest).
+const HEADER: usize = 3;
+
+/// One resource's adjacency and closures, in one allocation: the lengths
+/// of its `DEPS`, `RDEPS` and `DOWN` runs, then the four runs back to back.
+/// Each run is sorted and duplicate-free: the adjacency runs by edge-list
+/// key, the closures by id. Empty (no allocation) while the resource is on
+/// no link.
+#[derive(Debug, Clone, Default)]
+struct Lists(Vec<u32>);
+
+impl Lists {
+    /// Where `run` lies in the vector.
+    fn range(&self, run: usize) -> Range<usize> {
+        if self.0.is_empty() {
+            return 0..0;
+        }
+        let start = HEADER + self.0[..run].iter().map(|&n| n as usize).sum::<usize>();
+        let end = if run == UP {
+            self.0.len()
+        } else {
+            start + self.0[run] as usize
+        };
+        start..end
+    }
+
+    fn run(&self, run: usize) -> &[u32] {
+        &self.0[self.range(run)]
+    }
+
+    /// Give a resource on no link yet its (zero) run lengths.
+    fn header(&mut self) {
+        if self.0.is_empty() {
+            self.0.extend([0; HEADER]);
+        }
+    }
+
+    /// Make room for `n` ids at `at` (an offset into the vector) of `run`,
+    /// shifting the runs after it, and count them in its length.
+    fn open(&mut self, run: usize, at: usize, n: usize) {
+        self.0.splice(at..at, std::iter::repeat_n(0, n));
+        if run != UP {
+            self.0[run] += n as u32;
+        }
+    }
+
+    /// Put `id` at position `pos` of `run`.
+    fn insert(&mut self, run: usize, pos: usize, id: u32) {
+        self.header();
+        let at = self.range(run).start + pos;
+        self.open(run, at, 1);
+        self.0[at] = id;
+    }
+
+    /// Merge the sorted, duplicate-free ids of `add` into `run`. The work is
+    /// proportional to `add` plus the part of the run at or after its
+    /// first id, so ids that sort last (a child interned after its
+    /// ancestors) are appended.
+    fn merge(&mut self, run: usize, add: &[u32]) {
+        let Some(&first) = add.first() else {
+            return;
+        };
+        self.header();
+        let range = self.range(run);
+        let lo = range.start + self.0[range.clone()].partition_point(|&x| x < first);
+        let tail = &self.0[lo..range.end];
+        let fresh = add.len() - add.iter().filter(|a| tail.binary_search(a).is_ok()).count();
+        if fresh == 0 {
+            return;
+        }
+        self.open(run, range.end, fresh);
+        // merge from the back into the widened run
+        let (mut i, mut j, mut w) = (range.end, add.len(), range.end + fresh);
+        while j > 0 {
+            let a = add[j - 1];
+            w -= 1;
+            if i > lo && self.0[i - 1] >= a {
+                self.0[w] = self.0[i - 1];
+                if self.0[i - 1] == a {
+                    j -= 1;
+                }
+                i -= 1;
+            } else {
+                self.0[w] = a;
+                j -= 1;
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// `n` as an offset into the URI pool or a resource id.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n != NONE)
+        .expect("an index holds fewer than 2^32 - 1 resources and pool bytes")
+}
+
+/// The URI of interned id `id`, given the pool and the URI ends.
+fn pooled<'p>(pool: &'p str, ends: &[u32], id: u32) -> &'p str {
+    let start = match id {
+        0 => 0,
+        _ => ends[id as usize - 1] as usize,
+    };
+    &pool[start..ends[id as usize] as usize]
+}
+
+/// `run` with `id` added, sorted.
+fn with(run: &[u32], id: u32) -> Vec<u32> {
+    let mut ids = run.to_vec();
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
+    }
+    ids
+}
+
 /// A read-optimized reachability index over a provenance graph's edges and
 /// Source table. See the module docs for the encoding.
 ///
@@ -85,23 +231,26 @@ pub struct WhyProvenance {
 /// differ only in those nodes collapse into one.
 #[derive(Debug, Clone, Default)]
 pub struct ReachabilityIndex {
-    /// Interned URI strings.
-    uris: Vec<String>,
+    /// Every interned URI, back to back, in interning order.
+    pool: String,
+    /// End of each interned URI in `pool`; each starts where the one
+    /// before it ends.
+    ends: Vec<u32>,
     /// Node of each interned resource (for [`ProvLink`] reconstruction).
     nodes: Vec<NodeId>,
     /// URI → interned id.
-    ids: HashMap<String, u32>,
-    /// Outgoing adjacency, sorted by `(node, uri)` — edge-list order.
-    deps: Vec<Vec<u32>>,
-    /// Incoming adjacency, sorted by `(node, uri)` — edge-list order.
-    rdeps: Vec<Vec<u32>>,
-    /// Downward closure: every resource reachable along dependency links.
-    down: Vec<BTreeSet<u32>>,
-    /// Upward closure: every resource that can reach this one.
-    up: Vec<BTreeSet<u32>>,
-    /// Label of each interned resource, if registered (first registration
-    /// wins, like [`ProvenanceGraph::label_of`]).
-    labels: Vec<Option<CallLabel>>,
+    uri_index: IdIndex,
+    /// Label of each interned resource as an id into `labels`, or [`NONE`]
+    /// if unregistered (first registration wins, like
+    /// [`ProvenanceGraph::label_of`]).
+    label: Vec<u32>,
+    /// Distinct labels, by first use.
+    labels: Vec<CallLabel>,
+    label_index: IdIndex,
+    /// Adjacency and closures of each interned resource.
+    lists: Vec<Lists>,
+    /// Keys of the two indexes' hash.
+    hasher: RandomState,
     /// Distinct edges.
     edges: usize,
 }
@@ -114,29 +263,55 @@ impl ReachabilityIndex {
         ReachabilityIndex::default()
     }
 
-    /// Build from a materialised graph — Source table and edges together.
+    /// Build from a materialised graph — Source table and edges together —
+    /// leaving no spare capacity.
     pub fn from_graph(graph: &ProvenanceGraph) -> Self {
         let mut idx = ReachabilityIndex::new();
         idx.add_sources(&graph.sources);
-        for l in &graph.links {
-            idx.add_link(l);
-        }
+        idx.add_links(&graph.links);
+        idx.shrink_to_fit();
         idx
     }
 
+    /// The interned id of `uri`, found through its hash.
+    fn find(&self, hash: u64, uri: &str) -> Option<u32> {
+        self.uri_index
+            .find(hash, |id| pooled(&self.pool, &self.ends, id) == uri)
+    }
+
     fn intern(&mut self, uri: &str, node: NodeId) -> u32 {
-        if let Some(&id) = self.ids.get(uri) {
+        let hash = self.hasher.hash_one(uri);
+        if let Some(id) = self.find(hash, uri) {
             return id;
         }
-        let id = self.uris.len() as u32;
-        self.uris.push(uri.to_string());
+        let id = offset(self.ends.len());
+        self.pool.push_str(uri);
+        self.ends.push(offset(self.pool.len()));
         self.nodes.push(node);
-        self.deps.push(Vec::new());
-        self.rdeps.push(Vec::new());
-        self.down.push(BTreeSet::new());
-        self.up.push(BTreeSet::new());
-        self.labels.push(None);
-        self.ids.insert(uri.to_string(), id);
+        self.label.push(NONE);
+        self.lists.push(Lists::default());
+        let (pool, ends, hasher) = (&self.pool, &self.ends, &self.hasher);
+        self.uri_index
+            .insert(hash, id, |i| hasher.hash_one(pooled(pool, ends, i)));
+        id
+    }
+
+    fn intern_label(&mut self, label: &CallLabel) -> u32 {
+        let hash = self.hasher.hash_one((label.service.as_str(), label.time));
+        let labels = &self.labels;
+        if let Some(id) = self
+            .label_index
+            .find(hash, |i| labels[i as usize] == *label)
+        {
+            return id;
+        }
+        let id = offset(self.labels.len());
+        self.labels.push(label.clone());
+        let (labels, hasher) = (&self.labels, &self.hasher);
+        self.label_index.insert(hash, id, |i| {
+            let l = &labels[i as usize];
+            hasher.hash_one((l.service.as_str(), l.time))
+        });
         id
     }
 
@@ -144,7 +319,19 @@ impl ReachabilityIndex {
     /// `(node, uri)` first on each side, so adjacency lists sorted by this
     /// key enumerate neighbours exactly as a sorted edge list would.
     fn key(&self, id: u32) -> (NodeId, &str) {
-        (self.nodes[id as usize], &self.uris[id as usize])
+        (self.nodes[id as usize], self.uri_of(id))
+    }
+
+    /// `run` of an interned resource's lists.
+    fn run(&self, id: u32, run: usize) -> &[u32] {
+        self.lists[id as usize].run(run)
+    }
+
+    /// Where `id` is, or would go, in adjacency run `run` of `of`.
+    fn search(&self, of: u32, run: usize, id: u32) -> Result<usize, usize> {
+        let key = self.key(id);
+        self.run(of, run)
+            .binary_search_by(|&c| self.key(c).cmp(&key))
     }
 
     /// Absorb Source rows: intern each URI and record its label (idempotent
@@ -152,8 +339,10 @@ impl ReachabilityIndex {
     /// graph's Source table, not here.
     pub fn add_sources(&mut self, sources: &[SourceEntry]) {
         for s in sources {
-            let id = self.intern(&s.uri, s.node);
-            self.labels[id as usize].get_or_insert_with(|| s.label.clone());
+            let id = self.intern(&s.uri, s.node) as usize;
+            if self.label[id] == NONE {
+                self.label[id] = self.intern_label(&s.label);
+            }
         }
     }
 
@@ -167,34 +356,23 @@ impl ReachabilityIndex {
     pub fn add_link(&mut self, link: &ProvLink) -> bool {
         let from = self.intern(&link.from_uri, link.from);
         let to = self.intern(&link.to_uri, link.to);
-        let pos = {
-            let key = self.key(to);
-            match self.deps[from as usize].binary_search_by(|&c| self.key(c).cmp(&key)) {
-                Ok(_) => return false,
-                Err(pos) => pos,
-            }
+        let Err(pos) = self.search(from, DEPS, to) else {
+            return false;
         };
-        self.deps[from as usize].insert(pos, to);
-        let rpos = {
-            let key = self.key(from);
-            match self.rdeps[to as usize].binary_search_by(|&c| self.key(c).cmp(&key)) {
-                Ok(p) => p, // unreachable: deps and rdeps are symmetric
-                Err(pos) => pos,
-            }
-        };
-        self.rdeps[to as usize].insert(rpos, from);
+        // deps and rdeps are symmetric, so `from` is not in `rdeps(to)`
+        let rpos = self.search(to, RDEPS, from).unwrap_or_else(|pos| pos);
+        self.lists[from as usize].insert(DEPS, pos, to);
+        self.lists[to as usize].insert(RDEPS, rpos, from);
         self.edges += 1;
         INDEX_LINKS.inc();
         // closure update: sources = {from} ∪ up(from), sinks = {to} ∪ down(to)
-        let mut above: Vec<u32> = self.up[from as usize].iter().copied().collect();
-        above.push(from);
-        let mut below: Vec<u32> = self.down[to as usize].iter().copied().collect();
-        below.push(to);
+        let above = with(self.run(from, UP), from);
+        let below = with(self.run(to, DOWN), to);
         for &x in &above {
-            self.down[x as usize].extend(below.iter().copied());
+            self.lists[x as usize].merge(DOWN, &below);
         }
         for &y in &below {
-            self.up[y as usize].extend(above.iter().copied());
+            self.lists[y as usize].merge(UP, &above);
         }
         true
     }
@@ -211,12 +389,58 @@ impl ReachabilityIndex {
 
     /// Distinct resources interned.
     pub fn resource_count(&self) -> usize {
-        self.uris.len()
+        self.ends.len()
+    }
+
+    /// Bytes of heap the index holds: the capacities of its URI pool,
+    /// per-resource columns, label table, hash indexes and lists.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pool.capacity()
+            + self.ends.capacity() * size_of::<u32>()
+            + self.nodes.capacity() * size_of::<NodeId>()
+            + self.uri_index.heap_bytes()
+            + self.label.capacity() * size_of::<u32>()
+            + self.labels.capacity() * size_of::<CallLabel>()
+            + self
+                .labels
+                .iter()
+                .map(|l| l.service.capacity())
+                .sum::<usize>()
+            + self.label_index.heap_bytes()
+            + self.lists.capacity() * size_of::<Lists>()
+            + self.lists.iter().map(Lists::heap_bytes).sum::<usize>()
+    }
+
+    /// Release the spare capacity that interning and incremental links
+    /// leave in the pool, the columns and every resource's lists.
+    fn shrink_to_fit(&mut self) {
+        self.pool.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+        self.label.shrink_to_fit();
+        self.labels.shrink_to_fit();
+        self.lists.shrink_to_fit();
+        for lists in &mut self.lists {
+            lists.0.shrink_to_fit();
+        }
     }
 
     /// Label of a resource, if registered.
     pub fn label_of(&self, uri: &str) -> Option<&CallLabel> {
-        self.labels[*self.ids.get(uri)? as usize].as_ref()
+        self.label_of_id(self.id_of(uri)?)
+    }
+
+    fn label_of_id(&self, id: u32) -> Option<&CallLabel> {
+        let label = self.label[id as usize];
+        (label != NONE).then(|| &self.labels[label as usize])
+    }
+
+    /// The URIs of `run` of `uri`'s lists; empty for an unknown URI.
+    fn neighbours(&self, uri: &str, run: usize) -> Vec<&str> {
+        self.id_of(uri)
+            .map(|id| self.run(id, run).iter().map(|&d| self.uri_of(d)).collect())
+            .unwrap_or_default()
     }
 
     /// Direct dependencies, identical to
@@ -224,41 +448,30 @@ impl ReachabilityIndex {
     /// index lookup instead of an edge-list scan.
     pub fn dependencies_of(&self, uri: &str) -> Vec<&str> {
         INDEX_HITS.inc();
-        self.ids
-            .get(uri)
-            .map(|&id| {
-                self.deps[id as usize]
-                    .iter()
-                    .map(|&d| self.uris[d as usize].as_str())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.neighbours(uri, DEPS)
     }
 
     /// Direct dependents, identical to [`ProvenanceGraph::dependents_of`].
     pub fn dependents_of(&self, uri: &str) -> Vec<&str> {
         INDEX_HITS.inc();
-        self.ids
-            .get(uri)
-            .map(|&id| {
-                self.rdeps[id as usize]
-                    .iter()
-                    .map(|&d| self.uris[d as usize].as_str())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.neighbours(uri, RDEPS)
     }
 
-    /// The downward closure of a URI as interned ids, including the root if
-    /// it is interned.
-    fn down_closure(&self, uri: &str) -> BTreeSet<u32> {
-        match self.ids.get(uri) {
-            Some(&id) => {
-                let mut set = self.down[id as usize].clone();
-                set.insert(id);
-                set
-            }
-            None => BTreeSet::new(),
+    /// The downward closure of a URI as interned ids, led by the root if
+    /// it is interned (which a cycle through it may list again).
+    fn down_closure(&self, uri: &str) -> impl Iterator<Item = u32> + '_ {
+        let root = self.id_of(uri);
+        let down = root.map_or(&[][..], |id| self.run(id, DOWN));
+        root.into_iter().chain(down.iter().copied())
+    }
+
+    /// The link `u → v` between two interned resources.
+    fn link(&self, u: u32, v: u32) -> ProvLink {
+        ProvLink {
+            from: self.nodes[u as usize],
+            from_uri: self.uri_of(u).to_string(),
+            to: self.nodes[v as usize],
+            to_uri: self.uri_of(v).to_string(),
         }
     }
 
@@ -272,17 +485,10 @@ impl ReachabilityIndex {
         resources.insert(uri.to_string());
         let mut links = Vec::new();
         let mut calls = Vec::new();
-        for &u in &self.down_closure(uri) {
-            resources.insert(self.uris[u as usize].clone());
-            calls.extend(self.labels[u as usize].clone());
-            for &v in &self.deps[u as usize] {
-                links.push(ProvLink {
-                    from: self.nodes[u as usize],
-                    from_uri: self.uris[u as usize].clone(),
-                    to: self.nodes[v as usize],
-                    to_uri: self.uris[v as usize].clone(),
-                });
-            }
+        for u in self.down_closure(uri) {
+            resources.insert(self.uri_of(u).to_string());
+            calls.extend(self.label_of_id(u).cloned());
+            links.extend(self.run(u, DEPS).iter().map(|&v| self.link(u, v)));
         }
         links.sort();
         links.dedup();
@@ -303,7 +509,7 @@ impl ReachabilityIndex {
     pub fn lineage(&self, uri: &str, depth: usize) -> Vec<(String, usize)> {
         INDEX_HITS.inc();
         let mut out = vec![(uri.to_string(), 0)];
-        let Some(&root) = self.ids.get(uri) else {
+        let Some(root) = self.id_of(uri) else {
             return out;
         };
         let mut seen: HashSet<u32> = HashSet::new();
@@ -312,9 +518,9 @@ impl ReachabilityIndex {
         for d in 1..=depth {
             let mut next = Vec::new();
             for &u in &frontier {
-                for &v in &self.deps[u as usize] {
+                for &v in self.run(u, DEPS) {
                     if seen.insert(v) {
-                        out.push((self.uris[v as usize].clone(), d));
+                        out.push((self.uri_of(v).to_string(), d));
                         next.push(v);
                     }
                 }
@@ -332,7 +538,7 @@ impl ReachabilityIndex {
     /// incoming adjacency lists.
     pub fn impacted_by(&self, uri: &str) -> Vec<String> {
         INDEX_HITS.inc();
-        let Some(&root) = self.ids.get(uri) else {
+        let Some(root) = self.id_of(uri) else {
             return Vec::new();
         };
         let mut seen: HashSet<u32> = HashSet::new();
@@ -340,9 +546,9 @@ impl ReachabilityIndex {
         let mut out = Vec::new();
         let mut queue = VecDeque::from([root]);
         while let Some(u) = queue.pop_front() {
-            for &v in &self.rdeps[u as usize] {
+            for &v in self.run(u, RDEPS) {
                 if seen.insert(v) {
-                    out.push(self.uris[v as usize].clone());
+                    out.push(self.uri_of(v).to_string());
                     queue.push_back(v);
                 }
             }
@@ -355,72 +561,56 @@ impl ReachabilityIndex {
     /// of the two why-provenances), sorted.
     pub fn common_origins(&self, a: &str, b: &str) -> Vec<String> {
         INDEX_HITS.inc();
-        let mut ca: BTreeSet<String> = self
-            .down_closure(a)
-            .iter()
-            .map(|&u| self.uris[u as usize].clone())
-            .collect();
-        ca.insert(a.to_string());
-        let mut cb: BTreeSet<String> = self
-            .down_closure(b)
-            .iter()
-            .map(|&u| self.uris[u as usize].clone())
-            .collect();
-        cb.insert(b.to_string());
-        ca.intersection(&cb).cloned().collect()
+        let closure = |root| -> BTreeSet<&str> {
+            let mut set: BTreeSet<&str> = self.down_closure(root).map(|u| self.uri_of(u)).collect();
+            set.insert(root);
+            set
+        };
+        let (ca, cb) = (closure(a), closure(b));
+        ca.intersection(&cb).map(|u| u.to_string()).collect()
     }
 
     /// Interned id of a URI, if present (rank-module access).
     pub(crate) fn id_of(&self, uri: &str) -> Option<u32> {
-        self.ids.get(uri).copied()
+        self.find(self.hasher.hash_one(uri), uri)
     }
 
     /// URI of an interned id (rank-module access).
     pub(crate) fn uri_of(&self, id: u32) -> &str {
-        &self.uris[id as usize]
+        pooled(&self.pool, &self.ends, id)
     }
 
     /// Outgoing (dependency) neighbours of an interned id, edge-list order.
     pub(crate) fn deps_of_id(&self, id: u32) -> &[u32] {
-        &self.deps[id as usize]
+        self.run(id, DEPS)
     }
 
     /// Incoming (dependent) neighbours of an interned id, edge-list order.
     pub(crate) fn rdeps_of_id(&self, id: u32) -> &[u32] {
-        &self.rdeps[id as usize]
+        self.run(id, RDEPS)
     }
 
     /// Size of the precomputed downward closure of an id (root excluded).
     pub(crate) fn down_size(&self, id: u32) -> usize {
-        self.down[id as usize].len()
+        self.run(id, DOWN).len()
     }
 
     /// Size of the precomputed upward closure of an id (root excluded).
     pub(crate) fn up_size(&self, id: u32) -> usize {
-        self.up[id as usize].len()
+        self.run(id, UP).len()
     }
 
     /// Every labelled resource's interned id and label, in interning
     /// order (rank-module access for per-service aggregation).
     pub(crate) fn labelled(&self) -> impl Iterator<Item = (u32, &CallLabel)> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter_map(|(id, l)| Some((id as u32, l.as_ref()?)))
+        (0..offset(self.resource_count())).filter_map(|id| Some((id, self.label_of_id(id)?)))
     }
 
     /// Expand back to the sorted edge list the index was fed.
     pub fn expand(&self) -> Vec<ProvLink> {
         let mut out = Vec::with_capacity(self.edges);
-        for from in 0..self.deps.len() {
-            for &to in &self.deps[from] {
-                out.push(ProvLink {
-                    from: self.nodes[from],
-                    from_uri: self.uris[from].clone(),
-                    to: self.nodes[to as usize],
-                    to_uri: self.uris[to as usize].clone(),
-                });
-            }
+        for from in 0..offset(self.resource_count()) {
+            out.extend(self.run(from, DEPS).iter().map(|&to| self.link(from, to)));
         }
         out.sort();
         out
@@ -479,6 +669,20 @@ impl EpochSnapshot {
         self.graph.add_links(delta.links.iter().cloned());
         self.calls = self.calls.max(calls);
         self.epoch += 1;
+    }
+
+    /// Release the spare capacity that folds leave in the graph's tables
+    /// and in the index, once a run's folds are done. Never per delta: the
+    /// next fold would only grow them again.
+    pub fn shrink_to_fit(&mut self) {
+        self.graph.sources.shrink_to_fit();
+        self.graph.links.shrink_to_fit();
+        self.index.shrink_to_fit();
+    }
+
+    /// Bytes of heap the snapshot holds: its graph's and its index's.
+    pub fn heap_bytes(&self) -> usize {
+        self.graph.heap_bytes() + self.index.heap_bytes()
     }
 
     /// The Source rows of `doc` this snapshot holds no label for, in

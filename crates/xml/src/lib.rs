@@ -80,4 +80,5 @@ pub use error::{Error, Result};
 pub use iter::{Ancestors, Children, Descendants};
 pub use parse::{parse_document, parse_fragment_into};
 pub use serialize::{to_xml_string, to_xml_string_pretty, write_with, XmlWriteOptions};
+pub use table::IdIndex;
 pub use tree::{Attrs, Node, NodeId, NodeKind, Symbol};

@@ -1,7 +1,8 @@
 //! An open-addressing index of dense ids whose keys live elsewhere.
 //!
 //! A document keeps each element or attribute name, call label and URI
-//! once, in its own tables and pool. This index maps a key to the id of
+//! once, in its own tables and pool, and a provenance reachability index
+//! keeps each URI once in its own pool. This index maps a key to the id of
 //! its entry without holding a second copy of the key: it stores only the
 //! ids, and the caller compares keys through them. Keys are hashed with the
 //! standard library's randomly keyed SipHash (`RandomState`), so the
@@ -10,16 +11,17 @@
 
 use crate::tree::NONE;
 
-/// Linear-probing set of `u32` ids at most half full.
+/// Linear-probing set of `u32` ids at most half full. An id must be below
+/// `u32::MAX`, which marks an empty slot.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct IdIndex {
+pub struct IdIndex {
     slots: Vec<u32>,
     len: usize,
 }
 
 impl IdIndex {
     /// The id stored under `hash` whose key satisfies `is_key`.
-    pub(crate) fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+    pub fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
@@ -39,7 +41,7 @@ impl IdIndex {
 
     /// Add `id`, whose key hashes to `hash` and is not present yet.
     /// `hash_of` gives the hash of any id already present, for regrowth.
-    pub(crate) fn insert(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
+    pub fn insert(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
         if (self.len + 1) * 2 > self.slots.len() {
             let grown = vec![NONE; (self.slots.len() * 2).max(8)];
             let old = std::mem::replace(&mut self.slots, grown);
@@ -61,13 +63,13 @@ impl IdIndex {
     }
 
     /// Forget every id (the next insert allocates afresh).
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.slots = Vec::new();
         self.len = 0;
     }
 
     /// Bytes of heap the index holds.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<u32>()
     }
 }

@@ -11,7 +11,8 @@
 //!   asserted equal in both implementations;
 //! * random graphs with cycles, a URI registered twice under different
 //!   calls, and link endpoints no Source row labels, where `summary`'s
-//!   closure sizes are checked as well;
+//!   closure sizes are checked as well, built in one batch and folded in
+//!   as shuffled deltas;
 //! * the `cli-oneshot` read graph (`run_cli_read_pipeline(7, 300, 40)`),
 //!   with and without inherited links;
 //! * the `ExecutionHandle` and snapshot paths on platform executions.
@@ -31,8 +32,8 @@ use proptest::rng::SplitMix64;
 use support::edgewalk;
 use weblab::platform::{Mapper, Platform, ProvQuery, QueryAnswer, QueryOpts, RankDirection};
 use weblab::prov::{
-    infer_provenance, paper_example, EngineOptions, EpochSnapshot, InheritMode, ProvLink,
-    ProvenanceGraph, ReachabilityIndex, SourceEntry, WhyProvenance,
+    infer_provenance, paper_example, EngineOptions, EpochSnapshot, InheritMode, LiveDelta,
+    ProvLink, ProvenanceGraph, ReachabilityIndex, SourceEntry, WhyProvenance,
 };
 use weblab::rdf::vocab::PROV_NS;
 use weblab::rdf::QueryEngine;
@@ -381,6 +382,46 @@ proptest! {
             &g,
             per_uri_queries(&uris).into_iter().chain(pairs).chain(summaries),
             |q| q.answer_on_graph(&g).unwrap(),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn folded_deltas_answer_like_the_edge_walks(g in AnyDocGraph, seed in any::<u64>()) {
+        // The live path: the graph's links shuffled and its Source rows in
+        // order, cut into deltas and folded one by one, so the index
+        // interns and links in an order no batch build sees.
+        let mut rng = SplitMix64::from_seed(seed);
+        let mut links = g.links.clone();
+        for i in (1..links.len()).rev() {
+            links.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let (mut sources, mut snap) = (&g.sources[..], EpochSnapshot::empty());
+        while !sources.is_empty() || !links.is_empty() {
+            let (s, l) = (
+                rng.below(sources.len() as u64 + 1) as usize,
+                rng.below(links.len() as u64 + 1) as usize,
+            );
+            let delta = LiveDelta { links: links.drain(..l).collect(), sources: sources[..s].to_vec() };
+            sources = &sources[s..];
+            snap.fold(&delta, snap.calls + 1);
+        }
+        let uris = all_uris(&g);
+        let pairs = uris.iter().flat_map(|a| {
+            uris.iter().map(|b| ProvQuery::CommonOrigins { a: a.clone(), b: b.clone() })
+        });
+        let summaries = uris
+            .iter()
+            .map(|u| Some(u.clone()))
+            .chain([None])
+            .map(|uri| ProvQuery::Summary { uri });
+        assert_agrees(
+            &g,
+            per_uri_queries(&uris).into_iter().chain(pairs).chain(summaries),
+            |q| q.answer(|| &snap.index, || -> Arc<QueryEngine> { unreachable!("no sparql here") }).unwrap(),
         );
     }
 }
