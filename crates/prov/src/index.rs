@@ -26,10 +26,11 @@
 //! resource on no link allocates nothing.
 //!
 //! Resources are interned in first-seen order: Source rows in registration
-//! order, then link endpoints in link order. That order decides which node
-//! a URI carries when a hand-built edge set pairs it with two, and which
-//! label wins, so a live and a batch index built from the same rows give
-//! the same answers. Ranked answers never consult interned ids.
+//! order, then link endpoints in link order. That order decides which label
+//! wins and which node a URI carries when a hand-built edge set pairs it
+//! with two. On a document's rows, where each URI names one node, a live
+//! and a batch index therefore answer alike. Ranked answers never consult
+//! interned ids.
 //!
 //! The index is pinned by the `prov.index.{builds,hits,traversals}`
 //! counter family: `builds` counts full index constructions, `hits` counts

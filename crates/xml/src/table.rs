@@ -63,7 +63,7 @@ impl IdIndex {
     }
 
     /// Forget every id (the next insert allocates afresh).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots = Vec::new();
         self.len = 0;
     }
