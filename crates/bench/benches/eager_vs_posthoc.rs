@@ -13,7 +13,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use weblab_prov::{infer_provenance, EngineOptions, Strategy};
+use weblab_prov::oracle::{infer_provenance_with, Strategy};
+use weblab_prov::EngineOptions;
 use weblab_workflow::generator::synthetic_workload;
 use weblab_workflow::Orchestrator;
 
@@ -50,12 +51,10 @@ fn bench_eager_vs_posthoc(c: &mut Criterion) {
                 b.iter(|| {
                     let (mut doc, wf, rules) = synthetic_workload(1, n, 4, 5);
                     let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
-                    let opts = EngineOptions {
-                        strategy: Strategy::GroupedSinglePass,
-                        ..Default::default()
-                    };
+                    let opts = EngineOptions::default();
+                    let strategy = Strategy::GroupedSinglePass;
                     black_box(
-                        infer_provenance(&doc, &outcome.trace, &rules, &opts)
+                        infer_provenance_with(&doc, &outcome.trace, &rules, strategy, &opts)
                             .links
                             .len(),
                     )

@@ -19,7 +19,8 @@ use std::hint::black_box;
 
 use weblab_bench::run_synthetic;
 use weblab_obs::{Counter, Histogram, Span};
-use weblab_prov::{infer_provenance, EngineOptions, Strategy};
+use weblab_prov::oracle::{infer_provenance_with, Strategy};
+use weblab_prov::EngineOptions;
 
 static BENCH_COUNTER: Counter = Counter::new("bench.obs.counter");
 static BENCH_HIST: Histogram = Histogram::new("bench.obs.histogram");
@@ -87,10 +88,8 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("x11_obs_engine");
     group.sample_size(10);
     let executed = run_synthetic(42, 48, 4, 0);
-    let opts = EngineOptions {
-        strategy: Strategy::GroupedSinglePass,
-        ..Default::default()
-    };
+    let opts = EngineOptions::default();
+    let strategy = Strategy::GroupedSinglePass;
 
     for (name, enabled) in [("infer_disabled", false), ("infer_enabled", true)] {
         group.bench_with_input(BenchmarkId::new(name, 48), &executed, |b, e| {
@@ -101,7 +100,7 @@ fn bench_engine(c: &mut Criterion) {
             }
             b.iter(|| {
                 black_box(
-                    infer_provenance(&e.doc, &e.trace, &e.rules, &opts)
+                    infer_provenance_with(&e.doc, &e.trace, &e.rules, strategy, &opts)
                         .links
                         .len(),
                 )

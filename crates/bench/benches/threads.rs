@@ -2,12 +2,13 @@
 //! pattern-evaluation cache.
 //!
 //! Fixes the workload (the 48-call synthetic trace of X1) and sweeps the
-//! engine's `parallelism` knob over the per-call TemporalRewrite strategy
-//! (48 independent units sharing one pattern cache). Two reference rows
+//! engine's `parallelism` knob over the production temporal rewrite (48
+//! independent units sharing one pattern cache). Two reference rows
 //! anchor the sweep: `grouped_sequential` is the strongest sequential
-//! strategy from X1, and `percall_uncached` replays the pre-cache temporal
-//! path — rewrite both patterns per call, re-evaluate them on the final
-//! document, join — which is what `temporal/1` replaces.
+//! strategy from X1 (an oracle in `weblab_prov::oracle`), and
+//! `percall_uncached` replays the pre-cache temporal path — rewrite both
+//! patterns per call, re-evaluate them on the final document, join —
+//! which is what `temporal/1` replaces.
 //!
 //! Expected shape (recorded in EXPERIMENTS.md): `temporal/1` collapses the
 //! 2·|calls| pattern evaluations of `percall_uncached` into 2 cached ones,
@@ -20,9 +21,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use weblab_bench::run_synthetic;
-use weblab_prov::{
-    infer_provenance, join_tables, EngineOptions, Parallelism, Strategy,
-};
+use weblab_prov::oracle::{infer_provenance_with, Strategy};
+use weblab_prov::{infer_provenance, join_tables, EngineOptions, Parallelism};
 use weblab_xpath::{add_source_constraints, add_target_constraints, eval_pattern};
 
 fn bench_threads(c: &mut Criterion) {
@@ -36,13 +36,13 @@ fn bench_threads(c: &mut Criterion) {
         &executed,
         |b, e| {
             let opts = EngineOptions {
-                strategy: Strategy::GroupedSinglePass,
                 parallelism: Parallelism::Sequential,
                 ..Default::default()
             };
+            let strategy = Strategy::GroupedSinglePass;
             b.iter(|| {
                 black_box(
-                    infer_provenance(&e.doc, &e.trace, &e.rules, &opts)
+                    infer_provenance_with(&e.doc, &e.trace, &e.rules, strategy, &opts)
                         .links
                         .len(),
                 )
@@ -87,7 +87,6 @@ fn bench_threads(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(name, 48), &executed, |b, e| {
             let opts = EngineOptions {
-                strategy: Strategy::TemporalRewrite,
                 parallelism,
                 ..Default::default()
             };

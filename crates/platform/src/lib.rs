@@ -17,8 +17,9 @@
 //! 2. **Graph construction** — the [`ServiceCatalog`] holds per-service
 //!    endpoints, signatures and mapping rules; the [`Mapper`] combines
 //!    catalog rules with the trace and the final document to materialise
-//!    the provenance graph, through either the native engine or compiled
-//!    XQuery.
+//!    the provenance graph through the native engine's temporal rewrite,
+//!    the one inference strategy production runs (the paper's compiled
+//!    XQuery is a test oracle in `weblab-xquery`).
 //! 3. **Request management** — one code path runs every pipeline, the
 //!    daemon's and the CLI's ([`Platform::execute_durable`] saves each
 //!    step with its resume point), and one function computes every replay
@@ -58,7 +59,7 @@ mod recorder;
 pub mod store;
 
 pub use catalog::{CatalogError, ServiceCatalog, ServiceEntry, ServiceRules};
-pub use mapper::{Mapper, MapperError, MapperStrategy};
+pub use mapper::Mapper;
 pub use platform::{
     ExecutionHandle, Platform, PlatformError, SpecStep, WorkflowSpec,
 };

@@ -7,16 +7,18 @@
 //! Service Catalog. All these data and rules are then combined to construct
 //! an XQuery expression for building the provenance graph."
 //!
-//! Both of the paper's computation paths are available: the native
-//! pattern-join engine of `weblab-prov` (with any of its strategies) and
-//! the compiled-XQuery pipeline of `weblab-xquery`.
-
-use std::fmt;
+//! The platform's Mapper runs the native engine of `weblab-prov`, the
+//! temporal rewrite of Section 4, under one set of [`EngineOptions`]: every
+//! inference the platform makes takes them. The paper's compiled-XQuery
+//! path stays in `weblab-xquery`, which the test suites check against the
+//! graphs the platform serves.
 
 use weblab_obs::Counter;
 use weblab_prov::{
-    infer_provenance, EngineOptions, ExecutionTrace, ProvenanceGraph, RuleSet,
+    infer_links_since, infer_provenance, EngineOptions, ExecutionTrace, ProvLink, ProvenanceGraph,
+    RuleSet,
 };
+use weblab_xml::Document;
 
 /// Full provenance-graph materialisations performed by the Mapper.
 static MATERIALIZATIONS: Counter = Counter::new("platform.mapper.materializations");
@@ -24,70 +26,23 @@ static MATERIALIZATIONS: Counter = Counter::new("platform.mapper.materialization
 static INCREMENTAL_RUNS: Counter = Counter::new("platform.mapper.incremental_runs");
 /// Links returned by incremental requests — the delta sizes.
 static DELTA_LINKS: Counter = Counter::new("platform.mapper.delta_links");
-use weblab_xml::Document;
-use weblab_xquery::{infer_provenance_xquery, CompileError, XQueryStrategyOptions};
-
-/// Which computation path the Mapper uses.
-#[derive(Debug, Clone)]
-pub enum MapperStrategy {
-    /// Native pattern evaluation and algebraic join (Definition 8/9).
-    Native(EngineOptions),
-    /// Compile every rule to XQuery and evaluate on the final document
-    /// (Section 6, Example 9).
-    XQuery(XQueryStrategyOptions),
-}
-
-impl Default for MapperStrategy {
-    fn default() -> Self {
-        MapperStrategy::Native(EngineOptions::default())
-    }
-}
-
-/// Mapper failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MapperError {
-    /// A rule could not be compiled to XQuery.
-    Compile(CompileError),
-}
-
-impl fmt::Display for MapperError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MapperError::Compile(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MapperError {}
 
 /// The Mapper component.
 #[derive(Debug, Clone, Default)]
 pub struct Mapper {
-    /// Computation path.
-    pub strategy: MapperStrategy,
+    /// The native engine's options.
+    pub opts: EngineOptions,
 }
 
 impl Mapper {
-    /// A mapper using the native engine with default options.
+    /// A mapper running the native engine with default options.
     pub fn native() -> Self {
-        Mapper {
-            strategy: MapperStrategy::Native(EngineOptions::default()),
-        }
+        Mapper::default()
     }
 
-    /// A mapper using compiled XQuery.
-    pub fn xquery() -> Self {
-        Mapper {
-            strategy: MapperStrategy::XQuery(XQueryStrategyOptions::default()),
-        }
-    }
-
-    /// Set the native engine's degree of parallelism. No effect on the
-    /// XQuery path, which has no parallel executor.
+    /// Set the native engine's degree of parallelism.
     pub fn with_parallelism(mut self, parallelism: weblab_prov::Parallelism) -> Self {
-        if let MapperStrategy::Native(opts) = &mut self.strategy {
-            opts.parallelism = parallelism;
-        }
+        self.opts.parallelism = parallelism;
         self
     }
 
@@ -97,13 +52,9 @@ impl Mapper {
         doc: &Document,
         trace: &ExecutionTrace,
         rules: &RuleSet,
-    ) -> Result<ProvenanceGraph, MapperError> {
+    ) -> ProvenanceGraph {
         MATERIALIZATIONS.inc();
-        match &self.strategy {
-            MapperStrategy::Native(opts) => Ok(infer_provenance(doc, trace, rules, opts)),
-            MapperStrategy::XQuery(opts) => infer_provenance_xquery(doc, trace, rules, opts)
-                .map_err(MapperError::Compile),
-        }
+        infer_provenance(doc, trace, rules, &self.opts)
     }
 
     /// Compute only the links contributed by `trace.calls[first_call..]` —
@@ -115,64 +66,10 @@ impl Mapper {
         trace: &ExecutionTrace,
         first_call: usize,
         rules: &RuleSet,
-    ) -> Result<Vec<weblab_prov::ProvLink>, MapperError> {
+    ) -> Vec<ProvLink> {
         INCREMENTAL_RUNS.inc();
-        let links = match &self.strategy {
-            MapperStrategy::Native(opts) => Ok(weblab_prov::infer_links_since(
-                doc, trace, first_call, rules, opts,
-            )),
-            MapperStrategy::XQuery(opts) => {
-                let channel_map = trace.channel_map();
-                let mut links = Vec::new();
-                for call in &trace.calls[first_call.min(trace.calls.len())..] {
-                    for rule in rules.rules_for(&call.service) {
-                        let call_links =
-                            weblab_xquery::xquery_call_provenance(rule, doc, call, opts)
-                                .map_err(MapperError::Compile)?;
-                        links.extend(weblab_prov::filter_links_by_channel(
-                            &doc.view(),
-                            call_links,
-                            &call.channel,
-                            &channel_map,
-                        ));
-                    }
-                }
-                links.sort();
-                links.dedup();
-                Ok(links)
-            }
-        };
-        if let Ok(l) = &links {
-            DELTA_LINKS.add(l.len() as u64);
-        }
+        let links = infer_links_since(doc, trace, first_call, rules, &self.opts);
+        DELTA_LINKS.add(links.len() as u64);
         links
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use weblab_prov::paper_example;
-
-    #[test]
-    fn native_and_xquery_mappers_agree_on_compilable_rules() {
-        let (doc, trace, _) = paper_example::build();
-        let mut rules = RuleSet::new();
-        rules
-            .add_parsed("LanguageExtractor", paper_example::M2)
-            .unwrap();
-        rules.add_parsed("Translator", paper_example::M3).unwrap();
-        let native = Mapper::native().materialize(&doc, &trace, &rules).unwrap();
-        let xquery = Mapper::xquery().materialize(&doc, &trace, &rules).unwrap();
-        assert_eq!(native.links, xquery.links);
-    }
-
-    #[test]
-    fn xquery_mapper_reports_compile_errors() {
-        let (doc, trace, rules) = paper_example::build(); // M1 has a position predicate
-        let err = Mapper::xquery().materialize(&doc, &trace, &rules).unwrap_err();
-        assert!(matches!(err, MapperError::Compile(_)));
-        // the native mapper handles the full rule language
-        assert!(Mapper::native().materialize(&doc, &trace, &rules).is_ok());
     }
 }

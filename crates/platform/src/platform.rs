@@ -37,7 +37,7 @@ use weblab_workflow::{
 use weblab_xml::{Document, Timestamp};
 
 use crate::catalog::{CatalogError, ServiceCatalog, ServiceRules};
-use crate::mapper::{Mapper, MapperError, MapperStrategy};
+use crate::mapper::Mapper;
 use crate::query::{prov_store, ProvQuery, QueryAnswer};
 use crate::recorder::{self, RecorderError};
 use crate::store::{Header, PersistError, ProvStore, ResumePoint};
@@ -67,8 +67,6 @@ pub enum PlatformError {
     Workflow(WorkflowError),
     /// Recording an exchanged response failed.
     Recorder(RecorderError),
-    /// Provenance materialisation failed.
-    Mapper(MapperError),
     /// A provenance query failed to parse.
     Sparql(SparqlError),
     /// The attached disk store failed to save or load an execution.
@@ -86,7 +84,6 @@ impl fmt::Display for PlatformError {
             PlatformError::Catalog(e) => write!(f, "{e}"),
             PlatformError::Workflow(e) => write!(f, "{e}"),
             PlatformError::Recorder(e) => write!(f, "{e}"),
-            PlatformError::Mapper(e) => write!(f, "{e}"),
             PlatformError::Sparql(e) => write!(f, "{e}"),
             PlatformError::Store(e) => write!(f, "store: {e}"),
             PlatformError::ExecutionExists(e) => write!(
@@ -114,12 +111,6 @@ impl From<WorkflowError> for PlatformError {
 impl From<RecorderError> for PlatformError {
     fn from(e: RecorderError) -> Self {
         PlatformError::Recorder(e)
-    }
-}
-
-impl From<MapperError> for PlatformError {
-    fn from(e: MapperError) -> Self {
-        PlatformError::Mapper(e)
     }
 }
 
@@ -313,8 +304,8 @@ impl Execution {
     /// ([`EpochSnapshot::fold`]), bringing it to `calls` folded calls, and
     /// return the result. Once epoch 1 is published, an empty delta that
     /// advances no call is a no-op; the first fold always publishes. A
-    /// `settled` fold is the last one for a while (a refresh's), so it also
-    /// releases the spare capacity the folds left.
+    /// `settled` fold is the last one for a while (a reader's refresh's or
+    /// a save's), so it also releases the spare capacity the folds left.
     fn apply_delta(&self, delta: &LiveDelta, calls: usize, settled: bool) -> Arc<EpochSnapshot> {
         let mut slot = self.snapshot.write().expect("lock poisoned");
         if slot.epoch > 0 && delta.is_empty() && calls <= slot.calls {
@@ -445,8 +436,7 @@ impl Platform {
 
     /// Execute a [`WorkflowSpec`] — possibly containing parallel blocks —
     /// over a stored execution's document. Branch calls are recorded with
-    /// their control-flow channels, which the Mapper's strategies respect
-    /// during inference.
+    /// their control-flow channels, which the Mapper's inference respects.
     pub fn execute_spec(&self, exec_id: &str, spec: &WorkflowSpec) -> Result<(), PlatformError> {
         let workflow = self.build_workflow(spec)?;
         self.drive(exec_id, &workflow, None).map(drop)
@@ -543,12 +533,9 @@ impl Platform {
             // prior trace (dropping the refresh's hold, so the run's deltas
             // fold in place), then fold one delta per committed call from a
             // producer positioned there, which the orchestrator owns.
-            drop(self.refresh(rec, false)?);
-            let opts = match &self.mapper.strategy {
-                MapperStrategy::Native(opts) => *opts,
-                MapperStrategy::XQuery(_) => EngineOptions::default(),
-            };
-            let producer = LiveProvenance::new(self.rules(), opts).starting_at(&doc, &prior);
+            drop(self.refresh(rec, false));
+            let producer =
+                LiveProvenance::new(self.rules(), self.mapper.opts).starting_at(&doc, &prior);
             let producer = Mutex::new(producer);
             let (rec, base) = (Arc::clone(rec), prior.len());
             orch = orch.with_call_hook(Arc::new(move |doc, trace, idx| {
@@ -597,7 +584,7 @@ impl Platform {
                         // The run folded calls the platform does not keep:
                         // publish the graph of the kept document and trace
                         // at the next epoch, inferred afresh.
-                        let graph = self.mapper.materialize(&kept.doc, &kept.trace, &self.rules())?;
+                        let graph = self.mapper.materialize(&kept.doc, &kept.trace, &self.rules());
                         rec.restore(EpochSnapshot {
                             epoch: rec.published().epoch + 1,
                             calls: kept.trace.len(),
@@ -730,7 +717,7 @@ impl Platform {
         }
         let names: Vec<&str> = prior_trace.calls.iter().map(|c| c.service.as_str()).collect();
         let workflow = self.build_workflow(&WorkflowSpec::sequence(&names))?;
-        let snap = self.refresh(&rec, true)?;
+        let snap = self.refresh(&rec, true);
         // The published snapshot's links may omit containment (inherited)
         // provenance — a fragment's non-anchor resources (a unit's
         // TextContent) would then have no link to the changed source and
@@ -741,7 +728,7 @@ impl Platform {
             &self.rules(),
             &EngineOptions {
                 inherit: weblab_prov::InheritMode::PatternRewrite,
-                ..EngineOptions::default()
+                ..self.mapper.opts
             },
         );
         let inherit_index = ReachabilityIndex::from_graph(&inherit_graph);
@@ -926,7 +913,8 @@ impl Platform {
     /// between the fold and the save. The fold publishes only what a live
     /// run's start would: with nothing to fold yet, the snapshot stays at
     /// epoch 0, so a store-backed execution numbers its epochs as a
-    /// store-less one does. A snapshot a live run in flight has folded
+    /// store-less one does. Unlike a run's start, it releases the spare
+    /// capacity of the folds. A snapshot a live run in flight has folded
     /// past the kept calls holds links of calls the store does not keep
     /// (and may never, if the run fails): the kept state's graph, inferred
     /// afresh, is saved in its place. The kept resume point is saved with
@@ -939,7 +927,7 @@ impl Platform {
         rec: &Execution,
         kept: &Kept,
     ) -> Result<(), PlatformError> {
-        let snap = self.fold_missing(rec, kept, false)?;
+        let snap = self.fold_missing(rec, kept, false, true);
         let live = self.live_enabled_impl(exec_id);
         let checkpoint = kept.checkpoint.clone();
         let state = (kept.trace.len(), Header { epoch: snap.epoch, live, checkpoint });
@@ -948,8 +936,7 @@ impl Platform {
             return Ok(());
         }
         let ahead = (snap.calls > kept.trace.len())
-            .then(|| self.mapper.materialize(&kept.doc, &kept.trace, &self.rules()))
-            .transpose()?;
+            .then(|| self.mapper.materialize(&kept.doc, &kept.trace, &self.rules()));
         let graph = ahead.as_ref().unwrap_or(&snap.graph);
         ss.store.save_with(exec_id, &kept.doc, &kept.trace, graph, &state.1)?;
         *stored = Some(state);
@@ -1017,7 +1004,7 @@ impl Platform {
     /// [`Platform::refresh`].
     fn snapshot_impl(&self, exec_id: &str) -> Result<Arc<EpochSnapshot>, PlatformError> {
         let rec = self.record(exec_id)?;
-        self.refresh(&rec, true)
+        Ok(self.refresh(&rec, true))
     }
 
     /// The published snapshot if it already covers every kept call, else a
@@ -1026,39 +1013,43 @@ impl Platform {
     /// the live hook runs *ahead* of the kept trace (calls reach it only
     /// when the run commits), which is why freshness is `snapshot.calls >=
     /// trace len`, not equality. A reader's refresh always publishes, so
-    /// epoch 1 at least; a live run's start publishes only a delta that
-    /// adds something.
-    fn refresh(&self, rec: &Execution, reader: bool) -> Result<Arc<EpochSnapshot>, PlatformError> {
+    /// epoch 1 at least, and releases the folds' spare capacity; a live
+    /// run's start publishes only a delta that adds something, and keeps
+    /// the capacity for the run's deltas to grow into.
+    fn refresh(&self, rec: &Execution, reader: bool) -> Arc<EpochSnapshot> {
         let calls = rec.calls();
         let snap = rec.published();
         if covers(&snap, calls) {
-            return Ok(snap);
+            return snap;
         }
         drop(snap);
         // A reader that waited for another's refresh finds it published.
         // The mutex guards no data, so a panicked refresh leaves it usable.
         let _refresh = rec.refresh.lock().unwrap_or_else(PoisonError::into_inner);
         let kept = rec.kept();
-        self.fold_missing(rec, &kept, reader)
+        self.fold_missing(rec, &kept, reader, reader)
     }
 
     /// Fold into the published snapshot what it lacks of the kept state,
     /// read in place under the caller's refresh mutex and kept lock: the
     /// Mapper's links for the calls past the snapshot plus the Source rows
-    /// it does not hold yet.
+    /// it does not hold yet. A `reader`'s fold publishes even a delta that
+    /// adds nothing; a `settled` one releases the spare capacity left by
+    /// the folds (see [`Execution::apply_delta`]).
     fn fold_missing(
         &self,
         rec: &Execution,
         kept: &Kept,
         reader: bool,
-    ) -> Result<Arc<EpochSnapshot>, PlatformError> {
+        settled: bool,
+    ) -> Arc<EpochSnapshot> {
         let calls = kept.trace.len();
         let snap = rec.published();
         if covers(&snap, calls) {
-            return Ok(snap);
+            return snap;
         }
         let links = if calls > snap.calls {
-            self.mapper.materialize_since(&kept.doc, &kept.trace, snap.calls, &self.rules())?
+            self.mapper.materialize_since(&kept.doc, &kept.trace, snap.calls, &self.rules())
         } else {
             Vec::new()
         };
@@ -1067,11 +1058,11 @@ impl Platform {
             sources: snap.missing_sources(&kept.doc),
         };
         if !reader && delta.is_empty() && calls <= snap.calls {
-            return Ok(snap);
+            return snap;
         }
         // Release this reader's hold, so the fold need not copy the epoch.
         drop(snap);
-        Ok(rec.apply_delta(&delta, calls, true))
+        rec.apply_delta(&delta, calls, settled)
     }
 }
 
@@ -1343,8 +1334,8 @@ mod tests {
     /// The from-scratch oracle: the Mapper's full materialisation of the
     /// execution's current document and trace.
     fn oracle(p: &Platform, id: &str) -> ProvenanceGraph {
-        let graph = p.execution(id).with_kept(|doc, trace| p.mapper.materialize(doc, trace, &p.rules()));
-        graph.unwrap().unwrap()
+        let rules = p.rules();
+        p.execution(id).with_kept(|doc, trace| p.mapper.materialize(doc, trace, &rules)).unwrap()
     }
 
     /// The kept trace of an execution.

@@ -1,11 +1,11 @@
 //! Scoped-thread parallel execution of inference work units.
 //!
-//! Every strategy in [`crate::engine`] decomposes into independent
-//! *evaluation units* — (call × rule) for `StateReplay` and
-//! `TemporalRewrite`, (service × rule) for `GroupedSinglePass` — each
-//! producing a private buffer of [`ProvLink`]s over shared read-only state
-//! (the final [`weblab_xml::Document`], the rule set, the element index and
-//! the pattern cache). [`run_units`] fans those units out across a
+//! Every strategy, the engine's and the oracles' in [`crate::oracle`],
+//! decomposes into independent *evaluation units* — (call × rule) for the
+//! temporal rewrite and state replay, (service × rule) for the grouped
+//! pass — each producing a private buffer of [`ProvLink`]s over shared
+//! read-only state (the final [`weblab_xml::Document`], the rule set, the
+//! element index and the pattern cache). [`run_units`] fans those units out across a
 //! `std::thread::scope` worker pool and merges the buffers **in unit
 //! order**, so the combined link stream is identical to sequential
 //! execution regardless of scheduling; the engine's final sort + dedup then

@@ -11,10 +11,12 @@
 //! * [`service_call_provenance`] — the per-call restriction of Definition 9;
 //! * [`ProvenanceGraph`] — the labelled dependency DAG of Definition 3
 //!   (the Source/Provenance tables of Figure 2);
-//! * [`infer_provenance`] — the Section 4 evaluation strategies
-//!   ([`Strategy::StateReplay`], [`Strategy::TemporalRewrite`],
-//!   [`Strategy::GroupedSinglePass`]) plus inherited-provenance inference
+//! * [`infer_provenance`] — Section 4's temporal rewrite, the one
+//!   strategy production runs, plus inherited-provenance inference
 //!   ([`InheritMode`]);
+//! * [`oracle`] — the paper's other evaluations (state replay, plain and
+//!   materialised, and the grouped single pass), which the test suites
+//!   and benches compare with it;
 //! * [`skolem`] — the Section 5 aggregation mappings;
 //! * [`index`] — read-optimized reachability index (ancestor-set
 //!   encoding) answering why-provenance ([`WhyProvenance`]),
@@ -50,6 +52,7 @@ mod executor;
 mod graph;
 pub mod index;
 pub mod live;
+pub mod oracle;
 pub mod paper_example;
 pub mod rank;
 pub mod replay;
@@ -64,7 +67,7 @@ pub use cache::PatternCache;
 pub use engine::{
     document_state_provenance, filter_links_by_channel, infer_links_since,
     infer_links_since_cached, infer_provenance, propagate_inherited,
-    service_call_provenance, EngineOptions, InheritMode, Strategy,
+    service_call_provenance, EngineOptions, InheritMode,
 };
 pub use executor::{run_units, Parallelism};
 pub use index::{EpochSnapshot, ReachabilityIndex, WhyProvenance};

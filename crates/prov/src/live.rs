@@ -28,22 +28,21 @@
 //!   `infer_links_since` loop O(n²) over a live run, and the
 //!   `prov.trace.channel_map.builds` counter pins its absence. Positioning
 //!   a producer feeds the prior calls through the same update once per run;
-//! * one [`PatternCache`] is carried across the run's deltas, so
-//!   evaluations keyed to unchanged document states are reused (the replay
-//!   strategy's input state of call *k+1* is the output state of call *k*);
+//! * one [`PatternCache`] is carried across the run's deltas, so an
+//!   evaluation keyed to a document state already seen is reused (which
+//!   happens only when a call leaves the document unchanged, see below);
 //! * the delta itself covers only the new calls — historical calls are
 //!   never re-inferred — and the fold touches only the index rows of the
 //!   delta's endpoints.
 //!
-//! It is still not O(delta). Under the default `TemporalRewrite` strategy
-//! (and `GroupedSinglePass`) a delta evaluates the new calls' rules over
-//! the whole current document: it builds a fresh element index over that
-//! document, O(document), and each rule's unconstrained pattern table
-//! holds every matching row of the history, which the call's temporal
-//! filter then scans. The document's state mark moves with every call
-//! that adds to it, so the carried cache cannot serve these evaluations.
-//! A live run of n calls over a document that grows to D nodes therefore
-//! costs O(n · D) beyond its links.
+//! It is still not O(delta). A delta evaluates the new calls' rules, by
+//! the temporal rewrite, over the whole current document: it builds a
+//! fresh element index over that document, O(document), and each rule's
+//! unconstrained pattern table holds every matching row of the history,
+//! which the call's temporal filter then scans. The document's state mark
+//! moves with every call that adds to it, so the carried cache cannot
+//! serve these evaluations. A live run of n calls over a document that
+//! grows to D nodes therefore costs O(n · D) beyond its links.
 //!
 //! A prefix channel map is equivalent to the full one for the calls it
 //! covers: a call's link targets (and their ancestors) always predate the
@@ -158,8 +157,7 @@ impl LiveProvenance {
         if upto <= self.calls_seen {
             return LiveDelta::default();
         }
-        let span =
-            (self.opts.metrics && weblab_obs::enabled()).then(|| Span::start(&LIVE_MERGE_NS));
+        let span = Span::start(&LIVE_MERGE_NS);
         self.extend_channel_map(&trace.calls[self.calls_seen..upto]);
         let links = infer_links_since_cached(
             doc,
@@ -172,10 +170,8 @@ impl LiveProvenance {
         );
         self.calls_seen = upto;
         let sources = self.absorb_sources(doc);
-        if self.opts.metrics {
-            LIVE_DELTAS.inc();
-            LIVE_LINKS.add(links.len() as u64);
-        }
+        LIVE_DELTAS.inc();
+        LIVE_LINKS.add(links.len() as u64);
         drop(span);
         LiveDelta { links, sources }
     }
@@ -220,9 +216,9 @@ impl LiveProvenance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{infer_provenance, InheritMode, Strategy};
-    use crate::graph::ProvenanceGraph;
+    use crate::engine::{infer_provenance, InheritMode};
     use crate::index::EpochSnapshot;
+    use crate::oracle::{infer_provenance_with, Strategy};
     use crate::paper_example;
 
     /// A snapshot of `doc` before any call: its Source rows folded in.
@@ -236,7 +232,9 @@ mod tests {
         snap
     }
 
-    fn run_live(opts: EngineOptions) -> (EpochSnapshot, ProvenanceGraph) {
+    /// A live run's snapshot over the paper example, and the document and
+    /// trace it ran over.
+    fn run_live(opts: EngineOptions) -> (EpochSnapshot, Document, ExecutionTrace, RuleSet) {
         let (doc, trace, rules) = paper_example::build();
         // posthoc replay of the call stream: the final document is a valid
         // observation state for every call (posthoc equivalence)
@@ -246,28 +244,27 @@ mod tests {
         for k in 0..trace.calls.len() {
             snap.fold(&live.observe_call(&doc, &trace, k), k + 1);
         }
-        let batch = infer_provenance(&doc, &trace, &rules, &opts);
-        (snap, batch)
+        (snap, doc, trace, rules)
     }
 
     #[test]
     fn live_union_equals_batch_on_paper_example() {
-        for strategy in [
-            Strategy::StateReplay { materialize: false },
-            Strategy::TemporalRewrite,
-            Strategy::GroupedSinglePass,
+        for inherit in [
+            InheritMode::Off,
+            InheritMode::PatternRewrite,
+            InheritMode::GraphPropagation,
         ] {
-            for inherit in [
-                InheritMode::Off,
-                InheritMode::PatternRewrite,
-                InheritMode::GraphPropagation,
+            let opts = EngineOptions {
+                inherit,
+                ..Default::default()
+            };
+            let (live, doc, trace, rules) = run_live(opts);
+            for strategy in [
+                Strategy::StateReplay,
+                Strategy::TemporalRewrite,
+                Strategy::GroupedSinglePass,
             ] {
-                let opts = EngineOptions {
-                    strategy,
-                    inherit,
-                    ..Default::default()
-                };
-                let (live, batch) = run_live(opts);
+                let batch = infer_provenance_with(&doc, &trace, &rules, strategy, &opts);
                 assert_eq!(live.graph.links, batch.links, "{strategy:?}/{inherit:?}");
                 assert_eq!(
                     live.graph.sources, batch.sources,

@@ -192,7 +192,8 @@ pub fn synthetic_workload(
 mod tests {
     use super::*;
     use crate::orchestrator::Orchestrator;
-    use weblab_prov::{infer_provenance, EngineOptions, Strategy};
+    use weblab_prov::oracle::{infer_provenance_with, Strategy};
+    use weblab_prov::{infer_provenance, EngineOptions};
 
     #[test]
     fn corpus_generation_is_deterministic() {
@@ -261,18 +262,13 @@ mod tests {
         let (mut doc, wf, rules) = synthetic_workload(11, 6, 2, 5);
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         let base = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions::default());
-        for strategy in [
-            Strategy::StateReplay { materialize: false },
-            Strategy::GroupedSinglePass,
-        ] {
-            let g = infer_provenance(
+        for strategy in [Strategy::StateReplay, Strategy::GroupedSinglePass] {
+            let g = infer_provenance_with(
                 &doc,
                 &outcome.trace,
                 &rules,
-                &EngineOptions {
-                    strategy,
-                    ..Default::default()
-                },
+                strategy,
+                &EngineOptions::default(),
             );
             assert_eq!(g.links, base.links);
         }

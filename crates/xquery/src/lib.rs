@@ -13,7 +13,8 @@
 //!   optimised rewriting;
 //! * the compiled inference strategy ([`infer_provenance_xquery`]) that
 //!   plugs into the same trace/rule-set inputs as `weblab_prov`'s native
-//!   strategies and provably returns identical links.
+//!   engine and returns identical links, which the test suites check on
+//!   random workflows and against the platform's graphs.
 //!
 //! ```
 //! use weblab_prov::MappingRule;
@@ -44,4 +45,4 @@ pub use compile::{compile_pattern_embeddings, compile_rule, CallConstraint, Comp
 pub use eval::{evaluate, evaluate_with, Binding, QueryResult, XqEvalOptions};
 pub use optimize::fuse_id_joins;
 pub use parser::{parse_query, QueryParseError};
-pub use strategy::{infer_provenance_xquery, xquery_call_provenance, XQueryStrategyOptions};
+pub use strategy::{infer_provenance_xquery, XQueryStrategyOptions};

@@ -1,10 +1,11 @@
 //! The XQuery-compiled provenance inference strategy.
 //!
-//! Mirrors `weblab_prov`'s temporal-rewrite strategy, but goes through the
-//! full Mapper pipeline of Section 6: compile each rule to a FLWOR query
+//! Mirrors `weblab_prov`'s temporal rewrite, but goes through the paper's
+//! Mapper pipeline of Section 6: compile each rule to a FLWOR query
 //! restricted to one call, optionally fuse ID joins, evaluate on the final
 //! document, and decode the constructed `<prov from=… to=…/>` elements back
-//! into provenance links.
+//! into provenance links. Production runs the native engine; the test
+//! suites hold this strategy's graphs against it.
 
 use weblab_prov::{CallRecord, ExecutionTrace, ProvLink, ProvenanceGraph, RuleSet};
 use weblab_xml::Document;
@@ -33,7 +34,7 @@ impl Default for XQueryStrategyOptions {
 }
 
 /// Compute the direct provenance links of one call via the compiled query.
-pub fn xquery_call_provenance(
+fn xquery_call_provenance(
     rule: &weblab_prov::MappingRule,
     doc: &Document,
     call: &CallRecord,

@@ -94,6 +94,21 @@ assert counters.get("prov.index.traversals", 0) == 0, \
 print(f"ci: CLI query path ok (index hits={counters['prov.index.hits']})")
 PY
 
+echo "==> inference runs one strategy in production"
+# The platform infers through weblab-prov's temporal rewrite alone: the
+# compiled XQuery and the strategies in weblab_prov::oracle are test and
+# bench oracles, never a production path.
+platform_tree="$(cargo tree -p weblab-platform -e normal,dev --offline)"
+if grep -q weblab-xquery <<<"$platform_tree"; then
+    echo "ci: weblab-platform depends on weblab-xquery" >&2
+    exit 1
+fi
+if grep -rn 'prov::oracle' src crates/platform/src; then
+    echo "ci: production code names prov::oracle" >&2
+    exit 1
+fi
+echo "ci: one inference strategy in production ok"
+
 echo "==> fault-tolerance smoke run (flaky service under --retries 2)"
 ./target/release/weblab --metrics --metrics-out "$metrics_dir/fault.json" \
     run data/sample_corpus.xml Normaliser,flaky:2,LanguageExtractor \

@@ -89,7 +89,6 @@ impl WebLabError {
             WebLabError::Platform(PlatformError::Catalog(_)) => "catalog",
             WebLabError::Platform(PlatformError::Workflow(_)) => "workflow",
             WebLabError::Platform(PlatformError::Recorder(_)) => "recorder",
-            WebLabError::Platform(PlatformError::Mapper(_)) => "mapper",
             WebLabError::Platform(PlatformError::Sparql(_)) | WebLabError::Sparql(_) => "sparql",
             WebLabError::Platform(PlatformError::Store(PersistError::StoreLocked { .. })) => {
                 "store-locked"

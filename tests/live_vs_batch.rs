@@ -2,8 +2,9 @@
 //! [`LiveProvenance`] producer fed one committed call at a time from the
 //! orchestrator's call-completion hook, folded into an [`EpochSnapshot`],
 //! must build *exactly* the graph a one-shot batch `infer_provenance`
-//! derives over the final document and trace — across every strategy,
-//! inherit mode and worker count, through parallel blocks, and under fault
+//! derives over the final document and trace — under every oracle
+//! strategy's batch inference (`weblab::prov::oracle`), across inherit
+//! modes and worker counts, through parallel blocks, and under fault
 //! injection (retried and skipped steps), where rolled-back attempts must
 //! leave no residue in the snapshot.
 //!
@@ -13,9 +14,10 @@
 
 use std::sync::{Arc, Mutex};
 
+use weblab::prov::oracle::{infer_provenance_with, Strategy};
 use weblab::prov::{
     infer_provenance, paper_example, EngineOptions, EpochSnapshot, ExecutionTrace, InheritMode,
-    LiveDelta, LiveProvenance, Parallelism, ProvLink, ProvenanceGraph, RuleSet, Strategy,
+    LiveDelta, LiveProvenance, Parallelism, ProvLink, ProvenanceGraph, RuleSet,
 };
 use weblab::rdf::{export_prov_into, to_turtle, Triple, TripleStore};
 use weblab::workflow::generator::{synthetic_workload, SyntheticService};
@@ -28,32 +30,32 @@ use weblab::xml::Document;
 /// Every inference configuration the differential sweep covers.
 fn all_opts() -> Vec<EngineOptions> {
     let mut out = Vec::new();
-    for strategy in [
-        Strategy::StateReplay { materialize: false },
-        Strategy::TemporalRewrite,
-        Strategy::GroupedSinglePass,
+    for inherit in [
+        InheritMode::Off,
+        InheritMode::PatternRewrite,
+        InheritMode::GraphPropagation,
     ] {
-        for inherit in [
-            InheritMode::Off,
-            InheritMode::PatternRewrite,
-            InheritMode::GraphPropagation,
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
         ] {
-            for parallelism in [
-                Parallelism::Sequential,
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-            ] {
-                out.push(EngineOptions {
-                    strategy,
-                    inherit,
-                    parallelism,
-                    ..Default::default()
-                });
-            }
+            out.push(EngineOptions {
+                inherit,
+                parallelism,
+                ..Default::default()
+            });
         }
     }
     out
 }
+
+/// The batch strategies each live run is compared with.
+const STRATEGIES: [Strategy; 3] = [
+    Strategy::StateReplay,
+    Strategy::TemporalRewrite,
+    Strategy::GroupedSinglePass,
+];
 
 /// A snapshot of `doc` before any call: its Source rows folded in.
 fn starting_snapshot(doc: &Document) -> EpochSnapshot {
@@ -110,7 +112,7 @@ fn sorted_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
 }
 
 /// Assert the live snapshot's graph equals a fresh batch inference over
-/// the final document and trace.
+/// the final document and trace, under every strategy.
 fn assert_live_equals_batch(
     doc: &Document,
     trace: &ExecutionTrace,
@@ -119,17 +121,19 @@ fn assert_live_equals_batch(
     live: &EpochSnapshot,
     label: &str,
 ) {
-    let batch = infer_provenance(doc, trace, rules, opts);
-    let live_graph = &live.graph;
-    assert_eq!(
-        sorted_pairs(live_graph),
-        sorted_pairs(&batch),
-        "link sets diverge: {label}"
-    );
-    assert_eq!(
-        live_graph.sources, batch.sources,
-        "source tables diverge: {label}"
-    );
+    for strategy in STRATEGIES {
+        let batch = infer_provenance_with(doc, trace, rules, strategy, opts);
+        let live_graph = &live.graph;
+        assert_eq!(
+            sorted_pairs(live_graph),
+            sorted_pairs(&batch),
+            "link sets diverge: {label}, batch {strategy:?}"
+        );
+        assert_eq!(
+            live_graph.sources, batch.sources,
+            "source tables diverge: {label}, batch {strategy:?}"
+        );
+    }
 }
 
 #[test]
@@ -160,7 +164,6 @@ fn live_equals_batch_through_parallel_blocks() {
     for opts in [
         EngineOptions::default(),
         EngineOptions {
-            strategy: Strategy::GroupedSinglePass,
             inherit: InheritMode::PatternRewrite,
             ..Default::default()
         },

@@ -19,9 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use weblab::obs;
-use weblab::prov::{
-    infer_provenance, paper_example, EngineOptions, Parallelism, Strategy,
-};
+use weblab::prov::oracle::{infer_provenance_with, Strategy};
+use weblab::prov::{infer_provenance, paper_example, EngineOptions, Parallelism};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -31,12 +30,12 @@ fn counters_for(strategy: Strategy, parallelism: Parallelism) -> BTreeMap<String
     obs::reset();
     obs::enable();
     let (doc, trace, rules) = paper_example::build();
-    let g = infer_provenance(
+    let g = infer_provenance_with(
         &doc,
         &trace,
         &rules,
+        strategy,
         &EngineOptions {
-            strategy,
             parallelism,
             ..Default::default()
         },
@@ -138,7 +137,7 @@ fn state_replay_golden_counters() {
         Parallelism::Threads(2),
         Parallelism::Threads(4),
     ] {
-        let got = counters_for(Strategy::StateReplay { materialize: false }, workers);
+        let got = counters_for(Strategy::StateReplay, workers);
         assert_eq!(got, expected, "workers = {workers:?}");
     }
 }
@@ -168,30 +167,6 @@ fn executor_histogram_counts_units_and_balances_inflight() {
     assert_eq!(h.count, 6, "3 units per run × 2 runs");
     assert!(h.sum > 0);
     assert_eq!(snap.gauge("prov.executor.units.inflight"), 0);
-}
-
-#[test]
-fn metrics_opt_out_suppresses_engine_counters() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    obs::reset();
-    obs::enable();
-    let (doc, trace, rules) = paper_example::build();
-    let _ = infer_provenance(
-        &doc,
-        &trace,
-        &rules,
-        &EngineOptions {
-            metrics: false,
-            ..Default::default()
-        },
-    );
-    let snap = obs::snapshot();
-    obs::disable();
-    // engine-level counters respect the per-run gate…
-    assert_eq!(snap.counter("prov.engine.temporal.units"), 0);
-    assert_eq!(snap.counter("prov.engine.links.emitted"), 0);
-    // …while globally gated evaluation counters still tick
-    assert_eq!(snap.counter("xpath.pattern.evals"), 6);
 }
 
 #[test]

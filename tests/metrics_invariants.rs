@@ -26,9 +26,8 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use weblab::obs;
-use weblab::prov::{
-    infer_provenance, EngineOptions, Parallelism, Strategy as ProvStrategy,
-};
+use weblab::prov::oracle::{infer_provenance_with, Strategy as ProvStrategy};
+use weblab::prov::{infer_provenance, EngineOptions, Parallelism};
 use weblab::workflow::generator::synthetic_workload;
 use weblab::workflow::Orchestrator;
 
@@ -45,12 +44,12 @@ fn run_counters(
 ) -> BTreeMap<String, u64> {
     obs::reset();
     obs::enable();
-    let _ = infer_provenance(
+    let _ = infer_provenance_with(
         doc,
         trace,
         rules,
+        strategy,
         &EngineOptions {
-            strategy,
             parallelism,
             ..Default::default()
         },
@@ -76,7 +75,7 @@ proptest! {
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
 
         for (strategy, unit_counter) in [
-            (ProvStrategy::StateReplay { materialize: false }, "prov.engine.replay.units"),
+            (ProvStrategy::StateReplay, "prov.engine.replay.units"),
             (ProvStrategy::TemporalRewrite, "prov.engine.temporal.units"),
             (ProvStrategy::GroupedSinglePass, "prov.engine.grouped.units"),
         ] {

@@ -2,9 +2,10 @@
 //! asserting every figure/table/example it prints (the per-experiment index
 //! F1–F4, E5–E7 of DESIGN.md).
 
+use weblab::prov::oracle::{infer_provenance_with, Strategy};
 use weblab::prov::{
     document_state_provenance, infer_provenance, paper_example, service_call_provenance,
-    EngineOptions, InheritMode, JoinAlgorithm, MappingRule, Strategy,
+    EngineOptions, InheritMode, JoinAlgorithm, MappingRule,
 };
 use weblab::xpath::{eval_pattern, parse_pattern};
 
@@ -191,19 +192,19 @@ fn all_strategies_and_joins_agree_on_the_example() {
     let (doc, trace, rules) = paper_example::build();
     let mut results = Vec::new();
     for strategy in [
-        Strategy::StateReplay { materialize: false },
-        Strategy::StateReplay { materialize: true },
+        Strategy::StateReplay,
+        Strategy::MaterializedReplay,
         Strategy::TemporalRewrite,
         Strategy::GroupedSinglePass,
     ] {
         for join in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
             for inherit in [InheritMode::Off, InheritMode::PatternRewrite] {
-                let g = infer_provenance(
+                let g = infer_provenance_with(
                     &doc,
                     &trace,
                     &rules,
+                    strategy,
                     &EngineOptions {
-                        strategy,
                         inherit,
                         join,
                         ..Default::default()

@@ -6,9 +6,8 @@
 
 use proptest::prelude::*;
 
-use weblab::prov::{
-    infer_provenance, EngineOptions, InheritMode, Parallelism, Strategy as ProvStrategy,
-};
+use weblab::prov::oracle::{infer_provenance_with, Strategy as ProvStrategy};
+use weblab::prov::{EngineOptions, InheritMode, Parallelism};
 use weblab::workflow::generator::synthetic_workload;
 use weblab::workflow::{Orchestrator, Workflow};
 use weblab::workflow::services::{LanguageExtractor, Normaliser, Translator};
@@ -34,24 +33,21 @@ proptest! {
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         let inherit = if inherit { InheritMode::PatternRewrite } else { InheritMode::Off };
         for strategy in [
-            ProvStrategy::StateReplay { materialize: false },
-            ProvStrategy::StateReplay { materialize: true },
+            ProvStrategy::StateReplay,
+            ProvStrategy::MaterializedReplay,
             ProvStrategy::TemporalRewrite,
             ProvStrategy::GroupedSinglePass,
         ] {
-            let sequential = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                strategy,
-                inherit,
-                parallelism: Parallelism::Sequential,
-                ..Default::default()
-            });
-            for parallelism in WORKER_SWEEP {
-                let parallel = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                    strategy,
+            let mk = |parallelism| {
+                infer_provenance_with(&doc, &outcome.trace, &rules, strategy, &EngineOptions {
                     inherit,
                     parallelism,
                     ..Default::default()
-                });
+                })
+            };
+            let sequential = mk(Parallelism::Sequential);
+            for parallelism in WORKER_SWEEP {
+                let parallel = mk(parallelism);
                 prop_assert_eq!(&sequential.links, &parallel.links);
                 prop_assert_eq!(&sequential.sources, &parallel.sources);
             }
@@ -75,11 +71,10 @@ fn parallel_matches_sequential_on_media_pipeline() {
         for strategy in [
             ProvStrategy::TemporalRewrite,
             ProvStrategy::GroupedSinglePass,
-            ProvStrategy::StateReplay { materialize: false },
+            ProvStrategy::StateReplay,
         ] {
             let mk = |parallelism| {
-                infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                    strategy,
+                infer_provenance_with(&doc, &outcome.trace, &rules, strategy, &EngineOptions {
                     inherit,
                     parallelism,
                     ..Default::default()

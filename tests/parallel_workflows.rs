@@ -8,9 +8,8 @@
 //! cannot *depend* on branch 0's output, even though its timestamp is
 //! later). Calls after the join see everything.
 
-use weblab::prov::{
-    channels_compatible, infer_provenance, EngineOptions, RuleSet, Strategy,
-};
+use weblab::prov::oracle::{infer_provenance_with, Strategy};
+use weblab::prov::{channels_compatible, infer_provenance, EngineOptions, RuleSet};
 use weblab::workflow::{CallContext, Orchestrator, Service, Workflow, WorkflowError};
 use weblab::xml::Document;
 use weblab::xquery::{infer_provenance_xquery, XQueryStrategyOptions};
@@ -214,8 +213,8 @@ fn nested_parallel_channels() {
 fn all_strategies_agree_on_parallel_traces() {
     let mut results = Vec::new();
     for strategy in [
-        Strategy::StateReplay { materialize: false },
-        Strategy::StateReplay { materialize: true },
+        Strategy::StateReplay,
+        Strategy::MaterializedReplay,
         Strategy::TemporalRewrite,
         Strategy::GroupedSinglePass,
     ] {
@@ -229,14 +228,12 @@ fn all_strategies_agree_on_parallel_traces() {
             ])
             .then(Marker);
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
-        let g = infer_provenance(
+        let g = infer_provenance_with(
             &doc,
             &outcome.trace,
             &marker_rules(),
-            &EngineOptions {
-                strategy,
-                ..Default::default()
-            },
+            strategy,
+            &EngineOptions::default(),
         );
         let pairs: Vec<(String, String)> = g
             .links

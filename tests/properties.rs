@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 
-use weblab::prov::{
-    infer_provenance, join_tables, EngineOptions, InheritMode, JoinAlgorithm,
-    Strategy as ProvStrategy,
+use weblab::prov::oracle::{
+    infer_links_since_with, infer_provenance_with, Strategy as ProvStrategy,
 };
+use weblab::prov::{infer_provenance, join_tables, EngineOptions, InheritMode, JoinAlgorithm};
 use weblab::workflow::generator::synthetic_workload;
 use weblab::workflow::services::{self, LanguageExtractor, Normaliser, Translator};
 use weblab::workflow::{Orchestrator, Workflow};
@@ -83,15 +83,13 @@ proptest! {
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         let mut all = Vec::new();
         for strategy in [
-            ProvStrategy::StateReplay { materialize: false },
-            ProvStrategy::StateReplay { materialize: true },
+            ProvStrategy::StateReplay,
+            ProvStrategy::MaterializedReplay,
             ProvStrategy::TemporalRewrite,
             ProvStrategy::GroupedSinglePass,
         ] {
-            let g = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                strategy,
-                ..Default::default()
-            });
+            let g = infer_provenance_with(
+                &doc, &outcome.trace, &rules, strategy, &EngineOptions::default());
             all.push(g.links);
         }
         // compiled XQuery agrees too (the rule set is position-free)
@@ -130,13 +128,12 @@ proptest! {
         let (mut doc, wf, rules) = synthetic_workload(seed, n_calls, fanout, 0);
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         for strategy in [ProvStrategy::TemporalRewrite, ProvStrategy::GroupedSinglePass,
-                         ProvStrategy::StateReplay { materialize: false }] {
-            let with = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                strategy, use_index: true, ..Default::default()
-            });
-            let without = infer_provenance(&doc, &outcome.trace, &rules, &EngineOptions {
-                strategy, use_index: false, ..Default::default()
-            });
+                         ProvStrategy::StateReplay] {
+            let mk = |use_index| infer_provenance_with(
+                &doc, &outcome.trace, &rules, strategy, &EngineOptions {
+                    use_index, ..Default::default()
+                });
+            let (with, without) = (mk(true), mk(false));
             prop_assert_eq!(with.links, without.links);
         }
     }
@@ -308,21 +305,21 @@ proptest! {
         let outcome = Orchestrator::new().execute(&wf, &mut doc).unwrap();
         let n = outcome.trace.calls.len();
         let k = split % (n + 1);
+        let strategy = [
+            ProvStrategy::StateReplay,
+            ProvStrategy::TemporalRewrite,
+            ProvStrategy::GroupedSinglePass,
+        ][strategy_idx];
         let opts = EngineOptions {
-            strategy: [
-                ProvStrategy::StateReplay { materialize: false },
-                ProvStrategy::TemporalRewrite,
-                ProvStrategy::GroupedSinglePass,
-            ][strategy_idx],
             inherit: if rewrite { InheritMode::PatternRewrite } else { InheritMode::Off },
             ..Default::default()
         };
-        let full = weblab::prov::infer_links_since(&doc, &outcome.trace, 0, &rules, &opts);
+        let full = infer_links_since_with(&doc, &outcome.trace, 0, &rules, strategy, &opts);
         let head_trace = weblab::prov::ExecutionTrace {
             calls: outcome.trace.calls[..k].to_vec(),
         };
-        let head = weblab::prov::infer_links_since(&doc, &head_trace, 0, &rules, &opts);
-        let tail = weblab::prov::infer_links_since(&doc, &outcome.trace, k, &rules, &opts);
+        let head = infer_links_since_with(&doc, &head_trace, 0, &rules, strategy, &opts);
+        let tail = infer_links_since_with(&doc, &outcome.trace, k, &rules, strategy, &opts);
         // disjoint deltas: nothing is derived twice
         prop_assert_eq!(head.len() + tail.len(), full.len());
         let mut union = head;

@@ -6,8 +6,8 @@
 //! of an inherit-mode inference: the `closed_cone` helper below),
 //! `Orchestrator::replay` re-executes only the dirty steps and splices
 //! every other fragment forward. The differential law checked here, across
-//! every inference strategy and worker count and for both live and batch
-//! provenance:
+//! every inference strategy (`weblab::prov::oracle`) and worker count and
+//! for both live and batch provenance:
 //!
 //! * the replayed document serialises byte-identically to a full re-run;
 //! * the trace records (marks, produced ids, labels) are equal;
@@ -28,9 +28,10 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use weblab::prov::oracle::{infer_provenance_with, Strategy};
 use weblab::prov::{
     dirty_cone, infer_provenance, EngineOptions, EpochSnapshot, ExecutionTrace, InheritMode,
-    LiveDelta, LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex, Strategy,
+    LiveDelta, LiveProvenance, Parallelism, ProvenanceGraph, ReachabilityIndex,
 };
 use weblab::rdf::{export_prov, to_turtle};
 use weblab::workflow::services::{
@@ -101,28 +102,28 @@ fn sorted_pairs(g: &ProvenanceGraph) -> Vec<(String, String)> {
     pairs
 }
 
-/// Every engine configuration the differential sweep covers: the three
-/// inference strategies crossed with 1/2/4 inference workers.
+/// The inference strategies the differential sweep covers; each runs
+/// under every configuration of [`all_opts`].
+const STRATEGIES: [Strategy; 3] = [
+    Strategy::StateReplay,
+    Strategy::TemporalRewrite,
+    Strategy::GroupedSinglePass,
+];
+
+/// Every engine configuration the differential sweep covers: 1/2/4
+/// inference workers.
 fn all_opts() -> Vec<EngineOptions> {
-    let mut out = Vec::new();
-    for strategy in [
-        Strategy::StateReplay { materialize: false },
-        Strategy::TemporalRewrite,
-        Strategy::GroupedSinglePass,
-    ] {
-        for parallelism in [
-            Parallelism::Sequential,
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-        ] {
-            out.push(EngineOptions {
-                strategy,
-                parallelism,
-                ..Default::default()
-            });
-        }
-    }
-    out
+    [
+        Parallelism::Sequential,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+    ]
+    .into_iter()
+    .map(|parallelism| EngineOptions {
+        parallelism,
+        ..Default::default()
+    })
+    .collect()
 }
 
 const PRIOR: [&str; 3] = [
@@ -168,19 +169,22 @@ fn assert_replay_equals_rerun(changed_payloads: [&str; 3], changed_uris: &[&str]
 
     // Link sets and Turtle export, for every strategy and worker count.
     let rules = services::default_rules();
-    for opts in all_opts() {
-        let a = infer_provenance(&replayed_doc, &replayed.outcome.trace, &rules, &opts);
-        let b = infer_provenance(&full_doc, &full.trace, &rules, &opts);
-        assert_eq!(
-            sorted_pairs(&a),
-            sorted_pairs(&b),
-            "link sets diverge under {opts:?}"
-        );
-        assert_eq!(
-            to_turtle(&export_prov(&a)),
-            to_turtle(&export_prov(&b)),
-            "Turtle export diverges under {opts:?}"
-        );
+    for strategy in STRATEGIES {
+        for opts in all_opts() {
+            let replayed_trace = &replayed.outcome.trace;
+            let a = infer_provenance_with(&replayed_doc, replayed_trace, &rules, strategy, &opts);
+            let b = infer_provenance_with(&full_doc, &full.trace, &rules, strategy, &opts);
+            assert_eq!(
+                sorted_pairs(&a),
+                sorted_pairs(&b),
+                "link sets diverge under {strategy:?}, {opts:?}"
+            );
+            assert_eq!(
+                to_turtle(&export_prov(&a)),
+                to_turtle(&export_prov(&b)),
+                "Turtle export diverges under {strategy:?}, {opts:?}"
+            );
+        }
     }
 }
 
@@ -281,12 +285,16 @@ fn replay_under_live_provenance_matches_batch_inference() {
             Err(_) => panic!("snapshot uniquely owned after the orchestrator is dropped"),
         };
 
-        let batch = infer_provenance(&replayed_doc, &replayed.outcome.trace, &rules, &opts);
-        assert_eq!(
-            sorted_pairs(&live.graph),
-            sorted_pairs(&batch),
-            "live provenance diverges from batch over a replayed execution under {opts:?}"
-        );
+        for strategy in STRATEGIES {
+            let trace = &replayed.outcome.trace;
+            let batch = infer_provenance_with(&replayed_doc, trace, &rules, strategy, &opts);
+            assert_eq!(
+                sorted_pairs(&live.graph),
+                sorted_pairs(&batch),
+                "live provenance diverges from {strategy:?} batch over a replayed execution \
+                 under {opts:?}"
+            );
+        }
     }
 }
 
